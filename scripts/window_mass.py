@@ -27,7 +27,6 @@ def main() -> int:
     ap.add_argument("--P", type=int, default=27, help="scale parameter (N = P^6)")
     ap.add_argument("--Q", type=int, default=64, help="series truncation")
     ap.add_argument("--samples", type=int, default=32, help="number of n sampled in the window")
-    ap.add_argument("--cap", type=int, default=100_000, help="exhaustive tuple-domain cap for J")
     args = ap.parse_args()
 
     pp = derive_params(args.P**6)
@@ -42,7 +41,7 @@ def main() -> int:
     primes = pp.default_primes()
     ev = RnEvaluator(ta, tb, primes)
     lo, hi = pp.N // 2, pp.N
-    mass = sum(ca * cb for ka, ca in ev.aa.items() for kb, cb in ev.bb.items() if lo <= ka + kb <= hi)
+    mass = ev.window_mass(lo, hi)
     print(f"exact window mass sum R(n), n in [{lo}, {hi}]: {mass}")
 
     ns = list(range(lo, hi + 1, max(1, (hi - lo) // args.samples)))[: args.samples]
@@ -50,8 +49,7 @@ def main() -> int:
     preds = []
     for n in ns:
         tr = truncated_singular_series(n, args.Q)
-        j = singular_integral_J(n, pp, primes, exhaustive_cap=args.cap)
-        preds.append(tr.value * j.value)
+        preds.append(tr.value * singular_integral_J(n, pp, primes))
     pred_mass = float(np.mean(preds)) * (hi - lo)
     ratio = mass / pred_mass if pred_mass > 0 else float("inf")
     print(f"predicted mass: {pred_mass:.1f}  (mean term {np.mean(preds):.6g}, {len(ns)} samples, {time.time() - t0:.0f}s)")

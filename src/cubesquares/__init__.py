@@ -34,7 +34,6 @@ from .arcs import TAU, ArcDissection, ArcHit, classify, upsilon
 from .oscillatory import osc_integral_v, osc_integral_v_thin, thin_volume, v_at_zero
 from .generating import F_diagnostic, W_star, eval_W, eval_h, h_star, model_V, model_W
 from .mainterm import (
-    JEstimate,
     MainTermReport,
     RnEvaluator,
     exact_Rn,

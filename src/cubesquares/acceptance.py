@@ -283,13 +283,12 @@ def criterion_11() -> CriterionResult:
     primes = pp.default_primes()
     ev = RnEvaluator(ta, tb, primes)
     lo, hi = pp.N // 2, pp.N
-    mass = sum(ca * cb for ka, ca in ev.aa.items() for kb, cb in ev.bb.items() if lo <= ka + kb <= hi)
+    mass = ev.window_mass(lo, hi)
     ns = list(range(lo, hi + 1, max(1, (hi - lo) // 32)))[:32]
     preds = []
     for n in ns:
         tr = truncated_singular_series(n, 64)
-        j = singular_integral_J(n, pp, primes, exhaustive_cap=100_000)
-        preds.append(tr.value * j.value)
+        preds.append(tr.value * singular_integral_J(n, pp, primes))
     pred_mass = float(np.mean(preds)) * (hi - lo)
     ratio2 = mass / pred_mass if pred_mass > 0 else float("inf")
     part2 = pred_mass > 0 and 0.1 <= ratio2 <= 10.0

@@ -4,8 +4,7 @@ Every run is described by a RunConfig whose hash is embedded in each
 output artifact (inline for JSON/TSV, via .meta.json sidecar for the
 fixed-format CSV/binary tables).  Exit codes: 0 success, 2 capacity,
 3 verification failure, 4 bad configuration.  Runs are sequential and
-deterministic for a fixed config (the --threads flag caps worker
-parallelism but never changes reduction order).
+deterministic for a fixed config.
 """
 
 from __future__ import annotations
@@ -203,7 +202,7 @@ def cmd_arcs(args, cfg: RunConfig, out: Path) -> int:
         ta = build_weight_table(params, "a")
         tb = build_weight_table(params, "b")
         primes = params.default_primes() or [2]
-        rep = main_term_report(args.report, params, ta, tb, primes, Q=args.Q, seed=args.seed)
+        rep = main_term_report(args.report, params, ta, tb, primes, Q=args.Q)
         _write_json(out / f"report_n{args.report}.json", cfg, rep.as_json_dict())
         print(f"n={rep.n}: R={rep.R_exact} predicted={rep.predicted:.6g} ratio={rep.ratio:.6g}")
     return 0
@@ -249,8 +248,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p):
         p.add_argument("--out", type=Path, default=Path("."), help="output directory")
-        p.add_argument("--seed", type=int, default=2024)
-        p.add_argument("--threads", type=int, default=None, help="worker cap (reductions stay deterministic)")
         p.add_argument("--eta", type=float, default=0.1)
         p.add_argument("--R", type=int, default=None, help="smoothness bound override")
 

@@ -10,13 +10,20 @@ a dense FFT route over the full index range cross-checks it.
 
 The model main term is (singular series at n) * J(n) where J(n) is the
 four-fold convolution of the kernel slot densities at n, summed over the
-discrete smooth tuples and prime pairs.  That sum is evaluated exhaustively
-when small, else by seeded Monte Carlo over tuples.
+discrete smooth tuples and prime pairs.  Convolution is multilinear, so
+that sum is one convolution of summed slots, (T * T * U * U)(n): the thin
+and bulk slot pairs are built once per (params, primes) and J(n) is a
+single deterministic Gauss integral over their pair convolutions.  The
+per-tuple sum of conv4_value is its test oracle, and conv4_value_beta an
+independent Fourier route for single tuples.
 """
 
 from __future__ import annotations
 
+import bisect
+import itertools
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -24,7 +31,7 @@ import numpy as np
 
 from .errors import CapacityError, QuadratureError
 from .expsums import SeriesTruncation, truncated_singular_series
-from .oscillatory import KernelSlot, _panel_rule, plain_slot, scaled_slot
+from .oscillatory import KernelSlot, _leggauss, _panel_rule, plain_slot, scaled_slot
 from .params import Params
 from .smooth import enumerate_smooth
 from .weights import WeightTable
@@ -80,6 +87,15 @@ class RnEvaluator:
     def __call__(self, n: int) -> int:
         return sum(cb * self.aa.get(n - kb, 0) for kb, cb in self.bb.items())
 
+    def window_mass(self, lo: int, hi: int) -> int:
+        """sum of R(n) over lo <= n <= hi, exactly, by prefix sums over sorted aa."""
+        keys = sorted(self.aa)
+        prefix = [0, *itertools.accumulate(self.aa[k] for k in keys)]
+        return sum(
+            cb * (prefix[bisect.bisect_right(keys, hi - kb)] - prefix[bisect.bisect_left(keys, lo - kb)])
+            for kb, cb in self.bb.items()
+        )
+
     @property
     def max_n(self) -> int:
         if not self.aa or not self.bb:
@@ -130,20 +146,6 @@ def rn_dense_dft(
 
 
 # -- singular integral ----------------------------------------------------------
-
-
-@lru_cache(maxsize=200_000)
-def _conv4_cached(
-    n: int, p1: int, p2: int, C1: int, C2: int, C3: int, C4: int, t: tuple
-) -> float:
-    H1, H2, P = t
-    slots = (
-        scaled_slot(H1, H2, float(C1), p1),
-        scaled_slot(H1, H2, float(C2), p2),
-        plain_slot(P / 2.0, P, float(C3)),
-        plain_slot(P / 2.0, P, float(C4)),
-    )
-    return conv4_value(slots, float(n))
 
 
 def _pair_conv(sa: KernelSlot, sb: KernelSlot, u: np.ndarray, order: int = 24) -> np.ndarray:
@@ -206,75 +208,99 @@ def conv4_value_beta(slots: tuple[KernelSlot, ...], n: float, K: float = 40.0, o
     return float(val.real)
 
 
-@dataclass
-class JEstimate:
-    value: float
-    stderr: float
-    samples: int
-    domain: int
-    exhaustive: bool
-    flagged: bool
+_BLOCK = 4096  # outer nodes per pair-convolution call; bounds the (order x block) temporaries
 
 
-def singular_integral_J(
-    n: int,
-    params: Params,
-    primes: list[int],
-    seed: int = 2024,
-    samples: int = 2000,
-    exhaustive_cap: int = 8192,
-) -> JEstimate:
-    """J(n): kernel four-fold convolution summed over discrete smooth tuples.
+@dataclass(frozen=True)
+class _SlotPairs:
+    """Unordered slot pairs (a, b) with weights; (B_a * B_b) lives on [lo, hi]."""
 
-    Exhaustive when the tuple domain is small, else uniform Monte Carlo with
-    a seeded generator; `flagged` marks estimates whose standard error is
-    not well below the value.
-    """
-    if not primes:
-        return JEstimate(0.0, 0.0, 0, 0, True, False)
+    pairs: list[tuple[KernelSlot, KernelSlot]]
+    weight: np.ndarray
+    lo: np.ndarray
+    hi: np.ndarray
+    breaks: np.ndarray
+
+    @classmethod
+    def build(cls, slots: list[tuple[KernelSlot, int]]) -> "_SlotPairs":
+        """Pairs of the given (slot, multiplicity m_i) list.
+
+        (B_a * B_b) = (B_b * B_a), so the pair {i, j} is kept once with
+        weight 2 m_i m_j (m_i^2 on the diagonal).
+        """
+        pairs, weight = [], []
+        for i, (sa, ma) in enumerate(slots):
+            for j, (sb, mb) in enumerate(slots[i:], start=i):
+                pairs.append((sa, sb))
+                weight.append(ma * mb * (1 if j == i else 2))
+        corners = np.array(
+            [[a.gamma_lo + b.gamma_lo, a.gamma_lo + b.gamma_hi, a.gamma_hi + b.gamma_lo, a.gamma_hi + b.gamma_hi]
+             for a, b in pairs]
+        )
+        return cls(pairs, np.array(weight, dtype=np.float64), corners[:, 0], corners[:, 3], np.unique(corners))
+
+    def __call__(self, v: np.ndarray) -> np.ndarray:
+        """sum_k weight_k (B_a * B_b)_k(v) at ascending points v.
+
+        Every pair breakpoint must be a cut of the rule that made v, so each
+        pair's support covers a contiguous run of v and is skipped elsewhere.
+        """
+        out = np.zeros_like(v)
+        starts = np.searchsorted(v, self.lo, "right")
+        ends = np.searchsorted(v, self.hi, "left")
+        for k in np.flatnonzero(ends > starts).tolist():
+            sa, sb = self.pairs[k]
+            for i in range(starts[k], ends[k], _BLOCK):
+                j = min(i + _BLOCK, ends[k])
+                out[i:j] += self.weight[k] * _pair_conv(sa, sb, v[i:j])
+        return out
+
+
+@lru_cache(maxsize=8)
+def _j_slot_pairs(params: Params, primes: tuple[int, ...]) -> tuple[_SlotPairs, _SlotPairs] | None:
+    """Thin pairs (prime-scaled slots) and bulk pairs (plain slots) of J."""
     s3 = enumerate_smooth(int(math.floor(params.H3)), params.R).members.tolist()
     sp = enumerate_smooth(params.P, params.R).members.tolist()
-    if not s3 or not sp:
-        return JEstimate(0.0, 0.0, 0, 0, True, False)
-    key = (params.H1, params.H2, float(params.P))
-
-    def inner(p1: int, p2: int, C1: int, C2: int, C3: int, C4: int) -> float:
-        return _conv4_cached(n, p1, p2, C1, C2, C3, C4, key)
-
-    npairs3 = len(s3) ** 2
-    npairsp = len(sp) ** 2
-    domain = len(primes) ** 2 * npairs3**2 * npairsp**2
-    if domain <= exhaustive_cap:
-        pairs3 = _pair_cubes(s3)
-        pairsp = _pair_cubes(sp)
-        total = 0.0
-        for p1 in primes:
-            for p2 in primes:
-                for C1 in pairs3:
-                    for C2 in pairs3:
-                        for C3 in pairsp:
-                            for C4 in pairsp:
-                                total += inner(p1, p2, C1, C2, C3, C4)
-        return JEstimate(total, 0.0, domain, domain, True, False)
-
-    rng = np.random.default_rng(seed)
-    vals = np.empty(samples, dtype=np.float64)
-    cu3 = [v**3 for v in s3]
-    cup = [v**3 for v in sp]
-    for i in range(samples):
-        p1, p2 = (primes[j] for j in rng.integers(0, len(primes), size=2))
-        a1, a2, a3, a4 = rng.integers(0, len(s3), size=4)
-        b1, b2, b3, b4 = rng.integers(0, len(sp), size=4)
-        vals[i] = inner(p1, p2, cu3[a1] + cu3[a2], cu3[a3] + cu3[a4], cup[b1] + cup[b2], cup[b3] + cup[b4])
-    mean = float(vals.mean())
-    std = float(vals.std(ddof=1)) if samples > 1 else float("inf")
-    value = domain * mean
-    stderr = domain * std / math.sqrt(samples)
-    return JEstimate(value, stderr, samples, domain, False, flagged=stderr > 0.25 * abs(value))
+    if not primes or not s3 or not sp:
+        return None
+    thin = [(scaled_slot(params.H1, params.H2, float(C), p), m) for p in primes for C, m in _pair_cubes(s3).items()]
+    bulk = [(plain_slot(params.P / 2.0, float(params.P), float(C)), m) for C, m in _pair_cubes(sp).items()]
+    return _SlotPairs.build(thin), _SlotPairs.build(bulk)
 
 
-def _pair_cubes(members: list[int]) -> list[int]:
-    return [a**3 + b**3 for a in members for b in members]
+def singular_integral_J(n: int, params: Params, primes: list[int]) -> float:
+    """J(n): kernel four-fold convolution summed over discrete smooth tuples.
+
+    The sum over primes p1, p2 and cube pairs C1..C4 of
+    (B_{p1,C1} * B_{p2,C2} * B_{C3} * B_{C4})(n) is, by multilinearity,
+    int F_TT(u) F_UU(n - u) du with F_TT and F_UU the summed pair
+    convolutions of the thin and bulk slots.  The u-integral is cut at
+    every thin breakpoint and every n - (bulk breakpoint), so each piece
+    is smooth for every pair, and gets the same Gauss rule as conv4_value.
+    """
+    built = _j_slot_pairs(params, tuple(primes))
+    if built is None:
+        return 0.0
+    thin, bulk = built
+    n = float(n)
+    u_lo = max(thin.lo.min(), n - bulk.hi.max())
+    u_hi = min(thin.hi.max(), n - bulk.lo.min())
+    if u_hi <= u_lo:
+        return 0.0
+    cuts = np.unique(np.concatenate(([u_lo, u_hi], thin.breaks, n - bulk.breaks)))
+    cuts = cuts[(cuts >= u_lo) & (cuts <= u_hi)]
+    x, w = _leggauss(24)
+    mid = 0.5 * (cuts[:-1] + cuts[1:])[:, None]
+    half = 0.5 * (cuts[1:] - cuts[:-1])[:, None]
+    u = (mid + half * x).ravel()
+    wu = (half * w).ravel()
+    f_uu = bulk((n - u)[::-1])[::-1]
+    return float(np.sum(wu * thin(u) * f_uu))
+
+
+def _pair_cubes(members: list[int]) -> Counter[int]:
+    """a^3 + b^3 -> number of ordered pairs (a, b) of members giving it."""
+    return Counter(a**3 + b**3 for a in members for b in members)
 
 
 # -- the report -----------------------------------------------------------------
@@ -286,7 +312,6 @@ class MainTermReport:
     R_exact: int
     S_trunc: float
     J_est: float
-    J_stderr: float
     predicted: float
     ratio: float
 
@@ -296,7 +321,6 @@ class MainTermReport:
             "R_exact": self.R_exact,
             "S_trunc": self.S_trunc,
             "J_est": self.J_est,
-            "J_stderr": self.J_stderr,
             "predicted": self.predicted,
             "ratio": self.ratio,
         }
@@ -309,18 +333,15 @@ def main_term_report(
     table_b: WeightTable,
     primes: list[int],
     Q: int = 64,
-    seed: int = 2024,
-    samples: int = 2000,
     rn: RnEvaluator | None = None,
 ) -> MainTermReport:
     if rn is None:
         rn = RnEvaluator(table_a, table_b, primes)
     series: SeriesTruncation = truncated_singular_series(n, Q)
-    j = singular_integral_J(n, params, primes, seed=seed, samples=samples)
-    predicted = series.value * j.value
+    j = singular_integral_J(n, params, primes)
+    predicted = series.value * j
     r = rn(n)
     ratio = r / predicted if predicted != 0 else math.inf if r else math.nan
     return MainTermReport(
-        n=n, R_exact=r, S_trunc=series.value, J_est=j.value, J_stderr=j.stderr,
-        predicted=predicted, ratio=ratio,
+        n=n, R_exact=r, S_trunc=series.value, J_est=j, predicted=predicted, ratio=ratio,
     )

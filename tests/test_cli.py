@@ -178,6 +178,13 @@ def test_degenerate_params_exit(tmp_path):
     assert run(tmp_path, "arcs", "--v-at-zero", "--N", "10") == 4
 
 
+def test_arcs_report(tmp_path):
+    assert run(tmp_path, "arcs", "--report", "196608", "--N", str(8**6), "--Q", "32") == 0
+    payload = json.loads((tmp_path / "report_n196608.json").read_text())
+    assert set(payload) == {"config_hash", "version", "n", "R_exact", "S_trunc", "J_est", "predicted", "ratio"}
+    assert payload["J_est"] == pytest.approx(0.00033530136406281975, rel=1e-9)
+
+
 def test_config_file_defaults(tmp_path):
     cfg = tmp_path / "defaults.json"
     cfg.write_text(json.dumps({"csums": 30}))

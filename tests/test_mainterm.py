@@ -1,3 +1,7 @@
+import itertools
+import math
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -11,8 +15,9 @@ from cubesquares.mainterm import (
     rn_dense_dft,
     singular_integral_J,
 )
-from cubesquares.oscillatory import plain_slot
+from cubesquares.oscillatory import plain_slot, scaled_slot
 from cubesquares.params import derive_params
+from cubesquares.smooth import enumerate_smooth
 from cubesquares.weights import WeightTable
 
 TOY_A = WeightTable("a", (3,), (1,))
@@ -96,20 +101,69 @@ def test_conv4_beta_grid_guard():
         conv4_value_beta(slots, 1.0)
 
 
+def _J_per_tuple(n, params, primes):
+    """Oracle: the exhaustive sum of conv4_value over the tuple domain.
+
+    Each tuple (p1, p2, C1, C2, C3, C4) is integrated on its own; repeated
+    tuples are counted by multiplicity rather than recomputed.
+    """
+    s3 = enumerate_smooth(int(math.floor(params.H3)), params.R).members.tolist()
+    sp = enumerate_smooth(params.P, params.R).members.tolist()
+    pairs3 = Counter(a**3 + b**3 for a in s3 for b in s3)
+    pairsp = Counter(a**3 + b**3 for a in sp for b in sp)
+    thin = [(p, C, m) for p in primes for C, m in pairs3.items()]
+    total = 0.0
+    for (p1, C1, m1), (p2, C2, m2) in itertools.product(thin, thin):
+        for (C3, m3), (C4, m4) in itertools.product(pairsp.items(), pairsp.items()):
+            slots = (
+                scaled_slot(params.H1, params.H2, float(C1), p1),
+                scaled_slot(params.H1, params.H2, float(C2), p2),
+                plain_slot(params.P / 2.0, float(params.P), float(C3)),
+                plain_slot(params.P / 2.0, float(params.P), float(C4)),
+            )
+            total += m1 * m2 * m3 * m4 * conv4_value(slots, float(n))
+    return total
+
+
+def _J_support(params, primes):
+    """Smallest and largest gamma1 + ... + gamma4 over the tuple domain."""
+    s3 = enumerate_smooth(int(math.floor(params.H3)), params.R).members.tolist()
+    sp = enumerate_smooth(params.P, params.R).members.tolist()
+    thin = [scaled_slot(params.H1, params.H2, 2.0 * c**3, p) for p in primes for c in (min(s3), max(s3))]
+    bulk = [plain_slot(params.P / 2.0, float(params.P), 2.0 * c**3) for c in (min(sp), max(sp))]
+    lo = 2 * min(s.gamma_lo for s in thin) + 2 * min(s.gamma_lo for s in bulk)
+    hi = 2 * max(s.gamma_hi for s in thin) + 2 * max(s.gamma_hi for s in bulk)
+    return lo, hi
+
+
 def test_J_exhaustive_frozen():
     pp = derive_params(8**6)
-    j = singular_integral_J(196_608, pp, [2])
-    assert not j.flagged
-    assert j.value == pytest.approx(0.00033530136406281975, rel=1e-9)
+    assert singular_integral_J(196_608, pp, [2]) == pytest.approx(0.00033530136406281975, rel=1e-9)
 
 
-def test_J_monte_carlo_deterministic():
+@pytest.mark.parametrize("frac", [1e-4, 0.01, 0.2, 0.5, 0.8, 0.99, 1 - 1e-4])
+def test_J_matches_per_tuple_oracle(frac):
+    pp = derive_params(8**6)
+    lo, hi = _J_support(pp, [2])
+    n = lo + frac * (hi - lo)
+    want = _J_per_tuple(n, pp, [2])
+    assert want > 0
+    assert singular_integral_J(n, pp, [2]) == pytest.approx(want, rel=1e-12)
+
+
+def test_J_matches_per_tuple_oracle_two_primes():
     pp = derive_params(27**6)
-    j1 = singular_integral_J(pp.N * 3 // 4, pp, [2, 3], seed=7, samples=200, exhaustive_cap=1)
-    j2 = singular_integral_J(pp.N * 3 // 4, pp, [2, 3], seed=7, samples=200, exhaustive_cap=1)
-    assert j1.value == j2.value
-    assert j1.stderr == j2.stderr
-    assert j1.value >= 0
+    n = pp.N * 3 // 4
+    assert singular_integral_J(n, pp, [2, 3]) == pytest.approx(_J_per_tuple(n, pp, [2, 3]), rel=1e-12)
+
+
+def test_J_outside_support_is_zero():
+    pp = derive_params(8**6)
+    lo, hi = _J_support(pp, [2])
+    for n in (1, lo * (1 - 1e-9), hi * (1 + 1e-9), 10 * hi):
+        assert singular_integral_J(n, pp, [2]) == 0.0
+        assert _J_per_tuple(n, pp, [2]) == 0.0
+    assert singular_integral_J(196_608, pp, []) == 0.0
 
 
 def test_main_term_report_shape():
@@ -121,5 +175,14 @@ def test_main_term_report_shape():
     rep = main_term_report(196_608, pp, ta, tb, [2], Q=32)
     d = rep.as_json_dict()
     assert d["n"] == 196_608
-    assert set(d) == {"n", "R_exact", "S_trunc", "J_est", "J_stderr", "predicted", "ratio"}
+    assert set(d) == {"n", "R_exact", "S_trunc", "J_est", "predicted", "ratio"}
     assert d["predicted"] == pytest.approx(d["S_trunc"] * d["J_est"])
+
+
+def test_window_mass_matches_pointwise_sum():
+    ta = WeightTable("a", (3, 5, 7), (1, 2, 1))
+    tb = WeightTable("b", (3, 4), (2, 1))
+    ev = RnEvaluator(ta, tb, [2, 3])
+    for lo, hi in ((0, ev.max_n), (1170, 1170), (1171, 40_000), (ev.max_n // 2, ev.max_n), (5, 4)):
+        assert ev.window_mass(lo, hi) == sum(ev(n) for n in range(lo, hi + 1))
+    assert ev.window_mass(0, ev.max_n) == ev.total
