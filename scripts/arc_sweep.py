@@ -13,9 +13,7 @@ from fractions import Fraction
 
 from cubesquares.arcs import ArcDissection
 from cubesquares.generating import F_diagnostic
-from cubesquares.params import derive_params
-from cubesquares.smooth import estimate_c_eta
-from cubesquares.weights import build_weight_table
+from cubesquares.scale import Scale
 
 
 def main() -> int:
@@ -27,18 +25,14 @@ def main() -> int:
     ap.add_argument("--out", default="-", help="output TSV path, - for stdout")
     args = ap.parse_args()
 
-    pp = derive_params(args.P**6)
-    ta = build_weight_table(pp, "a")
-    tb = build_weight_table(pp, "b")
-    primes = pp.default_primes()
-    d = ArcDissection.wide(pp.P, pp.N) if args.wide else ArcDissection.narrow(pp.P, pp.N)
-    c1 = estimate_c_eta(pp.P, pp.R)
-    c2 = estimate_c_eta(max(int(pp.H3), 1), pp.R)
+    scale = Scale(args.P**6)
+    P, N = scale.params.P, scale.N
+    d = ArcDissection.wide(P, N) if args.wide else ArcDissection.narrow(P, N)
 
     rows = []
     for i in range(args.points):
         alpha = Fraction(i * args.denominator // args.points % args.denominator, args.denominator)
-        diag = F_diagnostic(alpha, ta, tb, primes, d, pp, c1, c2)
+        diag = F_diagnostic(alpha, scale, d)
         rows.append(
             (
                 float(alpha),

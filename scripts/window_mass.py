@@ -14,12 +14,7 @@ import argparse
 import sys
 import time
 
-import numpy as np
-
-from cubesquares.expsums import truncated_singular_series
-from cubesquares.mainterm import RnEvaluator, singular_integral_J
-from cubesquares.params import derive_params
-from cubesquares.weights import build_weight_table
+from cubesquares.scale import Scale
 
 
 def main() -> int:
@@ -29,30 +24,22 @@ def main() -> int:
     ap.add_argument("--samples", type=int, default=32, help="number of n sampled in the window")
     args = ap.parse_args()
 
-    pp = derive_params(args.P**6)
+    scale = Scale(args.P**6)
+    pp = scale.params
     thin = list(pp.leading_range_thin())
     print(f"P={pp.P}  N={pp.N}  thin leading integers: {thin}  interval length {pp.H2 - pp.H1:.4f}")
     if not thin:
         print("thin interval holds no integer at this scale; the exact mass is zero")
         return 1
 
-    ta = build_weight_table(pp, "a")
-    tb = build_weight_table(pp, "b")
-    primes = pp.default_primes()
-    ev = RnEvaluator(ta, tb, primes)
     lo, hi = pp.N // 2, pp.N
-    mass = ev.window_mass(lo, hi)
+    mass = scale.rn.window_mass(lo, hi)
     print(f"exact window mass sum R(n), n in [{lo}, {hi}]: {mass}")
 
-    ns = list(range(lo, hi + 1, max(1, (hi - lo) // args.samples)))[: args.samples]
     t0 = time.time()
-    preds = []
-    for n in ns:
-        tr = truncated_singular_series(n, args.Q)
-        preds.append(tr.value * singular_integral_J(n, pp, primes))
-    pred_mass = float(np.mean(preds)) * (hi - lo)
+    pred_mass = scale.predicted_window_mass(lo, hi, args.samples, args.Q)
     ratio = mass / pred_mass if pred_mass > 0 else float("inf")
-    print(f"predicted mass: {pred_mass:.1f}  (mean term {np.mean(preds):.6g}, {len(ns)} samples, {time.time() - t0:.0f}s)")
+    print(f"predicted mass: {pred_mass:.1f}  (mean term {pred_mass / (hi - lo):.6g}, {args.samples} samples, {time.time() - t0:.0f}s)")
     print(f"ratio exact/predicted: {ratio:.3f}")
     return 0 if 0.1 <= ratio <= 10.0 else 1
 

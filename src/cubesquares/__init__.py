@@ -36,8 +36,6 @@ from .generating import F_diagnostic, W_star, eval_W, eval_h, h_star, model_V, m
 from .mainterm import (
     MainTermReport,
     RnEvaluator,
-    exact_Rn,
-    main_term_report,
     rn_dense_dft,
     singular_integral_J,
 )
@@ -51,5 +49,6 @@ from .census import (
     verify_obstruction_family,
     witness_for,
 )
+from .scale import Scale
 
 __version__ = "0.1.0"

@@ -14,7 +14,6 @@ from fractions import Fraction
 
 import numpy as np
 
-from .arcs import classify
 from .census import run_census, brute_force_representable, witness_for, verify_obstruction_family
 from .expsums import (
     complete_sum_S,
@@ -25,13 +24,13 @@ from .expsums import (
 )
 from .generating import eval_h, model_V
 from .localsolve import mod27_square_sets, m33_set, local_count_Mn, hensel_certificate
-from .mainterm import RnEvaluator, rn_dense_dft, singular_integral_J
+from .mainterm import RnEvaluator, rn_dense_dft
 from .oscillatory import osc_integral_v, v_at_zero
 from .params import derive_params
 from .residues import t_square_distribution
-from .smooth import estimate_c_eta
+from .scale import Scale
 from .w2 import w2_carrier, w2_scan, w2_sum_squares
-from .weights import build_weight_table, WeightTable
+from .weights import WeightTable
 
 
 @dataclass
@@ -266,30 +265,19 @@ def criterion_11() -> CriterionResult:
     # within a factor of 10 of |window| * mean(S(n) * J(n)) sampled on a
     # deterministic stride.
     t0 = time.time()
-    pp_big = derive_params(10_000**6)
-    ta_big = build_weight_table(pp_big, "a")
-    h0 = eval_h(Fraction(0), ta_big).real
-    c_eta = estimate_c_eta(pp_big.P, pp_big.R)
-    v0 = model_V(0.0, 1, 0, pp_big, c_eta)
+    big = Scale(10_000**6)
+    h0 = eval_h(Fraction(0), big.table_a).real
+    v0 = model_V(0.0, 1, 0, big.params, big.c_bulk)
     ratio1 = h0 / abs(v0)
     part1 = 0.99 <= ratio1 <= 1.01
 
     pp16 = derive_params(16**6)
     degenerate16 = len(list(pp16.leading_range_thin())) == 0
 
-    pp = derive_params(27**6)
-    ta = build_weight_table(pp, "a")
-    tb = build_weight_table(pp, "b")
-    primes = pp.default_primes()
-    ev = RnEvaluator(ta, tb, primes)
-    lo, hi = pp.N // 2, pp.N
-    mass = ev.window_mass(lo, hi)
-    ns = list(range(lo, hi + 1, max(1, (hi - lo) // 32)))[:32]
-    preds = []
-    for n in ns:
-        tr = truncated_singular_series(n, 64)
-        preds.append(tr.value * singular_integral_J(n, pp, primes))
-    pred_mass = float(np.mean(preds)) * (hi - lo)
+    scale = Scale(27**6)
+    lo, hi = scale.N // 2, scale.N
+    mass = scale.rn.window_mass(lo, hi)
+    pred_mass = scale.predicted_window_mass(lo, hi, samples=32, Q=64)
     ratio2 = mass / pred_mass if pred_mass > 0 else float("inf")
     part2 = pred_mass > 0 and 0.1 <= ratio2 <= 10.0
     ok = part1 and degenerate16 and part2

@@ -13,7 +13,6 @@ import argparse
 import dataclasses
 import hashlib
 import json
-import math
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -21,18 +20,18 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .arcs import ArcDissection, classify
+from .arcs import classify
 from .census import family_members_upto, filter_A_upsilon, run_census, verify_obstruction_family, witness_for
-from .cubesieve import BUDGET_ENV, sieve_cube_sums
+from .cubesieve import sieve_cube_sums
 from .errors import CapacityError, DegenerateParamsError, QuadratureError, VerificationError
 from .expsums import complete_sum_S_batch, truncated_singular_series
 from .localsolve import hensel_certificate, mod27_square_sets, sigma_p, two_adic_profile
-from .mainterm import RnEvaluator, exact_Rn, main_term_report, rn_dense_dft
+from .mainterm import RnEvaluator, rn_dense_dft
 from .oscillatory import osc_integral_v, v_at_zero
-from .params import derive_params
-from .smooth import enumerate_smooth, estimate_c_eta
+from .scale import Scale
+from .smooth import enumerate_smooth
 from .w2 import w2_scan
-from .weights import WeightTable, build_weight_table, save_binary, save_csv
+from .weights import WeightTable, save_binary, save_csv
 
 
 @dataclass(frozen=True)
@@ -81,8 +80,8 @@ def cmd_enumerate(args, cfg: RunConfig, out: Path) -> int:
         print("members:", list(s))
         print(f"density {len(s) / max(args.smooth, 1):.6f}")
     if args.table is not None:
-        params = derive_params(args.N, eta=args.eta, R_override=args.R)
-        table = build_weight_table(params, args.table)
+        scale = Scale(args.N, args.eta, args.R)
+        table = scale.table_a if args.table == "a" else scale.table_b
         base = out / f"weights_{args.table}_N{args.N}"
         if args.format == "csv":
             save_csv(table, base.with_suffix(".csv"))
@@ -152,6 +151,7 @@ def _toy_tables() -> tuple[WeightTable, WeightTable, list[int]]:
 
 
 def cmd_arcs(args, cfg: RunConfig, out: Path) -> int:
+    scale = Scale(args.N, args.eta, args.R)
     if args.classify is not None:
         n = args.n or 10**4
         hit = classify(args.classify, args.X, n)
@@ -160,7 +160,7 @@ def cmd_arcs(args, cfg: RunConfig, out: Path) -> int:
         else:
             print(f"alpha={args.classify}: arc (a={hit.a}, q={hit.q}), beta={hit.beta:.3g}")
     if args.v_at_zero:
-        params = derive_params(args.N, eta=args.eta, R_override=args.R)
+        params = scale.params
         closed = v_at_zero(params)
         k = osc_integral_v(0.0, params, method="kernel1d")
         c = osc_integral_v(0.0, params, method="cubature3d")
@@ -169,7 +169,7 @@ def cmd_arcs(args, cfg: RunConfig, out: Path) -> int:
             if abs(val - closed) > 1e-6 * closed:
                 raise VerificationError(f"v(0) via {name} = {val} drifts from {closed}")
     if args.v_sweep:
-        params = derive_params(args.N, eta=args.eta, R_override=args.R)
+        params = scale.params
         rows = []
         for i in range(args.sweep_points):
             beta = args.beta_max * i / max(args.sweep_points - 1, 1) / params.N
@@ -189,20 +189,11 @@ def cmd_arcs(args, cfg: RunConfig, out: Path) -> int:
                     raise VerificationError(f"toy R({n}) mismatch: {ev(n)} vs {r}")
             print(f"toy R: support {rows}")
         else:
-            params = derive_params(args.N, eta=args.eta, R_override=args.R)
-            ta = build_weight_table(params, "a")
-            tb = build_weight_table(params, "b")
-            primes = params.default_primes()
-            ev = RnEvaluator(ta, tb, primes)
             ns = range(args.N // 2, args.N + 1, max(1, args.N // 2 // args.sweep_points))
-            rows = [(n, ev(n)) for n in ns]
+            rows = [(n, scale.rn(n)) for n in ns]
             _write_tsv(out / f"rn_N{args.N}.tsv", cfg, ["n", "R"], rows)
     if args.report is not None:
-        params = derive_params(args.N, eta=args.eta, R_override=args.R)
-        ta = build_weight_table(params, "a")
-        tb = build_weight_table(params, "b")
-        primes = params.default_primes() or [2]
-        rep = main_term_report(args.report, params, ta, tb, primes, Q=args.Q)
+        rep = scale.report(args.report, args.Q)
         _write_json(out / f"report_n{args.report}.json", cfg, rep.as_json_dict())
         print(f"n={rep.n}: R={rep.R_exact} predicted={rep.predicted:.6g} ratio={rep.ratio:.6g}")
     return 0
@@ -241,9 +232,10 @@ def cmd_census(args, cfg: RunConfig, out: Path) -> int:
 # -- wiring ----------------------------------------------------------------------
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(defaults: dict | None = None) -> argparse.ArgumentParser:
+    """The CLI parser; `defaults` (option dest -> value) replace the subcommands' own defaults."""
     ap = argparse.ArgumentParser(prog="cubesquares", description=__doc__)
-    ap.add_argument("--config", type=Path, help="JSON file of defaults, mirrored by the flags")
+    ap.add_argument("--config", type=Path, help="JSON object of option values; explicit flags override it")
     sub = ap.add_subparsers(dest="subcommand", required=True)
 
     def common(p):
@@ -298,7 +290,26 @@ def build_parser() -> argparse.ArgumentParser:
     pc.add_argument("--family", action="store_true")
     pc.add_argument("--jmax", type=int, default=3)
     pc.add_argument("--filter-upsilon", dest="filter_upsilon", type=float)
+    for p in sub.choices.values():
+        p.set_defaults(**(defaults or {}))
     return ap
+
+
+def parse_args(argv: list[str]) -> argparse.Namespace:
+    """Explicit flags win over --config values, which win over the flags' defaults.
+
+    Raises SystemExit on bad usage, OSError or ValueError on a bad config file.
+    """
+    args = build_parser().parse_args(argv)
+    if args.config is None:
+        return args
+    defaults = json.loads(args.config.read_text())
+    if not isinstance(defaults, dict):
+        raise ValueError(f"expected a JSON object, got {type(defaults).__name__}")
+    unknown = sorted(set(defaults) - (set(vars(args)) - {"config", "subcommand"}))
+    if unknown:
+        raise ValueError(f"unknown {args.subcommand} options {unknown}")
+    return build_parser(defaults).parse_args(argv)
 
 
 _DISPATCH = {
@@ -311,21 +322,14 @@ _DISPATCH = {
 
 def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parse_args(argv)
     except SystemExit as e:
         # argparse exits 2 on bad usage; remap to the bad-config code
         return 0 if e.code in (0, None) else 4
-    if args.config:
-        try:
-            defaults = json.loads(Path(args.config).read_text())
-        except (OSError, json.JSONDecodeError) as e:
-            print(f"bad config file: {e}", file=sys.stderr)
-            return 4
-        for k, v in defaults.items():
-            if getattr(args, k, None) in (None, False):
-                setattr(args, k, v)
+    except (OSError, ValueError) as e:
+        print(f"bad config file: {e}", file=sys.stderr)
+        return 4
     options = {k: v for k, v in vars(args).items() if k not in ("config",) and not isinstance(v, Path)}
     cfg = RunConfig(subcommand=args.subcommand, options=options)
     out = args.out

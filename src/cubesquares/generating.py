@@ -25,6 +25,7 @@ from .arcs import ArcDissection
 from .expsums import complete_sum_S
 from .oscillatory import osc_integral_v, osc_integral_v_thin
 from .params import Params
+from .scale import Scale
 from .weights import WeightTable
 
 
@@ -122,23 +123,13 @@ class ArcDiagnostic:
         return self.h**2 * self.W**2 - self.h_model**2 * self.W_model**2
 
 
-def F_diagnostic(
-    alpha: float | Fraction,
-    table_a: WeightTable,
-    table_b: WeightTable,
-    primes: list[int],
-    dissection: ArcDissection,
-    params: Params,
-    c_eta: float,
-    c_thin: float,
-    **kw,
-) -> ArcDiagnostic:
+def F_diagnostic(alpha: float | Fraction, scale: Scale, dissection: ArcDissection) -> ArcDiagnostic:
     hit = dissection.classify(alpha)
     return ArcDiagnostic(
         alpha=float(alpha),
-        h=eval_h(alpha, table_a),
-        W=eval_W(alpha, table_b, primes),
-        h_model=h_star(alpha, dissection, params, c_eta, **kw),
-        W_model=W_star(alpha, dissection, params, c_thin, primes, **kw),
+        h=eval_h(alpha, scale.table_a),
+        W=eval_W(alpha, scale.table_b, scale.primes),
+        h_model=h_star(alpha, dissection, scale.params, scale.c_bulk),
+        W_model=W_star(alpha, dissection, scale.params, scale.c_thin, scale.primes),
         on_arc=hit is not None,
     )

@@ -24,13 +24,12 @@ import bisect
 import itertools
 import math
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from functools import lru_cache
 
 import numpy as np
 
 from .errors import CapacityError, QuadratureError
-from .expsums import SeriesTruncation, truncated_singular_series
 from .oscillatory import KernelSlot, _leggauss, _panel_rule, plain_slot, scaled_slot
 from .params import Params
 from .smooth import enumerate_smooth
@@ -106,10 +105,6 @@ class RnEvaluator:
     def total(self) -> int:
         """sum_n R(n) = (a total)^2 * (|primes| b total)^2."""
         return sum(self.aa.values()) * sum(self.bb.values())
-
-
-def exact_Rn(n: int, table_a: WeightTable, table_b: WeightTable, primes: list[int]) -> int:
-    return RnEvaluator(table_a, table_b, primes)(n)
 
 
 def rn_dense_dft(
@@ -308,6 +303,8 @@ def _pair_cubes(members: list[int]) -> Counter[int]:
 
 @dataclass
 class MainTermReport:
+    """Exact R(n) against the model S(n) * J(n); built by ``Scale.report``."""
+
     n: int
     R_exact: int
     S_trunc: float
@@ -316,32 +313,5 @@ class MainTermReport:
     ratio: float
 
     def as_json_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "R_exact": self.R_exact,
-            "S_trunc": self.S_trunc,
-            "J_est": self.J_est,
-            "predicted": self.predicted,
-            "ratio": self.ratio,
-        }
-
-
-def main_term_report(
-    n: int,
-    params: Params,
-    table_a: WeightTable,
-    table_b: WeightTable,
-    primes: list[int],
-    Q: int = 64,
-    rn: RnEvaluator | None = None,
-) -> MainTermReport:
-    if rn is None:
-        rn = RnEvaluator(table_a, table_b, primes)
-    series: SeriesTruncation = truncated_singular_series(n, Q)
-    j = singular_integral_J(n, params, primes)
-    predicted = series.value * j
-    r = rn(n)
-    ratio = r / predicted if predicted != 0 else math.inf if r else math.nan
-    return MainTermReport(
-        n=n, R_exact=r, S_trunc=series.value, J_est=j, predicted=predicted, ratio=ratio,
-    )
+        """The fields, with a non-finite ratio (no model mass at n) as None."""
+        return {**asdict(self), "ratio": self.ratio if math.isfinite(self.ratio) else None}

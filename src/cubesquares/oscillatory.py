@@ -15,7 +15,6 @@ The kernel slots are reused by the singular-integral convolution.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import lru_cache
 

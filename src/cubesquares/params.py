@@ -17,7 +17,7 @@ The smoothness cutoff R defaults to max(2, ceil(P^eta)); eta in (0, 1).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .errors import DegenerateParamsError
 
@@ -30,12 +30,14 @@ def floor_nth_root(n: int, k: int) -> int:
         raise ValueError("n must be nonnegative")
     if n == 0:
         return 0
-    r = int(round(n ** (1.0 / k)))
-    while r > 0 and r**k > n:
-        r -= 1
-    while (r + 1) ** k <= n:
-        r += 1
-    return r
+    # Integer Newton from above: a float first guess can be off by far more
+    # than 1 once n^(1/k) exceeds 2^53 (k = 1 and n = 10^30, for one).
+    r = 1 << -(-n.bit_length() // k)
+    while True:
+        s = ((k - 1) * r + n // r ** (k - 1)) // k
+        if s >= r:
+            return r
+        r = s
 
 
 @dataclass(frozen=True)
@@ -51,10 +53,6 @@ class Params:
     H3: float
     eta: float
     R: int
-    c_eta: float | None = None
-
-    def with_c_eta(self, value: float) -> "Params":
-        return replace(self, c_eta=value)
 
     # -- integer ranges used by the weight tables ---------------------------
 

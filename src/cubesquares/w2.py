@@ -20,7 +20,6 @@ exponent of q is >= 6 (the "6-full" numbers: 64, 128, ..., 729, ...).
 from __future__ import annotations
 
 import math
-from functools import lru_cache
 
 import numpy as np
 
@@ -61,16 +60,6 @@ def w2_carrier(q: int) -> int:
 
 def w2(q: int) -> float:
     return w2_carrier(q) ** (-1.0 / 6.0)
-
-
-def w2_majorant_holds(q: int) -> bool:
-    """Exact check of w2(q) <= q^(-1/6), i.e. W(q) >= q."""
-    return w2_carrier(q) >= q
-
-
-def w2_majorant_strict(q: int) -> bool:
-    """Strict inequality; fails (equality) exactly for 6-full q."""
-    return w2_carrier(q) > q
 
 
 def spf_sieve(limit: int) -> np.ndarray:

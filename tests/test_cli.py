@@ -185,11 +185,48 @@ def test_arcs_report(tmp_path):
     assert payload["J_est"] == pytest.approx(0.00033530136406281975, rel=1e-9)
 
 
+def _reject_constant(name):
+    raise ValueError(f"{name} is not valid JSON")
+
+
+def test_arcs_report_without_model_mass_is_strict_json(tmp_path):
+    # P = 4: the prime window is empty, so R(n) = 0 and S*J = 0
+    assert run(tmp_path, "arcs", "--report", "3000", "--N", "4096") == 0
+    payload = json.loads((tmp_path / "report_n3000.json").read_text(), parse_constant=_reject_constant)
+    assert payload["R_exact"] == 0 and payload["predicted"] == 0
+    assert payload["ratio"] is None
+
+
 def test_config_file_defaults(tmp_path):
     cfg = tmp_path / "defaults.json"
     cfg.write_text(json.dumps({"csums": 30}))
     assert main(["--config", str(cfg), "enumerate", "--out", str(tmp_path)]) == 0
     assert (tmp_path / "cube_sums_30.tsv").exists()
+
+
+def test_config_overrides_flag_default(tmp_path):
+    N = 27**6
+    cfg = tmp_path / "scale.json"
+    cfg.write_text(json.dumps({"N": N}))
+    assert main(["--config", str(cfg), "enumerate", "--table", "b", "--out", str(tmp_path)]) == 0
+    assert (tmp_path / f"weights_b_N{N}.csv").exists()
+    assert not (tmp_path / f"weights_b_N{8**6}.csv").exists()
+
+
+def test_explicit_flag_overrides_config(tmp_path):
+    cfg = tmp_path / "defaults.json"
+    cfg.write_text(json.dumps({"csums": 30, "N": 27**6}))
+    assert main(["--config", str(cfg), "enumerate", "--csums", "20", "--out", str(tmp_path)]) == 0
+    assert (tmp_path / "cube_sums_20.tsv").exists()
+    assert not (tmp_path / "cube_sums_30.tsv").exists()
+
+
+def test_config_unknown_key_exit(tmp_path):
+    cfg = tmp_path / "bad_key.json"
+    for doc in ({"csums": 30, "frobnicate": 1}, {"jmax": 2}, {"subcommand": "census"}, [30]):
+        cfg.write_text(json.dumps(doc))
+        assert main(["--config", str(cfg), "enumerate", "--out", str(tmp_path)]) == 4
+    assert not (tmp_path / "cube_sums_30.tsv").exists()
 
 
 def test_bad_config_file(tmp_path):

@@ -15,6 +15,7 @@ from cubesquares.generating import (
     model_W,
 )
 from cubesquares.params import derive_params
+from cubesquares.scale import Scale
 from cubesquares.smooth import estimate_c_eta
 from cubesquares.weights import WeightTable, build_weight_table
 
@@ -83,17 +84,14 @@ def test_h_star_vanishes_off_arcs():
 
 
 def test_F_diagnostic_fields():
-    pp = derive_params(8**6)
-    ta = build_weight_table(pp, "a")
-    tb = build_weight_table(pp, "b")
-    primes = pp.default_primes()
+    scale = Scale(8**6)
+    pp = scale.params
     d = ArcDissection.wide(pp.P, pp.N)
-    c1 = estimate_c_eta(pp.P, pp.R)
-    c2 = estimate_c_eta(max(int(pp.H3), 1), pp.R)
-    diag = F_diagnostic(Fraction(0), ta, tb, primes, d, pp, c1, c2)
+    diag = F_diagnostic(Fraction(0), scale, d)
     assert isinstance(diag, ArcDiagnostic)
     assert diag.on_arc
-    assert diag.h == pytest.approx(eval_h(Fraction(0), ta))
-    assert diag.W == pytest.approx(eval_W(Fraction(0), tb, primes))
+    assert diag.h == pytest.approx(eval_h(Fraction(0), scale.table_a))
+    assert diag.W == pytest.approx(eval_W(Fraction(0), scale.table_b, scale.primes))
+    assert diag.h_model == h_star(Fraction(0), d, pp, estimate_c_eta(pp.P, pp.R))
     # F = h^2 W^2 - (model h)^2 (model W)^2 is finite
     assert math.isfinite(diag.F.real) and math.isfinite(diag.F.imag)

@@ -10,13 +10,12 @@ from cubesquares.mainterm import (
     RnEvaluator,
     conv4_value,
     conv4_value_beta,
-    exact_Rn,
-    main_term_report,
     rn_dense_dft,
     singular_integral_J,
 )
 from cubesquares.oscillatory import plain_slot, scaled_slot
 from cubesquares.params import derive_params
+from cubesquares.scale import Scale
 from cubesquares.smooth import enumerate_smooth
 from cubesquares.weights import WeightTable
 
@@ -27,9 +26,10 @@ TOY_B = WeightTable("b", (3,), (1,))
 def test_hand_checked_values():
     # single bulk value 3, single thin value 3, prime 2:
     # every term is v^2 or (2^3 * 3)^2 = 576; 1170 = 576 + 576 + 9 + 9
-    assert exact_Rn(1170, TOY_A, TOY_B, [2]) == 1
-    assert exact_Rn(663_570, TOY_A, TOY_B, [2]) == 0
-    assert exact_Rn(0, TOY_A, TOY_B, [2]) == 0
+    ev = RnEvaluator(TOY_A, TOY_B, [2])
+    assert ev(1170) == 1
+    assert ev(663_570) == 0
+    assert ev(0) == 0
 
 
 def test_evaluator_totals():
@@ -167,15 +167,13 @@ def test_J_outside_support_is_zero():
 
 
 def test_main_term_report_shape():
-    from cubesquares.weights import build_weight_table
-
-    pp = derive_params(8**6)
-    ta = build_weight_table(pp, "a")
-    tb = build_weight_table(pp, "b")
-    rep = main_term_report(196_608, pp, ta, tb, [2], Q=32)
-    d = rep.as_json_dict()
+    scale = Scale(8**6)
+    assert scale.primes == [2]
+    d = scale.report(196_608, 32).as_json_dict()
     assert d["n"] == 196_608
     assert set(d) == {"n", "R_exact", "S_trunc", "J_est", "predicted", "ratio"}
+    assert d["J_est"] == pytest.approx(0.00033530136406281975, rel=1e-9)
+    assert d["R_exact"] == scale.rn(196_608)
     assert d["predicted"] == pytest.approx(d["S_trunc"] * d["J_est"])
 
 

@@ -1,10 +1,12 @@
 import math
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from cubesquares.errors import DegenerateParamsError
-from cubesquares.params import Params, derive_params, floor_nth_root
+from cubesquares.params import derive_params, floor_nth_root
+from cubesquares.scale import Scale
+from cubesquares.smooth import estimate_c_eta
 
 
 def test_small_N_rejected():
@@ -15,6 +17,7 @@ def test_small_N_rejected():
 
 
 @given(st.integers(min_value=0, max_value=10**30), st.integers(min_value=1, max_value=9))
+@example(10**30 - 12345, 1)  # the float first guess is off by ~10^13 here
 def test_floor_nth_root_exact(n, k):
     r = floor_nth_root(n, k)
     assert r**k <= n
@@ -56,10 +59,9 @@ def test_prime_window_and_defaults():
 def test_R_override_and_c_eta():
     pp = derive_params(64**6, R_override=7)
     assert pp.R == 7
-    pp2 = pp.with_c_eta(0.25)
-    assert pp2.c_eta == 0.25
-    assert pp2.N == pp.N and pp2.R == pp.R
-    assert isinstance(pp2, Params)
+    scale = Scale(64**6, R=7)
+    assert scale.params == pp
+    assert scale.c_bulk == estimate_c_eta(pp.P, 7)
 
 
 def test_frozen_dataclass():

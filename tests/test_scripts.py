@@ -1,0 +1,32 @@
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def _run(*argv):
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))}
+    return subprocess.run([sys.executable, *argv], cwd=ROOT, env=env, capture_output=True, text=True, timeout=300)
+
+
+def test_arc_sweep_smoke():
+    proc = _run("scripts/arc_sweep.py", "--P", "8", "--points", "5")
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert lines[0].split("\t") == ["alpha", "abs_h", "abs_W", "on_arc", "abs_F"]
+    rows = [[float(x) for x in line.split("\t")] for line in lines[1:]]
+    assert len(rows) == 5
+    assert rows[0][:4] == [0.0, 64.0, 1.0, 1.0]  # alpha = 0: |h| = table a mass, on the q = 1 arc
+
+
+def test_window_workload_checks_pass():
+    # The benchmark's window workload runs scripts/window_mass.py and checks
+    # its printed mass and each S(n), J(n) call against recorded references.
+    proc = _run("perfbench/workloads.py", "--workload", "window", "--seed", "0")
+    assert proc.returncode == 0, proc.stderr
+    checks = json.loads(proc.stdout.splitlines()[-1])["checks"]
+    assert len(checks) == 9
+    assert [c for c in checks if not c[1]] == []
