@@ -12,6 +12,7 @@ import sys
 from fractions import Fraction
 
 from cubesquares.arcs import ArcDissection
+from cubesquares.cli import positive_int
 from cubesquares.generating import F_diagnostic
 from cubesquares.scale import Scale
 
@@ -19,7 +20,7 @@ from cubesquares.scale import Scale
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--P", type=int, default=8, help="scale parameter (N = P^6)")
-    ap.add_argument("--points", type=int, default=200, help="alpha grid size")
+    ap.add_argument("--points", type=positive_int, default=200, help="alpha grid size")
     ap.add_argument("--denominator", type=int, default=1009, help="alpha grid denominator (prime keeps fractions exact)")
     ap.add_argument("--wide", action="store_true", help="use the wide dissection instead of the narrow one")
     ap.add_argument("--out", default="-", help="output TSV path, - for stdout")

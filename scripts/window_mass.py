@@ -14,6 +14,7 @@ import argparse
 import sys
 import time
 
+from cubesquares.cli import positive_int
 from cubesquares.scale import Scale
 
 
@@ -21,7 +22,7 @@ def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--P", type=int, default=27, help="scale parameter (N = P^6)")
     ap.add_argument("--Q", type=int, default=64, help="series truncation")
-    ap.add_argument("--samples", type=int, default=32, help="number of n sampled in the window")
+    ap.add_argument("--samples", type=positive_int, default=32, help="number of n sampled in the window")
     args = ap.parse_args()
 
     scale = Scale(args.P**6)

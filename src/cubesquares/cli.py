@@ -232,6 +232,14 @@ def cmd_census(args, cfg: RunConfig, out: Path) -> int:
 # -- wiring ----------------------------------------------------------------------
 
 
+def positive_int(text: str) -> int:
+    """argparse type of a count option: an integer >= 1."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"{text} is not a positive integer")
+    return value
+
+
 def build_parser(defaults: dict | None = None) -> argparse.ArgumentParser:
     """The CLI parser; `defaults` (option dest -> value) replace the subcommands' own defaults."""
     ap = argparse.ArgumentParser(prog="cubesquares", description=__doc__)
@@ -276,7 +284,7 @@ def build_parser(defaults: dict | None = None) -> argparse.ArgumentParser:
     pa.add_argument("--v-at-zero", dest="v_at_zero", action="store_true")
     pa.add_argument("--v-sweep", dest="v_sweep", action="store_true", help="v(beta) decay table")
     pa.add_argument("--beta-max", dest="beta_max", type=float, default=10.0, help="sweep up to beta_max / N")
-    pa.add_argument("--sweep-points", dest="sweep_points", type=int, default=21)
+    pa.add_argument("--sweep-points", dest="sweep_points", type=positive_int, default=21)
     pa.add_argument("--rn-exact", dest="rn_exact", action="store_true", help="exact R(n) table")
     pa.add_argument("--toy", action="store_true", help="use the frozen single-entry tables")
     pa.add_argument("--report", type=int, help="MainTermReport at this n")
@@ -291,7 +299,10 @@ def build_parser(defaults: dict | None = None) -> argparse.ArgumentParser:
     pc.add_argument("--jmax", type=int, default=3)
     pc.add_argument("--filter-upsilon", dest="filter_upsilon", type=float)
     for p in sub.choices.values():
-        p.set_defaults(**(defaults or {}))
+        # argparse runs a string default through the option's type, so a
+        # config value is checked and converted as the flag would be
+        typed = {a.dest for a in p._actions if a.type is not None}
+        p.set_defaults(**{k: str(v) if k in typed and v is not None else v for k, v in (defaults or {}).items()})
     return ap
 
 

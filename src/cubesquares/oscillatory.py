@@ -1,12 +1,17 @@
 """Oscillatory volume integrals of e(beta * T(x)^2) over box families.
 
-Two independent evaluation routes are kept deliberately separate:
+v(beta) integrates e(beta (x1^3 + y2^3 + y3^3)^2) over x1 in [t_lo, t_hi] and
+y2, y3 in [0, Y].  Two independent evaluation routes are kept deliberately
+separate; they share only the Gauss panel rule and the node count per cycle:
 
-  cubature3d   tensor Gauss-Legendre directly in (x1, y2, y3) space;
-  kernel1d     pushforward to gamma = (x1^3 + C)^2 per smooth pair, where the
-               inner integral is  int B(gamma) e(beta gamma) dgamma  with the
-               exact density B(gamma) = pref * gamma^(-1/2) (gamma^(1/2)-C)^(-2/3),
-               then a 2D quadrature over the smooth pair (y2, y3).
+  cubature3d   tensor Gauss-Legendre directly in (x1, y2, y3) space.  The sum
+               over each x1 node t is the quadratic form A(t)^T M A(t) from
+               expanding the square, which is the same discrete sum.
+  kernel1d     y2 and y3 enter only through C = y2^3 + y3^3, so the route
+               integrates over (C, x1): Gauss in x1 against a rule in C that
+               carries the density rho(C) of C, with the C-axis split at Y^3
+               and substituted there to remove rho's singularity and cusp.
+               The name is historical; callers pass it as the method string.
 
 Both are driven by an effective frequency: the thin-family integral with
 prime p equals the plain one at beta_eff = beta * p^6 over its own box.
@@ -24,6 +29,7 @@ from .errors import QuadratureError
 from .params import Params
 
 MAX_NODES_PER_AXIS = 4096
+_BLOCK = 1 << 20  # largest phase block of _kernel1d, in entries
 
 
 @lru_cache(maxsize=64)
@@ -119,6 +125,8 @@ def _region(params: Params, thin: bool) -> tuple[float, float, float]:
 
 
 def _cubature3d(beta_eff: float, t_lo: float, t_hi: float, ybox: float, tol: float) -> complex:
+    # (t^3 + a + b)^2 = t^6 + (2 t^3 a + a^2) + (2 t^3 b + b^2) + 2ab with a = y2^3,
+    # b = y3^3: the (y2, y3) tensor sum at each x1 node t is A(t)^T M A(t).
     gamma_max = (t_hi**3 + 2.0 * ybox**3) ** 2
     cycles = abs(beta_eff) * gamma_max
     n = _nodes_for_cycles(cycles)
@@ -126,56 +134,69 @@ def _cubature3d(beta_eff: float, t_lo: float, t_hi: float, ybox: float, tol: flo
     for nodes in (n, int(1.4 * n) + 8):
         x1, w1 = _panel_rule(t_lo, t_hi, 1, min(nodes, 64)) if nodes <= 64 else _panel_rule(t_lo, t_hi, (nodes + 15) // 16, 16)
         y, wy = _panel_rule(0.0, ybox, (nodes + 15) // 16, 16)
-        cy = y**3
-        pair = cy[:, None] + cy[None, :]
-        wpair = wy[:, None] * wy[None, :]
-        acc = 0.0 + 0.0j
-        for t, wt in zip(x1.tolist(), w1.tolist()):
-            phase = beta_eff * (t**3 + pair) ** 2
-            acc += wt * complex(np.sum(wpair * np.exp(2j * np.pi * phase)))
+        t3, cy = x1**3, y**3
+        A = np.exp(2j * np.pi * beta_eff * (2.0 * t3[:, None] * cy[None, :] + cy[None, :] ** 2))
+        M = np.outer(wy, wy) * np.exp(2j * np.pi * (2.0 * beta_eff) * np.outer(cy, cy))
+        inner = np.einsum("ti,ti->t", A @ M, A)
+        acc = complex(np.sum(w1 * np.exp(2j * np.pi * beta_eff * t3**2) * inner))
         if prev is not None and abs(acc - prev) <= tol * max(abs(acc), (t_hi - t_lo) * ybox**2):
             return acc
         prev = acc
     raise QuadratureError("cubature3d did not stabilize", partial=prev)
 
 
+def _c_density(C: np.ndarray, ybox: float) -> np.ndarray:
+    """Density of C = y2^3 + y3^3 for (y2, y3) in [0, ybox]^2, at each C in (0, 2 ybox^3).
+
+    rho(C) = (2/3) int (C - w^3)^(-2/3) dw over w = min(y2, y3), from
+    max(C - ybox^3, 0)^(1/3) to (C/2)^(1/3).  There C - w^3 >= C/2, so the
+    integrand is analytic and a fixed 24-point Gauss rule is exact to rounding.
+    """
+    u, wu = _leggauss(24)
+    lo = np.cbrt(np.maximum(C - ybox**3, 0.0))
+    half = 0.5 * (np.cbrt(C / 2.0) - lo)
+    w = (lo + half)[:, None] + half[:, None] * u[None, :]
+    return (2.0 / 3.0) * half * ((C[:, None] - w**3) ** (-2.0 / 3.0) @ wu)
+
+
+def _c_rule(ybox: float, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes C and weights rho(C) dC for int_0^(2 ybox^3) ... dC, split at ybox^3.
+
+    C = s^3 on [0, ybox^3] removes rho's C^(-1/3) singularity, and
+    C = ybox^3 + c^3 on [ybox^3, 2 ybox^3] its (C - ybox^3)^(1/3) cusp.
+    """
+    r, wr = _panel_rule(0.0, ybox, (n + 15) // 16, 16)
+    C = np.concatenate([r**3, ybox**3 + r**3])
+    jac = np.tile(3.0 * r**2 * wr, 2)
+    return C, jac * _c_density(C, ybox)
+
+
 def _kernel1d(beta_eff: float, t_lo: float, t_hi: float, ybox: float, tol: float) -> complex:
+    # v = int dx1 int rho(C) e(beta (x1^3 + C)^2) dC: an (x1, C) phase matrix
+    # between two weight vectors, built in row blocks of at most _BLOCK entries.
     if ybox <= 0.0:
         return 0.0 + 0.0j
-    gamma_span = lambda C: (t_hi**3 + C) ** 2 - (t_lo**3 + C) ** 2  # noqa: E731
     Cmax = 2.0 * ybox**3
-    outer_cycles = abs(beta_eff) * ((t_hi**3 + Cmax) ** 2 - t_hi**6)
-    ny = _nodes_for_cycles(outer_cycles)
-    inner_cycles = abs(beta_eff) * gamma_span(Cmax)
-    panels = max(2, int(inner_cycles / 3.0) + 1)
+    nc = _nodes_for_cycles(abs(beta_eff) * ((t_hi**3 + Cmax) ** 2 - t_hi**6))
+    nx = _nodes_for_cycles(abs(beta_eff) * ((t_hi**3 + Cmax) ** 2 - (t_lo**3 + Cmax) ** 2))
 
-    def evaluate(ny_: int, panels_: int) -> complex:
-        y, wy = _panel_rule(0.0, ybox, (ny_ + 15) // 16, 16)
-        cy = y**3
-        C_full = (cy[:, None] + cy[None, :]).ravel()
-        wC_full = (wy[:, None] * wy[None, :]).ravel()
-        u, wu = _panel_rule(0.0, 1.0, panels_, 16)
-        # chunk the smooth-pair grid so nodes x pairs stays ~1e6 entries
-        chunk = max(1, int(1_000_000 / max(len(u), 1)))
+    def evaluate(nx_: int, nc_: int) -> complex:
+        x, wx = _panel_rule(t_lo, t_hi, (nx_ + 15) // 16, 16)
+        C, wC = _c_rule(ybox, nc_)
+        x3 = x**3
+        rows = max(1, _BLOCK // C.size)
         acc = 0.0 + 0.0j
-        for i in range(0, C_full.size, chunk):
-            C = C_full[i : i + chunk]
-            wC = wC_full[i : i + chunk]
-            glo = (t_lo**3 + C) ** 2
-            span = (t_hi**3 + C) ** 2 - glo
-            gamma = glo[None, :] + span[None, :] * u[:, None]
-            s = np.sqrt(gamma)
-            dens = (1.0 / 6.0) / (s * (s - C[None, :]) ** (2.0 / 3.0))
-            inner = np.sum((wu[:, None] * span[None, :]) * dens * np.exp(2j * np.pi * beta_eff * gamma), axis=0)
-            acc += complex(np.sum(wC * inner))
+        for i in range(0, x.size, rows):
+            phase = beta_eff * (x3[i : i + rows, None] + C[None, :]) ** 2
+            acc += complex(wx[i : i + rows] @ np.exp(2j * np.pi * phase) @ wC)
         return acc
 
-    prev = evaluate(ny, panels)
-    cur = evaluate(int(1.4 * ny) + 8, 2 * panels)
+    prev = evaluate(nx, nc)
+    cur = evaluate(int(1.4 * nx) + 8, int(1.4 * nc) + 8)
     scale = max(abs(cur), (t_hi - t_lo) * ybox**2)
     if abs(cur - prev) <= tol * scale:
         return cur
-    final = evaluate(int(2.0 * ny) + 8, 4 * panels)
+    final = evaluate(int(2.0 * nx) + 8, int(2.0 * nc) + 8)
     if abs(final - cur) <= tol * scale:
         return final
     raise QuadratureError("kernel1d did not stabilize", partial=final)

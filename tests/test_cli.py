@@ -178,6 +178,12 @@ def test_degenerate_params_exit(tmp_path):
     assert run(tmp_path, "arcs", "--v-at-zero", "--N", "10") == 4
 
 
+@pytest.mark.parametrize("flags", [["--rn-exact", "--sweep-points", "0"], ["--v-sweep", "--sweep-points", "-3"]])
+def test_sweep_points_must_be_positive(tmp_path, flags):
+    assert run(tmp_path, "arcs", *flags) == 4
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_arcs_report(tmp_path):
     assert run(tmp_path, "arcs", "--report", "196608", "--N", str(8**6), "--Q", "32") == 0
     payload = json.loads((tmp_path / "report_n196608.json").read_text())
@@ -227,6 +233,14 @@ def test_config_unknown_key_exit(tmp_path):
         cfg.write_text(json.dumps(doc))
         assert main(["--config", str(cfg), "enumerate", "--out", str(tmp_path)]) == 4
     assert not (tmp_path / "cube_sums_30.tsv").exists()
+
+
+def test_config_values_are_type_checked(tmp_path):
+    cfg = tmp_path / "zero.json"
+    for doc in ({"sweep_points": 0}, {"N": 1.5}):
+        cfg.write_text(json.dumps(doc))
+        assert main(["--config", str(cfg), "arcs", "--rn-exact", "--out", str(tmp_path)]) == 4
+    assert list(tmp_path.glob("*.tsv")) == []
 
 
 def test_bad_config_file(tmp_path):

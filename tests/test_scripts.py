@@ -4,6 +4,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parents[1]
 
 
@@ -29,4 +31,22 @@ def test_window_workload_checks_pass():
     assert proc.returncode == 0, proc.stderr
     checks = json.loads(proc.stdout.splitlines()[-1])["checks"]
     assert len(checks) == 9
+    assert [c for c in checks if not c[1]] == []
+
+
+@pytest.mark.parametrize("argv", [["scripts/window_mass.py", "--samples", "0"], ["scripts/arc_sweep.py", "--points", "0"]])
+def test_count_options_must_be_positive(argv):
+    proc = _run(*argv)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert "positive integer" in proc.stderr
+
+
+def test_volume_workload_checks_pass():
+    # The benchmark's volume workload calls osc_integral_v on both routes and
+    # checks v(0) and the route agreement against criterion 8's gates.
+    proc = _run("perfbench/workloads.py", "--workload", "volume", "--seed", "0")
+    assert proc.returncode == 0, proc.stderr
+    checks = json.loads(proc.stdout.splitlines()[-1])["checks"]
+    assert len(checks) == 5
     assert [c for c in checks if not c[1]] == []
