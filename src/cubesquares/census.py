@@ -2,9 +2,11 @@
 
 C = sums of three positive cubes (min 3).  n is representable when
 n = c1^2 + c2^2 + c3^2 + c4^2 with all ci in C.  The census builds the
-pair-sum bitset, squares it with a real FFT (boolean convolution with a
-rounding-margin guard), and reports the exceptional set E(N), witnesses,
-and the provable obstruction family n = 2^(6+12j).
+pair set {c1^2 + c2^2} <= N, takes its sumset exactly in integers by
+shift-OR on a bit-packed copy (the pair set is sparse: 56 400 members at
+N = 10^7, so OR-ing one shifted copy per member p <= N/2 is cheap), and
+reports the exceptional set E(N), witnesses, and the provable obstruction
+family n = 2^(6+12j).
 """
 
 from __future__ import annotations
@@ -36,29 +38,80 @@ class Census:
 
     @property
     def E_count(self) -> int:
-        return int(self.exceptional.sum())
+        return self.N - int(np.count_nonzero(self.representable[1:]))
 
     def density_curve(self, points: int = 10) -> list[list[int]]:
         """[[t, |E(t)|], ...] at t = N/points, 2N/points, ..., N."""
-        cum = np.cumsum(self.exceptional)
         out = []
+        count = 0
+        prev = 0
         for i in range(1, points + 1):
             t = self.N * i // points
-            out.append([int(t), int(cum[t])])
+            # exceptional n in (prev, t]; 0 is neither representable nor exceptional
+            count += (t - prev) - int(np.count_nonzero(self.representable[prev + 1 : t + 1]))
+            prev = t
+            out.append([int(t), count])
         return out
 
 
-def _fft_bool_square(mask: np.ndarray, N: int) -> np.ndarray:
-    """Positions reachable as a sum of two (possibly equal) set elements."""
-    top = 2 * (mask.size - 1)
-    L = 1 << max(1, top.bit_length())
-    norm = float(np.sqrt(mask.sum()))
-    margin = 8.0 * math.log2(L) * np.finfo(np.float64).eps * norm * norm
-    if margin > 0.25:
-        raise CapacityError(f"FFT rounding margin {margin:.3g} too large at N={N}")
-    f = np.fft.rfft(mask.astype(np.float64), n=L)
-    conv = np.fft.irfft(f * f, n=L)
-    out = conv[: N + 1] > 0.5
+def _words(N: int) -> int:
+    """uint64 words holding bits 0..N, plus one zero word for the shift carry."""
+    return (N + 1 + 63) // 64 + 1
+
+
+def census_bytes(N: int) -> int:
+    """Upper bound on the bytes `run_census(N)` allocates at once.
+
+    The bool arrays `pair` and `representable` (N + 1 bytes each) are alive
+    together at the end.  During the sumset `pair` is alive beside four word
+    arrays (packed pair, shifted copy, carry, output) and one group of at
+    most N/128 + 1 shifts (a bool copy, int64 indices and a list of ints).
+    The cube-sum members and their squares are O(sqrt N).
+    """
+    words = 8 * _words(N)
+    shifts = 56 * (N // 128 + 1)
+    small = 2**14 + 64 * floor_nth_root(N, 2)
+    return (N + 1) + max((N + 1) + words, 4 * words + shifts) + small
+
+
+def _sumset(pair: np.ndarray, N: int) -> np.ndarray:
+    """Bool over 0..N: p + q with p, q in `pair`, exactly, by shift-OR on uint64 words.
+
+    Bit k of word w stands for 64 w + k.  The sums p + q with p <= q <= N
+    have p <= N/2, so those p are the shifts.
+    """
+    words = np.zeros(_words(N), dtype="<u8")
+    words.view(np.uint8)[: (N + 8) // 8] = np.packbits(pair, bitorder="little")
+    out = _shift_or(words, pair[: N // 2 + 1], N)
+    del words  # before the (N + 1)-byte unpack, as `census_bytes` counts
+    return np.unpackbits(out.view(np.uint8), count=N + 1, bitorder="little").view(bool)
+
+
+def _shift_or(words: np.ndarray, shifts: np.ndarray, N: int) -> np.ndarray:
+    """OR of the packed set `words` shifted by every p with `shifts[p]`.
+
+    Shifts are grouped by r = p mod 64, and one copy of `words` shifted left
+    by r bits serves the whole group: for p = 64 w + r it is OR-ed in w
+    words further on, over a word range that covers every q in [p, N - p].
+    Extra bits it sets are still sums p + q; bits past N are never read.
+    """
+    W = words.size
+    out = np.zeros_like(words)
+    sh = np.empty_like(words)
+    carry = np.empty_like(words)
+    for r in range(64):
+        ws = np.flatnonzero(shifts[r::64]).tolist()
+        if not ws:
+            continue
+        src = words
+        if r:
+            src = sh
+            np.left_shift(words, r, out=sh)
+            np.right_shift(words[:-1], 64 - r, out=carry[:-1])
+            sh[1:] |= carry[:-1]
+        for w in ws:
+            k1 = min(W - w, ((N - 64 * w) >> 6) + 1)
+            out[2 * w : w + k1] |= src[w:k1]
     return out
 
 
@@ -67,8 +120,7 @@ def run_census(N: int, budget: int | None = None) -> Census:
         raise ValueError("N must be >= 1")
     if budget is None:
         budget = memory_budget()
-    # bitsets + three transient FFT arrays of length ~4N
-    need = 110 * (N + 1)
+    need = census_bytes(N)
     if need > budget:
         raise CapacityError(f"census at N={N} needs ~{need} bytes > budget {budget}")
     root = floor_nth_root(N, 2)
@@ -79,35 +131,40 @@ def run_census(N: int, budget: int | None = None) -> Census:
     for c2 in sq.tolist():
         rest = sq[sq <= N - c2]
         pair[rest + c2] = True
-    representable = _fft_bool_square(pair, N)
+    representable = _sumset(pair, N)
     cens = Census(N=N, cube_sums=members, pair=pair, representable=representable)
     _assert_family_consistency(cens)
     return cens
 
 
 def witness_for(census: Census, n: int) -> tuple[int, int, int, int] | None:
-    """Lexicographically least c1 <= c2 <= c3 <= c4 with sum of squares n."""
+    """Lexicographically least c1 <= c2 <= c3 <= c4 with sum of squares n.
+
+    For each c1 the c2 are filtered in one step: c3^2 + c4^2 = n - c1^2 - c2^2
+    must be at least 2 c2^2 and in `census.pair`.  Only those c2 get the
+    ordered c3 scan.
+    """
+    if not 0 <= n <= census.N:
+        raise ValueError(f"n={n} is outside the census range 0..{census.N}")
     members = census.cube_sums.tolist()
     mset = set(members)
-    for c1 in members:
+    sq = census.cube_sums.astype(np.int64) ** 2
+    for i, c1 in enumerate(members):
         s1 = c1 * c1
         if 4 * s1 > n:
             break
-        for c2 in members:
-            if c2 < c1:
-                continue
+        rest = n - s1 - sq[i:]
+        ok = rest >= 2 * sq[i:]
+        ok[ok] = census.pair[rest[ok]]
+        for j in (np.flatnonzero(ok) + i).tolist():
+            c2 = members[j]
             s2 = s1 + c2 * c2
-            if s2 + 2 * c2 * c2 > n:
-                break
-            for c3 in members:
-                if c3 < c2:
-                    continue
+            for c3 in members[j:]:
                 s3 = s2 + c3 * c3
                 if s3 + c3 * c3 > n:
                     break
-                rest = n - s3
-                c4 = math.isqrt(rest)
-                if c4 * c4 == rest and c4 >= c3 and c4 in mset:
+                c4 = math.isqrt(n - s3)
+                if c4 * c4 == n - s3 and c4 >= c3 and c4 in mset:
                     return (c1, c2, c3, c4)
     return None
 

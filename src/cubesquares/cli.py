@@ -240,6 +240,14 @@ def positive_int(text: str) -> int:
     return value
 
 
+def non_negative_int(text: str) -> int:
+    """argparse type of an index bound: an integer >= 0."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"{text} is not a non-negative integer")
+    return value
+
+
 def build_parser(defaults: dict | None = None) -> argparse.ArgumentParser:
     """The CLI parser; `defaults` (option dest -> value) replace the subcommands' own defaults."""
     ap = argparse.ArgumentParser(prog="cubesquares", description=__doc__)
@@ -270,7 +278,7 @@ def build_parser(defaults: dict | None = None) -> argparse.ArgumentParser:
     pl.add_argument("--Q", type=int, default=64, help="series truncation")
     pl.add_argument("--sigma-p", dest="sigma_p", type=int, help="Euler factor estimate at prime p")
     pl.add_argument("--n", type=int, default=1)
-    pl.add_argument("--hmax", type=int, default=3)
+    pl.add_argument("--hmax", type=positive_int, default=3)
     pl.add_argument("--w2-max", dest="w2_max", type=int, help="scan w2 up to Q")
     pl.add_argument("--check-majorant", dest="check_majorant", action="store_true")
     pl.add_argument("--certificate", type=int, help="solubility certificate at prime p (uses --n)")
@@ -296,7 +304,7 @@ def build_parser(defaults: dict | None = None) -> argparse.ArgumentParser:
     pc.add_argument("--N", type=int, default=None)
     pc.add_argument("--witnesses", action="store_true")
     pc.add_argument("--family", action="store_true")
-    pc.add_argument("--jmax", type=int, default=3)
+    pc.add_argument("--jmax", type=non_negative_int, default=3)
     pc.add_argument("--filter-upsilon", dest="filter_upsilon", type=float)
     for p in sub.choices.values():
         # argparse runs a string default through the option's type, so a

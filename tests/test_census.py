@@ -1,16 +1,61 @@
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from cubesquares.census import (
     DyadicFilter,
     brute_force_representable,
+    census_bytes,
     family_members_upto,
     filter_A_upsilon,
     run_census,
     verify_obstruction_family,
     witness_for,
 )
+from cubesquares.cubesieve import CapacityError
 from cubesquares.errors import VerificationError
+
+
+def _fft_bool_square(mask: np.ndarray, N: int) -> np.ndarray:
+    """Oracle: positions reachable as a sum of two (possibly equal) set elements, by a real FFT."""
+    top = 2 * (mask.size - 1)
+    L = 1 << max(1, top.bit_length())
+    norm = float(np.sqrt(mask.sum()))
+    margin = 8.0 * math.log2(L) * np.finfo(np.float64).eps * norm * norm
+    if margin > 0.25:
+        raise CapacityError(f"FFT rounding margin {margin:.3g} too large at N={N}")
+    f = np.fft.rfft(mask.astype(np.float64), n=L)
+    conv = np.fft.irfft(f * f, n=L)
+    return conv[: N + 1] > 0.5
+
+
+def _witness_direct(census, n):
+    """Oracle: the ordered c1 <= c2 <= c3 <= c4 scan over all members, no pair filter."""
+    members = census.cube_sums.tolist()
+    mset = set(members)
+    for c1 in members:
+        s1 = c1 * c1
+        if 4 * s1 > n:
+            break
+        for c2 in members:
+            if c2 < c1:
+                continue
+            s2 = s1 + c2 * c2
+            if s2 + 2 * c2 * c2 > n:
+                break
+            for c3 in members:
+                if c3 < c2:
+                    continue
+                s3 = s2 + c3 * c3
+                if s3 + c3 * c3 > n:
+                    break
+                rest = n - s3
+                c4 = math.isqrt(rest)
+                if c4 * c4 == rest and c4 >= c3 and c4 in mset:
+                    return (c1, c2, c3, c4)
+    return None
 
 
 def test_counts_frozen():
@@ -19,6 +64,36 @@ def test_counts_frozen():
     big = run_census(100_000)
     assert big.E_count == 71407
     assert big.density_curve(10)[:3] == [[10000, 9143], [20000, 17466], [30000, 25167]]
+    assert big.E_count == int(big.exceptional.sum())
+    cum = np.cumsum(big.exceptional)
+    for points in (1, 7, 10):
+        ts = [100_000 * i // points for i in range(1, points + 1)]
+        assert big.density_curve(points) == [[t, int(cum[t])] for t in ts]
+    assert run_census(10**6).E_count == 214116
+
+
+# word boundaries of the uint64 packing (63/64/65, 127/128/129, 4095/4096/4097),
+# the first representable n = 36, and the shift group r = 0 (p = 64 w)
+@pytest.mark.parametrize("N", [1, 35, 36, 63, 64, 65, 127, 128, 129, 4095, 4096, 4097, 10**5, 10**6])
+def test_sumset_matches_fft_oracle(N):
+    c = run_census(N)
+    assert c.representable.dtype == bool and c.representable.shape == (N + 1,)
+    assert np.array_equal(c.representable, _fft_bool_square(c.pair, N))
+
+
+def test_memory_guard_matches_allocation():
+    N = 10**6
+    estimate = census_bytes(N)
+    assert estimate < 3 * N
+    tracemalloc.start()
+    try:
+        run_census(N)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= estimate
+    with pytest.raises(CapacityError):
+        run_census(N, budget=estimate - 1)
 
 
 def test_matches_brute_force():
@@ -37,6 +112,20 @@ def test_witnesses():
     w = witness_for(c, n)
     if w is not None:
         assert sum(x * x for x in w) == n
+
+
+def test_witness_matches_direct_scan():
+    N = 20_000
+    c = run_census(N)
+    for n in range(N + 1):
+        assert witness_for(c, n) == _witness_direct(c, n), n
+
+
+@pytest.mark.parametrize("n", [-1, 2001])
+def test_witness_outside_census_range(n):
+    c = run_census(2000)
+    with pytest.raises(ValueError):
+        witness_for(c, n)
 
 
 def test_small_n_all_exceptional():

@@ -184,6 +184,23 @@ def test_sweep_points_must_be_positive(tmp_path, flags):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize(
+    "argv, option, value",
+    [(["local", "--sigma-p", "5", "--n", "1"], "hmax", 0), (["census", "--family"], "jmax", -1)],
+)
+def test_count_options_reject_empty_runs(tmp_path, argv, option, value):
+    assert run(tmp_path, *argv, f"--{option}", str(value)) == 4
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({option: value}))
+    assert main(["--config", str(cfg), *argv, "--out", str(tmp_path)]) == 4
+    assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
+
+
+def test_census_family_jmax_zero(tmp_path, capsys):
+    assert run(tmp_path, "census", "--family", "--jmax", "0") == 0
+    assert "1 family members confirmed" in capsys.readouterr().out
+
+
 def test_arcs_report(tmp_path):
     assert run(tmp_path, "arcs", "--report", "196608", "--N", str(8**6), "--Q", "32") == 0
     payload = json.loads((tmp_path / "report_n196608.json").read_text())

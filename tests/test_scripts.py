@@ -50,3 +50,13 @@ def test_volume_workload_checks_pass():
     checks = json.loads(proc.stdout.splitlines()[-1])["checks"]
     assert len(checks) == 5
     assert [c for c in checks if not c[1]] == []
+
+
+def test_census_workload_checks_pass():
+    # The benchmark's census workload runs run_census(10**7), checks E(N)
+    # against its recorded count and checks 20 witnesses.
+    proc = _run("perfbench/workloads.py", "--workload", "census", "--seed", "0")
+    assert proc.returncode == 0, proc.stderr
+    checks = json.loads(proc.stdout.splitlines()[-1])["checks"]
+    assert len(checks) == 21
+    assert [c for c in checks if not c[1]] == []
