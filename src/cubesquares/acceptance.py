@@ -29,7 +29,7 @@ from .oscillatory import osc_integral_v, v_at_zero
 from .params import derive_params
 from .residues import t_square_distribution
 from .scale import Scale
-from .w2 import w2_carrier, w2_scan, w2_sum_squares
+from .w2 import six_full_upto, w2_carrier, w2_scan
 from .weights import WeightTable
 
 
@@ -141,18 +141,10 @@ def criterion_5() -> CriterionResult:
     # Weight majorant: carrier(q) >= q for all q <= 1e5 (so w2(q) <= q^(-1/6)),
     # equality exactly at 6-full q, and decade sums of w2^2 grow slowly.
     t0 = time.time()
-    from .w2 import factorize
-
     w2sq, majorant_ok, equality = w2_scan(100_000)
-    # 6-full numbers <= 1e5: every prime exponent >= 6.
-    sixfull = [q for q in range(2, 100_001) if all(e >= 6 for _p, e in factorize(q))]
-    eq_ok = equality == sixfull
-    ratios = []
-    prev = w2_sum_squares(100)
-    for Q in (1000, 10_000, 100_000):
-        cur = w2_sum_squares(Q)
-        ratios.append(cur / prev)
-        prev = cur
+    eq_ok = equality == six_full_upto(100_000)
+    decade_sums = [float(w2sq[1 : Q + 1].sum()) for Q in (100, 1000, 10_000, 100_000)]
+    ratios = [cur / prev for prev, cur in zip(decade_sums, decade_sums[1:])]
     ratio_ok = all(r <= 1.8 for r in ratios)
     ok = majorant_ok and eq_ok and ratio_ok
     detail = f"majorant {majorant_ok}; equality at {len(equality)} 6-full q: {eq_ok}; decade ratios {[f'{r:.3f}' for r in ratios]}"

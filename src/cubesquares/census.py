@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .cubesieve import CapacityError, memory_budget, sieve_cube_sums
-from .errors import VerificationError
+from .errors import DegenerateParamsError, VerificationError
 from .params import floor_nth_root
 
 
@@ -285,7 +285,7 @@ class DyadicFilter:
 
 def filter_A_upsilon(N: int, upsilon: float) -> DyadicFilter:
     if N < 3:
-        raise ValueError("N must be >= 3 so ln N > 1")
+        raise DegenerateParamsError("N must be >= 3 so ln N > 1")
     target = math.log(N) ** upsilon
     k = 0
     while 2**k < target:

@@ -3,8 +3,10 @@
 Every run is described by a RunConfig whose hash is embedded in each
 output artifact (inline for JSON/TSV, via .meta.json sidecar for the
 fixed-format CSV/binary tables).  Exit codes: 0 success, 2 capacity,
-3 verification failure, 4 bad configuration.  Runs are sequential and
-deterministic for a fixed config.
+3 verification failure, 4 bad configuration.  Option values are checked by
+their argparse types, so any other exception is a program error and ends
+the run with a traceback (exit 1).  Runs are sequential and deterministic
+for a fixed config.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ import argparse
 import dataclasses
 import hashlib
 import json
+import math
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -232,20 +235,35 @@ def cmd_census(args, cfg: RunConfig, out: Path) -> int:
 # -- wiring ----------------------------------------------------------------------
 
 
-def positive_int(text: str) -> int:
-    """argparse type of a count option: an integer >= 1."""
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"{text} is not a positive integer")
-    return value
+def _checked(name: str, convert, ok, what: str):
+    """An argparse type that converts the text, then requires `ok` of the value."""
+
+    def parse(text: str):
+        value = convert(text)
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"{text} is not {what}")
+        return value
+
+    parse.__name__ = name
+    return parse
 
 
-def non_negative_int(text: str) -> int:
-    """argparse type of an index bound: an integer >= 0."""
-    value = int(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"{text} is not a non-negative integer")
-    return value
+def _is_prime(p: int) -> bool:
+    return p >= 2 and all(p % d for d in range(2, math.isqrt(p) + 1))
+
+
+# Option values the subcommands' library calls would reject; checked here so
+# that a bad value exits 4 and every ValueError past parsing is a program error.
+positive_int = _checked("positive_int", int, lambda v: v >= 1, "a positive integer")
+non_negative_int = _checked("non_negative_int", int, lambda v: v >= 0, "a non-negative integer")
+smoothness_bound = _checked("smoothness_bound", int, lambda v: v >= 2, "an integer >= 2")
+prime = _checked("prime", int, _is_prime, "a prime")
+# complete_sum_S_batch needs q^3 < 2^53 for exact float64 counts
+sqa_modulus = _checked("sqa_modulus", int, lambda v: 1 <= v and v**3 < 2**53, "a modulus q >= 1 with q^3 < 2^53")
+open_unit = _checked("open_unit", float, lambda v: 0.0 < v < 1.0, "in (0, 1)")
+half_open_unit = _checked("half_open_unit", float, lambda v: 0.0 <= v < 1.0, "in [0, 1)")
+height = _checked("height", float, lambda v: 1.0 <= v < math.inf, "a finite height >= 1")
+finite = _checked("finite", float, math.isfinite, "a finite number")
 
 
 def build_parser(defaults: dict | None = None) -> argparse.ArgumentParser:
@@ -256,15 +274,15 @@ def build_parser(defaults: dict | None = None) -> argparse.ArgumentParser:
 
     def common(p):
         p.add_argument("--out", type=Path, default=Path("."), help="output directory")
-        p.add_argument("--eta", type=float, default=0.1)
-        p.add_argument("--R", type=int, default=None, help="smoothness bound override")
+        p.add_argument("--eta", type=open_unit, default=0.1)
+        p.add_argument("--R", type=smoothness_bound, default=None, help="smoothness bound override")
 
     pe = sub.add_parser("enumerate", help="cube-sum sieves, smooth sets, weight tables")
     common(pe)
-    pe.add_argument("--csums", type=int, help="sieve sums of three cubes up to X")
+    pe.add_argument("--csums", type=non_negative_int, help="sieve sums of three cubes up to X")
     pe.add_argument("--r3", action="store_true", help="include representation counts")
-    pe.add_argument("--smooth", type=int, help="enumerate smooth numbers up to Y")
-    pe.add_argument("--bound", type=int, default=2, help="smoothness bound R")
+    pe.add_argument("--smooth", type=positive_int, help="enumerate smooth numbers up to Y")
+    pe.add_argument("--bound", type=smoothness_bound, default=2, help="smoothness bound R")
     pe.add_argument("--table", choices=["a", "b"], help="build a weight table")
     pe.add_argument("--N", type=int, default=8**6)
     pe.add_argument("--format", choices=["bin", "csv"], default="csv")
@@ -273,22 +291,22 @@ def build_parser(defaults: dict | None = None) -> argparse.ArgumentParser:
     common(pl)
     pl.add_argument("--verify-sets", "--verify-paper-sets", dest="verify_sets", action="store_true",
                     help="recompute the three mod-27 square classes against their frozen tables")
-    pl.add_argument("--sqa", type=int, help="emit the S(q, a) row for this q")
+    pl.add_argument("--sqa", type=sqa_modulus, help="emit the S(q, a) row for this q")
     pl.add_argument("--sn", type=int, help="truncated singular series at this n")
-    pl.add_argument("--Q", type=int, default=64, help="series truncation")
-    pl.add_argument("--sigma-p", dest="sigma_p", type=int, help="Euler factor estimate at prime p")
+    pl.add_argument("--Q", type=positive_int, default=64, help="series truncation")
+    pl.add_argument("--sigma-p", dest="sigma_p", type=prime, help="Euler factor estimate at prime p")
     pl.add_argument("--n", type=int, default=1)
     pl.add_argument("--hmax", type=positive_int, default=3)
-    pl.add_argument("--w2-max", dest="w2_max", type=int, help="scan w2 up to Q")
+    pl.add_argument("--w2-max", dest="w2_max", type=positive_int, help="scan w2 up to Q")
     pl.add_argument("--check-majorant", dest="check_majorant", action="store_true")
-    pl.add_argument("--certificate", type=int, help="solubility certificate at prime p (uses --n)")
-    pl.add_argument("--two-adic", dest="two_adic", type=int, help="2-adic profile of n")
+    pl.add_argument("--certificate", type=prime, help="solubility certificate at prime p (uses --n)")
+    pl.add_argument("--two-adic", dest="two_adic", type=positive_int, help="2-adic profile of n")
 
     pa = sub.add_parser("arcs", help="arc classification, oscillatory integrals, main-term reports")
     common(pa)
-    pa.add_argument("--classify", type=float, help="classify alpha in [0,1)")
-    pa.add_argument("--X", type=float, default=2.0, help="dissection height")
-    pa.add_argument("--n", type=int, default=None, help="dissection scale")
+    pa.add_argument("--classify", type=half_open_unit, help="classify alpha in [0,1)")
+    pa.add_argument("--X", type=height, default=2.0, help="dissection height")
+    pa.add_argument("--n", type=positive_int, default=None, help="dissection scale")
     pa.add_argument("--v-at-zero", dest="v_at_zero", action="store_true")
     pa.add_argument("--v-sweep", dest="v_sweep", action="store_true", help="v(beta) decay table")
     pa.add_argument("--beta-max", dest="beta_max", type=float, default=10.0, help="sweep up to beta_max / N")
@@ -296,16 +314,16 @@ def build_parser(defaults: dict | None = None) -> argparse.ArgumentParser:
     pa.add_argument("--rn-exact", dest="rn_exact", action="store_true", help="exact R(n) table")
     pa.add_argument("--toy", action="store_true", help="use the frozen single-entry tables")
     pa.add_argument("--report", type=int, help="MainTermReport at this n")
-    pa.add_argument("--Q", type=int, default=64)
+    pa.add_argument("--Q", type=positive_int, default=64)
     pa.add_argument("--N", type=int, default=8**6)
 
     pc = sub.add_parser("census", help="exceptional-set census and obstruction family")
     common(pc)
-    pc.add_argument("--N", type=int, default=None)
+    pc.add_argument("--N", type=positive_int, default=None)
     pc.add_argument("--witnesses", action="store_true")
     pc.add_argument("--family", action="store_true")
     pc.add_argument("--jmax", type=non_negative_int, default=3)
-    pc.add_argument("--filter-upsilon", dest="filter_upsilon", type=float)
+    pc.add_argument("--filter-upsilon", dest="filter_upsilon", type=finite)
     for p in sub.choices.values():
         # argparse runs a string default through the option's type, so a
         # config value is checked and converted as the flag would be
@@ -361,7 +379,7 @@ def main(argv: list[str] | None = None) -> int:
     except (VerificationError, QuadratureError) as e:
         print(f"verification failure: {e}", file=sys.stderr)
         return 3
-    except (DegenerateParamsError, ValueError) as e:
+    except DegenerateParamsError as e:
         print(f"bad configuration: {e}", file=sys.stderr)
         return 4
 

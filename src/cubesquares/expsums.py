@@ -10,6 +10,12 @@ integer vector.  Sn(q) is real (pairing a with q - a conjugates the term);
 we check that numerically instead of assuming it.  The truncated singular
 series sums Sn(q) for q <= Q and reports dyadic tail masses as a
 convergence diagnostic.
+
+Sn is multiplicative in q, so the series computes Sn only at the prime
+powers <= Q (198 of them for Q = 1024) and forms every other term as a
+product over the prime powers that exactly divide q.  `coefficient_Sn` on a
+composite q stays the direct sum over a: it is the independent route that
+the multiplicativity check and the series tests compare against.
 """
 
 from __future__ import annotations
@@ -22,6 +28,7 @@ import numpy as np
 
 from .errors import VerificationError
 from .residues import t_square_distribution
+from .w2 import spf_sieve
 
 
 def complete_sum_S(q: int, a: int) -> complex:
@@ -99,13 +106,31 @@ class SeriesTruncation:
 
 
 def truncated_singular_series(n: int, Q: int) -> SeriesTruncation:
-    """sum_{q <= Q} Sn(q) plus |Sn| masses over dyadic blocks (Qd, 2 Qd]."""
+    """sum_{q <= Q} Sn(q) plus |Sn| masses over dyadic blocks (Qd, 2 Qd].
+
+    Sn is multiplicative in q, so each term is the product of Sn(p^k) over
+    the prime powers p^k || q, taken in ascending order of p.  Each prime
+    power's Sn is computed once per call.
+    """
     if Q < 1:
         raise ValueError("Q must be >= 1")
+    spf = spf_sieve(Q).tolist()
+    prime_power_terms: dict[int, float] = {}
     terms = np.empty(Q + 1, dtype=np.float64)
     terms[0] = 0.0
     for q in range(1, Q + 1):
-        terms[q] = coefficient_Sn(q, n)
+        term = 1.0
+        m = q
+        while m > 1:
+            p = spf[m]
+            pk = 1
+            while m % p == 0:
+                m //= p
+                pk *= p
+            if pk not in prime_power_terms:
+                prime_power_terms[pk] = coefficient_Sn(pk, n)
+            term *= prime_power_terms[pk]
+        terms[q] = term
     value = float(math.fsum(terms[1:].tolist()))
     tails: dict[int, float] = {}
     Qd = Q // 2

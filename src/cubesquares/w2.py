@@ -104,3 +104,25 @@ def w2_sum_squares(Q: int) -> float:
     """sum_{q <= Q} w2(q)^2 (= sum of W(q)^(-1/3))."""
     w2sq, _, _ = w2_scan(Q)
     return float(w2sq[1:].sum())
+
+
+def six_full_upto(Q: int) -> list[int]:
+    """The 6-full q in [2, Q], in increasing order, generated as products of p^e with e >= 6.
+
+    Built from trial-division primes, independent of `spf_sieve` and
+    `factorize`, so it can check the equality set that `w2_scan` reports.
+    """
+    found = [1]
+    for p in range(2, Q + 1):
+        if p**6 > Q:
+            break
+        if any(p % d == 0 for d in range(2, math.isqrt(p) + 1)):
+            continue
+        grown = []
+        for m in found:
+            pe = p**6
+            while m * pe <= Q:
+                grown.append(m * pe)
+                pe *= p
+        found += grown
+    return sorted(found)[1:]

@@ -7,6 +7,13 @@ The table maps each attained value v = T(y) to its multiplicity, i.e. the
 number of ordered triples producing it.  These multiplicities are the
 coefficients of the quadratic generating sums evaluated in generating.py.
 
+Both folds (the smooth pair sums, then the leading cube against them) go
+through one exact aggregation: each (value, count) pair is packed into an
+int64 key, the keys are sorted in place, and the counts of each run of
+equal values are summed.  At P = 10^4 the bulk table has 11.4M entries and
+the build holds 32 bytes per entry at its peak; `table_bytes` is the
+capacity guard's estimate of it.
+
 Disk formats: a little-endian binary record (magic WCL1) and a CSV with
 header ``value,multiplicity``; a JSON sidecar carries provenance fields.
 """
@@ -64,11 +71,35 @@ class WeightTable:
         return dict(zip(self.support.tolist(), self.counts.tolist()))
 
 
-def _aggregate(values: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    sup, inv = np.unique(values, return_inverse=True)
-    acc = np.zeros(sup.size, dtype=np.int64)
-    np.add.at(acc, inv.ravel(), weights.ravel())
-    return sup, acc
+def _aggregate(values: np.ndarray, counts) -> tuple[np.ndarray, np.ndarray]:
+    """Distinct `values` in increasing order and the summed `counts` of each.
+
+    `values` is a non-negative int64 array that this call overwrites;
+    `counts` is positive and broadcasts against it.  Each pair is packed into
+    one int64 key, value above count, so a single in-place sort orders the
+    pairs by value, and equal values form runs that `np.add.reduceat` sums.
+    Equal keys are identical pairs, so the sort need not be stable.  At most
+    32 bytes per entry are live at once: the key, the unpacked counts, the
+    run starts and the sums.
+    """
+    sh = int(np.max(counts)).bit_length()
+    lo, hi = int(values.min()), int(values.max())
+    if lo < 0 or hi >> (63 - sh):
+        raise OverflowError(f"values in [{lo}, {hi}] do not fit an int64 key beside {sh} count bits")
+    values <<= sh
+    values |= counts
+    key = values.reshape(-1)
+    key.sort()
+    cnt = key & ((1 << sh) - 1)
+    key >>= sh
+    first = np.empty(key.size, dtype=bool)
+    first[:1] = True
+    np.not_equal(key[1:], key[:-1], out=first[1:])
+    starts = np.flatnonzero(first)
+    del first
+    sums = np.add.reduceat(cnt, starts)
+    del cnt
+    return key[starts], sums
 
 
 def build_weight_table(params: Params, role: str, budget: int | None = None) -> WeightTable:
@@ -88,24 +119,30 @@ def build_weight_table(params: Params, role: str, budget: int | None = None) -> 
     else:
         leading = params.leading_range_thin()
         box = int(np.floor(params.H3))
-    y1 = np.arange(leading.start, leading.stop, dtype=np.int64)
-    if y1.size == 0 or box < 1:
+    if len(leading) == 0 or box < 1:
         return WeightTable(role=role, support=np.empty(0, np.int64), counts=np.empty(0, np.int64))
 
-    smooth = enumerate_smooth(box, params.R).members
-    c = smooth**3
-    pair_sup, pair_cnt = _aggregate(c[:, None] + c[None, :], np.ones((c.size, c.size), np.int64))
-
-    need = y1.size * pair_sup.size * 24
+    c = enumerate_smooth(box, params.R).members ** 3
+    pair_sup, pair_cnt = _aggregate(np.add.outer(c, c), 1)
+    need = table_bytes(len(leading), pair_sup.size)
     if need > budget:
         raise CapacityError(
-            f"weight table role={role} needs ~{need} bytes (|leading|={y1.size}, "
+            f"weight table role={role} needs ~{need} bytes (|leading|={len(leading)}, "
             f"|pairs|={pair_sup.size}) > budget {budget}"
         )
-    vals = (y1**3)[:, None] + pair_sup[None, :]
-    wts = np.broadcast_to(pair_cnt[None, :], vals.shape)
-    sup, cnt = _aggregate(vals, wts)
-    return WeightTable(role=role, support=sup, counts=cnt)
+    cubes = np.arange(leading.start, leading.stop, dtype=np.int64) ** 3
+    return WeightTable(role, *_aggregate(np.add.outer(cubes, pair_sup), pair_cnt))
+
+
+def table_bytes(leading: int, pairs: int) -> int:
+    """Upper bound on the bytes `build_weight_table` holds once the pair table is built.
+
+    `_aggregate` peaks at 32 bytes per (leading cube, pair sum) entry.  The
+    pair table (16 bytes per pair) and the leading cubes (8 bytes each) stay
+    live beside it; 8 more bytes per leading value cover the interpreter's
+    own small allocations.
+    """
+    return 32 * leading * pairs + 16 * (pairs + leading)
 
 
 # -- serialization -----------------------------------------------------------

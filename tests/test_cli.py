@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from cubesquares import cli
 from cubesquares.cli import RunConfig, main
 
 
@@ -194,6 +195,46 @@ def test_count_options_reject_empty_runs(tmp_path, argv, option, value):
     cfg.write_text(json.dumps({option: value}))
     assert main(["--config", str(cfg), *argv, "--out", str(tmp_path)]) == 4
     assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["enumerate", "--csums", "-1"],
+        ["enumerate", "--smooth", "0"],
+        ["enumerate", "--smooth", "10", "--bound", "1"],
+        ["enumerate", "--table", "a", "--eta", "1.5"],
+        ["enumerate", "--table", "a", "--R", "1"],
+        ["local", "--sqa", "0"],
+        ["local", "--sqa", "300000"],
+        ["local", "--sn", "5", "--Q", "0"],
+        ["local", "--sigma-p", "4"],
+        ["local", "--w2-max", "-1"],
+        ["local", "--certificate", "0"],
+        ["local", "--two-adic", "0"],
+        ["arcs", "--classify", "1.5"],
+        ["arcs", "--classify", "0.3", "--X", "0.5"],
+        ["arcs", "--classify", "0.3", "--n", "0"],
+        ["census", "--N", "0"],
+        ["census", "--filter-upsilon", "inf"],
+    ],
+)
+def test_bad_option_values_exit_4(tmp_path, argv):
+    assert run(tmp_path, *argv) == 4
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_degenerate_filter_scale_exit_4(tmp_path):
+    assert run(tmp_path, "census", "--N", "2", "--filter-upsilon", "1") == 4
+
+
+def test_internal_value_error_is_not_bad_configuration(tmp_path, monkeypatch):
+    def broken(*args, **kwargs):
+        raise ValueError("internal inconsistency")
+
+    monkeypatch.setattr(cli, "truncated_singular_series", broken)
+    with pytest.raises(ValueError, match="internal inconsistency"):
+        run(tmp_path, "local", "--sn", "36")
 
 
 def test_census_family_jmax_zero(tmp_path, capsys):

@@ -83,3 +83,11 @@ def test_series_tail_blocks():
 def test_series_requires_positive_Q():
     with pytest.raises(ValueError):
         truncated_singular_series(5, 0)
+
+
+@pytest.mark.parametrize("n", [0, 36, 64, 1001, 193710244])
+def test_series_terms_match_direct_Sn(n):
+    # the series multiplies prime-power terms; coefficient_Sn stays direct
+    terms = truncated_singular_series(n, 1024).terms
+    worst = max(abs(terms[q] - coefficient_Sn(q, n)) for q in range(1, 1025))
+    assert worst <= 1e-14

@@ -60,3 +60,13 @@ def test_census_workload_checks_pass():
     checks = json.loads(proc.stdout.splitlines()[-1])["checks"]
     assert len(checks) == 21
     assert [c for c in checks if not c[1]] == []
+
+
+def test_arith_workload_checks_pass():
+    # The benchmark's arith workload runs ten acceptance criteria on the
+    # P = 10^4 table and checks h(0) exactly and against V(0).
+    proc = _run("perfbench/workloads.py", "--workload", "arith", "--seed", "0")
+    assert proc.returncode == 0, proc.stderr
+    checks = json.loads(proc.stdout.splitlines()[-1])["checks"]
+    assert len(checks) == 12
+    assert [c for c in checks if not c[1]] == []

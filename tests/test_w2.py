@@ -5,6 +5,7 @@ from hypothesis import assume, given, strategies as st
 
 from cubesquares.w2 import (
     factorize,
+    six_full_upto,
     w2,
     w2_carrier,
     w2_scan,
@@ -60,3 +61,17 @@ def test_sum_squares_slow_growth():
     s4 = w2_sum_squares(10_000)
     assert s2 < s3 < s4
     assert s3 / s2 < 1.8 and s4 / s3 < 1.8
+
+
+def test_six_full_matches_trial_division():
+    want = [q for q in range(2, 100_001) if all(e >= 6 for _p, e in factorize(q))]
+    assert six_full_upto(100_000) == want == EQUALITY_1E5
+    assert six_full_upto(63) == []
+    assert six_full_upto(64) == [64]
+
+
+def test_decade_sums_from_one_scan():
+    # criterion 5 slices one scan; each slice sum equals a scan of its own
+    w2sq, _, _ = w2_scan(100_000)
+    for Q in (100, 1000, 10_000, 100_000):
+        assert float(w2sq[1 : Q + 1].sum()) == w2_sum_squares(Q)

@@ -1,6 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from cubesquares import weights
 from cubesquares.errors import CapacityError
 from cubesquares.params import derive_params
 from cubesquares.smooth import enumerate_smooth
@@ -11,8 +14,67 @@ from cubesquares.weights import (
     load_csv,
     save_binary,
     save_csv,
+    table_bytes,
     table_digest,
 )
+
+
+def _aggregate_oracle(values: np.ndarray, counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The former aggregation: np.unique with inverse indices, then np.add.at."""
+    sup, inv = np.unique(values, return_inverse=True)
+    acc = np.zeros(sup.size, dtype=np.int64)
+    np.add.at(acc, inv.ravel(), counts.ravel())
+    return sup, acc
+
+
+def _family(pp, role):
+    if role == "a":
+        return pp.leading_range_main(), pp.P
+    return pp.leading_range_thin(), int(np.floor(pp.H3))
+
+
+def _table_oracle(pp, role) -> WeightTable:
+    leading, box = _family(pp, role)
+    y1 = np.arange(leading.start, leading.stop, dtype=np.int64)
+    if y1.size == 0 or box < 1:
+        return WeightTable(role, np.empty(0, np.int64), np.empty(0, np.int64))
+    c = enumerate_smooth(box, pp.R).members ** 3
+    pair_sup, pair_cnt = _aggregate_oracle(c[:, None] + c[None, :], np.ones((c.size, c.size), np.int64))
+    vals = (y1**3)[:, None] + pair_sup[None, :]
+    return WeightTable(role, *_aggregate_oracle(vals, np.broadcast_to(pair_cnt[None, :], vals.shape)))
+
+
+@pytest.mark.parametrize("P", [8, 27, 64, 1000])
+@pytest.mark.parametrize("role", ["a", "b"])
+def test_table_matches_aggregation_oracle(P, role):
+    pp = derive_params(P**6)
+    got = build_weight_table(pp, role)
+    want = _table_oracle(pp, role)
+    assert got.support.dtype == want.support.dtype and got.counts.dtype == want.counts.dtype
+    assert np.array_equal(got.support, want.support)
+    assert np.array_equal(got.counts, want.counts)
+    assert table_digest(got) == table_digest(want)
+
+
+def test_aggregate_matches_oracle_on_repeats():
+    rng = np.random.default_rng(7)
+    values = rng.integers(0, 50, size=(40, 25), dtype=np.int64)
+    counts = rng.integers(1, 1000, size=25, dtype=np.int64)  # a count of several bits
+    want = _aggregate_oracle(values, np.broadcast_to(counts, values.shape))
+    got = weights._aggregate(values.copy(), counts)
+    assert np.array_equal(got[0], want[0])
+    assert np.array_equal(got[1], want[1])
+    assert got[1].sum() == 40 * counts.sum()
+
+
+def test_aggregate_rejects_values_past_the_key():
+    # one count bit leaves 62 bits for the value
+    with pytest.raises(OverflowError):
+        weights._aggregate(np.array([2**62], dtype=np.int64), 1)
+    with pytest.raises(OverflowError):
+        weights._aggregate(np.array([-1], dtype=np.int64), 1)
+    sup, cnt = weights._aggregate(np.array([2**62 - 1, 2**62 - 1], dtype=np.int64), 1)
+    assert sup.tolist() == [2**62 - 1] and cnt.tolist() == [2]
 
 
 def test_build_totals_and_support():
@@ -70,6 +132,24 @@ def test_digest_distinguishes_tables():
     t2 = WeightTable("a", (3,), (2,))
     assert table_digest(t1) != table_digest(t2)
     assert len(table_digest(t1)) == 16
+
+
+def test_memory_guard_matches_allocation():
+    pp = derive_params(1000**6)
+    leading, box = _family(pp, "a")
+    c = enumerate_smooth(box, pp.R).members ** 3
+    need = table_bytes(len(leading), np.unique(np.add.outer(c, c)).size)
+    tracemalloc.start()
+    try:
+        table = build_weight_table(pp, "a", budget=need)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(table) > 0
+    # the estimate bounds the allocation and is not far above it
+    assert 0.99 * need <= peak <= need
+    with pytest.raises(CapacityError):
+        build_weight_table(pp, "a", budget=need - 1)
 
 
 def test_budget_guard():
