@@ -71,6 +71,9 @@ def _write_tsv(path: Path, cfg: RunConfig, header: list[str], rows) -> None:
 
 
 def cmd_enumerate(args, cfg: RunConfig, out: Path) -> int:
+    scale = Scale(args.N, args.eta, args.R)
+    if args.table is not None:
+        scale.params  # a degenerate scale exits before any artifact is written
     if args.csums is not None:
         sieve = sieve_cube_sums(args.csums, with_counts=args.r3)
         members = sieve.members.tolist()
@@ -83,7 +86,6 @@ def cmd_enumerate(args, cfg: RunConfig, out: Path) -> int:
         print("members:", list(s))
         print(f"density {len(s) / max(args.smooth, 1):.6f}")
     if args.table is not None:
-        scale = Scale(args.N, args.eta, args.R)
         table = scale.table_a if args.table == "a" else scale.table_b
         base = out / f"weights_{args.table}_N{args.N}"
         if args.format == "csv":
@@ -155,6 +157,8 @@ def _toy_tables() -> tuple[WeightTable, WeightTable, list[int]]:
 
 def cmd_arcs(args, cfg: RunConfig, out: Path) -> int:
     scale = Scale(args.N, args.eta, args.R)
+    if args.v_at_zero or args.v_sweep or (args.rn_exact and not args.toy) or args.report is not None:
+        scale.params  # a degenerate scale exits before any artifact is written
     if args.classify is not None:
         n = args.n or 10**4
         hit = classify(args.classify, args.X, n)
@@ -203,6 +207,8 @@ def cmd_arcs(args, cfg: RunConfig, out: Path) -> int:
 
 
 def cmd_census(args, cfg: RunConfig, out: Path) -> int:
+    # the filter is cheap and checks its scale, so it runs before any artifact is written
+    f = None if args.filter_upsilon is None else filter_A_upsilon(args.N or 10**6, args.filter_upsilon)
     if args.family:
         for j in range(args.jmax + 1):
             proof = verify_obstruction_family(j)
@@ -225,8 +231,7 @@ def cmd_census(args, cfg: RunConfig, out: Path) -> int:
                 if wit is not None:
                     rows.append((n, *wit))
             _write_tsv(out / f"witnesses_{args.N}.tsv", cfg, ["n", "c1", "c2", "c3", "c4"], rows)
-    if args.filter_upsilon is not None:
-        f = filter_A_upsilon(args.N or 10**6, args.filter_upsilon)
+    if f is not None:
         _write_json(out / f"filter_u{args.filter_upsilon}.json", cfg, dataclasses.asdict(f))
         print(f"k={f.k} modulus={f.modulus} count={f.count}")
     return 0

@@ -26,8 +26,7 @@ from .errors import VerificationError
 from .residues import (
     cube_residue_counts,
     cyclic_convolve,
-    square_pushforward,
-    t_distribution,
+    t_square_distribution,
     unit_cube_residue_counts,
 )
 
@@ -36,7 +35,7 @@ from .residues import (
 
 @lru_cache(maxsize=256)
 def _four_fold_square_distribution(q: int) -> tuple[int, ...]:
-    d = square_pushforward(list(t_distribution(q)), q)
+    d = t_square_distribution(q)
     dd = cyclic_convolve(d, d, q)
     return tuple(cyclic_convolve(dd, dd, q))
 

@@ -5,8 +5,9 @@
 
 weighted by the table multiplicities: v, v' run over the bulk table, h1, h2
 over the thin table, p1, p2 over the prime window.  R is a double
-convolution of two integer-indexed series, evaluated sparsely and exactly;
-a dense FFT route over the full index range cross-checks it.
+convolution of two integer-indexed series, evaluated sparsely and exactly
+on sorted int64 key arrays that `weights._aggregate` builds; a dense FFT
+route over the full index range cross-checks it.
 
 The model main term is (singular series at n) * J(n) where J(n) is the
 four-fold convolution of the kernel slot densities at n, summed over the
@@ -20,91 +21,95 @@ independent Fourier route for single tuples.
 
 from __future__ import annotations
 
-import bisect
-import itertools
 import math
-from collections import Counter
 from dataclasses import asdict, dataclass, field
 from functools import lru_cache
 
 import numpy as np
 
+from .cubesieve import memory_budget
 from .errors import CapacityError, QuadratureError
 from .oscillatory import KernelSlot, _leggauss, _panel_rule, plain_slot, scaled_slot
 from .params import Params
-from .smooth import enumerate_smooth
-from .weights import WeightTable
+from .weights import WeightTable, _aggregate, smooth_cube_pairs, table_bytes
 
 # -- exact counts --------------------------------------------------------------
 
 
-def square_series(table: WeightTable) -> dict[int, int]:
-    """k = v^2 -> total multiplicity (exact, Python ints)."""
-    out: dict[int, int] = {}
-    for v, c in zip(table.support.tolist(), table.counts.tolist()):
-        k = v * v
-        out[k] = out.get(k, 0) + c
-    return out
+def _max_n(table_a: WeightTable, table_b: WeightTable, primes: list[int]) -> int:
+    """2 max(v)^2 + 2 max(p)^6 max(h)^2 in Python ints: no n above it has R(n) > 0."""
+    va = int(table_a.support.max(initial=0))
+    vb = int(table_b.support.max(initial=0))
+    return 2 * va**2 + 2 * max(primes, default=0) ** 6 * vb**2
 
 
-def prime_square_series(table: WeightTable, primes: list[int]) -> dict[int, int]:
-    """k = p^6 v^2 -> multiplicity, accumulated over the prime window."""
-    out: dict[int, int] = {}
-    for p in primes:
-        p6 = p**6
-        for v, c in zip(table.support.tolist(), table.counts.tolist()):
-            k = p6 * v * v
-            out[k] = out.get(k, 0) + c
-    return out
-
-
-def convolve_series(a: dict[int, int], b: dict[int, int]) -> dict[int, int]:
-    out: dict[int, int] = {}
-    for ka, ca in a.items():
-        for kb, cb in b.items():
-            k = ka + kb
-            out[k] = out.get(k, 0) + ca * cb
-    return out
+def _square_series(table_a: WeightTable, table_b: WeightTable, primes: list[int]):
+    """a = {v^2} over the bulk table and b = {p^6 h^2} over the thin table and primes, as sorted keys and counts."""
+    a = _aggregate(table_a.support**2, table_a.counts)
+    b = _aggregate(np.multiply.outer(np.array(primes, np.int64) ** 6, table_b.support**2), table_b.counts)
+    return a, b
 
 
 @dataclass
 class RnEvaluator:
-    """Caches the two self-convolved series so many n are cheap."""
+    """Caches the two self-convolved series so many n are cheap.
+
+    aa maps v^2 + v'^2 and bb maps p1^6 h1^2 + p2^6 h2^2 to their
+    multiplicities, so R(n) = sum over keys kb of bb(kb) aa(n - kb).  The
+    build checks in Python ints that no int64 key, count or sum can wrap,
+    and that each self-sum fits the memory budget: k terms peak at
+    `table_bytes(k, k)`, as k1 + k2 = k2 + k1 leaves at most half distinct.
+    """
 
     table_a: WeightTable
     table_b: WeightTable
     primes: list[int]
-    aa: dict[int, int] = field(init=False, repr=False)
-    bb: dict[int, int] = field(init=False, repr=False)
+    aa: WeightTable = field(init=False, repr=False)
+    bb: WeightTable = field(init=False, repr=False)
+    prefix: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        a = square_series(self.table_a)
-        b = prime_square_series(self.table_b, self.primes)
-        self.aa = convolve_series(a, a)
-        self.bb = convolve_series(b, b)
+        ta, tb, m = self.table_a, self.table_b, len(self.primes)
+        total = (ta.total * m * tb.total) ** 2
+        if total >> 63:
+            raise CapacityError(f"sum of R(n) = {total} does not fit an int64")
+        top = _max_n(ta, tb, self.primes)
+        bits = (max(int(ta.counts.max(initial=0)), m * int(tb.counts.max(initial=0))) ** 2).bit_length()
+        if top.bit_length() + bits > 63:
+            raise CapacityError(f"R(n) keys up to {top} do not fit an int64 beside {bits} count bits")
+        (ka, ca), (kb, cb) = _square_series(ta, tb, self.primes)
+        need = table_bytes(ka.size, ka.size) + table_bytes(kb.size, kb.size)
+        budget = memory_budget()
+        if need > budget:
+            raise CapacityError(
+                f"R(n) self-sums of {ka.size} and {kb.size} terms need ~{need} bytes > budget {budget}"
+            )
+        self.aa = WeightTable("a", *_aggregate(np.add.outer(ka, ka), np.multiply.outer(ca, ca)))
+        self.bb = WeightTable("b", *_aggregate(np.add.outer(kb, kb), np.multiply.outer(cb, cb)))
+        self.prefix = np.concatenate(([0], np.cumsum(self.aa.counts)))
 
     def __call__(self, n: int) -> int:
-        return sum(cb * self.aa.get(n - kb, 0) for kb, cb in self.bb.items())
+        return self.window_mass(n, n)
 
     def window_mass(self, lo: int, hi: int) -> int:
-        """sum of R(n) over lo <= n <= hi, exactly, by prefix sums over sorted aa."""
-        keys = sorted(self.aa)
-        prefix = [0, *itertools.accumulate(self.aa[k] for k in keys)]
-        return sum(
-            cb * (prefix[bisect.bisect_right(keys, hi - kb)] - prefix[bisect.bisect_left(keys, lo - kb)])
-            for kb, cb in self.bb.items()
-        )
+        """sum of R(n) over lo <= n <= hi, exactly, by prefix sums over the aa keys."""
+        lo, hi = max(lo, 0), min(hi, self.max_n)
+        if hi < lo:
+            return 0
+        keys, kb = self.aa.support, self.bb.support
+        inside = self.prefix[np.searchsorted(keys, hi - kb, "right")] - self.prefix[np.searchsorted(keys, lo - kb)]
+        return int(self.bb.counts @ inside)
 
     @property
     def max_n(self) -> int:
-        if not self.aa or not self.bb:
+        if not len(self.aa) or not len(self.bb):
             return 0
-        return max(self.aa) + max(self.bb)
+        return int(self.aa.support[-1]) + int(self.bb.support[-1])
 
     @property
     def total(self) -> int:
         """sum_n R(n) = (a total)^2 * (|primes| b total)^2."""
-        return sum(self.aa.values()) * sum(self.bb.values())
+        return self.aa.total * self.bb.total
 
 
 def rn_dense_dft(
@@ -116,21 +121,18 @@ def rn_dense_dft(
     float error is ~ L * eps * (sum a)^2 (sum b)^2, checked against 0.49
     before rounding is trusted.
     """
-    a = square_series(table_a)
-    b = prime_square_series(table_b, primes)
-    if not a or not b:
+    if not len(table_a) or not len(table_b) or not primes:
         return np.zeros(1, dtype=np.int64)
-    top = 2 * max(a) + 2 * max(b)
+    top = _max_n(table_a, table_b, primes)
     L = 1 << (top + 1).bit_length()
     if L > budget_entries:
         raise CapacityError(f"dense DFT needs {L} entries > budget {budget_entries}")
+    (ka, ca), (kb, cb) = _square_series(table_a, table_b, primes)
     da = np.zeros(L, dtype=np.float64)
-    for k, c in a.items():
-        da[k] = c
+    da[ka] = ca
     db = np.zeros(L, dtype=np.float64)
-    for k, c in b.items():
-        db[k] = c
-    mass = float(sum(a.values())) ** 2 * float(sum(b.values())) ** 2
+    db[kb] = cb
+    mass = float(ca.sum()) ** 2 * float(cb.sum()) ** 2
     margin = L * np.finfo(np.float64).eps * mass
     if margin > 0.49:
         raise CapacityError(f"float rounding margin {margin:.3g} too large for exact recovery")
@@ -148,11 +150,11 @@ def _pair_conv(sa: KernelSlot, sb: KernelSlot, u: np.ndarray, order: int = 24) -
     lo = np.maximum(sa.gamma_lo, u - sb.gamma_hi)
     hi = np.minimum(sa.gamma_hi, u - sb.gamma_lo)
     span = np.maximum(hi - lo, 0.0)
-    x, w = _panel_rule(0.0, 1.0, 1, order)
-    g = lo[None, :] + span[None, :] * x[:, None]
+    x, w = _leggauss(order)  # the rule on [0, 1] is 0.5 + 0.5 x with weights 0.5 w
+    g = lo[None, :] + span[None, :] * (0.5 + 0.5 * x)[:, None]
     gb = np.maximum(u[None, :] - g, sb.gamma_lo)  # clamp float dust at the edge
     vals = sa.density(np.maximum(g, sa.gamma_lo)) * sb.density(gb)
-    return np.sum(vals * w[:, None], axis=0) * span
+    return np.sum(vals * (0.5 * w)[:, None], axis=0) * span
 
 
 def conv4_value(slots: tuple[KernelSlot, ...], n: float, order: int = 24) -> float:
@@ -203,7 +205,10 @@ def conv4_value_beta(slots: tuple[KernelSlot, ...], n: float, K: float = 40.0, o
     return float(val.real)
 
 
-_BLOCK = 4096  # outer nodes per pair-convolution call; bounds the (order x block) temporaries
+# Outer nodes per pair-convolution call.  Each (order x block) float64 temporary
+# stays under glibc's 128 KiB mmap threshold, so it is reused from the heap
+# rather than mapped and page-faulted in on every call.
+_BLOCK = 512
 
 
 @dataclass(frozen=True)
@@ -254,12 +259,14 @@ class _SlotPairs:
 @lru_cache(maxsize=8)
 def _j_slot_pairs(params: Params, primes: tuple[int, ...]) -> tuple[_SlotPairs, _SlotPairs] | None:
     """Thin pairs (prime-scaled slots) and bulk pairs (plain slots) of J."""
-    s3 = enumerate_smooth(int(math.floor(params.H3)), params.R).members.tolist()
-    sp = enumerate_smooth(params.P, params.R).members.tolist()
-    if not primes or not s3 or not sp:
+    c3, m3 = smooth_cube_pairs(int(math.floor(params.H3)), params.R)
+    cp, mp = smooth_cube_pairs(params.P, params.R)
+    if not primes or not c3.size or not cp.size:
         return None
-    thin = [(scaled_slot(params.H1, params.H2, float(C), p), m) for p in primes for C, m in _pair_cubes(s3).items()]
-    bulk = [(plain_slot(params.P / 2.0, float(params.P), float(C)), m) for C, m in _pair_cubes(sp).items()]
+    thin = [
+        (scaled_slot(params.H1, params.H2, float(C), p), m) for p in primes for C, m in zip(c3.tolist(), m3.tolist())
+    ]
+    bulk = [(plain_slot(params.P / 2.0, float(params.P), float(C)), m) for C, m in zip(cp.tolist(), mp.tolist())]
     return _SlotPairs.build(thin), _SlotPairs.build(bulk)
 
 
@@ -291,11 +298,6 @@ def singular_integral_J(n: int, params: Params, primes: list[int]) -> float:
     wu = (half * w).ravel()
     f_uu = bulk((n - u)[::-1])[::-1]
     return float(np.sum(wu * thin(u) * f_uu))
-
-
-def _pair_cubes(members: list[int]) -> Counter[int]:
-    """a^3 + b^3 -> number of ordered pairs (a, b) of members giving it."""
-    return Counter(a**3 + b**3 for a in members for b in members)
 
 
 # -- the report -----------------------------------------------------------------

@@ -99,22 +99,6 @@ def scaled_slot(t_lo: float, t_hi: float, C: float, p: int) -> KernelSlot:
     return KernelSlot(C=p3 * C, s_lo=p3 * (t_lo**3 + C), s_hi=p3 * (t_hi**3 + C), pref=1.0 / (6.0 * p))
 
 
-def kernel_quad(slot: KernelSlot, beta: float, tol: float = 1e-9, max_rounds: int = 7) -> complex:
-    """int B(gamma) e(beta gamma) dgamma with panel doubling until stable."""
-    width = slot.gamma_hi - slot.gamma_lo
-    cycles = abs(beta) * width
-    panels = max(2, int(cycles / 3.0) + 1)
-    prev = None
-    for _ in range(max_rounds):
-        g, w = _panel_rule(slot.gamma_lo, slot.gamma_hi, panels, 16)
-        val = complex(np.sum(w * slot.density(g) * np.exp(2j * np.pi * beta * g)))
-        if prev is not None and abs(val - prev) <= tol * max(slot.mass, abs(val)):
-            return val
-        prev = val
-        panels *= 2
-    raise QuadratureError(f"kernel quadrature did not stabilize at {panels} panels", partial=prev)
-
-
 # -- the two integral routes ---------------------------------------------------
 
 

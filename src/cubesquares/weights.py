@@ -82,6 +82,8 @@ def _aggregate(values: np.ndarray, counts) -> tuple[np.ndarray, np.ndarray]:
     32 bytes per entry are live at once: the key, the unpacked counts, the
     run starts and the sums.
     """
+    if values.size == 0:
+        return values.reshape(-1), np.zeros(0, np.int64)
     sh = int(np.max(counts)).bit_length()
     lo, hi = int(values.min()), int(values.max())
     if lo < 0 or hi >> (63 - sh):
@@ -122,8 +124,7 @@ def build_weight_table(params: Params, role: str, budget: int | None = None) -> 
     if len(leading) == 0 or box < 1:
         return WeightTable(role=role, support=np.empty(0, np.int64), counts=np.empty(0, np.int64))
 
-    c = enumerate_smooth(box, params.R).members ** 3
-    pair_sup, pair_cnt = _aggregate(np.add.outer(c, c), 1)
+    pair_sup, pair_cnt = smooth_cube_pairs(box, params.R)
     need = table_bytes(len(leading), pair_sup.size)
     if need > budget:
         raise CapacityError(
@@ -132,6 +133,12 @@ def build_weight_table(params: Params, role: str, budget: int | None = None) -> 
         )
     cubes = np.arange(leading.start, leading.stop, dtype=np.int64) ** 3
     return WeightTable(role, *_aggregate(np.add.outer(cubes, pair_sup), pair_cnt))
+
+
+def smooth_cube_pairs(box: int, R: int) -> tuple[np.ndarray, np.ndarray]:
+    """a^3 + b^3 over R-smooth a, b in [1, box]: the distinct sums and the number of ordered pairs giving each."""
+    c = enumerate_smooth(box, R).members ** 3
+    return _aggregate(np.add.outer(c, c), 1)
 
 
 def table_bytes(leading: int, pairs: int) -> int:

@@ -225,7 +225,22 @@ def test_bad_option_values_exit_4(tmp_path, argv):
 
 
 def test_degenerate_filter_scale_exit_4(tmp_path):
+    # the filter's scale is checked before the census runs, so census_2.json is not written
     assert run(tmp_path, "census", "--N", "2", "--filter-upsilon", "1") == 4
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["arcs", "--rn-exact", "--toy", "--report", "5", "--N", "10"],
+        ["enumerate", "--csums", "5", "--table", "a", "--N", "10"],
+    ],
+)
+def test_degenerate_scale_writes_nothing(tmp_path, argv):
+    # the scale is derived before the first action, so no earlier action leaves an artifact
+    assert run(tmp_path, *argv) == 4
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_internal_value_error_is_not_bad_configuration(tmp_path, monkeypatch):

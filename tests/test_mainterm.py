@@ -1,10 +1,13 @@
+import bisect
 import itertools
 import math
+import tracemalloc
 from collections import Counter
 
 import numpy as np
 import pytest
 
+from cubesquares.cubesieve import BUDGET_ENV
 from cubesquares.errors import CapacityError, QuadratureError
 from cubesquares.mainterm import (
     RnEvaluator,
@@ -17,7 +20,7 @@ from cubesquares.oscillatory import plain_slot, scaled_slot
 from cubesquares.params import derive_params
 from cubesquares.scale import Scale
 from cubesquares.smooth import enumerate_smooth
-from cubesquares.weights import WeightTable
+from cubesquares.weights import WeightTable, table_bytes
 
 TOY_A = WeightTable("a", (3,), (1,))
 TOY_B = WeightTable("b", (3,), (1,))
@@ -184,3 +187,85 @@ def test_window_mass_matches_pointwise_sum():
     for lo, hi in ((0, ev.max_n), (1170, 1170), (1171, 40_000), (ev.max_n // 2, ev.max_n), (5, 4)):
         assert ev.window_mass(lo, hi) == sum(ev(n) for n in range(lo, hi + 1))
     assert ev.window_mass(0, ev.max_n) == ev.total
+
+
+def _rn_dict_oracle(table_a, table_b, primes):
+    """The second exact route: aa and bb as {key: multiplicity} dicts, by Python-int loops."""
+
+    def self_sum(x):
+        out = {}
+        for k1, c1 in x.items():
+            for k2, c2 in x.items():
+                out[k1 + k2] = out.get(k1 + k2, 0) + c1 * c2
+        return out
+
+    a, b = {}, {}
+    for v, c in zip(table_a.support.tolist(), table_a.counts.tolist()):
+        a[v * v] = a.get(v * v, 0) + c
+    for p in primes:
+        for v, c in zip(table_b.support.tolist(), table_b.counts.tolist()):
+            b[p**6 * v * v] = b.get(p**6 * v * v, 0) + c
+    return self_sum(a), self_sum(b)
+
+
+def _dict_rn(aa, bb, n):
+    return sum(cb * aa.get(n - kb, 0) for kb, cb in bb.items())
+
+
+def _dict_window_mass(aa, bb, lo, hi):
+    keys = sorted(aa)
+    prefix = [0, *itertools.accumulate(aa[k] for k in keys)]
+    return sum(
+        cb * (prefix[bisect.bisect_right(keys, hi - kb)] - prefix[bisect.bisect_left(keys, lo - kb)])
+        for kb, cb in bb.items()
+    )
+
+
+@pytest.mark.parametrize("P", [27, 64])
+def test_rn_matches_dict_oracle(P):
+    scale = Scale(P**6)
+    ev = scale.rn
+    aa, bb = _rn_dict_oracle(scale.table_a, scale.table_b, scale.primes)
+    for table, oracle in ((ev.aa, aa), (ev.bb, bb)):
+        assert list(zip(table.support.tolist(), table.counts.tolist())) == sorted(oracle.items())
+    lo, hi = scale.params.N // 2, scale.params.N
+    mass = ev.window_mass(lo, hi)
+    assert type(mass) is int and mass == _dict_window_mass(aa, bb, lo, hi) > 0
+    rng = np.random.default_rng(P)
+    keys_a, keys_b = sorted(aa), sorted(bb)
+    hits = [keys_a[i] + keys_b[j] for i, j in zip(rng.integers(len(aa), size=40), rng.integers(len(bb), size=40))]
+    for n in [*rng.integers(lo, hi + 1, size=40).tolist(), *hits]:
+        r = ev(n)
+        assert type(r) is int and r == _dict_rn(aa, bb, n)
+    assert all(ev(n) > 0 for n in hits)
+
+
+def test_rn_overflowing_keys_raise():
+    # 2 v^2 must fit beside one count bit: 2 (1.5e9)^2 < 2^62 < 2 (2.2e9)^2
+    v = 1_500_000_000
+    assert RnEvaluator(WeightTable("a", (v,), (1,)), TOY_B, [2])(2 * v * v + 1152) == 1
+    with pytest.raises(CapacityError):
+        RnEvaluator(WeightTable("a", (2_200_000_000,), (1,)), TOY_B, [2])
+    with pytest.raises(CapacityError):  # 2^6 (4e8)^2 > 2^63 already wraps the thin key itself
+        RnEvaluator(TOY_A, WeightTable("b", (400_000_000,), (1,)), [2])
+    with pytest.raises(CapacityError):  # sum of R(n) = (2^16 * 2^16)^2 = 2^64
+        RnEvaluator(WeightTable("a", (3,), (1 << 16,)), WeightTable("b", (3,), (1 << 16,)), [2])
+
+
+def test_rn_memory_guard_matches_allocation(monkeypatch):
+    scale = Scale(27**6)
+    ta, tb, primes = scale.table_a, scale.table_b, scale.primes
+    # v -> v^2 keeps the bulk keys distinct, and the thin keys p^6 h^2 are distinct at this scale
+    need = table_bytes(len(ta), len(ta)) + table_bytes(len(primes) * len(tb), len(primes) * len(tb))
+    monkeypatch.setenv(BUDGET_ENV, str(need))
+    tracemalloc.start()
+    try:
+        ev = RnEvaluator(ta, tb, primes)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(ev.aa) > 0
+    assert 0.99 * need <= peak <= need
+    monkeypatch.setenv(BUDGET_ENV, str(need - 1))
+    with pytest.raises(CapacityError):
+        RnEvaluator(ta, tb, primes)

@@ -1,3 +1,5 @@
+import numpy as np
+
 from cubesquares.mainterm import RnEvaluator
 from cubesquares.params import derive_params
 from cubesquares.scale import Scale
@@ -36,7 +38,9 @@ def test_members_match_the_chain():
     assert scale.params == pp
     assert scale.primes == pp.default_primes() == [2, 3]
     assert scale.table_b.as_dict() == build_weight_table(pp, "b").as_dict()
-    assert scale.rn.aa == RnEvaluator(build_weight_table(pp, "a"), scale.table_b, [2, 3]).aa
+    aa = RnEvaluator(build_weight_table(pp, "a"), scale.table_b, [2, 3]).aa
+    assert np.array_equal(scale.rn.aa.support, aa.support)
+    assert np.array_equal(scale.rn.aa.counts, aa.counts)
     assert scale.c_thin == estimate_c_eta(int(pp.H3), pp.R)
 
 
