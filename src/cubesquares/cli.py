@@ -98,8 +98,11 @@ def cmd_enumerate(args, cfg: RunConfig, out: Path) -> int:
 
 
 def cmd_local(args, cfg: RunConfig, out: Path) -> int:
+    if args.certificate == 2 and args.n < 1:
+        # checked before the first action, so nothing is written; odd p reduce n mod p
+        raise DegenerateParamsError(f"the 2-adic certificate needs --n >= 1, got {args.n}")
     if args.verify_sets:
-        A, B, AB = mod27_square_sets(verify=True)
+        A, B, AB = mod27_square_sets()
         print("A  =", sorted(A))
         print("B  =", sorted(B))
         print("A+B =", sorted(AB))
@@ -279,11 +282,14 @@ def build_parser(defaults: dict | None = None) -> argparse.ArgumentParser:
 
     def common(p):
         p.add_argument("--out", type=Path, default=Path("."), help="output directory")
+
+    def scale_options(p):
         p.add_argument("--eta", type=open_unit, default=0.1)
         p.add_argument("--R", type=smoothness_bound, default=None, help="smoothness bound override")
 
     pe = sub.add_parser("enumerate", help="cube-sum sieves, smooth sets, weight tables")
     common(pe)
+    scale_options(pe)
     pe.add_argument("--csums", type=non_negative_int, help="sieve sums of three cubes up to X")
     pe.add_argument("--r3", action="store_true", help="include representation counts")
     pe.add_argument("--smooth", type=positive_int, help="enumerate smooth numbers up to Y")
@@ -309,6 +315,7 @@ def build_parser(defaults: dict | None = None) -> argparse.ArgumentParser:
 
     pa = sub.add_parser("arcs", help="arc classification, oscillatory integrals, main-term reports")
     common(pa)
+    scale_options(pa)
     pa.add_argument("--classify", type=half_open_unit, help="classify alpha in [0,1)")
     pa.add_argument("--X", type=height, default=2.0, help="dissection height")
     pa.add_argument("--n", type=positive_int, default=None, help="dissection scale")

@@ -2,7 +2,7 @@
 
 
 class DegenerateParamsError(ValueError):
-    """N is too small for the derived ranges to make sense."""
+    """A parameter (N, or n for the 2-adic descent) is too small for the computation to make sense."""
 
 
 class CapacityError(RuntimeError):

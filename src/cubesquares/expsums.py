@@ -81,12 +81,12 @@ def _sn_row(q: int) -> tuple[np.ndarray, np.ndarray]:
     return a, s**4
 
 
-def coefficient_Sn(q: int, n: int, imag_tol: float = 1e-8) -> float:
-    """Sn(q), verified near-real before the imaginary part is dropped."""
+def coefficient_Sn(q: int, n: int) -> float:
+    """Sn(q), verified near-real (to 1e-8 relative) before the imaginary part is dropped."""
     a, w4 = _sn_row(q)
     phases = np.exp(-2j * np.pi * ((n % q) * a % q) / q)
     val = complex(np.sum(w4 * phases))
-    if abs(val.imag) > imag_tol * max(1.0, abs(val.real)):
+    if abs(val.imag) > 1e-8 * max(1.0, abs(val.real)):
         raise VerificationError(f"Sn({q}) for n={n} is not near-real: {val!r}")
     return val.real
 

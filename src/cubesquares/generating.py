@@ -60,50 +60,34 @@ def eval_W(alpha: float | Fraction, table: WeightTable, primes: list[int]) -> co
 # -- major-arc models ----------------------------------------------------------
 
 
-def model_V(
-    beta: float, q: int, a: int, params: Params, c_eta: float, tol: float = 1e-6, method: str = "kernel1d"
-) -> complex:
-    """Model of h at a/q + beta: q^-3 S(q,a) c^2 v(beta)."""
+def model_V(beta: float, q: int, a: int, params: Params, c_eta: float) -> complex:
+    """Model of h at a/q + beta: q^-3 S(q,a) c^2 v(beta), v by the kernel1d route."""
     S = complete_sum_S(q, a)
-    return (S / q**3) * c_eta**2 * osc_integral_v(beta, params, method=method, tol=tol)
+    return (S / q**3) * c_eta**2 * osc_integral_v(beta, params)
 
 
-def model_W(
-    beta: float,
-    q: int,
-    a: int,
-    params: Params,
-    c_thin: float,
-    primes: list[int],
-    tol: float = 1e-6,
-    method: str = "kernel1d",
-) -> complex:
+def model_W(beta: float, q: int, a: int, params: Params, c_thin: float, primes: list[int]) -> complex:
     """Model of W at a/q + beta: q^-3 S(q,a) c^2 sum_p v_thin(beta; p)."""
     S = complete_sum_S(q, a)
-    vsum = sum((osc_integral_v_thin(beta, p, params, method=method, tol=tol) for p in primes), 0j)
+    vsum = sum((osc_integral_v_thin(beta, p, params) for p in primes), 0j)
     return (S / q**3) * c_thin**2 * vsum
 
 
-def h_star(alpha: float | Fraction, dissection: ArcDissection, params: Params, c_eta: float, **kw) -> complex:
+def h_star(alpha: float | Fraction, dissection: ArcDissection, params: Params, c_eta: float) -> complex:
     """Model of h supported on the dissection, zero on the minor region."""
     hit = dissection.classify(alpha)
     if hit is None:
         return 0j
-    return model_V(hit.beta, hit.q, hit.a, params, c_eta, **kw)
+    return model_V(hit.beta, hit.q, hit.a, params, c_eta)
 
 
 def W_star(
-    alpha: float | Fraction,
-    dissection: ArcDissection,
-    params: Params,
-    c_thin: float,
-    primes: list[int],
-    **kw,
+    alpha: float | Fraction, dissection: ArcDissection, params: Params, c_thin: float, primes: list[int]
 ) -> complex:
     hit = dissection.classify(alpha)
     if hit is None:
         return 0j
-    return model_W(hit.beta, hit.q, hit.a, params, c_thin, primes, **kw)
+    return model_W(hit.beta, hit.q, hit.a, params, c_thin, primes)
 
 
 @dataclass

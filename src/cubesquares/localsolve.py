@@ -11,6 +11,10 @@ M_n(p^h) >= p^(11 (h - 1)).  p = 3 needs the same argument mod 27, and
 p = 2 routes through four squares with odd leading square, giving the
 floor M_n(2^h) >= 2^(11 h - gamma - 16) when gamma = v_2(n) >= 3 and a
 gamma-free floor 2^(-33) on the Euler factor otherwise.
+
+The attainable T residues mod q, each with a first-found witness triple,
+come from one cached search per modulus (`_t_witnesses`); `m33_set`, the
+certificates for odd p and the 2-adic route all read it.
 """
 
 from __future__ import annotations
@@ -20,15 +24,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-import numpy as np
-
 from .errors import VerificationError
-from .residues import (
-    cube_residue_counts,
-    cyclic_convolve,
-    t_square_distribution,
-    unit_cube_residue_counts,
-)
+from .residues import cyclic_convolve, t_square_distribution
 
 # -- exact counts ------------------------------------------------------------
 
@@ -71,13 +68,14 @@ class EulerFactorEstimate:
         return [abs(b - a) for a, b in zip(self.values, self.values[1:])]
 
 
-def sigma_p(p: int, n: int, h_max: int = 3, tol: float = 1e-9) -> EulerFactorEstimate:
+def sigma_p(p: int, n: int, h_max: int = 3) -> EulerFactorEstimate:
     """Euler factor estimate: extend h until the normalized count stabilizes.
 
-    Convergence means two consecutive levels agree within tol relatively;
+    Convergence means two consecutive levels agree within 1e-9 relatively;
     the Hensel floor guarantees this happens at bounded h, but we report
     `converged=False` honestly if h_max stops us first.
     """
+    tol = 1e-9
     values: list[float] = []
     prev: Fraction | None = None
     converged = False
@@ -92,22 +90,40 @@ def sigma_p(p: int, n: int, h_max: int = 3, tol: float = 1e-9) -> EulerFactorEst
     return EulerFactorEstimate(p=p, n=n, values=values, converged=converged, tol=tol)
 
 
-# -- attainable T residues with unit leading coordinate ----------------------
+# -- attainable T residues ---------------------------------------------------
 
 
-@lru_cache(maxsize=256)
+@lru_cache(maxsize=64)
+def _t_witnesses(q: int, unit_lead: bool) -> dict[int, tuple[int, int, int]]:
+    """First-found (x1, x2, x3) mod q for every attainable T residue, in order found.
+
+    x1 runs over the units mod q when `unit_lead` is set.  The search takes
+    the first x per cube, then the first (x2, x3) per pair sum, and stops
+    once every residue mod q has a witness.
+    """
+    cube: dict[int, int] = {}
+    lead: dict[int, int] = {}
+    for x in range(1, q + 1):
+        c = pow(x, 3, q)
+        cube.setdefault(c, x)
+        if not unit_lead or math.gcd(x, q) == 1:
+            lead.setdefault(c, x)
+    pair: dict[int, tuple[int, int]] = {}
+    for c2, x2 in cube.items():
+        for c3, x3 in cube.items():
+            pair.setdefault((c2 + c3) % q, (x2, x3))
+    rep: dict[int, tuple[int, int, int]] = {}
+    for c1, x1 in lead.items():
+        for s, (x2, x3) in pair.items():
+            rep.setdefault((c1 + s) % q, (x1, x2, x3))
+        if len(rep) == q:
+            break
+    return rep
+
+
 def m33_set(p: int, h: int) -> frozenset[int]:
     """Residues of T(x) mod p^h with x1 coprime to p (x2, x3 free)."""
-    q = p**h
-    unit = np.array(unit_cube_residue_counts(q), dtype=np.int64) > 0
-    allc = np.array(cube_residue_counts(q), dtype=np.int64) > 0
-    two = np.zeros(q, dtype=bool)
-    for c in np.flatnonzero(allc).tolist():
-        two |= np.roll(allc, c)
-    out = np.zeros(q, dtype=bool)
-    for c in np.flatnonzero(unit).tolist():
-        out |= np.roll(two, c)
-    return frozenset(np.flatnonzero(out).tolist())
+    return frozenset(_t_witnesses(p**h, True))
 
 
 # Frozen regression targets for the mod-27 square classes.  A collects the
@@ -119,17 +135,16 @@ _EXPECTED_B = frozenset({1, 4, 10, 13, 19, 22})
 _EXPECTED_AB = frozenset(t for t in range(27) if t % 9 in (1, 2, 4, 5, 8))
 
 
-def mod27_square_sets(verify: bool = True) -> tuple[frozenset[int], frozenset[int], frozenset[int]]:
+def mod27_square_sets() -> tuple[frozenset[int], frozenset[int], frozenset[int]]:
     """(A, B, A+B) mod 27; raises VerificationError if the recomputation drifts."""
     m33 = m33_set(3, 3)
     A = frozenset((t * t) % 27 for t in m33)
     B = frozenset((t * t) % 27 for t in m33 if t % 3 != 0)
     AB = frozenset((a + b) % 27 for a in A for b in B)
-    if verify:
-        if m33 != _EXPECTED_M33_27:
-            raise VerificationError(f"M33(27) drifted: {sorted(m33)}")
-        if A != _EXPECTED_A or B != _EXPECTED_B or AB != _EXPECTED_AB:
-            raise VerificationError("mod-27 square classes drifted")
+    if m33 != _EXPECTED_M33_27:
+        raise VerificationError(f"M33(27) drifted: {sorted(m33)}")
+    if A != _EXPECTED_A or B != _EXPECTED_B or AB != _EXPECTED_AB:
+        raise VerificationError("mod-27 square classes drifted")
     return A, B, AB
 
 
@@ -166,30 +181,21 @@ def _t_value(triple: tuple[int, int, int]) -> int:
 
 
 @lru_cache(maxsize=64)
-def _t_representatives(q: int) -> tuple[dict[int, tuple[int, int, int]], dict[int, tuple[int, int, int]]]:
-    """First-found triples mod q by T value: (any x1, unit x1 with unit T)."""
-    cube_rep: dict[int, int] = {}
-    unit_cube_rep: dict[int, int] = {}
-    for x in range(1, q + 1):
-        c = pow(x, 3, q)
-        cube_rep.setdefault(c, x)
-        if math.gcd(x, q) == 1:
-            unit_cube_rep.setdefault(c, x)
-    pair: dict[int, tuple[int, int]] = {}
-    for c2, x2 in cube_rep.items():
-        for c3, x3 in cube_rep.items():
-            pair.setdefault((c2 + c3) % q, (x2, x3))
-    rep_all: dict[int, tuple[int, int, int]] = {}
-    rep_unit: dict[int, tuple[int, int, int]] = {}
-    for c1, x1 in cube_rep.items():
-        for s, (x2, x3) in pair.items():
-            rep_all.setdefault((c1 + s) % q, (x1, x2, x3))
-    for c1, x1 in unit_cube_rep.items():
-        for s, (x2, x3) in pair.items():
-            t = (c1 + s) % q
-            if math.gcd(t, q) == 1:
-                rep_unit.setdefault(t, (x1, x2, x3))
-    return rep_unit, rep_all
+def _square_witnesses(q: int):
+    """Witness triples by T^2 mod q, first found first: (unit-lead and unit-T
+    squares, all squares, and a dict of square-pair sums)."""
+    sq_unit: dict[int, tuple[int, int, int]] = {}
+    for t, trip in _t_witnesses(q, True).items():
+        if math.gcd(t, q) == 1:
+            sq_unit.setdefault((t * t) % q, trip)
+    sq_all: dict[int, tuple[int, int, int]] = {}
+    for t, trip in _t_witnesses(q, False).items():
+        sq_all.setdefault((t * t) % q, trip)
+    pair_all: dict[int, tuple[tuple[int, int, int], tuple[int, int, int]]] = {}
+    for s3, t3 in sq_all.items():
+        for s4, t4 in sq_all.items():
+            pair_all.setdefault((s3 + s4) % q, (t3, t4))
+    return tuple(sq_unit.items()), tuple(sq_all.items()), pair_all
 
 
 def hensel_certificate(p: int, n: int) -> HenselCertificate:
@@ -201,23 +207,12 @@ def hensel_certificate(p: int, n: int) -> HenselCertificate:
     if p == 2:
         return _certificate_mod_power_of_two(n)
     q = 27 if p == 3 else p
-    rep_unit, rep_all = _t_representatives(q)
-    sq_unit = {}
-    for t, trip in rep_unit.items():
-        sq_unit.setdefault((t * t) % q, trip)
-    sq_all = {}
-    for t, trip in rep_all.items():
-        sq_all.setdefault((t * t) % q, trip)
-    pair_all: dict[int, tuple[tuple[int, ...], tuple[int, ...]]] = {}
-    for s3, t3 in sq_all.items():
-        for s4, t4 in sq_all.items():
-            pair_all.setdefault((s3 + s4) % q, (t3, t4))
-    for s1, t1 in sq_unit.items():
-        for s2, t2 in sq_all.items():
-            rem = (n - s1 - s2) % q
-            if rem in pair_all:
-                t3, t4 = pair_all[rem]
-                witness = (*t1, *t2, *t3, *t4)
+    sq_unit, sq_all, pair_all = _square_witnesses(q)
+    for s1, t1 in sq_unit:
+        for s2, t2 in sq_all:
+            rest = pair_all.get((n - s1 - s2) % q)
+            if rest is not None:
+                witness = (*t1, *t2, *rest[0], *rest[1])
                 return HenselCertificate(
                     p=p, n=n, modulus=q, witness=witness,
                     condition_checked=_check_certificate(p, n, q, witness),
@@ -273,13 +268,10 @@ def two_adic_valuation(n: int) -> int:
     return (n & -n).bit_length() - 1
 
 
-def two_adic_profile(n: int, h: int | None = None) -> TwoAdicProfile:
+def two_adic_profile(n: int) -> TwoAdicProfile:
     gamma = two_adic_valuation(n)
     theta = 0 if gamma == 0 else (gamma - 1) // 2
-    if h is None:
-        h = max(gamma + 2, 3)
-    if h < max(gamma + 2, 3) and gamma >= 3:
-        raise ValueError(f"need h >= gamma + 2 = {gamma + 2} for the descent")
+    h = max(gamma + 2, 3)
     m = n >> (2 * theta)
     j0 = h - 2 * theta
     # odd part mod 8: x1 odd contributes 1; squares are {0,1,4} mod 8
@@ -313,34 +305,14 @@ def _three_squares_mod8(target: int):
                     yield (a, b, c)
 
 
-@lru_cache(maxsize=32)
-def _odd_lead_representatives(q: int) -> dict[int, tuple[int, int, int]]:
-    """First-found triple with odd y1 for every T residue mod q = 2^h.
-
-    Coverage is total: cubing is a bijection on odd residues mod 2^h, and
-    y2^3 + y3^3 takes both parities, so every target is odd-cube + pair.
-    """
-    cube_rep: dict[int, int] = {}
-    for x in range(1, q + 1):
-        cube_rep.setdefault(pow(x, 3, q), x)
-    rep: dict[int, tuple[int, int, int]] = {}
-    for y1 in range(1, q, 2):
-        c1 = pow(y1, 3, q)
-        for c2, y2 in cube_rep.items():
-            for c3, y3 in cube_rep.items():
-                rep.setdefault((c1 + c2 + c3) % q, (y1, y2, y3))
-        if len(rep) == q:
-            break
-    return rep
-
-
 def _certificate_mod_power_of_two(n: int) -> HenselCertificate:
     """Route the p=2 certificate through the square witness: every T residue
-    mod 2^h is attainable with odd leading coordinate, so convert each
+    mod 2^h is attainable with odd leading coordinate (cubing permutes the
+    odd residues and y2^3 + y3^3 takes both parities), so convert each
     square root of the four-square witness into a cube triple."""
     prof = two_adic_profile(n)
     q = 2**prof.h
-    rep = _odd_lead_representatives(q)
+    rep = _t_witnesses(q, True)
     triples = [rep[x % q] for x in prof.witness]
     witness = tuple(v for t in triples for v in t)
     cert = HenselCertificate(p=2, n=n, modulus=q, witness=witness, condition_checked=False)

@@ -19,9 +19,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import DegenerateParamsError
 
-__all__ = ["DegenerateParamsError", "Params", "derive_params", "floor_nth_root"]
+__all__ = ["DegenerateParamsError", "Params", "derive_params", "floor_nth_root", "primes_upto"]
 
 
 def floor_nth_root(n: int, k: int) -> int:
@@ -75,18 +77,19 @@ class Params:
     def default_primes(self) -> list[int]:
         """Primes in [M/2, M]; may be empty at small N."""
         lo, hi = self.prime_window()
-        return [p for p in _primes_upto(int(math.floor(hi))) if p >= lo]
+        return [p for p in primes_upto(int(math.floor(hi))).tolist() if p >= lo]
 
 
-def _primes_upto(limit: int) -> list[int]:
+def primes_upto(limit: int) -> np.ndarray:
+    """The primes <= limit, ascending, by the sieve of Eratosthenes (int64)."""
     if limit < 2:
-        return []
-    sieve = bytearray([1]) * (limit + 1)
-    sieve[0] = sieve[1] = 0
-    for i in range(2, int(math.isqrt(limit)) + 1):
-        if sieve[i]:
-            sieve[i * i :: i] = bytearray(len(sieve[i * i :: i]))
-    return [i for i in range(2, limit + 1) if sieve[i]]
+        return np.empty(0, dtype=np.int64)
+    is_prime = np.ones(limit + 1, dtype=bool)
+    is_prime[:2] = False
+    for i in range(2, math.isqrt(limit) + 1):
+        if is_prime[i]:
+            is_prime[i * i :: i] = False
+    return np.flatnonzero(is_prime).astype(np.int64)
 
 
 def derive_params(N: int, eta: float = 0.1, R_override: int | None = None) -> Params:

@@ -20,28 +20,12 @@ import numpy as np
 
 def cube_residue_counts(q: int) -> list[int]:
     """D[t] = #{x in [0, q) : x^3 = t (mod q)}; sums to q."""
-    if q < 1:
-        raise ValueError("q must be >= 1")
-    if q <= 2**21:
-        # (x*x) % q stays below 2^42 so int64 never overflows here
-        x = np.arange(q, dtype=np.int64)
-        t = ((x * x) % q * x) % q
-        return np.bincount(t, minlength=q).tolist()
-    counts = [0] * q
-    for xx in range(q):
-        counts[pow(xx, 3, q)] += 1
-    return counts
-
-
-def unit_cube_residue_counts(q: int) -> list[int]:
-    """Like cube_residue_counts but restricted to x coprime to q."""
-    import math
-
-    counts = [0] * q
-    for xx in range(q):
-        if math.gcd(xx, q) == 1:
-            counts[pow(xx, 3, q)] += 1
-    return counts
+    if q < 1 or q * q >= 2**63:
+        raise ValueError("q must satisfy 1 <= q and q^2 < 2^63")
+    # x * x and ((x * x) % q) * x stay below q^2 < 2^63, so int64 is exact
+    x = np.arange(q, dtype=np.int64)
+    t = ((x * x) % q * x) % q
+    return np.bincount(t, minlength=q).tolist()
 
 
 def square_pushforward(counts: list[int], q: int) -> list[int]:

@@ -12,6 +12,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .params import primes_upto
+
 
 @dataclass(frozen=True)
 class SmoothSet:
@@ -51,14 +53,9 @@ def enumerate_smooth(Y: int, R: int) -> SmoothSet:
     # Composite-ness of the sieving modulus does not matter: any p > R that
     # is prime kills its multiples, and composites' multiples die through
     # their own prime factors, so it suffices to sieve by primes > R.
-    is_prime = np.ones(Y + 1, dtype=bool)
-    is_prime[:2] = False
-    for i in range(2, int(np.sqrt(Y)) + 1):
-        if is_prime[i]:
-            is_prime[i * i :: i] = False
-    for p in np.flatnonzero(is_prime):
-        if p > R:
-            ok[p::p] = False
+    primes = primes_upto(Y)
+    for p in primes[primes > R].tolist():
+        ok[p::p] = False
     return SmoothSet(Y=Y, R=R, members=np.flatnonzero(ok).astype(np.int64))
 
 

@@ -217,6 +217,12 @@ def test_count_options_reject_empty_runs(tmp_path, argv, option, value):
         ["arcs", "--classify", "0.3", "--n", "0"],
         ["census", "--N", "0"],
         ["census", "--filter-upsilon", "inf"],
+        # the 2-adic descent needs n >= 1, checked before the --sqa row is written
+        ["local", "--sqa", "5", "--certificate", "2", "--n", "0"],
+        ["local", "--sqa", "5", "--certificate", "2", "--n", "-4"],
+        # --eta and --R size the weight tables, which local and census do not build
+        ["local", "--sn", "36", "--eta", "0.5"],
+        ["census", "--family", "--R", "7"],
     ],
 )
 def test_bad_option_values_exit_4(tmp_path, argv):

@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -12,6 +14,7 @@ from cubesquares.localsolve import (
     two_adic_valuation,
 )
 from cubesquares.expsums import coefficient_Sn
+from cubesquares.params import primes_upto
 
 
 def test_m33_sets():
@@ -21,8 +24,22 @@ def test_m33_sets():
     assert m33_set(2, 3) == frozenset(range(8))
 
 
+def test_m33_sets_match_brute_force():
+    # T over every triple mod q is a sum of three cube residues, the first
+    # from a unit; summing the pair set first keeps this under a second
+    for p in primes_upto(343).tolist():
+        h = 1
+        while p**h <= 343:
+            q = p**h
+            cubes = {pow(x, 3, q) for x in range(q)}
+            lead = {pow(x, 3, q) for x in range(q) if x % p}
+            pairs = {(b + c) % q for b in cubes for c in cubes}
+            assert m33_set(p, h) == {(a + s) % q for a in lead for s in pairs}, q
+            h += 1
+
+
 def test_mod27_square_classes():
-    A, B, AB = mod27_square_sets(verify=True)
+    A, B, AB = mod27_square_sets()
     assert A == frozenset({0, 1, 4, 9, 10, 13, 19, 22})
     assert B == frozenset({1, 4, 10, 13, 19, 22})
     assert AB == frozenset(t for t in range(27) if t % 9 in (1, 2, 4, 5, 8))
@@ -75,6 +92,29 @@ def test_certificate_p2():
         cert = hensel_certificate(2, n)
         assert cert.condition_checked
         assert _witness_sum(cert.witness, cert.modulus) == n % cert.modulus
+
+
+def _certificate_cases():
+    for p in primes_upto(97)[2:].tolist():
+        for n in range(p):
+            yield p, n
+    for n in range(27):
+        yield 3, n
+    for n in range(1, 3000):
+        yield 2, n
+
+
+def test_certificate_witnesses_frozen():
+    # digest of every witness the search produced before it read one cached
+    # T-residue table per modulus; a change of search order changes it
+    digest = hashlib.sha256()
+    count = 0
+    for p, n in _certificate_cases():
+        cert = hensel_certificate(p, n)
+        digest.update(f"{p},{n},{cert.modulus}:{','.join(map(str, cert.witness))};".encode())
+        count += 1
+    assert count == 4081
+    assert digest.hexdigest() == "43e1b0ba79b2a473bc997d866993de92ed4e8250d69cbf6b3944ec6bbb81a374"
 
 
 def test_certificate_json_shape():

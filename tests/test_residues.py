@@ -1,6 +1,7 @@
 import math
 
 import numpy as np
+import pytest
 from hypothesis import given, strategies as st
 
 from cubesquares.residues import (
@@ -10,7 +11,6 @@ from cubesquares.residues import (
     square_pushforward,
     t_distribution,
     t_square_distribution,
-    unit_cube_residue_counts,
 )
 
 
@@ -29,9 +29,6 @@ def test_distributions_total(q):
 def test_cube_counts_sum(q):
     c = cube_residue_counts(q)
     assert int(np.sum(c)) == q
-    u = unit_cube_residue_counts(q)
-    units = sum(1 for x in range(q) if math.gcd(x, q) == 1) if q > 1 else 1
-    assert int(np.sum(u)) == units
 
 
 @given(
@@ -57,10 +54,21 @@ def test_square_pushforward():
 
 
 def test_cube_counts_large_modulus_path():
-    # int64 vector path and the generic path must agree
+    # the int64 path against pow(x, 3, q), then past 2^21 at a prime
+    # q = 2 mod 3, where cubing is a bijection and every count is 1
     q = 2**12
     c = cube_residue_counts(q)
     brute = np.zeros(q, dtype=np.int64)
     for x in range(q):
         brute[pow(x, 3, q)] += 1
     assert np.array_equal(np.asarray(c), brute)
+    q = 2_097_257
+    assert q > 2**21 and q % 3 == 2 and all(q % d for d in range(2, math.isqrt(q) + 1))
+    assert set(cube_residue_counts(q)) == {1}
+
+
+def test_cube_counts_reject_int64_overflow():
+    with pytest.raises(ValueError):
+        cube_residue_counts(0)
+    with pytest.raises(ValueError):
+        cube_residue_counts(3_037_000_500)  # q^2 >= 2^63; raised before any allocation
