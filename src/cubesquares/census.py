@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cubesieve import CapacityError, memory_budget, sieve_cube_sums
+from .cubesieve import reserve, sieve_cube_sums
 from .errors import DegenerateParamsError, VerificationError
 from .params import floor_nth_root
 
@@ -115,16 +115,12 @@ def _shift_or(words: np.ndarray, shifts: np.ndarray, N: int) -> np.ndarray:
     return out
 
 
-def run_census(N: int, budget: int | None = None) -> Census:
+def run_census(N: int) -> Census:
     if N < 1:
         raise ValueError("N must be >= 1")
-    if budget is None:
-        budget = memory_budget()
-    need = census_bytes(N)
-    if need > budget:
-        raise CapacityError(f"census at N={N} needs ~{need} bytes > budget {budget}")
+    reserve(census_bytes(N), f"census at N={N}")
     root = floor_nth_root(N, 2)
-    sieve = sieve_cube_sums(root, budget=budget)
+    sieve = sieve_cube_sums(root)
     members = sieve.members
     pair = np.zeros(N + 1, dtype=bool)
     sq = members.astype(np.int64) ** 2

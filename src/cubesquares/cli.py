@@ -3,10 +3,12 @@
 Every run is described by a RunConfig whose hash is embedded in each
 output artifact (inline for JSON/TSV, via .meta.json sidecar for the
 fixed-format CSV/binary tables).  Exit codes: 0 success, 2 capacity,
-3 verification failure, 4 bad configuration.  Option values are checked by
-their argparse types, so any other exception is a program error and ends
-the run with a traceback (exit 1).  Runs are sequential and deterministic
-for a fixed config.
+3 verification failure, 4 bad configuration (an option value, a config
+file, or a CUBESQUARES_MEMORY_BUDGET that is not a positive integer).
+Option values are checked by their argparse types and the budget before
+any output, so any other exception is a program error and ends the run
+with a traceback (exit 1).  Runs are sequential and deterministic for a
+fixed config.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ import numpy as np
 from . import __version__
 from .arcs import classify
 from .census import family_members_upto, filter_A_upsilon, run_census, verify_obstruction_family, witness_for
-from .cubesieve import sieve_cube_sums
+from .cubesieve import memory_budget, sieve_cube_sums
 from .errors import CapacityError, DegenerateParamsError, QuadratureError, VerificationError
 from .expsums import complete_sum_S_batch, truncated_singular_series
 from .localsolve import hensel_certificate, mod27_square_sets, sigma_p, two_adic_profile
@@ -321,7 +323,7 @@ def build_parser(defaults: dict | None = None) -> argparse.ArgumentParser:
     pa.add_argument("--n", type=positive_int, default=None, help="dissection scale")
     pa.add_argument("--v-at-zero", dest="v_at_zero", action="store_true")
     pa.add_argument("--v-sweep", dest="v_sweep", action="store_true", help="v(beta) decay table")
-    pa.add_argument("--beta-max", dest="beta_max", type=float, default=10.0, help="sweep up to beta_max / N")
+    pa.add_argument("--beta-max", dest="beta_max", type=finite, default=10.0, help="sweep up to beta_max / N")
     pa.add_argument("--sweep-points", dest="sweep_points", type=positive_int, default=21)
     pa.add_argument("--rn-exact", dest="rn_exact", action="store_true", help="exact R(n) table")
     pa.add_argument("--toy", action="store_true", help="use the frozen single-entry tables")
@@ -378,6 +380,11 @@ def main(argv: list[str] | None = None) -> int:
         return 0 if e.code in (0, None) else 4
     except (OSError, ValueError) as e:
         print(f"bad config file: {e}", file=sys.stderr)
+        return 4
+    try:
+        memory_budget()  # every guard reads it; a bad value exits here, before any output
+    except ValueError as e:
+        print(f"bad configuration: {e}", file=sys.stderr)
         return 4
     options = {k: v for k, v in vars(args).items() if k not in ("config",) and not isinstance(v, Path)}
     cfg = RunConfig(subcommand=args.subcommand, options=options)

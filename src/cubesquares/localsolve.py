@@ -13,8 +13,9 @@ floor M_n(2^h) >= 2^(11 h - gamma - 16) when gamma = v_2(n) >= 3 and a
 gamma-free floor 2^(-33) on the Euler factor otherwise.
 
 The attainable T residues mod q, each with a first-found witness triple,
-come from one cached search per modulus (`_t_witnesses`); `m33_set`, the
-certificates for odd p and the 2-adic route all read it.
+come from one cached search per modulus (`_t_witnesses`); `m33_set` and
+the certificates for odd p read it.  The 2-adic route needs four of its
+triples mod 2^h and computes each directly, in closed form.
 """
 
 from __future__ import annotations
@@ -24,14 +25,16 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
+from .cubesieve import reserve
 from .errors import VerificationError
-from .residues import cyclic_convolve, t_square_distribution
+from .residues import cyclic_convolve, distribution_bytes, t_square_distribution
 
 # -- exact counts ------------------------------------------------------------
 
 
 @lru_cache(maxsize=256)
 def _four_fold_square_distribution(q: int) -> tuple[int, ...]:
+    reserve(distribution_bytes(q, 12), f"four-fold T^2 distribution mod {q}")
     d = t_square_distribution(q)
     dd = cyclic_convolve(d, d, q)
     return tuple(cyclic_convolve(dd, dd, q))
@@ -73,8 +76,11 @@ def sigma_p(p: int, n: int, h_max: int = 3) -> EulerFactorEstimate:
 
     Convergence means two consecutive levels agree within 1e-9 relatively;
     the Hensel floor guarantees this happens at bounded h, but we report
-    `converged=False` honestly if h_max stops us first.
+    `converged=False` honestly if h_max stops us first.  Level h_max is
+    reserved against the memory budget before level 1 runs, so a run the
+    budget cannot finish stops at once.
     """
+    reserve(distribution_bytes(p**h_max, 12), f"four-fold T^2 distribution mod {p}^{h_max}")
     tol = 1e-9
     values: list[float] = []
     prev: Fraction | None = None
@@ -305,6 +311,38 @@ def _three_squares_mod8(target: int):
                     yield (a, b, c)
 
 
+def _least_cube_root_mod_power_of_two(c: int, h: int) -> int | None:
+    """The least x in [1, 2^h] with x^3 = c (mod 2^h), or None if c is not a cube.
+
+    0 has the roots x with v_2(x) >= h/3.  Any other c = 2^(3j) u with u odd
+    has the roots 2^j w with w^3 = u (mod 2^k), k = h - 3j: cubing permutes
+    the units mod 2^k, whose group has exponent dividing 2^max(k - 2, 1), so
+    w = u^d for d = 3^-1 modulo that exponent.
+    """
+    if c == 0:
+        return 1 << -(-h // 3)
+    j, r = divmod((c & -c).bit_length() - 1, 3)
+    if r:
+        return None
+    k = h - 3 * j
+    return pow(c >> 3 * j, pow(3, -1, 1 << max(k - 2, 1)), 1 << k) << j
+
+
+def _t_witness_mod_power_of_two(t: int, h: int) -> tuple[int, int, int]:
+    """The triple `_t_witnesses(2^h, True)` holds for t, without building the table (h >= 3).
+
+    The table's first lead is x1 = 1, and its pair sums already cover every
+    residue, so t gets (1, x2, x3) with (x2, x3) the first pair found for
+    t - 1: x2 is the least x whose c = t - 1 - x^3 is a cube (1 or 2, since
+    one of the two c is odd), and x3 the least cube root of c.
+    """
+    q = 1 << h
+    x3 = _least_cube_root_mod_power_of_two((t - 2) % q, h)
+    if x3 is not None:
+        return (1, 1, x3)
+    return (1, 2, _least_cube_root_mod_power_of_two((t - 9) % q, h))
+
+
 def _certificate_mod_power_of_two(n: int) -> HenselCertificate:
     """Route the p=2 certificate through the square witness: every T residue
     mod 2^h is attainable with odd leading coordinate (cubing permutes the
@@ -312,8 +350,7 @@ def _certificate_mod_power_of_two(n: int) -> HenselCertificate:
     square root of the four-square witness into a cube triple."""
     prof = two_adic_profile(n)
     q = 2**prof.h
-    rep = _t_witnesses(q, True)
-    triples = [rep[x % q] for x in prof.witness]
+    triples = [_t_witness_mod_power_of_two(x % q, prof.h) for x in prof.witness]
     witness = tuple(v for t in triples for v in t)
     cert = HenselCertificate(p=2, n=n, modulus=q, witness=witness, condition_checked=False)
     cert.condition_checked = _check_certificate(2, n, q, witness)

@@ -27,7 +27,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .cubesieve import memory_budget
+from .cubesieve import reserve
 from .errors import CapacityError, QuadratureError
 from .oscillatory import KernelSlot, _leggauss, _panel_rule, plain_slot, scaled_slot
 from .params import Params
@@ -79,11 +79,7 @@ class RnEvaluator:
             raise CapacityError(f"R(n) keys up to {top} do not fit an int64 beside {bits} count bits")
         (ka, ca), (kb, cb) = _square_series(ta, tb, self.primes)
         need = table_bytes(ka.size, ka.size) + table_bytes(kb.size, kb.size)
-        budget = memory_budget()
-        if need > budget:
-            raise CapacityError(
-                f"R(n) self-sums of {ka.size} and {kb.size} terms need ~{need} bytes > budget {budget}"
-            )
+        reserve(need, f"R(n) self-sums of {ka.size} and {kb.size} terms")
         self.aa = WeightTable("a", *_aggregate(np.add.outer(ka, ka), np.multiply.outer(ca, ca)))
         self.bb = WeightTable("b", *_aggregate(np.add.outer(kb, kb), np.multiply.outer(cb, cb)))
         self.prefix = np.concatenate(([0], np.cumsum(self.aa.counts)))
@@ -112,34 +108,41 @@ class RnEvaluator:
         return self.aa.total * self.bb.total
 
 
-def rn_dense_dft(
-    table_a: WeightTable, table_b: WeightTable, primes: list[int], budget_entries: int = 1 << 24
-) -> np.ndarray:
+def dense_dft_bytes(L: int, terms: int) -> int:
+    """Upper bound on the bytes `rn_dense_dft` holds for a length-L transform of `terms` series terms.
+
+    The two squared series peak at 32 bytes per term while they are built
+    and keep 16 after.  Then at most four length-L float64 arrays are live
+    at once (both transforms beside two products, or beside the last
+    product and the inverse transform), plus 64 bytes for the Nyquist bins;
+    2^13 bytes cover the array headers and the interpreter's own small
+    allocations.
+    """
+    return 32 * L + 32 * terms + 2**13
+
+
+def rn_dense_dft(table_a: WeightTable, table_b: WeightTable, primes: list[int]) -> np.ndarray:
     """All R(n) at once via rounded real FFT over the dense index range.
 
     Exact as long as the rounding margin holds: the worst-case accumulated
     float error is ~ L * eps * (sum a)^2 (sum b)^2, checked against 0.49
-    before rounding is trusted.
+    before rounding is trusted.  The margin, and `dense_dft_bytes` against
+    the memory budget, are checked before anything is allocated.
     """
     if not len(table_a) or not len(table_b) or not primes:
         return np.zeros(1, dtype=np.int64)
     top = _max_n(table_a, table_b, primes)
     L = 1 << (top + 1).bit_length()
-    if L > budget_entries:
-        raise CapacityError(f"dense DFT needs {L} entries > budget {budget_entries}")
-    (ka, ca), (kb, cb) = _square_series(table_a, table_b, primes)
-    da = np.zeros(L, dtype=np.float64)
-    da[ka] = ca
-    db = np.zeros(L, dtype=np.float64)
-    db[kb] = cb
-    mass = float(ca.sum()) ** 2 * float(cb.sum()) ** 2
+    mass = float(table_a.total) ** 2 * float(len(primes) * table_b.total) ** 2
     margin = L * np.finfo(np.float64).eps * mass
     if margin > 0.49:
         raise CapacityError(f"float rounding margin {margin:.3g} too large for exact recovery")
-    fa = np.fft.rfft(da)
-    fb = np.fft.rfft(db)
-    out = np.fft.irfft(fa * fa * fb * fb, n=L)
-    return np.rint(out[: top + 1]).astype(np.int64)
+    reserve(dense_dft_bytes(L, len(table_a) + len(primes) * len(table_b)), f"dense DFT of length {L}")
+    (ka, ca), (kb, cb) = _square_series(table_a, table_b, primes)
+    fa = np.fft.rfft(np.bincount(ka, ca, L))
+    fb = np.fft.rfft(np.bincount(kb, cb, L))
+    out = np.fft.irfft(fa * fa * fb * fb, n=L)[: top + 1]
+    return np.rint(out, out=out).astype(np.int64)
 
 
 # -- singular integral ----------------------------------------------------------

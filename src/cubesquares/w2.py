@@ -100,12 +100,6 @@ def w2_scan(Q: int) -> tuple[np.ndarray, bool, list[int]]:
     return w2sq, majorant_ok, equality
 
 
-def w2_sum_squares(Q: int) -> float:
-    """sum_{q <= Q} w2(q)^2 (= sum of W(q)^(-1/3))."""
-    w2sq, _, _ = w2_scan(Q)
-    return float(w2sq[1:].sum())
-
-
 def six_full_upto(Q: int) -> list[int]:
     """The 6-full q in [2, Q], in increasing order, generated as products of p^e with e >= 6.
 

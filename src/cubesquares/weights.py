@@ -28,7 +28,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .cubesieve import CapacityError, memory_budget
+from .cubesieve import reserve
 from .params import Params
 from .smooth import enumerate_smooth
 
@@ -104,7 +104,7 @@ def _aggregate(values: np.ndarray, counts) -> tuple[np.ndarray, np.ndarray]:
     return key[starts], sums
 
 
-def build_weight_table(params: Params, role: str, budget: int | None = None) -> WeightTable:
+def build_weight_table(params: Params, role: str) -> WeightTable:
     """Aggregate T over the requested family into value -> multiplicity.
 
     The two smooth coordinates are folded first (pair-sum support with
@@ -113,8 +113,6 @@ def build_weight_table(params: Params, role: str, budget: int | None = None) -> 
     """
     if role not in ("a", "b"):
         raise ValueError(f"role must be 'a' or 'b', got {role!r}")
-    if budget is None:
-        budget = memory_budget()
     if role == "a":
         leading = params.leading_range_main()
         box = params.P
@@ -125,12 +123,7 @@ def build_weight_table(params: Params, role: str, budget: int | None = None) -> 
         return WeightTable(role=role, support=np.empty(0, np.int64), counts=np.empty(0, np.int64))
 
     pair_sup, pair_cnt = smooth_cube_pairs(box, params.R)
-    need = table_bytes(len(leading), pair_sup.size)
-    if need > budget:
-        raise CapacityError(
-            f"weight table role={role} needs ~{need} bytes (|leading|={len(leading)}, "
-            f"|pairs|={pair_sup.size}) > budget {budget}"
-        )
+    reserve(table_bytes(len(leading), pair_sup.size), f"weight table role={role} ({len(leading)} x {pair_sup.size})")
     cubes = np.arange(leading.start, leading.stop, dtype=np.int64) ** 3
     return WeightTable(role, *_aggregate(np.add.outer(cubes, pair_sup), pair_cnt))
 

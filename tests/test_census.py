@@ -14,8 +14,8 @@ from cubesquares.census import (
     verify_obstruction_family,
     witness_for,
 )
-from cubesquares.cubesieve import CapacityError
-from cubesquares.errors import VerificationError
+from cubesquares.cubesieve import BUDGET_ENV
+from cubesquares.errors import CapacityError, VerificationError
 
 
 def _fft_bool_square(mask: np.ndarray, N: int) -> np.ndarray:
@@ -81,10 +81,11 @@ def test_sumset_matches_fft_oracle(N):
     assert np.array_equal(c.representable, _fft_bool_square(c.pair, N))
 
 
-def test_memory_guard_matches_allocation():
+def test_memory_guard_matches_allocation(monkeypatch):
     N = 10**6
     estimate = census_bytes(N)
     assert estimate < 3 * N
+    monkeypatch.setenv(BUDGET_ENV, str(estimate))
     tracemalloc.start()
     try:
         run_census(N)
@@ -92,8 +93,9 @@ def test_memory_guard_matches_allocation():
     finally:
         tracemalloc.stop()
     assert peak <= estimate
+    monkeypatch.setenv(BUDGET_ENV, str(estimate - 1))
     with pytest.raises(CapacityError):
-        run_census(N, budget=estimate - 1)
+        run_census(N)
 
 
 def test_matches_brute_force():

@@ -4,6 +4,7 @@ import pytest
 
 from cubesquares import cli
 from cubesquares.cli import RunConfig, main
+from cubesquares.cubesieve import BUDGET_ENV
 
 
 def run(tmp_path, *argv):
@@ -223,6 +224,8 @@ def test_count_options_reject_empty_runs(tmp_path, argv, option, value):
         # --eta and --R size the weight tables, which local and census do not build
         ["local", "--sn", "36", "--eta", "0.5"],
         ["census", "--family", "--R", "7"],
+        ["arcs", "--v-sweep", "--beta-max", "nan", "--N", "4096"],
+        ["arcs", "--v-sweep", "--beta-max", "inf", "--N", "4096"],
     ],
 )
 def test_bad_option_values_exit_4(tmp_path, argv):
@@ -246,6 +249,23 @@ def test_degenerate_filter_scale_exit_4(tmp_path):
 def test_degenerate_scale_writes_nothing(tmp_path, argv):
     # the scale is derived before the first action, so no earlier action leaves an artifact
     assert run(tmp_path, *argv) == 4
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("value", ["abc", "1e9", "0", "-5"])
+def test_bad_memory_budget_exit_4(tmp_path, monkeypatch, capsys, value):
+    monkeypatch.setenv(BUDGET_ENV, value)
+    out = tmp_path / "out"
+    assert run(out, "census", "--N", "1000") == 4
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and BUDGET_ENV in err
+    assert not out.exists()
+
+
+def test_over_budget_local_density_exit_2(tmp_path, capsys):
+    # mod 97^4 the four-fold convolution would need ~64 GB; refused before level 1 runs
+    assert run(tmp_path, "local", "--sigma-p", "97", "--n", "0", "--hmax", "4") == 2
+    assert capsys.readouterr().err.startswith("capacity: four-fold T^2 distribution mod 97^4 needs")
     assert list(tmp_path.iterdir()) == []
 
 

@@ -5,6 +5,8 @@ from hypothesis import given, strategies as st
 
 from cubesquares.errors import VerificationError
 from cubesquares.localsolve import (
+    _t_witness_mod_power_of_two,
+    _t_witnesses,
     hensel_certificate,
     local_count_Mn,
     m33_set,
@@ -92,6 +94,19 @@ def test_certificate_p2():
         cert = hensel_certificate(2, n)
         assert cert.condition_checked
         assert _witness_sum(cert.witness, cert.modulus) == n % cert.modulus
+
+
+@pytest.mark.parametrize("h", range(3, 13))
+def test_two_adic_witness_lookup_matches_table(h):
+    table = _t_witnesses(2**h, True)
+    assert [_t_witness_mod_power_of_two(t, h) for t in range(2**h)] == [table[t] for t in range(2**h)]
+
+
+def test_certificate_p2_large_valuation():
+    # h = v_2(n) + 2 = 22: the witness table mod 2^22 would have 2^22 residues
+    cert = hensel_certificate(2, 2**20)
+    assert cert.modulus == 2**22 and cert.condition_checked
+    assert _witness_sum(cert.witness, cert.modulus) == 2**20
 
 
 def _certificate_cases():

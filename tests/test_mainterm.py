@@ -13,6 +13,7 @@ from cubesquares.mainterm import (
     RnEvaluator,
     conv4_value,
     conv4_value_beta,
+    dense_dft_bytes,
     rn_dense_dft,
     singular_integral_J,
 )
@@ -62,6 +63,27 @@ def test_dense_dft_matches_sparse():
 def test_dense_dft_margin_guard():
     ta = WeightTable("a", (3,), (2_000_000,))
     tb = WeightTable("b", (3,), (1_000_000,))
+    with pytest.raises(CapacityError):
+        rn_dense_dft(ta, tb, [2])
+
+
+@pytest.mark.parametrize("v", [300, 1000])
+def test_dense_dft_memory_guard_matches_allocation(monkeypatch, v):
+    ta = WeightTable("a", np.arange(1, v), np.ones(v - 1, np.int64))
+    tb = WeightTable("b", (3, 4), (2, 1))
+    L = 1 << (2 * (v - 1) ** 2 + 2 * 2**6 * 4**2 + 1).bit_length()
+    need = dense_dft_bytes(L, len(ta) + len(tb))
+    rn_dense_dft(TOY_A, TOY_B, [2])  # numpy.fft allocates its own state on first use
+    monkeypatch.setenv(BUDGET_ENV, str(need))
+    tracemalloc.start()
+    try:
+        dense = rn_dense_dft(ta, tb, [2])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert int(dense.sum()) == RnEvaluator(ta, tb, [2]).total
+    assert 0.99 * need <= peak <= need
+    monkeypatch.setenv(BUDGET_ENV, str(need - 1))
     with pytest.raises(CapacityError):
         rn_dense_dft(ta, tb, [2])
 

@@ -1,13 +1,18 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from cubesquares.cubesieve import BUDGET_ENV
+from cubesquares.errors import CapacityError
+from cubesquares.localsolve import _four_fold_square_distribution
 from cubesquares.residues import (
     cube_residue_counts,
     cyclic_convolve,
     cyclic_convolve_direct,
+    distribution_bytes,
     square_pushforward,
     t_distribution,
     t_square_distribution,
@@ -72,3 +77,23 @@ def test_cube_counts_reject_int64_overflow():
         cube_residue_counts(0)
     with pytest.raises(ValueError):
         cube_residue_counts(3_037_000_500)  # q^2 >= 2^63; raised before any allocation
+
+
+@pytest.mark.parametrize("q", [1009, 4001])
+def test_memory_guard_matches_allocation(monkeypatch, q):
+    for build, power in ((t_distribution, 3), (_four_fold_square_distribution, 12)):
+        need = distribution_bytes(q, power)
+        monkeypatch.setenv(BUDGET_ENV, str(need))
+        for cached in (t_distribution, t_square_distribution, _four_fold_square_distribution):
+            cached.cache_clear()
+        tracemalloc.start()
+        try:
+            build(q)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert 0.75 * need <= peak <= need
+        build.cache_clear()
+        monkeypatch.setenv(BUDGET_ENV, str(need - 1))
+        with pytest.raises(CapacityError):
+            build(q)

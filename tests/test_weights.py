@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from cubesquares import weights
+from cubesquares.cubesieve import BUDGET_ENV
 from cubesquares.errors import CapacityError
 from cubesquares.params import derive_params
 from cubesquares.smooth import enumerate_smooth
@@ -134,28 +135,31 @@ def test_digest_distinguishes_tables():
     assert len(table_digest(t1)) == 16
 
 
-def test_memory_guard_matches_allocation():
+def test_memory_guard_matches_allocation(monkeypatch):
     pp = derive_params(1000**6)
     leading, box = _family(pp, "a")
     c = enumerate_smooth(box, pp.R).members ** 3
     need = table_bytes(len(leading), np.unique(np.add.outer(c, c)).size)
+    monkeypatch.setenv(BUDGET_ENV, str(need))
     tracemalloc.start()
     try:
-        table = build_weight_table(pp, "a", budget=need)
+        table = build_weight_table(pp, "a")
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert len(table) > 0
     # the estimate bounds the allocation and is not far above it
     assert 0.99 * need <= peak <= need
+    monkeypatch.setenv(BUDGET_ENV, str(need - 1))
     with pytest.raises(CapacityError):
-        build_weight_table(pp, "a", budget=need - 1)
+        build_weight_table(pp, "a")
 
 
-def test_budget_guard():
+def test_budget_guard(monkeypatch):
     pp = derive_params(64**6)
+    monkeypatch.setenv(BUDGET_ENV, "16")
     with pytest.raises(CapacityError):
-        build_weight_table(pp, "a", budget=16)
+        build_weight_table(pp, "a")
 
 
 def test_multiplicity_lookup():
