@@ -76,16 +76,19 @@ def sigma_p(p: int, n: int, h_max: int = 3) -> EulerFactorEstimate:
 
     Convergence means two consecutive levels agree within 1e-9 relatively;
     the Hensel floor guarantees this happens at bounded h, but we report
-    `converged=False` honestly if h_max stops us first.  Level h_max is
-    reserved against the memory budget before level 1 runs, so a run the
-    budget cannot finish stops at once.
+    `converged=False` honestly if h_max stops us first.  When p does not
+    divide 6n, levels 1 and 2 agree exactly and the loop stops there.  Only
+    when they differ may it go on to h_max, so level h_max is reserved
+    against the memory budget then, before level 3 runs: a run the budget
+    cannot finish stops at once instead of after the levels in between.
     """
-    reserve(distribution_bytes(p**h_max, 12), f"four-fold T^2 distribution mod {p}^{h_max}")
     tol = 1e-9
     values: list[float] = []
     prev: Fraction | None = None
     converged = False
     for h in range(1, h_max + 1):
+        if h == 3:
+            reserve(distribution_bytes(p**h_max, 12), f"four-fold T^2 distribution mod {p}^{h_max}")
         cur = Fraction(local_count_Mn(p, h, n), p ** (11 * h))
         values.append(float(cur))
         if prev is not None and abs(cur - prev) <= tol * max(1, abs(cur)):

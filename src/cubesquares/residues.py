@@ -87,7 +87,8 @@ def distribution_bytes(q: int, power: int) -> int:
     the two factors, their product and the unpacked counts are all live
     around the multiplication.  Sized from tracemalloc peaks for q from 97
     to 2 * 10^5, they take at most 150 + 14 s bytes per residue, and 2^13
-    bytes cover the fixed overheads.
+    bytes cover the fixed overheads.  Above q = 2 * 10^5 the figure is
+    extrapolated: those products take minutes, so none was measured there.
     """
     slot = ((q**power).bit_length() + 7) // 8 + 1
     return q * (150 + 14 * slot) + 2**13

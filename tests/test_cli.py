@@ -263,10 +263,17 @@ def test_bad_memory_budget_exit_4(tmp_path, monkeypatch, capsys, value):
 
 
 def test_over_budget_local_density_exit_2(tmp_path, capsys):
-    # mod 97^4 the four-fold convolution would need ~64 GB; refused before level 1 runs
+    # mod 97^4 the four-fold convolution would need ~64 GB; refused once levels 1 and 2 disagree
     assert run(tmp_path, "local", "--sigma-p", "97", "--n", "0", "--hmax", "4") == 2
     assert capsys.readouterr().err.startswith("capacity: four-fold T^2 distribution mod 97^4 needs")
     assert list(tmp_path.iterdir()) == []
+
+
+def test_local_density_converging_early_is_not_refused(tmp_path):
+    # 97 does not divide 6n: levels 1 and 2 agree, so level 97^4 is never built or reserved
+    assert run(tmp_path, "local", "--sigma-p", "97", "--n", "1", "--hmax", "4") == 0
+    payload = json.loads((tmp_path / "sigma_p97_n1.json").read_text())
+    assert payload["converged"] is True and payload["h_used"] == 2
 
 
 def test_internal_value_error_is_not_bad_configuration(tmp_path, monkeypatch):

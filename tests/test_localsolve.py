@@ -3,7 +3,8 @@ import hashlib
 import pytest
 from hypothesis import given, strategies as st
 
-from cubesquares.errors import VerificationError
+from cubesquares.cubesieve import BUDGET_ENV
+from cubesquares.errors import CapacityError, VerificationError
 from cubesquares.localsolve import (
     _t_witness_mod_power_of_two,
     _t_witnesses,
@@ -17,6 +18,7 @@ from cubesquares.localsolve import (
 )
 from cubesquares.expsums import coefficient_Sn
 from cubesquares.params import primes_upto
+from cubesquares.residues import distribution_bytes
 
 
 def test_m33_sets():
@@ -65,6 +67,16 @@ def test_sigma_p_converges():
     assert e.converged
     assert e.value == pytest.approx(0.96, abs=1e-12)
     assert len(e.deltas) >= 1
+
+
+def test_sigma_p_reserves_only_levels_it_may_reach(monkeypatch):
+    # 5 does not divide 6: levels 1 and 2 agree, so level 5^10 (~6 GB) is never reserved
+    e = sigma_p(5, 1, h_max=10)
+    assert e.converged and e.h_used == 2
+    # 3 divides 6n: the levels go on, and level 3^10 is reserved before level 3 runs
+    monkeypatch.setenv(BUDGET_ENV, str(distribution_bytes(3**10, 12) - 1))
+    with pytest.raises(CapacityError, match=r"mod 3\^10"):
+        sigma_p(3, 0, h_max=10)
 
 
 def _witness_sum(witness, modulus):
