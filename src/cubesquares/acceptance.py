@@ -24,13 +24,12 @@ from .expsums import (
 )
 from .generating import eval_h, model_V
 from .localsolve import mod27_square_sets, m33_set, local_count_Mn, hensel_certificate
-from .mainterm import RnEvaluator, rn_dense_dft
+from .mainterm import RnEvaluator, rn_dense_dft, toy_tables
 from .oscillatory import osc_integral_v, v_at_zero
 from .params import derive_params, primes_upto
 from .residues import t_square_distribution
 from .scale import Scale
 from .w2 import six_full_upto, w2_carrier, w2_scan
-from .weights import WeightTable
 
 
 @dataclass
@@ -66,7 +65,7 @@ def criterion_2() -> CriterionResult:
     t0 = time.time()
     worst = 0.0
     for q in range(1, 41):
-        dist = t_square_distribution(q)
+        dist = t_square_distribution(q).tolist()
         batch = complete_sum_S_batch(q)
         for a in range(q):
             brute = sum(
@@ -209,10 +208,9 @@ def criterion_9() -> CriterionResult:
     # Exact representation counts: the sparse evaluator and the dense DFT
     # agree exactly on the toy system, including the hand-checked value.
     t0 = time.time()
-    ta = WeightTable("a", (3,), (1,))
-    tb = WeightTable("b", (3,), (1,))
-    ev = RnEvaluator(ta, tb, [2])
-    dense = rn_dense_dft(ta, tb, [2])
+    ta, tb, primes = toy_tables()
+    ev = RnEvaluator(ta, tb, primes)
+    dense = rn_dense_dft(ta, tb, primes)
     mism = sum(1 for n in range(ev.max_n + 1) if ev(n) != dense[n])
     # Hand example: with a = b = {3: 1} and prime 2, the only weighted
     # decomposition of 1170 is 576 + 576 + 9 + 9, so R(1170) = 1.

@@ -90,20 +90,3 @@ class ArcDissection:
 def classify(alpha: float | Fraction, X: float, n: int) -> ArcHit | None:
     return ArcDissection(X=X, n=n).classify(alpha)
 
-
-def upsilon(alpha: float | Fraction, X: float, n: int, eps: float = 0.0) -> float:
-    """Indicator-style weight: 1 on the dissection, 0 on the minor region.
-
-    With eps > 0 the edge is softened linearly over a band of relative
-    width eps to keep numerical sweeps stable near arc boundaries.
-    """
-    hit = classify(alpha, X, n)
-    if hit is None:
-        return 0.0
-    if eps <= 0.0:
-        return 1.0
-    edge = X / (hit.q * n)
-    t = abs(hit.beta) / edge if edge > 0 else 1.0
-    if t <= 1.0 - eps:
-        return 1.0
-    return max(0.0, (1.0 - t) / eps)

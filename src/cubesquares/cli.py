@@ -29,14 +29,14 @@ from .arcs import classify
 from .census import family_members_upto, filter_A_upsilon, run_census, verify_obstruction_family, witness_for
 from .cubesieve import memory_budget, sieve_cube_sums
 from .errors import CapacityError, DegenerateParamsError, QuadratureError, VerificationError
-from .expsums import complete_sum_S_batch, truncated_singular_series
+from .expsums import batch_is_exact, complete_sum_S_batch, truncated_singular_series
 from .localsolve import hensel_certificate, mod27_square_sets, sigma_p, two_adic_profile
-from .mainterm import RnEvaluator, rn_dense_dft
+from .mainterm import RnEvaluator, rn_dense_dft, toy_tables
 from .oscillatory import osc_integral_v, v_at_zero
 from .scale import Scale
 from .smooth import enumerate_smooth
 from .w2 import w2_scan
-from .weights import WeightTable, save_binary, save_csv
+from .weights import save_binary, save_csv
 
 
 @dataclass(frozen=True)
@@ -91,8 +91,7 @@ def cmd_enumerate(args, cfg: RunConfig, out: Path) -> int:
         table = scale.table_a if args.table == "a" else scale.table_b
         base = out / f"weights_{args.table}_N{args.N}"
         if args.format == "csv":
-            save_csv(table, base.with_suffix(".csv"))
-            Path(str(base.with_suffix(".csv")) + ".meta.json").write_text(json.dumps(_meta(cfg), indent=2))
+            save_csv(table, base.with_suffix(".csv"), meta=_meta(cfg))
         else:
             save_binary(table, base.with_suffix(".wcl"), meta=_meta(cfg))
         print(f"wrote {base} ({len(table)} pairs, total mass {table.total})")
@@ -150,16 +149,6 @@ def cmd_local(args, cfg: RunConfig, out: Path) -> int:
     return 0
 
 
-def _toy_tables() -> tuple[WeightTable, WeightTable, list[int]]:
-    one = np.array([1], dtype=np.int64)
-    three = np.array([3], dtype=np.int64)
-    return (
-        WeightTable(role="a", support=three, counts=one),
-        WeightTable(role="b", support=three, counts=one),
-        [2],
-    )
-
-
 def cmd_arcs(args, cfg: RunConfig, out: Path) -> int:
     scale = Scale(args.N, args.eta, args.R)
     if args.v_at_zero or args.v_sweep or (args.rn_exact and not args.toy) or args.report is not None:
@@ -190,7 +179,7 @@ def cmd_arcs(args, cfg: RunConfig, out: Path) -> int:
         _write_tsv(out / f"v_sweep_N{args.N}.tsv", cfg, ["beta", "re", "im", "abs"], rows)
     if args.rn_exact:
         if args.toy:
-            ta, tb, primes = _toy_tables()
+            ta, tb, primes = toy_tables()
             ev = RnEvaluator(ta, tb, primes)
             dense = rn_dense_dft(ta, tb, primes)
             support = np.flatnonzero(dense)
@@ -258,18 +247,14 @@ def _checked(name: str, convert, ok, what: str):
     return parse
 
 
-def _is_prime(p: int) -> bool:
-    return p >= 2 and all(p % d for d in range(2, math.isqrt(p) + 1))
-
-
 # Option values the subcommands' library calls would reject; checked here so
 # that a bad value exits 4 and every ValueError past parsing is a program error.
 positive_int = _checked("positive_int", int, lambda v: v >= 1, "a positive integer")
 non_negative_int = _checked("non_negative_int", int, lambda v: v >= 0, "a non-negative integer")
 smoothness_bound = _checked("smoothness_bound", int, lambda v: v >= 2, "an integer >= 2")
-prime = _checked("prime", int, _is_prime, "a prime")
-# complete_sum_S_batch needs q^3 < 2^53 for exact float64 counts
-sqa_modulus = _checked("sqa_modulus", int, lambda v: 1 <= v and v**3 < 2**53, "a modulus q >= 1 with q^3 < 2^53")
+prime = _checked("prime", int, lambda p: p >= 2 and all(p % d for d in range(2, math.isqrt(p) + 1)), "a prime")
+# complete_sum_S_batch, behind --sqa and every series term, needs q^3 < 2^53
+modulus = _checked("modulus", int, batch_is_exact, "a modulus q >= 1 with q^3 < 2^53")
 open_unit = _checked("open_unit", float, lambda v: 0.0 < v < 1.0, "in (0, 1)")
 half_open_unit = _checked("half_open_unit", float, lambda v: 0.0 <= v < 1.0, "in [0, 1)")
 height = _checked("height", float, lambda v: 1.0 <= v < math.inf, "a finite height >= 1")
@@ -304,9 +289,9 @@ def build_parser(defaults: dict | None = None) -> argparse.ArgumentParser:
     common(pl)
     pl.add_argument("--verify-sets", "--verify-paper-sets", dest="verify_sets", action="store_true",
                     help="recompute the three mod-27 square classes against their frozen tables")
-    pl.add_argument("--sqa", type=sqa_modulus, help="emit the S(q, a) row for this q")
+    pl.add_argument("--sqa", type=modulus, help="emit the S(q, a) row for this q")
     pl.add_argument("--sn", type=int, help="truncated singular series at this n")
-    pl.add_argument("--Q", type=positive_int, default=64, help="series truncation")
+    pl.add_argument("--Q", type=modulus, default=64, help="series truncation")
     pl.add_argument("--sigma-p", dest="sigma_p", type=prime, help="Euler factor estimate at prime p")
     pl.add_argument("--n", type=int, default=1)
     pl.add_argument("--hmax", type=positive_int, default=3)
@@ -328,7 +313,7 @@ def build_parser(defaults: dict | None = None) -> argparse.ArgumentParser:
     pa.add_argument("--rn-exact", dest="rn_exact", action="store_true", help="exact R(n) table")
     pa.add_argument("--toy", action="store_true", help="use the frozen single-entry tables")
     pa.add_argument("--report", type=int, help="MainTermReport at this n")
-    pa.add_argument("--Q", type=positive_int, default=64)
+    pa.add_argument("--Q", type=modulus, default=64, help="series truncation")
     pa.add_argument("--N", type=int, default=8**6)
 
     pc = sub.add_parser("census", help="exceptional-set census and obstruction family")

@@ -35,23 +35,26 @@ def complete_sum_S(q: int, a: int) -> complex:
     """Direct phase sum against the T^2 residue distribution; O(q) exact phases."""
     if q < 1:
         raise ValueError("q must be >= 1")
-    dist = t_square_distribution(q)
+    dist = t_square_distribution(q).tolist()
     a %= q
     re = math.fsum(c * math.cos(2.0 * math.pi * ((a * m) % q) / q) for m, c in enumerate(dist) if c)
     im = math.fsum(c * math.sin(2.0 * math.pi * ((a * m) % q) / q) for m, c in enumerate(dist) if c)
     return complex(re, im)
 
 
+def batch_is_exact(q: int) -> bool:
+    """Whether `complete_sum_S_batch` takes q: 1 <= q and q^3 < 2^53, so T^2's counts are exact in float64."""
+    return 1 <= q and q**3 < 2**53
+
+
 def complete_sum_S_batch(q: int) -> np.ndarray:
     """S(q, a) for all a in [0, q) at once: q * ifft of the T^2 distribution.
 
-    Valid verbatim while q^3 < 2^53 so the integer counts are exact in
-    float64; guarded accordingly.
+    Valid verbatim while `batch_is_exact(q)`; guarded accordingly.
     """
-    if q**3 >= 2**53:
+    if not batch_is_exact(q):
         raise ValueError(f"distribution counts for q={q} are not exactly representable")
-    dist = np.array(t_square_distribution(q), dtype=np.float64)
-    return q * np.fft.ifft(dist)
+    return q * np.fft.ifft(t_square_distribution(q).astype(np.float64))
 
 
 def gauss_sum_S2(q: int, a: int) -> complex:
@@ -66,9 +69,7 @@ def gauss_sum_S2(q: int, a: int) -> complex:
 
 
 def coprime_residues(q: int) -> np.ndarray:
-    """a in [0, q) with gcd(a, q) = 1; for q = 1 this is [0] by convention."""
-    if q == 1:
-        return np.array([0], dtype=np.int64)
+    """a in [0, q) with gcd(a, q) = 1; for q = 1 this is [0], since gcd(0, 1) = 1."""
     a = np.arange(q, dtype=np.int64)
     return a[np.gcd(a, q) == 1]
 

@@ -2,8 +2,9 @@
 
 M_n(p^h) counts 12-tuples x mod p^h (four triples) with
 sum_i T(x_i)^2 = n (mod p^h), T(x) = x1^3 + x2^3 + x3^3.  The Euler factor
-at p is the stable value of p^(-11 h) M_n(p^h).  Everything is exact
-integer arithmetic until the final division.
+at p is the stable value of p^(-11 h) M_n(p^h), and M_n(q) is
+sum_t dd[t] dd[n - t] over the two-fold T^2 distribution dd mod q.
+Everything is exact integer arithmetic until the final division.
 
 Solubility certificates: for p >= 5 a single nonsingular solution mod p
 (leading coordinate a unit, T(y_1) a unit) lifts to all powers, giving
@@ -21,31 +22,34 @@ triples mod 2^h and computes each directly, in closed form.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .cubesieve import reserve
+import numpy as np
+
 from .errors import VerificationError
-from .residues import cyclic_convolve, distribution_bytes, t_square_distribution
+from .residues import _read_only, cyclic_convolve, reserve_distribution, t_square_distribution
 
 # -- exact counts ------------------------------------------------------------
 
 
 @lru_cache(maxsize=256)
-def _four_fold_square_distribution(q: int) -> tuple[int, ...]:
-    reserve(distribution_bytes(q, 12), f"four-fold T^2 distribution mod {q}")
+def _two_fold_square_distribution(q: int) -> np.ndarray:
+    """Counts of T(x)^2 + T(y)^2 mod q over pairs of triples; sums to q^6."""
+    reserve_distribution(q, 6, f"two-fold T^2 distribution mod {q}")
     d = t_square_distribution(q)
-    dd = cyclic_convolve(d, d, q)
-    return tuple(cyclic_convolve(dd, dd, q))
+    return _read_only(cyclic_convolve(d, d, q))
 
 
 def local_count_Mn(p: int, h: int, n: int) -> int:
-    """Exact M_n(p^h) via four-fold convolution of the T^2 distribution."""
+    """Exact M_n(p^h) = sum_t dd[t] dd[n - t] over the two-fold T^2 distribution dd mod p^h."""
     if h < 1:
         raise ValueError("h must be >= 1")
     q = p**h
-    return _four_fold_square_distribution(q)[n % q]
+    dd = _two_fold_square_distribution(q)
+    return sum(map(operator.mul, dd.tolist(), dd[(n - np.arange(q)) % q].tolist()))
 
 
 @dataclass
@@ -75,12 +79,10 @@ def sigma_p(p: int, n: int, h_max: int = 3) -> EulerFactorEstimate:
     """Euler factor estimate: extend h until the normalized count stabilizes.
 
     Convergence means two consecutive levels agree within 1e-9 relatively;
-    the Hensel floor guarantees this happens at bounded h, but we report
-    `converged=False` honestly if h_max stops us first.  When p does not
-    divide 6n, levels 1 and 2 agree exactly and the loop stops there.  Only
-    when they differ may it go on to h_max, so level h_max is reserved
-    against the memory budget then, before level 3 runs: a run the budget
-    cannot finish stops at once instead of after the levels in between.
+    the Hensel floor guarantees this at bounded h, and `converged=False`
+    says h_max stopped it first.  When p does not divide 6n, levels 1 and 2
+    agree exactly.  Otherwise level h_max is checked (budget, 2^21 bound)
+    before level 3 runs, so a run that cannot finish stops at once.
     """
     tol = 1e-9
     values: list[float] = []
@@ -88,7 +90,7 @@ def sigma_p(p: int, n: int, h_max: int = 3) -> EulerFactorEstimate:
     converged = False
     for h in range(1, h_max + 1):
         if h == 3:
-            reserve(distribution_bytes(p**h_max, 12), f"four-fold T^2 distribution mod {p}^{h_max}")
+            reserve_distribution(p**h_max, 6, f"two-fold T^2 distribution mod {p}^{h_max}")
         cur = Fraction(local_count_Mn(p, h, n), p ** (11 * h))
         values.append(float(cur))
         if prev is not None and abs(cur - prev) <= tol * max(1, abs(cur)):
@@ -284,13 +286,8 @@ def two_adic_profile(n: int) -> TwoAdicProfile:
     m = n >> (2 * theta)
     j0 = h - 2 * theta
     # odd part mod 8: x1 odd contributes 1; squares are {0,1,4} mod 8
-    base = None
-    for x1 in (1, 3, 5, 7):
-        for rest in _three_squares_mod8(m - x1 * x1):
-            base = (x1, *rest)
-            break
-        if base:
-            break
+    base = next(((x1, a, b, c) for x1 in (1, 3, 5, 7) for a in range(8) for b in range(8) for c in range(8)
+                 if (x1 * x1 + a * a + b * b + c * c - m) % 8 == 0), None)
     if base is None:
         raise VerificationError(f"no odd-leading four-square solution mod 8 for {m % 8}")
     y = list(base)
@@ -304,14 +301,6 @@ def two_adic_profile(n: int) -> TwoAdicProfile:
     prof = TwoAdicProfile(n=n, h=h, gamma=gamma, theta=theta, witness=witness, euler_floor=euler_floor)
     prof.verify()
     return prof
-
-
-def _three_squares_mod8(target: int):
-    for a in range(8):
-        for b in range(8):
-            for c in range(8):
-                if (a * a + b * b + c * c - target) % 8 == 0:
-                    yield (a, b, c)
 
 
 def _least_cube_root_mod_power_of_two(c: int, h: int) -> int | None:

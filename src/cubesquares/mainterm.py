@@ -108,6 +108,11 @@ class RnEvaluator:
         return self.aa.total * self.bb.total
 
 
+def toy_tables() -> tuple[WeightTable, WeightTable, list[int]]:
+    """The toy system a = b = {3: 1} with the one prime 2, where R(n) can be checked by hand."""
+    return WeightTable("a", (3,), (1,)), WeightTable("b", (3,), (1,)), [2]
+
+
 def dense_dft_bytes(L: int, terms: int) -> int:
     """Upper bound on the bytes `rn_dense_dft` holds for a length-L transform of `terms` series terms.
 

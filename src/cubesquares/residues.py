@@ -1,16 +1,14 @@
 """Residue-count distributions mod q and exact cyclic convolution.
 
 The complete exponential sums and local solution counts all reduce to
-counting vectors: D[t] = #{x mod q : f(x) = t} for f a cube, a sum of
-cubes, or a square of such.  Sums of independent coordinates convolve
-these vectors cyclically; all arithmetic here is exact (Python ints).
-
-Large convolutions use Kronecker substitution: pack the coefficients into
-one big integer at a byte spacing wide enough to prevent carries, multiply,
-unpack, and fold.  Exactness is inherited from integer multiplication.
-A direct O(q^2) routine doubles as the small-case oracle.  The work is
-held in Python ints, linear in q; `distribution_bytes` estimates it and is
-reserved against the memory budget before a distribution mod q is built.
+counting vectors D[t] = #{x mod q : f(x) = t}, f a cube, a sum of cubes,
+or a square of such; sums of independent coordinates convolve them
+cyclically.  Each is a numpy int64 array (T's counts sum to q^3 < 2^63
+for q < 2^21), read-only once cached.  Convolutions use Kronecker
+substitution: counts in carry-free byte slots of one big integer, one
+exact multiplication, the product read back in 8-byte limbs.  A direct
+O(q^2) routine is the small-case oracle.  `distribution_bytes` estimates
+the work, linear in q, and is reserved before a distribution is built.
 """
 
 from __future__ import annotations
@@ -20,24 +18,26 @@ from functools import lru_cache
 import numpy as np
 
 from .cubesieve import reserve
+from .errors import CapacityError
+
+MAX_MODULUS = 2**21  # the least q with q^3 >= 2^63
 
 
-def cube_residue_counts(q: int) -> list[int]:
+def cube_residue_counts(q: int) -> np.ndarray:
     """D[t] = #{x in [0, q) : x^3 = t (mod q)}; sums to q."""
     if q < 1 or q * q >= 2**63:
         raise ValueError("q must satisfy 1 <= q and q^2 < 2^63")
     # x * x and ((x * x) % q) * x stay below q^2 < 2^63, so int64 is exact
     x = np.arange(q, dtype=np.int64)
     t = ((x * x) % q * x) % q
-    return np.bincount(t, minlength=q).tolist()
+    return np.bincount(t, minlength=q)
 
 
-def square_pushforward(counts: list[int], q: int) -> list[int]:
-    """Push a distribution through t -> t^2 (mod q)."""
-    out = [0] * q
-    for s, c in enumerate(counts):
-        if c:
-            out[(s * s) % q] += c
+def square_pushforward(counts: np.ndarray, q: int) -> np.ndarray:
+    """Push a distribution through t -> t^2 (mod q); one exact int64 scatter."""
+    t = np.arange(q, dtype=np.int64)
+    out = np.zeros(q, dtype=np.int64)
+    np.add.at(out, t * t % q, counts)
     return out
 
 
@@ -53,58 +53,87 @@ def cyclic_convolve_direct(a: list[int], b: list[int], q: int) -> list[int]:
     return out
 
 
-def cyclic_convolve(a: list[int], b: list[int], q: int) -> list[int]:
-    """Exact cyclic convolution via Kronecker substitution.
+def _pack(a: np.ndarray, slot: int) -> int:
+    """One integer holding a's entries (each < 2^(8 slot - 8)) in consecutive little-endian `slot`-byte fields."""
+    rows = np.zeros((a.size, slot), dtype=np.uint8)
+    rows[:, : min(slot, 8)] = a.astype("<i8", copy=False).view(np.uint8).reshape(-1, 8)[:, :slot]
+    return int.from_bytes(rows, "little")
 
-    Coefficients of the linear product are bounded by total(a) * total(b),
-    so a byte slot of that width can never carry across entries.
-    """
-    if len(a) != q or len(b) != q:
-        raise ValueError("inputs must have length q")
-    a = [int(v) for v in a]
-    b = [int(v) for v in b]
-    ta = sum(a)
-    tb = sum(b)
-    if ta == 0 or tb == 0:
-        return [0] * q
-    slot = ((ta * tb).bit_length() + 7) // 8 + 1
-    abig = int.from_bytes(b"".join(int(c).to_bytes(slot, "little") for c in a), "little")
-    bbig = int.from_bytes(b"".join(int(c).to_bytes(slot, "little") for c in b), "little")
-    prod = (abig * bbig).to_bytes(2 * q * slot, "little")
-    out = [0] * q
-    for k in range(2 * q - 1):
-        c = int.from_bytes(prod[k * slot : (k + 1) * slot], "little")
-        if c:
-            out[k % q] += c
+
+def _unpack(packed: int, q: int, slot: int, total: int) -> np.ndarray:
+    """The q `slot`-byte fields of packed: int64 when total < 2^63, else Python ints rebuilt from 8-byte limbs."""
+    n = 1 if total < 2**63 else -(-slot // 8)  # limbs per field
+    limbs = np.zeros((q, n), dtype="<u8")
+    raw = np.frombuffer(packed.to_bytes(q * slot, "little"), np.uint8).reshape(q, slot)
+    limbs.view(np.uint8)[:, : min(slot, 8 * n)] = raw[:, : 8 * n]
+    del raw
+    if n == 1:
+        return limbs[:, 0].view(np.int64)
+    out = limbs[:, -1].astype(object)
+    for j in range(n - 2, -1, -1):
+        out <<= 64
+        out += limbs[:, j].astype(object)
     return out
+
+
+def cyclic_convolve(a: np.ndarray, b: np.ndarray, q: int) -> np.ndarray:
+    """Exact cyclic convolution of non-negative int64 vectors via Kronecker substitution.
+
+    Each vector must sum below 2^63.  Coefficients of the linear product are
+    bounded by total(a) * total(b), so a byte slot of that width can never
+    carry across entries.  The result is int64 while that bound is below
+    2^63, else an object array of Python ints.  A vector convolved with
+    itself is packed once and squared.
+    """
+    if a.shape != (q,) or b.shape != (q,) or a.min() < 0 or b.min() < 0:
+        raise ValueError("inputs must be non-negative and of length q")
+    total = int(a.sum()) * int(b.sum())
+    slot = (total.bit_length() + 7) // 8 + 1
+    abig = _pack(a, slot)
+    bbig = abig if b is a else _pack(b, slot)
+    prod = abig * bbig
+    del abig, bbig
+    # fold the 2q - 1 fields mod q: fields k and k + q add without carry
+    prod = (prod >> 8 * q * slot) + (prod & ((1 << 8 * q * slot) - 1))
+    return _unpack(prod, q, slot, total)
 
 
 def distribution_bytes(q: int, power: int) -> int:
     """Upper bound on the bytes held while distributions mod q are convolved up to totals q^power.
 
-    The widest product, of totals q^power, packs each residue into a byte
-    slot of s bytes (see `cyclic_convolve`).  The inputs, the packed bytes,
-    the two factors, their product and the unpacked counts are all live
-    around the multiplication.  Sized from tracemalloc peaks for q from 97
-    to 2 * 10^5, they take at most 150 + 14 s bytes per residue, and 2^13
-    bytes cover the fixed overheads.  Above q = 2 * 10^5 the figure is
-    extrapolated: those products take minutes, so none was measured there.
+    With s-byte slots for the widest product, its multiplication takes 13 s
+    bytes per residue (10 s for a square, as the even powers are), and past
+    2^63 the Python ints rebuilt from limbs about 140.  The inputs add 16
+    per residue, `np.add.at` 2^13.  Fitted to tracemalloc peaks for q from
+    97 to 2 * 10^5 (s from 4 to 15), extrapolated beyond.
     """
     slot = ((q**power).bit_length() + 7) // 8 + 1
-    return q * (150 + 14 * slot) + 2**13
+    product = (10 if power % 2 == 0 else 13) * slot
+    unpack = 140 if q**power >= 2**63 else 0
+    return q * (16 + max(product, unpack)) + 2**13
+
+
+def reserve_distribution(q: int, power: int, what: str) -> None:
+    """Refuse a distribution mod q of totals q^power past the budget, or with q >= 2^21, before allocating."""
+    reserve(distribution_bytes(q, power), what)
+    if q >= MAX_MODULUS:
+        raise CapacityError(f"{what}: T's counts pass int64 for q >= 2^21")
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
 
 
 @lru_cache(maxsize=512)
-def t_distribution(q: int) -> tuple[int, ...]:
+def t_distribution(q: int) -> np.ndarray:
     """D3[t] = #{(x1, x2, x3) mod q : x1^3 + x2^3 + x3^3 = t}; sums to q^3."""
-    reserve(distribution_bytes(q, 3), f"T residue distribution mod {q}")
+    reserve_distribution(q, 3, f"T residue distribution mod {q}")
     c = cube_residue_counts(q)
-    d2 = cyclic_convolve(c, c, q)
-    d3 = cyclic_convolve(d2, c, q)
-    return tuple(d3)
+    return _read_only(cyclic_convolve(cyclic_convolve(c, c, q), c, q))
 
 
 @lru_cache(maxsize=512)
-def t_square_distribution(q: int) -> tuple[int, ...]:
+def t_square_distribution(q: int) -> np.ndarray:
     """Counts of T(x)^2 mod q over all triples x; the phase weights of S(q, a)."""
-    return tuple(square_pushforward(list(t_distribution(q)), q))
+    return _read_only(square_pushforward(t_distribution(q), q))

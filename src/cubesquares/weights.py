@@ -167,7 +167,11 @@ def save_binary(table: WeightTable, path: str | Path, meta: dict | None = None) 
         body[:, 0] = table.support
         body[:, 1] = table.counts
         f.write(body.tobytes())
-    sidecar = {"format": "WCL1", "role": table.role, "pairs": len(table), "digest": table_digest(table)}
+    _write_sidecar(table, path, "WCL1", meta)
+
+
+def _write_sidecar(table: WeightTable, path: Path, fmt: str, meta: dict | None) -> None:
+    sidecar = {"format": fmt, "role": table.role, "pairs": len(table), "digest": table_digest(table)}
     sidecar.update(meta or {})
     path.with_suffix(path.suffix + ".meta.json").write_text(json.dumps(sidecar, indent=2))
 
@@ -182,11 +186,14 @@ def load_binary(path: str | Path) -> WeightTable:
     return WeightTable(role=role, support=body[:, 0].astype(np.int64), counts=body[:, 1].astype(np.int64))
 
 
-def save_csv(table: WeightTable, path: str | Path) -> None:
+def save_csv(table: WeightTable, path: str | Path, meta: dict | None = None) -> None:
+    """Header ``value,multiplicity``, then one line per pair; the sidecar is as for `save_binary`."""
+    path = Path(path)
     with open(path, "w") as f:
         f.write("value,multiplicity\n")
         for v, c in zip(table.support.tolist(), table.counts.tolist()):
             f.write(f"{v},{c}\n")
+    _write_sidecar(table, path, "CSV", meta)
 
 
 def load_csv(path: str | Path, role: str = "a") -> WeightTable:

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 from hypothesis import given, strategies as st
 
-from cubesquares.arcs import TAU, ArcDissection, classify, upsilon
+from cubesquares.arcs import TAU, ArcDissection, classify
 
 
 def _oracle_classify(alpha: Fraction, X: float, n: int):
@@ -62,21 +62,3 @@ def test_classify_beta_sign():
     hit = classify(0.5 - 1e-12, 2, 64**6)
     assert hit is not None and (hit.a, hit.q) == (1, 2) and hit.beta < 0
 
-
-def test_upsilon_indicator():
-    n = 16**6
-    assert upsilon(0.5, 4, n) == 1.0
-    # far from every a/q with q <= 4 at this arc width
-    alpha = 0.5 + 0.01
-    assert upsilon(alpha, 4, n) == 0.0
-
-
-def test_upsilon_softening():
-    n = 16**6
-    X = 4.0
-    # just inside the q=2 arc edge
-    edge = X / (2 * n)
-    inside = 0.5 + edge * 0.999
-    assert upsilon(inside, X, n) == 1.0
-    val = upsilon(inside, X, n, eps=0.5)
-    assert 0.0 < val <= 1.0

@@ -45,7 +45,7 @@ def test_enumerate_smooth(tmp_path):
 
 
 def test_enumerate_weight_table_csv(tmp_path):
-    from cubesquares.weights import load_csv
+    from cubesquares.weights import load_csv, table_digest
 
     N = 27**6
     assert run(tmp_path, "enumerate", "--table", "b", "--N", str(N), "--format", "csv") == 0
@@ -54,6 +54,7 @@ def test_enumerate_weight_table_csv(tmp_path):
     assert table.as_dict() == {218: 1, 225: 2, 232: 1}
     meta = json.loads((tmp_path / f"weights_b_N{N}.csv.meta.json").read_text())
     assert "config_hash" in meta and "version" in meta
+    assert meta["digest"] == table_digest(table) and meta["pairs"] == 3
 
 
 def test_enumerate_weight_table_binary(tmp_path):
@@ -226,6 +227,9 @@ def test_count_options_reject_empty_runs(tmp_path, argv, option, value):
         ["census", "--family", "--R", "7"],
         ["arcs", "--v-sweep", "--beta-max", "nan", "--N", "4096"],
         ["arcs", "--v-sweep", "--beta-max", "inf", "--N", "4096"],
+        # 208064^3 >= 2^53: the series would reach complete_sum_S_batch's bound
+        ["local", "--sn", "36", "--Q", "208064"],
+        ["arcs", "--report", "200000", "--Q", "208064", "--N", "262144"],
     ],
 )
 def test_bad_option_values_exit_4(tmp_path, argv):
@@ -263,9 +267,9 @@ def test_bad_memory_budget_exit_4(tmp_path, monkeypatch, capsys, value):
 
 
 def test_over_budget_local_density_exit_2(tmp_path, capsys):
-    # mod 97^4 the four-fold convolution would need ~64 GB; refused once levels 1 and 2 disagree
+    # mod 97^4 the two-fold table would need ~20 GB; refused once levels 1 and 2 disagree
     assert run(tmp_path, "local", "--sigma-p", "97", "--n", "0", "--hmax", "4") == 2
-    assert capsys.readouterr().err.startswith("capacity: four-fold T^2 distribution mod 97^4 needs")
+    assert capsys.readouterr().err.startswith("capacity: two-fold T^2 distribution mod 97^4 needs")
     assert list(tmp_path.iterdir()) == []
 
 

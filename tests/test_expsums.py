@@ -6,6 +6,7 @@ from hypothesis import given, strategies as st
 
 from cubesquares.errors import VerificationError
 from cubesquares.expsums import (
+    batch_is_exact,
     complete_sum_S,
     complete_sum_S_batch,
     coefficient_Sn,
@@ -31,6 +32,8 @@ def test_batch_matches_single(q):
 def test_batch_guard():
     with pytest.raises(ValueError):
         complete_sum_S_batch(2**18)
+    # 208063^3 < 2^53 <= 208064^3: the one bound the batch and the CLI's --sqa and --Q read
+    assert batch_is_exact(208_063) and not batch_is_exact(208_064) and not batch_is_exact(0)
 
 
 def test_S_brute_force_oracle():

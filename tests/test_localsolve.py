@@ -74,9 +74,15 @@ def test_sigma_p_reserves_only_levels_it_may_reach(monkeypatch):
     e = sigma_p(5, 1, h_max=10)
     assert e.converged and e.h_used == 2
     # 3 divides 6n: the levels go on, and level 3^10 is reserved before level 3 runs
-    monkeypatch.setenv(BUDGET_ENV, str(distribution_bytes(3**10, 12) - 1))
+    monkeypatch.setenv(BUDGET_ENV, str(distribution_bytes(3**10, 6) - 1))
     with pytest.raises(CapacityError, match=r"mod 3\^10"):
         sigma_p(3, 0, h_max=10)
+
+
+def test_sigma_p_refuses_a_deepest_level_past_int64():
+    # 3^14 >= 2^21 fits the default budget, but T's counts mod 3^14 would pass int64
+    with pytest.raises(CapacityError, match=r"mod 3\^14: .*2\^21"):
+        sigma_p(3, 0, h_max=14)
 
 
 def _witness_sum(witness, modulus):

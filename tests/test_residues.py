@@ -7,8 +7,10 @@ from hypothesis import given, strategies as st
 
 from cubesquares.cubesieve import BUDGET_ENV
 from cubesquares.errors import CapacityError
-from cubesquares.localsolve import _four_fold_square_distribution
+from cubesquares.localsolve import _two_fold_square_distribution, local_count_Mn
+from cubesquares.params import primes_upto
 from cubesquares.residues import (
+    MAX_MODULUS,
     cube_residue_counts,
     cyclic_convolve,
     cyclic_convolve_direct,
@@ -18,16 +20,94 @@ from cubesquares.residues import (
     t_square_distribution,
 )
 
+# -- oracles: the list-based code the int64 arrays replaced, kept verbatim ----
+
+
+def _cyclic_convolve_lists(a: list[int], b: list[int], q: int) -> list[int]:
+    """Exact cyclic convolution via Kronecker substitution.
+
+    Coefficients of the linear product are bounded by total(a) * total(b),
+    so a byte slot of that width can never carry across entries.
+    """
+    if len(a) != q or len(b) != q:
+        raise ValueError("inputs must have length q")
+    a = [int(v) for v in a]
+    b = [int(v) for v in b]
+    ta = sum(a)
+    tb = sum(b)
+    if ta == 0 or tb == 0:
+        return [0] * q
+    slot = ((ta * tb).bit_length() + 7) // 8 + 1
+    abig = int.from_bytes(b"".join(int(c).to_bytes(slot, "little") for c in a), "little")
+    bbig = int.from_bytes(b"".join(int(c).to_bytes(slot, "little") for c in b), "little")
+    prod = (abig * bbig).to_bytes(2 * q * slot, "little")
+    out = [0] * q
+    for k in range(2 * q - 1):
+        c = int.from_bytes(prod[k * slot : (k + 1) * slot], "little")
+        if c:
+            out[k % q] += c
+    return out
+
+
+def _square_pushforward_lists(counts: list[int], q: int) -> list[int]:
+    """Push a distribution through t -> t^2 (mod q)."""
+    out = [0] * q
+    for s, c in enumerate(counts):
+        if c:
+            out[(s * s) % q] += c
+    return out
+
+
+def _t_distribution_lists(q: int) -> list[int]:
+    c = cube_residue_counts(q).tolist()
+    return _cyclic_convolve_lists(_cyclic_convolve_lists(c, c, q), c, q)
+
+
+def _four_fold_square_distribution(q: int) -> tuple[int, ...]:
+    # the former localsolve build, on the list oracles end to end
+    d = _square_pushforward_lists(_t_distribution_lists(q), q)
+    dd = _cyclic_convolve_lists(d, d, q)
+    return tuple(_cyclic_convolve_lists(dd, dd, q))
+
+
+def _prime_powers_upto(Q: int) -> list[int]:
+    out = []
+    for p in primes_upto(Q).tolist():
+        q = p
+        while q <= Q:
+            out.append(q)
+            q *= p
+    return out
+
+
+# -- tests ---------------------------------------------------------------------
+
 
 def test_t_distribution_frozen():
-    assert t_distribution(9) == (189, 162, 81, 27, 0, 0, 27, 81, 162)
-    assert t_distribution(1) == (1,)
+    assert np.array_equal(t_distribution(9), [189, 162, 81, 27, 0, 0, 27, 81, 162])
+    assert np.array_equal(t_distribution(1), [1])
+    assert t_distribution(9).dtype == np.int64
+
+
+def test_distributions_match_list_oracle():
+    for q in sorted(set(range(1, 81)) | set(_prime_powers_upto(1024))):
+        t = _t_distribution_lists(q)
+        assert t_distribution(q).tolist() == t, q
+        assert t_square_distribution(q).tolist() == _square_pushforward_lists(t, q), q
 
 
 @given(st.integers(min_value=1, max_value=80))
 def test_distributions_total(q):
-    assert sum(t_distribution(q)) == q**3
-    assert sum(t_square_distribution(q)) == q**3
+    assert int(t_distribution(q).sum()) == q**3
+    assert int(t_square_distribution(q).sum()) == q**3
+
+
+def test_cached_distributions_are_read_only():
+    dd = _two_fold_square_distribution(4001)
+    assert dd.dtype == object  # 4001^6 > 2^63: Python ints rebuilt from limbs
+    for a in (t_distribution(7), t_square_distribution(7), _two_fold_square_distribution(7), dd):
+        with pytest.raises(ValueError, match="read-only"):
+            a[0] = 1
 
 
 @given(st.integers(min_value=1, max_value=60))
@@ -49,6 +129,18 @@ def test_kronecker_convolution_matches_direct(q, seed):
     assert list(fast) == list(slow)
 
 
+@pytest.mark.parametrize("bound", [2**20, 2**40, 2**54])
+def test_kronecker_convolution_matches_list_oracle(bound):
+    # products of totals past 2^63 take the object path, rebuilt from two or three limbs
+    rng = np.random.default_rng(bound % 1009)
+    for q in (1, 2, 17, 333):
+        a = rng.integers(0, bound, size=q)
+        b = rng.integers(0, bound, size=q)
+        assert cyclic_convolve(a, b, q).tolist() == _cyclic_convolve_lists(a, b, q)
+        assert cyclic_convolve(a, a, q).tolist() == _cyclic_convolve_lists(a, a, q)
+        assert cyclic_convolve(np.zeros(q, np.int64), b, q).tolist() == [0] * q
+
+
 def test_square_pushforward():
     c = cube_residue_counts(7)
     s = square_pushforward(c, 7)
@@ -56,6 +148,22 @@ def test_square_pushforward():
     for m in range(7):
         expected[(m * m) % 7] += c[m]
     assert np.array_equal(np.asarray(s), expected)
+
+
+@pytest.mark.parametrize(
+    "p, h, ns",
+    [
+        (2, 8, range(256)),
+        (7, 3, range(20)),
+        (2, 11, (0, 1, 2, 64, 1000, 2047)),
+        (97, 2, (0, 1, 6, 97, 4705, 9408)),
+    ],
+)
+def test_local_count_matches_four_fold_oracle(p, h, ns):
+    four = _four_fold_square_distribution(p**h)
+    assert [local_count_Mn(p, h, n) for n in ns] == [four[n] for n in ns]
+    if p**h == 256:
+        assert four[64] == 48413701182379602730811392
 
 
 def test_cube_counts_large_modulus_path():
@@ -69,7 +177,7 @@ def test_cube_counts_large_modulus_path():
     assert np.array_equal(np.asarray(c), brute)
     q = 2_097_257
     assert q > 2**21 and q % 3 == 2 and all(q % d for d in range(2, math.isqrt(q) + 1))
-    assert set(cube_residue_counts(q)) == {1}
+    assert set(cube_residue_counts(q).tolist()) == {1}
 
 
 def test_cube_counts_reject_int64_overflow():
@@ -79,12 +187,24 @@ def test_cube_counts_reject_int64_overflow():
         cube_residue_counts(3_037_000_500)  # q^2 >= 2^63; raised before any allocation
 
 
+def test_t_distribution_refuses_int64_overflow_before_allocating():
+    assert (MAX_MODULUS - 1) ** 3 < 2**63 <= MAX_MODULUS**3
+    tracemalloc.start()
+    try:
+        with pytest.raises(CapacityError):
+            t_distribution(MAX_MODULUS)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**16
+
+
 @pytest.mark.parametrize("q", [1009, 4001])
 def test_memory_guard_matches_allocation(monkeypatch, q):
-    for build, power in ((t_distribution, 3), (_four_fold_square_distribution, 12)):
+    for build, power in ((t_distribution, 3), (_two_fold_square_distribution, 6)):
         need = distribution_bytes(q, power)
         monkeypatch.setenv(BUDGET_ENV, str(need))
-        for cached in (t_distribution, t_square_distribution, _four_fold_square_distribution):
+        for cached in (t_distribution, t_square_distribution, _two_fold_square_distribution):
             cached.cache_clear()
         tracemalloc.start()
         try:

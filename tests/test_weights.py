@@ -1,3 +1,4 @@
+import json
 import tracemalloc
 
 import numpy as np
@@ -115,6 +116,16 @@ def test_csv_round_trip(tmp_path):
     back = load_csv(p, role="b")
     assert back.as_dict() == t.as_dict()
     assert table_digest(back) == table_digest(t)
+
+
+def test_csv_sidecar_matches_binary(tmp_path):
+    t = WeightTable("b", (10, 11, 40), (2, 1, 7))
+    save_csv(t, tmp_path / "t.csv", meta={"origin": "test"})
+    save_binary(t, tmp_path / "t.wcl", meta={"origin": "test"})
+    csv_meta = json.loads((tmp_path / "t.csv.meta.json").read_text())
+    bin_meta = json.loads((tmp_path / "t.wcl.meta.json").read_text())
+    assert csv_meta["digest"] == table_digest(load_csv(tmp_path / "t.csv", role="b"))
+    assert csv_meta == {**bin_meta, "format": "CSV"}
 
 
 def test_binary_round_trip(tmp_path):
