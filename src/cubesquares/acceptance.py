@@ -42,12 +42,12 @@ class CriterionResult:
 
 
 def _result(index: int, name: str, passed: bool, detail: str, t0: float) -> CriterionResult:
-    return CriterionResult(index, name, passed, detail, time.time() - t0)
+    return CriterionResult(index, name, passed, detail, time.perf_counter() - t0)
 
 
 def criterion_1() -> CriterionResult:
     # Residue sets mod 27 and mod 8 match their frozen definitions.
-    t0 = time.time()
+    t0 = time.perf_counter()
     try:
         A, B, AB = mod27_square_sets()
         m27 = m33_set(3, 3)
@@ -62,7 +62,7 @@ def criterion_1() -> CriterionResult:
 def criterion_2() -> CriterionResult:
     # Complete sums S(q, a): batch DFT evaluation vs direct brute force,
     # every q <= 40 and every residue a, absolute error < 1e-6 * q^3.
-    t0 = time.time()
+    t0 = time.perf_counter()
     worst = 0.0
     for q in range(1, 41):
         dist = t_square_distribution(q).tolist()
@@ -82,7 +82,7 @@ def criterion_2() -> CriterionResult:
 
 def criterion_3() -> CriterionResult:
     # Orthogonality: sum of Sn(p^l) for l = 0..h equals p^(-11h) * M_n(p^h).
-    t0 = time.time()
+    t0 = time.perf_counter()
     worst = 0.0
     cases = 0
     for p, hmax in ((2, 3), (3, 3), (5, 3), (7, 3)):
@@ -101,7 +101,7 @@ def criterion_3() -> CriterionResult:
 def criterion_4() -> CriterionResult:
     # Multiplicativity: Sn(q1 q2) = Sn(q1) Sn(q2) for coprime pairs, and the
     # w2 carrier is exactly multiplicative on coprime pairs.
-    t0 = time.time()
+    t0 = time.perf_counter()
     worst = 0.0
     pairs = 0
     for q1 in range(1, 31):
@@ -139,7 +139,7 @@ def criterion_4() -> CriterionResult:
 def criterion_5() -> CriterionResult:
     # Weight majorant: carrier(q) >= q for all q <= 1e5 (so w2(q) <= q^(-1/6)),
     # equality exactly at 6-full q, and decade sums of w2^2 grow slowly.
-    t0 = time.time()
+    t0 = time.perf_counter()
     w2sq, majorant_ok, equality = w2_scan(100_000)
     eq_ok = equality == six_full_upto(100_000)
     decade_sums = [float(w2sq[1 : Q + 1].sum()) for Q in (100, 1000, 10_000, 100_000)]
@@ -152,7 +152,7 @@ def criterion_5() -> CriterionResult:
 
 def criterion_6() -> CriterionResult:
     # Gauss sums: |S2(p, a)| = sqrt(p) for odd primes p and units a.
-    t0 = time.time()
+    t0 = time.perf_counter()
     worst = 0.0
     primes = primes_upto(997)[1:].tolist()
     for p in primes:
@@ -168,7 +168,7 @@ def criterion_6() -> CriterionResult:
 def criterion_7() -> CriterionResult:
     # Singular series truncation: the dyadic tail past 512 is strictly
     # smaller than 0.7x the tail past 64, for several n.
-    t0 = time.time()
+    t0 = time.perf_counter()
     ok = True
     details = []
     for n in (36, 64, 1001):
@@ -184,7 +184,7 @@ def criterion_8() -> CriterionResult:
     # Oscillatory integral v(beta): value at 0 equals P^3/2 to 1e-6 relative,
     # and the two independent quadrature routes agree to 1e-4 relative on a
     # grid of beta with |beta| * n <= 10.
-    t0 = time.time()
+    t0 = time.perf_counter()
     ok = True
     details = []
     for P in (4, 8, 16):
@@ -207,7 +207,7 @@ def criterion_8() -> CriterionResult:
 def criterion_9() -> CriterionResult:
     # Exact representation counts: the sparse evaluator and the dense DFT
     # agree exactly on the toy system, including the hand-checked value.
-    t0 = time.time()
+    t0 = time.perf_counter()
     ta, tb, primes = toy_tables()
     ev = RnEvaluator(ta, tb, primes)
     dense = rn_dense_dft(ta, tb, primes)
@@ -223,7 +223,7 @@ def criterion_10() -> CriterionResult:
     # Census: bitset pipeline matches brute force to 1e4; at 1e5 the
     # documented exceptional structure holds and the obstruction family
     # verifies through j = 3.
-    t0 = time.time()
+    t0 = time.perf_counter()
     c_small = run_census(10_000)
     brute = brute_force_representable(10_000)
     agree = bool(np.array_equal(c_small.representable, brute))
@@ -254,7 +254,7 @@ def criterion_11() -> CriterionResult:
     # window holds two primes.  Exact sum of R(n) over [N/2, N] must lie
     # within a factor of 10 of |window| * mean(S(n) * J(n)) sampled on a
     # deterministic stride.
-    t0 = time.time()
+    t0 = time.perf_counter()
     big = Scale(10_000**6)
     h0 = eval_h(Fraction(0), big.table_a).real
     v0 = model_V(0.0, 1, 0, big.params, big.c_bulk)
@@ -281,7 +281,7 @@ def criterion_11() -> CriterionResult:
 def criterion_12() -> CriterionResult:
     # Lifting certificates: for every prime p in 5..97 and every residue n
     # mod p, a verified witness certificate exists.
-    t0 = time.time()
+    t0 = time.perf_counter()
     primes = primes_upto(97)[2:].tolist()
     count = 0
     for p in primes:
@@ -316,7 +316,7 @@ def run_all(verbose: bool = True) -> list[CriterionResult]:
         results.append(res)
         if verbose:
             tag = "PASS" if res.passed else "FAIL"
-            print(f"[{tag}] criterion {res.index:2d} ({res.name}) [{res.elapsed:.1f}s] {res.detail}")
+            print(f"[{tag}] criterion {res.index:2d} ({res.name}) [{res.elapsed:.2f}s] {res.detail}")
     if verbose:
         n_pass = sum(r.passed for r in results)
         print(f"{n_pass}/{len(results)} criteria passed")

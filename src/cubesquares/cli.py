@@ -294,7 +294,8 @@ def build_parser(defaults: dict | None = None) -> argparse.ArgumentParser:
     pl.add_argument("--Q", type=modulus, default=64, help="series truncation")
     pl.add_argument("--sigma-p", dest="sigma_p", type=prime, help="Euler factor estimate at prime p")
     pl.add_argument("--n", type=int, default=1)
-    pl.add_argument("--hmax", type=positive_int, default=3)
+    pl.add_argument("--hmax", type=positive_int,
+                    help="deepest level of --sigma-p (default: v_p(n) + 4 within p^h < 2^21, at least 3)")
     pl.add_argument("--w2-max", dest="w2_max", type=positive_int, help="scan w2 up to Q")
     pl.add_argument("--check-majorant", dest="check_majorant", action="store_true")
     pl.add_argument("--certificate", type=prime, help="solubility certificate at prime p (uses --n)")

@@ -30,7 +30,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import VerificationError
-from .residues import _read_only, cyclic_convolve, reserve_distribution, t_square_distribution
+from .residues import MAX_MODULUS, _read_only, cyclic_convolve, reserve_distribution, t_square_distribution
 
 # -- exact counts ------------------------------------------------------------
 
@@ -75,15 +75,36 @@ class EulerFactorEstimate:
         return [abs(b - a) for a, b in zip(self.values, self.values[1:])]
 
 
-def sigma_p(p: int, n: int, h_max: int = 3) -> EulerFactorEstimate:
+def _default_depth(p: int, n: int) -> int:
+    """Levels `sigma_p` may run by default: v_p(n) + 4, within p^h < 2^21, and at least 3.
+
+    The normalized counts settle about v_p(n) + 2 levels deep (the Hensel
+    floor), so a fixed depth leaves every n with v_p(n) > 0 unconverged at
+    p = 2 and 3.  n = 0 has no floor and keeps depth 3.
+    """
+    if n == 0:
+        return 3
+    v = 0
+    while n % p ** (v + 1) == 0:
+        v += 1
+    cap = 1
+    while p ** (cap + 1) < MAX_MODULUS:
+        cap += 1
+    return max(3, min(v + 4, cap))
+
+
+def sigma_p(p: int, n: int, h_max: int | None = None) -> EulerFactorEstimate:
     """Euler factor estimate: extend h until the normalized count stabilizes.
 
     Convergence means two consecutive levels agree within 1e-9 relatively;
     the Hensel floor guarantees this at bounded h, and `converged=False`
-    says h_max stopped it first.  When p does not divide 6n, levels 1 and 2
-    agree exactly.  Otherwise level h_max is checked (budget, 2^21 bound)
-    before level 3 runs, so a run that cannot finish stops at once.
+    says h_max stopped it first.  h_max defaults to `_default_depth(p, n)`.
+    When p does not divide 6n, levels 1 and 2 agree exactly.  Otherwise
+    level h_max is checked (budget, 2^21 bound) before level 3 runs, so a
+    run that cannot finish stops at once.
     """
+    if h_max is None:
+        h_max = _default_depth(p, n)
     tol = 1e-9
     values: list[float] = []
     prev: Fraction | None = None

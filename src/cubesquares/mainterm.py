@@ -14,9 +14,11 @@ four-fold convolution of the kernel slot densities at n, summed over the
 discrete smooth tuples and prime pairs.  Convolution is multilinear, so
 that sum is one convolution of summed slots, (T * T * U * U)(n): the thin
 and bulk slot pairs are built once per (params, primes) and J(n) is a
-single deterministic Gauss integral over their pair convolutions.  The
-per-tuple sum of conv4_value is its test oracle, and conv4_value_beta an
-independent Fourier route for single tuples.
+single deterministic Gauss integral over their pair convolutions, with the
+bulk pair sum interpolated from a few Chebyshev points per smooth panel.
+The per-tuple sum of conv4_value and the bulk sum at every Gauss node are
+its test oracles, and conv4_value_beta an independent Fourier route for
+single tuples.
 """
 
 from __future__ import annotations
@@ -213,10 +215,19 @@ def conv4_value_beta(slots: tuple[KernelSlot, ...], n: float, K: float = 40.0, o
     return float(val.real)
 
 
-# Outer nodes per pair-convolution call.  Each (order x block) float64 temporary
-# stays under glibc's 128 KiB mmap threshold, so it is reused from the heap
-# rather than mapped and page-faulted in on every call.
+# Outer nodes per pair-convolution call, and per interpolation block of
+# _BLOCK // 2.  Each (order x block) or (block / 2 x _CHEB_POINTS) float64
+# temporary stays under glibc's 128 KiB mmap threshold, so it is reused from
+# the heap rather than mapped and page-faulted in on every call.
 _BLOCK = 512
+
+# F_UU is sampled at _CHEB_POINTS Chebyshev-Lobatto points per smooth bulk
+# panel.  A panel whose last three Chebyshev coefficients exceed _CHEB_TAIL
+# of its largest |F_UU|, plus the samples' rounding noise, is bisected, at
+# most _CHEB_ROUNDS times over.
+_CHEB_POINTS = 32
+_CHEB_TAIL = 1e-12
+_CHEB_ROUNDS = 4
 
 
 @dataclass(frozen=True)
@@ -278,6 +289,75 @@ def _j_slot_pairs(params: Params, primes: tuple[int, ...]) -> tuple[_SlotPairs, 
     return _SlotPairs.build(thin), _SlotPairs.build(bulk)
 
 
+@lru_cache(maxsize=4)
+def _lobatto(m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Ascending Chebyshev-Lobatto points t_k on [-1, 1], their barycentric
+    weights, and the m x m cosine matrix taking samples at t_k to the
+    Chebyshev coefficients (up to sign, as t_k runs upward).
+    """
+    k = np.arange(m)
+    t = -np.cos(np.pi * k / (m - 1))
+    w = np.where(k % 2, -1.0, 1.0)
+    w[[0, -1]] *= 0.5
+    cos = np.cos(np.pi * np.outer(k, k) / (m - 1)) * (2.0 / (m - 1))
+    cos[:, [0, -1]] *= 0.5
+    cos[[0, -1]] *= 0.5
+    for x in (t, w, cos):
+        x.flags.writeable = False
+    return t, w, cos
+
+
+def _bulk_panels(bulk: _SlotPairs, v_lo: float, v_hi: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Panels [a, b] of [v_lo, v_hi] and F_UU at their Chebyshev-Lobatto points.
+
+    The first panels run between consecutive bulk breakpoints, where F_UU
+    is smooth.  Each round samples the open panels in one ascending call and
+    bisects those whose Chebyshev tail exceeds _CHEB_TAIL of the panel's
+    largest |F_UU| by more than rounding noise.  Bisection cannot lower that
+    noise: on a narrow panel far from 0 the sample points themselves sit
+    only to within eps |v|.  A panel still open after _CHEB_ROUNDS rounds
+    raises QuadratureError.
+    """
+    t, _, cos = _lobatto(_CHEB_POINTS)
+    edges = np.concatenate(([v_lo], bulk.breaks[(bulk.breaks > v_lo) & (bulk.breaks < v_hi)], [v_hi]))
+    a, b = edges[:-1], edges[1:]
+    done: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
+    for _ in range(_CHEB_ROUNDS + 1):
+        v = np.clip(0.5 * (a + b)[:, None] + 0.5 * (b - a)[:, None] * t, a[:, None], b[:, None])
+        f = bulk(v.ravel()).reshape(v.shape)
+        tail = np.abs(f @ cos[-3:].T).max(axis=1)
+        # rounding noise: F_UU's mean slope on the panel times eps |v|
+        noise = np.finfo(np.float64).eps * np.maximum(np.abs(a), np.abs(b)) / (b - a) * np.ptp(f, axis=1)
+        ok = tail <= _CHEB_TAIL * np.abs(f).max(axis=1) + noise
+        done.append((a[ok], b[ok], f[ok]))
+        if ok.all():
+            a, b, f = (np.concatenate(x) for x in zip(*done))
+            order = np.argsort(a)
+            return a[order], b[order], f[order]
+        mid = 0.5 * (a[~ok] + b[~ok])
+        a, b = np.column_stack((a[~ok], mid)).ravel(), np.column_stack((mid, b[~ok])).ravel()
+    raise QuadratureError(f"F_UU needs more than {_CHEB_ROUNDS} bisections of its bulk panels at {_CHEB_POINTS} points")
+
+
+def _interpolate(a: np.ndarray, b: np.ndarray, f: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """The panel interpolants of `_bulk_panels` at points v, by the barycentric formula."""
+    t, w, _ = _lobatto(f.shape[1])
+    panel = np.clip(np.searchsorted(a, v, "right") - 1, 0, a.size - 1)
+    out = np.empty_like(v)
+    step = _BLOCK // 2
+    for i in range(0, v.size, step):
+        k = panel[i : i + step]
+        fk = f[k]
+        d = ((2.0 * v[i : i + step] - (a[k] + b[k])) / (b[k] - a[k]))[:, None] - t
+        hit = d == 0.0
+        d[hit] = 1.0
+        q = w / d
+        out[i : i + k.size] = np.sum(q * fk, axis=1) / np.sum(q, axis=1)
+        rows, cols = np.nonzero(hit)
+        out[i + rows] = fk[rows, cols]
+    return out
+
+
 def singular_integral_J(n: int, params: Params, primes: list[int]) -> float:
     """J(n): kernel four-fold convolution summed over discrete smooth tuples.
 
@@ -287,6 +367,8 @@ def singular_integral_J(n: int, params: Params, primes: list[int]) -> float:
     convolutions of the thin and bulk slots.  The u-integral is cut at
     every thin breakpoint and every n - (bulk breakpoint), so each piece
     is smooth for every pair, and gets the same Gauss rule as conv4_value.
+    F_TT is evaluated at every node.  F_UU is smooth across the many thin
+    cuts, so it is sampled only on its own panels and interpolated.
     """
     built = _j_slot_pairs(params, tuple(primes))
     if built is None:
@@ -304,7 +386,7 @@ def singular_integral_J(n: int, params: Params, primes: list[int]) -> float:
     half = 0.5 * (cuts[1:] - cuts[:-1])[:, None]
     u = (mid + half * x).ravel()
     wu = (half * w).ravel()
-    f_uu = bulk((n - u)[::-1])[::-1]
+    f_uu = _interpolate(*_bulk_panels(bulk, n - u_hi, n - u_lo), n - u)
     return float(np.sum(wu * thin(u) * f_uu))
 
 

@@ -12,7 +12,7 @@ from cubesquares import acceptance
 def _check(fn):
     res = fn()
     tag = "PASS" if res.passed else "FAIL"
-    print(f"[{tag}] criterion {res.index:2d} ({res.name}) [{res.elapsed:.1f}s] {res.detail}")
+    print(f"[{tag}] criterion {res.index:2d} ({res.name}) [{res.elapsed:.2f}s] {res.detail}")
     assert res.passed, res.detail
 
 

@@ -92,6 +92,14 @@ def test_local_sigma_p(tmp_path):
     assert payload["converged"] is True
 
 
+def test_local_sigma_p_default_depth_follows_n(tmp_path):
+    # v_2(8) = 3: the default depth is 7, and levels 5 and 6 agree
+    assert run(tmp_path, "local", "--sigma-p", "2", "--n", "8") == 0
+    payload = json.loads((tmp_path / "sigma_p2_n8.json").read_text())
+    assert payload["converged"] is True and payload["h_used"] == 6
+    assert payload["values"][-1] == pytest.approx(0.3823, abs=1e-4)
+
+
 def test_local_w2(tmp_path):
     assert run(tmp_path, "local", "--w2-max", "1000", "--check-majorant") == 0
     payload = json.loads((tmp_path / "w2_Q1000.json").read_text())

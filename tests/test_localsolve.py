@@ -6,6 +6,7 @@ from hypothesis import given, strategies as st
 from cubesquares.cubesieve import BUDGET_ENV
 from cubesquares.errors import CapacityError, VerificationError
 from cubesquares.localsolve import (
+    _default_depth,
     _t_witness_mod_power_of_two,
     _t_witnesses,
     hensel_certificate,
@@ -67,6 +68,28 @@ def test_sigma_p_converges():
     assert e.converged
     assert e.value == pytest.approx(0.96, abs=1e-12)
     assert len(e.deltas) >= 1
+
+
+def test_default_depth_follows_the_valuation():
+    assert [_default_depth(2, n) for n in (1, 4, 8, 32, 2**13 * 15625)] == [4, 6, 7, 9, 17]
+    assert _default_depth(2, 2**30) == 20  # 2^20 is the last power of 2 below 2^21
+    assert [_default_depth(3, n) for n in (1, 9, 27)] == [4, 6, 7]
+    assert _default_depth(97, 97**5) == 3  # 97^4 >= 2^21
+    assert _default_depth(2, 0) == _default_depth(97, 0) == 3
+
+
+@pytest.mark.parametrize(("p", "n"), [(2, 8), (2, 32), (2, 125_000), (2, 500_000), (3, 9), (3, 27)])
+def test_sigma_p_converges_by_default_when_p_divides_n(p, n):
+    # depth 3 stopped each of these unconverged
+    assert not sigma_p(p, n, h_max=3).converged
+    assert sigma_p(p, n).converged
+
+
+@pytest.mark.parametrize(("v", "want"), [(2, 0.89), (3, 0.38), (5, 0.16), (10, 0.033), (12, 0.012)])
+def test_sigma_2_falls_with_the_two_adic_valuation(v, want):
+    e = sigma_p(2, 2**v * 15625)
+    assert e.converged and e.h_used <= v + 4
+    assert e.value == pytest.approx(want, rel=0.015)
 
 
 def test_sigma_p_reserves_only_levels_it_may_reach(monkeypatch):

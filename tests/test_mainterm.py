@@ -7,6 +7,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
+from cubesquares import mainterm
 from cubesquares.cubesieve import BUDGET_ENV
 from cubesquares.errors import CapacityError, QuadratureError
 from cubesquares.mainterm import (
@@ -17,7 +18,7 @@ from cubesquares.mainterm import (
     rn_dense_dft,
     singular_integral_J,
 )
-from cubesquares.oscillatory import plain_slot, scaled_slot
+from cubesquares.oscillatory import _leggauss, plain_slot, scaled_slot
 from cubesquares.params import derive_params
 from cubesquares.scale import Scale
 from cubesquares.smooth import enumerate_smooth
@@ -161,6 +162,28 @@ def _J_support(params, primes):
     return lo, hi
 
 
+def _J_direct(n, params, primes):
+    """Oracle: J(n) on the same outer rule, with F_UU evaluated at every outer node."""
+    built = mainterm._j_slot_pairs(params, tuple(primes))
+    if built is None:
+        return 0.0
+    thin, bulk = built
+    n = float(n)
+    u_lo = max(thin.lo.min(), n - bulk.hi.max())
+    u_hi = min(thin.hi.max(), n - bulk.lo.min())
+    if u_hi <= u_lo:
+        return 0.0
+    cuts = np.unique(np.concatenate(([u_lo, u_hi], thin.breaks, n - bulk.breaks)))
+    cuts = cuts[(cuts >= u_lo) & (cuts <= u_hi)]
+    x, w = _leggauss(24)
+    mid = 0.5 * (cuts[:-1] + cuts[1:])[:, None]
+    half = 0.5 * (cuts[1:] - cuts[:-1])[:, None]
+    u = (mid + half * x).ravel()
+    wu = (half * w).ravel()
+    f_uu = bulk((n - u)[::-1])[::-1]
+    return float(np.sum(wu * thin(u) * f_uu))
+
+
 def test_J_exhaustive_frozen():
     pp = derive_params(8**6)
     assert singular_integral_J(196_608, pp, [2]) == pytest.approx(0.00033530136406281975, rel=1e-9)
@@ -173,7 +196,9 @@ def test_J_matches_per_tuple_oracle(frac):
     n = lo + frac * (hi - lo)
     want = _J_per_tuple(n, pp, [2])
     assert want > 0
-    assert singular_integral_J(n, pp, [2]) == pytest.approx(want, rel=1e-12)
+    got = singular_integral_J(n, pp, [2])
+    assert got == pytest.approx(want, rel=1e-12)
+    assert got == pytest.approx(_J_direct(n, pp, [2]), rel=1e-14)
 
 
 def test_J_matches_per_tuple_oracle_two_primes():
@@ -189,6 +214,87 @@ def test_J_outside_support_is_zero():
         assert singular_integral_J(n, pp, [2]) == 0.0
         assert _J_per_tuple(n, pp, [2]) == 0.0
     assert singular_integral_J(196_608, pp, []) == 0.0
+
+
+@pytest.mark.parametrize(
+    ("P", "primes", "fracs"),
+    [(16, None, (0, 1 / 3, 2 / 3, 1)), (27, [2], (0, 1 / 3, 2 / 3, 1)), (27, None, (0, 1 / 3, 2 / 3, 1)), (64, None, (0.5,))],
+)
+def test_J_matches_direct_node_oracle(P, primes, fracs):
+    pp = derive_params(P**6)
+    primes = pp.default_primes() if primes is None else primes
+    for frac in fracs:
+        n = pp.N // 2 + round(frac * (pp.N - pp.N // 2))
+        want = _J_direct(n, pp, primes)
+        assert want > 0
+        assert singular_integral_J(n, pp, primes) == pytest.approx(want, rel=1e-14)
+
+
+def test_lobatto_interpolant_reproduces_polynomials():
+    t, _, cos = mainterm._lobatto(8)
+    assert np.all(np.diff(t) > 0) and t[0] == -1.0 and t[-1] == 1.0
+    # the cosine matrix maps samples of T_j to +-e_j
+    for j in range(8):
+        coef = cos @ np.polynomial.chebyshev.chebval(t, np.eye(8)[j])
+        assert np.allclose(np.abs(coef), np.eye(8)[j], atol=1e-13)
+    # two panels of a degree-7 polynomial, read back at random points and at the samples themselves
+    a, b = np.array([1.0, 3.0]), np.array([3.0, 7.0])
+    poly = np.polynomial.Polynomial([0.5, -1.0, 0.25, 2.0, 0.0, 0.0, -0.125, 0.01])
+    v = 0.5 * (a + b)[:, None] + 0.5 * (b - a)[:, None] * t
+    f = poly(v)
+    at = np.concatenate((np.random.default_rng(1).uniform(1.0, 7.0, 50), v.ravel()))
+    assert np.allclose(mainterm._interpolate(a, b, f, at), poly(at), rtol=1e-13, atol=0)
+    # a point on a sample returns that sample, not 0 / 0
+    assert mainterm._interpolate(a, b, f, np.array([1.0, 3.0, 7.0])).tolist() == [f[0, 0], f[1, 0], f[1, -1]]
+
+
+class _Sampled:
+    """A stand-in for the bulk pairs: a function with no breakpoints."""
+
+    breaks = np.array([])
+
+    def __init__(self, fn):
+        self.fn = fn
+
+    def __call__(self, v):
+        return self.fn(v)
+
+
+def test_bulk_panels_tell_rounding_noise_from_a_kink():
+    # A panel 98 wide at v ~ 3.6e11, as between two close bulk breakpoints at P = 150.  Its sample
+    # points sit only to within eps |v|, which alone lifts a smooth function's tail past 1e-12.
+    a, b = 3.5597221891e11, 3.5597221891e11 + 98.0
+    lo, hi, f = mainterm._bulk_panels(_Sampled(lambda v: 1.0 + 1e-4 * np.sin((v - a) / 98.0)), a, b)
+    assert lo.tolist() == [a] and hi.tolist() == [b]
+    _, _, cos = mainterm._lobatto(mainterm._CHEB_POINTS)
+    assert np.abs(cos[-3:] @ f[0]).max() > mainterm._CHEB_TAIL
+    with pytest.raises(QuadratureError):
+        mainterm._bulk_panels(_Sampled(lambda v: 1.0 + np.abs(v - a - 30.123) / 98.0), a, b)
+
+
+def test_J_bulk_panels_bisect_then_give_up(monkeypatch):
+    pp = derive_params(8**6)
+    n = 196_608
+    want = _J_direct(n, pp, [2])
+    panels = []
+    build = mainterm._bulk_panels
+
+    def spy(bulk, v_lo, v_hi):
+        a, b, f = build(bulk, v_lo, v_hi)
+        panels.append((a.size, 1 + np.count_nonzero((bulk.breaks > v_lo) & (bulk.breaks < v_hi))))
+        return a, b, f
+
+    monkeypatch.setattr(mainterm, "_bulk_panels", spy)
+    assert singular_integral_J(n, pp, [2]) == pytest.approx(want, rel=1e-14)
+    assert panels[-1][0] == panels[-1][1]  # 32 points resolve every panel unsplit
+    # 12 points need a few bisections and still meet the oracle
+    monkeypatch.setattr(mainterm, "_CHEB_POINTS", 12)
+    assert singular_integral_J(n, pp, [2]) == pytest.approx(want, rel=1e-14)
+    assert panels[-1][0] > panels[-1][1]
+    # 8 points are not enough after _CHEB_ROUNDS bisections
+    monkeypatch.setattr(mainterm, "_CHEB_POINTS", 8)
+    with pytest.raises(QuadratureError, match="bisections"):
+        singular_integral_J(n, pp, [2])
 
 
 def test_main_term_report_shape():
