@@ -6,8 +6,9 @@
 weighted by the table multiplicities: v, v' run over the bulk table, h1, h2
 over the thin table, p1, p2 over the prime window.  R is a double
 convolution of two integer-indexed series, evaluated sparsely and exactly
-on sorted int64 key arrays that `weights._aggregate` builds; a dense FFT
-route over the full index range cross-checks it.
+on sorted int64 key arrays that `weights._aggregate` and
+`weights._outer_sum` build; a dense FFT route over the full index range
+cross-checks it.
 
 The model main term is (singular series at n) * J(n) where J(n) is the
 four-fold convolution of the kernel slot densities at n, summed over the
@@ -33,7 +34,7 @@ from .cubesieve import reserve
 from .errors import CapacityError, QuadratureError
 from .oscillatory import KernelSlot, _leggauss, _panel_rule, plain_slot, scaled_slot
 from .params import Params
-from .weights import WeightTable, _aggregate, smooth_cube_pairs, table_bytes
+from .weights import WeightTable, _aggregate, _outer_sum, smooth_cube_pairs, table_bytes
 
 # -- exact counts --------------------------------------------------------------
 
@@ -59,8 +60,10 @@ class RnEvaluator:
     aa maps v^2 + v'^2 and bb maps p1^6 h1^2 + p2^6 h2^2 to their
     multiplicities, so R(n) = sum over keys kb of bb(kb) aa(n - kb).  The
     build checks in Python ints that no int64 key, count or sum can wrap,
-    and that each self-sum fits the memory budget: k terms peak at
-    `table_bytes(k, k)`, as k1 + k2 = k2 + k1 leaves at most half distinct.
+    and that each self-sum fits the memory budget.  A self-sum of k terms
+    is built one value range at a time within `table_bytes(k, k)`: 16 bytes
+    for each of the k^2 raw sums plus one bucket.  It keeps its distinct
+    entries, about half the raw sums since k1 + k2 = k2 + k1.
     """
 
     table_a: WeightTable
@@ -82,8 +85,8 @@ class RnEvaluator:
         (ka, ca), (kb, cb) = _square_series(ta, tb, self.primes)
         need = table_bytes(ka.size, ka.size) + table_bytes(kb.size, kb.size)
         reserve(need, f"R(n) self-sums of {ka.size} and {kb.size} terms")
-        self.aa = WeightTable("a", *_aggregate(np.add.outer(ka, ka), np.multiply.outer(ca, ca)))
-        self.bb = WeightTable("b", *_aggregate(np.add.outer(kb, kb), np.multiply.outer(cb, cb)))
+        self.aa = WeightTable("a", *_outer_sum(ka, ca, ka, ca))
+        self.bb = WeightTable("b", *_outer_sum(kb, cb, kb, cb))
         self.prefix = np.concatenate(([0], np.cumsum(self.aa.counts)))
 
     def __call__(self, n: int) -> int:
@@ -118,14 +121,15 @@ def toy_tables() -> tuple[WeightTable, WeightTable, list[int]]:
 def dense_dft_bytes(L: int, terms: int) -> int:
     """Upper bound on the bytes `rn_dense_dft` holds for a length-L transform of `terms` series terms.
 
-    The two squared series peak at 32 bytes per term while they are built
-    and keep 16 after.  Then at most four length-L float64 arrays are live
+    The two squared series peak at 33 bytes per term while they are built
+    (the squares, both outputs, a flag byte and the run ends) and keep 16
+    after.  Then at most four length-L float64 arrays are live
     at once (both transforms beside two products, or beside the last
     product and the inverse transform), plus 64 bytes for the Nyquist bins;
     2^13 bytes cover the array headers and the interpreter's own small
     allocations.
     """
-    return 32 * L + 32 * terms + 2**13
+    return 32 * L + 33 * terms + 2**13
 
 
 def rn_dense_dft(table_a: WeightTable, table_b: WeightTable, primes: list[int]) -> np.ndarray:

@@ -7,12 +7,13 @@ The table maps each attained value v = T(y) to its multiplicity, i.e. the
 number of ordered triples producing it.  These multiplicities are the
 coefficients of the quadratic generating sums evaluated in generating.py.
 
-Both folds (the smooth pair sums, then the leading cube against them) go
-through one exact aggregation: each (value, count) pair is packed into an
-int64 key, the keys are sorted in place, and the counts of each run of
-equal values are summed.  At P = 10^4 the bulk table has 11.4M entries and
-the build holds 32 bytes per entry at its peak; `table_bytes` is the
-capacity guard's estimate of it.
+Both folds (the smooth pair sums, then the leading cube against them) are
+outer sums, built one value range at a time by `_outer_sum`: each range
+gathers at most BUCKET raw sums, packs each with its count into one int64
+key, sorts the keys in cache and sums the counts of each run of equal
+values into the preallocated output.  At P = 10^4 the bulk table has 11.4M
+entries and the build holds the 16-byte output entries plus one bucket;
+`table_bytes` is the capacity guard's estimate of it.
 
 Disk formats: a little-endian binary record (magic WCL1) and a CSV with
 header ``value,multiplicity``; a JSON sidecar carries provenance fields.
@@ -34,6 +35,10 @@ from .smooth import enumerate_smooth
 
 MAGIC = b"WCL1"
 
+# Raw sums one bucket of `_outer_sum` gathers at most; also the entries per
+# block that `save_binary` and `load_binary` move through memory at a time.
+BUCKET = 1 << 16
+
 
 @dataclass
 class WeightTable:
@@ -44,11 +49,11 @@ class WeightTable:
     counts: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        self.support = np.asarray(self.support, dtype=np.int64)
-        self.counts = np.asarray(self.counts, dtype=np.int64)
+        self.support = np.ascontiguousarray(self.support, dtype=np.int64)
+        self.counts = np.ascontiguousarray(self.counts, dtype=np.int64)
         if self.support.shape != self.counts.shape:
             raise ValueError("support and counts must be parallel")
-        if self.support.size and (np.diff(self.support) <= 0).any():
+        if not (self.support[1:] > self.support[:-1]).all():
             raise ValueError("support must be strictly increasing")
         if (self.counts <= 0).any():
             raise ValueError("multiplicities must be positive")
@@ -71,37 +76,131 @@ class WeightTable:
         return dict(zip(self.support.tolist(), self.counts.tolist()))
 
 
+def _key_bits(lo: int, hi: int, top_count: int) -> int:
+    """Bits a count up to `top_count` takes below values in [lo, hi] in one int64 key."""
+    sh = top_count.bit_length()
+    if lo < 0 or hi >> (63 - sh):
+        raise OverflowError(f"values in [{lo}, {hi}] do not fit an int64 key beside {sh} count bits")
+    return sh
+
+
 def _aggregate(values: np.ndarray, counts) -> tuple[np.ndarray, np.ndarray]:
     """Distinct `values` in increasing order and the summed `counts` of each.
 
     `values` is a non-negative int64 array that this call overwrites;
     `counts` is positive and broadcasts against it.  Each pair is packed into
-    one int64 key, value above count, so a single in-place sort orders the
-    pairs by value, and equal values form runs that `np.add.reduceat` sums.
-    Equal keys are identical pairs, so the sort need not be stable.  At most
-    32 bytes per entry are live at once: the key, the unpacked counts, the
-    run starts and the sums.
+    one int64 key, value above count, and `_runs` reduces the keys into
+    output allocated at one entry per key and trimmed in place.
     """
-    if values.size == 0:
-        return values.reshape(-1), np.zeros(0, np.int64)
-    sh = int(np.max(counts)).bit_length()
-    lo, hi = int(values.min()), int(values.max())
-    if lo < 0 or hi >> (63 - sh):
-        raise OverflowError(f"values in [{lo}, {hi}] do not fit an int64 key beside {sh} count bits")
-    values <<= sh
-    values |= counts
-    key = values.reshape(-1)
+    m = values.size
+    sup, cnt = np.empty(m, np.int64), np.empty(m, np.int64)
+    if m:
+        sh = _key_bits(int(values.min()), int(values.max()), int(np.max(counts)))
+        values <<= sh
+        values |= counts
+        d = _runs(values.reshape(-1), sh, sup, cnt, np.empty(m, bool))
+        sup.resize(d, refcheck=False)
+        cnt.resize(d, refcheck=False)
+    return sup, cnt
+
+
+def _runs(key: np.ndarray, sh: int, sup: np.ndarray, cnt: np.ndarray, last: np.ndarray) -> int:
+    """Reduce m keys packed `sh` count bits deep; return the number d of distinct values.
+
+    The keys are sorted in place, so equal values form runs; equal keys are
+    identical pairs, so the sort need not be stable.  The distinct values go
+    to sup[:d] and their summed counts to cnt[:d].  `sup`, `cnt` and the
+    bool scratch `last` hold at least m entries, and `key` is overwritten.
+    A run's count is the difference of the running count total at its last
+    key and at the last key of the run before; int64 wraparound in the
+    running total cancels in that difference.  The only allocation is the
+    d run ends.
+    """
+    m = key.size
     key.sort()
-    cnt = key & ((1 << sh) - 1)
+    total = cnt[:m]
+    np.bitwise_and(key, (1 << sh) - 1, out=total)
     key >>= sh
-    first = np.empty(key.size, dtype=bool)
-    first[:1] = True
-    np.not_equal(key[1:], key[:-1], out=first[1:])
-    starts = np.flatnonzero(first)
-    del first
-    sums = np.add.reduceat(cnt, starts)
-    del cnt
-    return key[starts], sums
+    last = last[:m]
+    last[-1] = True
+    np.not_equal(key[1:], key[:-1], out=last[:-1])
+    ends = np.flatnonzero(last)
+    d = ends.size
+    np.take(key, ends, out=sup[:d], mode="clip")
+    np.cumsum(total, out=total)
+    at_end = np.take(total, ends, out=key[:d], mode="clip")
+    cnt[0] = at_end[0]
+    np.subtract(at_end[1:], at_end[:-1], out=cnt[1:d])
+    return d
+
+
+def _outer_sum(x: np.ndarray, cx: np.ndarray, y: np.ndarray, cy: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Distinct x_i + y_j in increasing order and the summed cx_i * cy_j of each.
+
+    x and y are sorted non-negative int64 arrays and cx, cy their positive
+    int64 counts.  The |x| |y| raw sums are never formed at once.  The value
+    axis is cut into ranges of at most BUCKET raw sums, each range's width
+    scaled from the fill of the one before, and `searchsorted` gives each
+    row's part of a range.  `_bucket` packs those sums into one reused key
+    array and `_runs` reduces them into the output, which is preallocated
+    at one entry per raw sum and trimmed in place at the end.  Until a
+    bucket's d values are written, its output slots from the current end on
+    are free scratch, since at most m <= raw - pos raw sums remain.  A single
+    value with more than BUCKET raw sums is one bucket.
+    """
+    if x.size > y.size:
+        x, cx, y, cy = y, cy, x, cx  # the shorter side indexes the rows
+    raw = x.size * y.size
+    sup, cnt = np.empty(raw, np.int64), np.empty(raw, np.int64)
+    if raw == 0:
+        return sup, cnt
+    bottom, top = int(x[0]) + int(y[0]), int(x[-1]) + int(y[-1])
+    sh = _key_bits(bottom, top, int(cx.max()) * int(cy.max()))
+    key, last = np.empty(min(raw, BUCKET), np.int64), np.empty(min(raw, BUCKET), bool)
+    target, span = BUCKET - BUCKET // 16, top + 1 - bottom
+    width = span if raw <= BUCKET else max(1, span * target // raw)
+    e0, pos, lo = bottom, 0, np.zeros(x.size, np.int64)
+    while e0 <= top:
+        e1 = min(e0 + width, top + 1)
+        hi = np.searchsorted(y, e1 - x)  # row i's sums below e1 are x_i + y[:hi_i]
+        m = int((hi - lo).sum())
+        if m > BUCKET and e1 - e0 > 1:
+            width = max(1, (e1 - e0) * target // m)
+            continue
+        if m > key.size:
+            key, last = np.empty(m, np.int64), np.empty(m, bool)
+        if m:
+            _bucket(x, cx, y, cy, lo, hi, sh, key[:m], sup[pos : pos + m], cnt[pos : pos + m])
+            pos += _runs(key[:m], sh, sup[pos:], cnt[pos:], last)
+        width = max(1, (e1 - e0) * target // m) if m else 2 * (e1 - e0)
+        e0, lo = e1, hi
+    sup.resize(pos, refcheck=False)
+    cnt.resize(pos, refcheck=False)
+    return sup, cnt
+
+
+def _bucket(x, cx, y, cy, lo, hi, sh: int, key: np.ndarray, idx: np.ndarray, c: np.ndarray) -> None:
+    """Write the m = key.size keys (x_i + y_j) << sh | cx_i * cy_j over lo_i <= j < hi_i into `key`, row by row.
+
+    `idx` and `c` are m-entry scratch.  Row i's part takes the y indices
+    lo_i, lo_i + 1, ..., so the indices are a cumulative sum of steps: 1
+    within a row, and from one row's last index to the next row's lo at
+    each row's head.  The largest allocation is one repeat of a row
+    quantity, 8m bytes, which is no less than the run ends `_runs` takes.
+    """
+    lens = hi - lo
+    rows = np.flatnonzero(lens)
+    lens = lens[rows]
+    heads = np.cumsum(lens) - lens
+    idx.fill(1)
+    idx[heads] = lo[rows] - np.concatenate(([1], hi[rows[:-1]])) + 1
+    np.cumsum(idx, out=idx)
+    np.take(y, idx, out=key, mode="clip")
+    key += np.repeat(x[rows], lens)
+    key <<= sh
+    np.take(cy, idx, out=c, mode="clip")
+    c *= np.repeat(cx[rows], lens)
+    key |= c
 
 
 def build_weight_table(params: Params, role: str) -> WeightTable:
@@ -125,24 +224,28 @@ def build_weight_table(params: Params, role: str) -> WeightTable:
     pair_sup, pair_cnt = smooth_cube_pairs(box, params.R)
     reserve(table_bytes(len(leading), pair_sup.size), f"weight table role={role} ({len(leading)} x {pair_sup.size})")
     cubes = np.arange(leading.start, leading.stop, dtype=np.int64) ** 3
-    return WeightTable(role, *_aggregate(np.add.outer(cubes, pair_sup), pair_cnt))
+    return WeightTable(role, *_outer_sum(cubes, np.ones(cubes.size, np.int64), pair_sup, pair_cnt))
 
 
 def smooth_cube_pairs(box: int, R: int) -> tuple[np.ndarray, np.ndarray]:
     """a^3 + b^3 over R-smooth a, b in [1, box]: the distinct sums and the number of ordered pairs giving each."""
     c = enumerate_smooth(box, R).members ** 3
-    return _aggregate(np.add.outer(c, c), 1)
+    ones = np.ones(c.size, np.int64)
+    return _outer_sum(c, ones, c, ones)
 
 
 def table_bytes(leading: int, pairs: int) -> int:
-    """Upper bound on the bytes `build_weight_table` holds once the pair table is built.
+    """Upper bound on the bytes `_outer_sum` holds for a `leading` x `pairs` table, inputs included.
 
-    `_aggregate` peaks at 32 bytes per (leading cube, pair sum) entry.  The
-    pair table (16 bytes per pair) and the leading cubes (8 bytes each) stay
-    live beside it; 8 more bytes per leading value cover the interpreter's
-    own small allocations.
+    The output is preallocated at 16 bytes per raw sum.  A bucket of m <=
+    BUCKET raw sums adds 17 bytes per entry: the reused key and flag arrays
+    and one 8m-byte row repeat.  Once the output is trimmed to its d entries,
+    checking its order takes one byte per entry.  40 bytes per input entry,
+    fitted to tracemalloc, cover the inputs with their counts and the
+    per-row cut arrays.
     """
-    return 32 * leading * pairs + 16 * (pairs + leading)
+    raw = leading * pairs
+    return 16 * raw + max(17 * min(raw, BUCKET), raw) + 40 * (leading + pairs)
 
 
 # -- serialization -----------------------------------------------------------
@@ -151,22 +254,25 @@ def table_bytes(leading: int, pairs: int) -> int:
 def table_digest(table: WeightTable) -> str:
     h = hashlib.sha256()
     h.update(table.role.encode())
-    h.update(table.support.tobytes())
-    h.update(table.counts.tobytes())
+    h.update(table.support)
+    h.update(table.counts)
     return h.hexdigest()[:16]
 
 
 def save_binary(table: WeightTable, path: str | Path, meta: dict | None = None) -> None:
-    """MAGIC, role byte, u64 pair count, then (u64 value, u64 count) pairs."""
+    """MAGIC, role byte, u64 pair count, then (u64 value, u64 count) pairs, interleaved BUCKET pairs at a time."""
     path = Path(path)
+    n = len(table)
     with open(path, "wb") as f:
         f.write(MAGIC)
         f.write(table.role.encode("ascii"))
-        f.write(struct.pack("<Q", len(table)))
-        body = np.empty((len(table), 2), dtype="<u8")
-        body[:, 0] = table.support
-        body[:, 1] = table.counts
-        f.write(body.tobytes())
+        f.write(struct.pack("<Q", n))
+        block = np.empty((min(n, BUCKET), 2), dtype="<u8")
+        for i in range(0, n, BUCKET):
+            part = block[: min(BUCKET, n - i)]
+            part[:, 0] = table.support[i : i + BUCKET]
+            part[:, 1] = table.counts[i : i + BUCKET]
+            f.write(part)
     _write_sidecar(table, path, "WCL1", meta)
 
 
@@ -177,13 +283,24 @@ def _write_sidecar(table: WeightTable, path: Path, fmt: str, meta: dict | None) 
 
 
 def load_binary(path: str | Path) -> WeightTable:
-    raw = Path(path).read_bytes()
-    if raw[:4] != MAGIC:
-        raise ValueError(f"bad magic {raw[:4]!r}")
-    role = raw[4:5].decode("ascii")
-    (npairs,) = struct.unpack_from("<Q", raw, 5)
-    body = np.frombuffer(raw, dtype="<u8", count=2 * npairs, offset=13).reshape(npairs, 2)
-    return WeightTable(role=role, support=body[:, 0].astype(np.int64), counts=body[:, 1].astype(np.int64))
+    """Read a `save_binary` record BUCKET pairs at a time into the table's own arrays."""
+    path = Path(path)
+    with open(path, "rb") as f:
+        head = f.read(13)
+        if head[:4] != MAGIC:
+            raise ValueError(f"bad magic {head[:4]!r}")
+        role = head[4:5].decode("ascii")
+        (npairs,) = struct.unpack_from("<Q", head, 5)
+        if path.stat().st_size < 13 + 16 * npairs:
+            raise ValueError(f"{path} is shorter than its {npairs} pairs")
+        support, counts = np.empty(npairs, np.int64), np.empty(npairs, np.int64)
+        block = np.empty((min(npairs, BUCKET), 2), dtype="<u8")
+        for i in range(0, npairs, BUCKET):
+            part = block[: min(BUCKET, npairs - i)]
+            f.readinto(part)
+            support[i : i + BUCKET] = part[:, 0]
+            counts[i : i + BUCKET] = part[:, 1]
+    return WeightTable(role=role, support=support, counts=counts)
 
 
 def save_csv(table: WeightTable, path: str | Path, meta: dict | None = None) -> None:

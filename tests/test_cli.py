@@ -66,6 +66,20 @@ def test_enumerate_weight_table_binary(tmp_path):
     assert table.total == 4
 
 
+def test_enumerate_bulk_table_binary_round_trip(tmp_path, monkeypatch):
+    from cubesquares import weights
+    from cubesquares.params import derive_params
+
+    N = 27**6
+    monkeypatch.setattr(weights, "BUCKET", 64)  # several buckets and write blocks
+    assert run(tmp_path, "enumerate", "--table", "a", "--N", str(N), "--format", "bin") == 0
+    table = weights.load_binary(tmp_path / f"weights_a_N{N}.wcl")
+    meta = json.loads((tmp_path / f"weights_a_N{N}.wcl.meta.json").read_text())
+    assert meta["format"] == "WCL1" and meta["pairs"] == len(table) == 210
+    built = weights.build_weight_table(derive_params(N), "a")
+    assert weights.table_digest(table) == meta["digest"] == weights.table_digest(built)
+
+
 def test_local_verify_sets(tmp_path):
     assert run(tmp_path, "local", "--verify-sets") == 0
     assert run(tmp_path, "local", "--verify-paper-sets") == 0

@@ -7,7 +7,9 @@ import pytest
 from cubesquares import weights
 from cubesquares.cubesieve import BUDGET_ENV
 from cubesquares.errors import CapacityError
+from cubesquares.mainterm import RnEvaluator, _square_series
 from cubesquares.params import derive_params
+from cubesquares.scale import Scale
 from cubesquares.smooth import enumerate_smooth
 from cubesquares.weights import (
     WeightTable,
@@ -27,6 +29,11 @@ def _aggregate_oracle(values: np.ndarray, counts: np.ndarray) -> tuple[np.ndarra
     acc = np.zeros(sup.size, dtype=np.int64)
     np.add.at(acc, inv.ravel(), counts.ravel())
     return sup, acc
+
+
+def _one_sort_oracle(x, cx, y, cy) -> tuple[np.ndarray, np.ndarray]:
+    """The former outer-sum route: every raw sum at once through one `_aggregate` call."""
+    return weights._aggregate(np.add.outer(x, y), np.multiply.outer(cx, cy))
 
 
 def _family(pp, role):
@@ -146,20 +153,42 @@ def test_digest_distinguishes_tables():
     assert len(table_digest(t1)) == 16
 
 
-def test_memory_guard_matches_allocation(monkeypatch):
-    pp = derive_params(1000**6)
+def _guard_need(pp) -> int:
     leading, box = _family(pp, "a")
     c = enumerate_smooth(box, pp.R).members ** 3
-    need = table_bytes(len(leading), np.unique(np.add.outer(c, c)).size)
-    monkeypatch.setenv(BUDGET_ENV, str(need))
+    return table_bytes(len(leading), np.unique(np.add.outer(c, c)).size)
+
+
+def _traced_build(pp) -> tuple[WeightTable, int]:
     tracemalloc.start()
     try:
         table = build_weight_table(pp, "a")
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+    return table, peak
+
+
+def test_memory_guard_matches_allocation(monkeypatch):
+    pp = derive_params(1000**6)
+    need = _guard_need(pp)
+    monkeypatch.setenv(BUDGET_ENV, str(need))
+    table, peak = _traced_build(pp)
     assert len(table) > 0
     # the estimate bounds the allocation and is not far above it
+    assert 0.99 * need <= peak <= need
+    monkeypatch.setenv(BUDGET_ENV, str(need - 1))
+    with pytest.raises(CapacityError):
+        build_weight_table(pp, "a")
+
+
+def test_memory_guard_matches_allocation_over_many_buckets(monkeypatch):
+    pp = derive_params(2000**6)
+    need = _guard_need(pp)
+    assert need > 16 * 10 * weights.BUCKET  # over ten buckets of raw sums
+    monkeypatch.setenv(BUDGET_ENV, str(need))
+    table, peak = _traced_build(pp)
+    assert len(table) > 0
     assert 0.99 * need <= peak <= need
     monkeypatch.setenv(BUDGET_ENV, str(need - 1))
     with pytest.raises(CapacityError):
@@ -179,3 +208,93 @@ def test_multiplicity_lookup():
     assert t.multiplicity(5) == 0
     assert len(t) == 2
     assert np.array_equal(t.support, np.array([4, 7]))
+
+
+# -- one value range at a time against the one-sort route ------------------------
+
+
+@pytest.mark.parametrize("P", [8, 27, 64, 1000])
+@pytest.mark.parametrize("role", ["a", "b"])
+def test_bucketed_table_matches_one_sort(monkeypatch, P, role):
+    pp = derive_params(P**6)
+    leading, box = _family(pp, role)
+    c = enumerate_smooth(box, pp.R).members ** 3
+    ones = np.ones(c.size, np.int64)
+    pair_sup, pair_cnt = _one_sort_oracle(c, ones, c, ones)
+    cubes = np.arange(leading.start, leading.stop, dtype=np.int64) ** 3
+    want = WeightTable(role, *_one_sort_oracle(cubes, np.ones(cubes.size, np.int64), pair_sup, pair_cnt))
+    monkeypatch.setattr(weights, "BUCKET", 300)
+    got = build_weight_table(pp, role)
+    assert np.array_equal(got.support, want.support) and np.array_equal(got.counts, want.counts)
+    assert table_digest(got) == table_digest(want)
+
+
+@pytest.mark.parametrize("bucket", [1, 7, 50, 300])
+def test_outer_sum_matches_one_sort_across_bucket_edges(monkeypatch, bucket):
+    rng = np.random.default_rng(bucket)
+    # x = y = 0..39 gives each sum s up to 40 raw entries from 40 different
+    # rows, more than a bucket holds, so equal sums meet every bucket edge
+    span = np.arange(40, dtype=np.int64)
+    gappy = np.unique(rng.integers(0, 10**6, size=90))
+    cases = [(span, span), (gappy, span), (gappy, gappy[::3].copy()), (span[:1], gappy)]
+    monkeypatch.setattr(weights, "BUCKET", bucket)
+    for x, y in cases:
+        cx = rng.integers(1, 1000, size=x.size)
+        cy = rng.integers(1, 1000, size=y.size)
+        want = _one_sort_oracle(x, cx, y, cy)
+        for args in ((x, cx, y, cy), (y, cy, x, cx)):
+            got = weights._outer_sum(*args)
+            assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+            assert got[1].sum() == cx.sum() * cy.sum()
+
+
+def test_outer_sum_of_an_empty_side(monkeypatch):
+    monkeypatch.setattr(weights, "BUCKET", 7)
+    empty, three = np.empty(0, np.int64), np.arange(3, dtype=np.int64)
+    for x, y in ((empty, three), (three, empty), (empty, empty)):
+        sup, cnt = weights._outer_sum(x, np.ones(x.size, np.int64), y, np.ones(y.size, np.int64))
+        assert sup.size == cnt.size == 0 and sup.dtype == cnt.dtype == np.int64
+
+
+@pytest.mark.parametrize("P", [2, 5])
+def test_empty_thin_tables(monkeypatch, P):
+    # P = 2 has no thin smooth box, P = 5 an empty thin leading range
+    pp = derive_params(P**6)
+    monkeypatch.setattr(weights, "BUCKET", 7)
+    tb = build_weight_table(pp, "b")
+    assert len(tb) == 0 and tb.total == 0
+    ev = RnEvaluator(build_weight_table(pp, "a"), tb, [2])
+    assert len(ev.bb) == 0 and ev.total == 0 and ev.window_mass(0, 10**9) == 0
+
+
+def _oracle_mass(aa, bb, lo, hi) -> int:
+    prefix = np.concatenate(([0], np.cumsum(aa[1])))
+    inside = prefix[np.searchsorted(aa[0], hi - bb[0], "right")] - prefix[np.searchsorted(aa[0], lo - bb[0])]
+    return int(bb[1] @ inside)
+
+
+@pytest.mark.parametrize("P", [27, 64])
+def test_bucketed_rn_matches_one_sort(monkeypatch, P):
+    scale = Scale(P**6)
+    (ka, ca), (kb, cb) = _square_series(scale.table_a, scale.table_b, scale.primes)
+    aa, bb = _one_sort_oracle(ka, ca, ka, ca), _one_sort_oracle(kb, cb, kb, cb)
+    monkeypatch.setattr(weights, "BUCKET", 300)
+    ev = RnEvaluator(scale.table_a, scale.table_b, scale.primes)
+    for table, want in ((ev.aa, aa), (ev.bb, bb)):
+        assert np.array_equal(table.support, want[0]) and np.array_equal(table.counts, want[1])
+    N = scale.params.N
+    for lo, hi in ((0, ev.max_n), (N // 2, N), (N // 3, N // 3 + 1000)):
+        assert ev.window_mass(lo, hi) == _oracle_mass(aa, bb, lo, hi)
+
+
+def test_binary_blocks_keep_the_bytes(tmp_path, monkeypatch):
+    t = build_weight_table(derive_params(27**6), "a")
+    save_binary(t, tmp_path / "one.wcl")
+    monkeypatch.setattr(weights, "BUCKET", 64)  # 210 pairs in four blocks
+    save_binary(t, tmp_path / "blocks.wcl")
+    assert (tmp_path / "blocks.wcl").read_bytes() == (tmp_path / "one.wcl").read_bytes()
+    back = load_binary(tmp_path / "blocks.wcl")
+    assert table_digest(back) == table_digest(t)
+    (tmp_path / "short.wcl").write_bytes((tmp_path / "one.wcl").read_bytes()[:-8])
+    with pytest.raises(ValueError):
+        load_binary(tmp_path / "short.wcl")
