@@ -149,7 +149,7 @@ def _outer_sum(x: np.ndarray, cx: np.ndarray, y: np.ndarray, cy: np.ndarray) -> 
     value with more than BUCKET raw sums is one bucket.
     """
     if x.size > y.size:
-        x, cx, y, cy = y, cy, x, cx  # the shorter side indexes the rows
+        x, cx, y, cy = y, cy, x, cx  # each bucket costs O(rows): take the shorter side
     raw = x.size * y.size
     sup, cnt = np.empty(raw, np.int64), np.empty(raw, np.int64)
     if raw == 0:
