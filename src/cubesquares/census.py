@@ -2,11 +2,11 @@
 
 C = sums of three positive cubes (min 3).  n is representable when
 n = c1^2 + c2^2 + c3^2 + c4^2 with all ci in C.  The census builds the
-pair set {c1^2 + c2^2} <= N, takes its sumset exactly in integers by
-shift-OR on a bit-packed copy (the pair set is sparse: 56 400 members at
-N = 10^7, so OR-ing one shifted copy per member p <= N/2 is cheap), and
-reports the exceptional set E(N), witnesses, and the provable obstruction
-family n = 2^(6+12j).
+pair set A = {c1^2 + c2^2} <= N, takes its sumset A + A exactly in
+integers by shift-OR on a bit-packed copy, and reports the exceptional set
+E(N), witnesses, and the provable obstruction family n = 2^(6+12j).  A is
+itself B + B with B = {c^2 <= N} (379 members at N = 10^7), so A + A =
+(A + B) + B is two passes of one shifted OR per square.
 """
 
 from __future__ import annotations
@@ -55,52 +55,57 @@ class Census:
 
 
 def _words(N: int) -> int:
-    """uint64 words holding bits 0..N, plus one zero word for the shift carry."""
-    return (N + 1 + 63) // 64 + 1
+    """uint64 words holding bits 0..N."""
+    return (N + 1 + 63) // 64
 
 
 def census_bytes(N: int) -> int:
     """Upper bound on the bytes `run_census(N)` allocates at once.
 
-    The bool arrays `pair` and `representable` (N + 1 bytes each) are alive
-    together at the end.  During the sumset `pair` is alive beside four word
-    arrays (packed pair, shifted copy, carry, output) and one group of at
-    most N/128 + 1 shifts (a bool copy, int64 indices and a list of ints).
+    During the two shift-OR passes `pair` (N + 1 bytes) is alive beside four
+    word arrays: the packed pair set, the three-square sums, the shifted copy
+    and its carry.  At the unpack `pair`, one word array and the bool
+    `representable` (N + 1 bytes) are alive, which is the larger of the two.
     The cube-sum members and their squares are O(sqrt N).
     """
     words = 8 * _words(N)
-    shifts = 56 * (N // 128 + 1)
     small = 2**14 + 64 * floor_nth_root(N, 2)
-    return (N + 1) + max((N + 1) + words, 4 * words + shifts) + small
+    return (N + 1) + max(4 * words, words + (N + 1)) + small
 
 
-def _sumset(pair: np.ndarray, N: int) -> np.ndarray:
-    """Bool over 0..N: p + q with p, q in `pair`, exactly, by shift-OR on uint64 words.
+def _sumset(pair: np.ndarray, squares: np.ndarray, N: int) -> np.ndarray:
+    """Bool over 0..N: sums of four squares from `squares`, exactly, by shift-OR on uint64 words.
 
-    Bit k of word w stands for 64 w + k.  The sums p + q with p <= q <= N
-    have p <= N/2, so those p are the shifts.
+    `pair` marks the sums of two of them, so the sumset pair + pair is
+    (pair + squares) + squares: two passes of one shift per square.  Bit k
+    of word w stands for 64 w + k.
     """
     words = np.zeros(_words(N), dtype="<u8")
     words.view(np.uint8)[: (N + 8) // 8] = np.packbits(pair, bitorder="little")
-    out = _shift_or(words, pair[: N // 2 + 1], N)
-    del words  # before the (N + 1)-byte unpack, as `census_bytes` counts
-    return np.unpackbits(out.view(np.uint8), count=N + 1, bitorder="little").view(bool)
-
-
-def _shift_or(words: np.ndarray, shifts: np.ndarray, N: int) -> np.ndarray:
-    """OR of the packed set `words` shifted by every p with `shifts[p]`.
-
-    Shifts are grouped by r = p mod 64, and one copy of `words` shifted left
-    by r bits serves the whole group: for p = 64 w + r it is OR-ed in w
-    words further on, over a word range that covers every q in [p, N - p].
-    Extra bits it sets are still sums p + q; bits past N are never read.
-    """
-    W = words.size
-    out = np.zeros_like(words)
+    three = np.zeros_like(words)
     sh = np.empty_like(words)
     carry = np.empty_like(words)
+    _shift_or(words, squares, three, sh, carry)
+    words.fill(0)
+    _shift_or(three, squares, words, sh, carry)
+    del three, sh, carry  # before the (N + 1)-byte unpack, as `census_bytes` counts
+    return np.unpackbits(words.view(np.uint8), count=N + 1, bitorder="little").view(bool)
+
+
+def _shift_or(words: np.ndarray, shifts: np.ndarray, out: np.ndarray, sh: np.ndarray, carry: np.ndarray) -> None:
+    """OR `words` shifted left by every b in `shifts` (all below 64 * words.size) into `out`.
+
+    `sh` and `carry` are scratch arrays of the same size as `words`.
+
+    Shifts are grouped by r = b mod 64, and one copy of `words` shifted left
+    by r bits, with the carry from the word below, serves the whole group:
+    for b = 64 w + r it is OR-ed in w words further on.  Bits shifted past
+    the last word are dropped.  The bits `_sumset` sets past N are never
+    read, and left shifts only move them further up.
+    """
+    W = words.size
     for r in range(64):
-        ws = np.flatnonzero(shifts[r::64]).tolist()
+        ws = (shifts[shifts % 64 == r] // 64).tolist()
         if not ws:
             continue
         src = words
@@ -110,9 +115,7 @@ def _shift_or(words: np.ndarray, shifts: np.ndarray, N: int) -> np.ndarray:
             np.right_shift(words[:-1], 64 - r, out=carry[:-1])
             sh[1:] |= carry[:-1]
         for w in ws:
-            k1 = min(W - w, ((N - 64 * w) >> 6) + 1)
-            out[2 * w : w + k1] |= src[w:k1]
-    return out
+            out[w:] |= src[: W - w]
 
 
 def run_census(N: int) -> Census:
@@ -127,7 +130,7 @@ def run_census(N: int) -> Census:
     for c2 in sq.tolist():
         rest = sq[sq <= N - c2]
         pair[rest + c2] = True
-    representable = _sumset(pair, N)
+    representable = _sumset(pair, sq, N)
     cens = Census(N=N, cube_sums=members, pair=pair, representable=representable)
     _assert_family_consistency(cens)
     return cens

@@ -25,6 +25,7 @@ import hashlib
 import json
 import struct
 from dataclasses import dataclass, field
+from itertools import islice
 from pathlib import Path
 
 import numpy as np
@@ -314,15 +315,28 @@ def save_csv(table: WeightTable, path: str | Path, meta: dict | None = None) -> 
 
 
 def load_csv(path: str | Path, role: str = "a") -> WeightTable:
-    values, counts = [], []
+    """Parse a `save_csv` file BUCKET lines at a time into the table's own int64 arrays.
+
+    A first pass counts the lines in binary blocks, which bounds the pairs
+    and sizes the arrays; blank lines are skipped.
+    """
+    path = Path(path)
+    with open(path, "rb") as f:
+        lines = 1 + sum(block.count(b"\n") for block in iter(lambda: f.read(1 << 20), b""))
+    support, counts = np.empty(lines, np.int64), np.empty(lines, np.int64)
+    n = 0
     with open(path) as f:
         header = f.readline().strip()
         if header != "value,multiplicity":
             raise ValueError(f"bad CSV header {header!r}")
-        for line in f:
-            if not line.strip():
+        while block := list(islice(f, BUCKET)):
+            rows = [line for line in block if not line.isspace()]
+            if not rows:
                 continue
-            v, c = line.split(",")
-            values.append(int(v))
-            counts.append(int(c))
-    return WeightTable(role=role, support=np.array(values, np.int64), counts=np.array(counts, np.int64))
+            part = np.loadtxt(rows, delimiter=",", dtype=np.int64, comments=None, ndmin=2)
+            if part.shape[1] != 2:
+                raise ValueError(f"{path}: expected value,multiplicity rows, got {part.shape[1]} fields")
+            support[n : n + len(part)] = part[:, 0]
+            counts[n : n + len(part)] = part[:, 1]
+            n += len(part)
+    return WeightTable(role=role, support=support[:n], counts=counts[:n])

@@ -6,6 +6,8 @@ import pytest
 
 from cubesquares.census import (
     DyadicFilter,
+    _shift_or,
+    _words,
     brute_force_representable,
     census_bytes,
     family_members_upto,
@@ -72,6 +74,31 @@ def test_counts_frozen():
     assert run_census(10**6).E_count == 214116
 
 
+def test_count_frozen_at_ten_million():
+    assert run_census(10**7).E_count == 318295
+
+
+def _as_int(words: np.ndarray) -> int:
+    return int.from_bytes(words.tobytes(), "little")
+
+
+# sparse seeded sets, every shift residue mod 64 (squares reach only 12 of
+# them), and the word edges 0, 63, 64, 65 and the largest shift N
+@pytest.mark.parametrize("N", [64, 65, 4097, 20_000])
+def test_shift_or_matches_int_oracle(N):
+    rng = np.random.default_rng(N)
+    W = _words(N)
+    words = np.packbits(rng.random(64 * W) < 16 / (64 * W), bitorder="little").view("<u8").copy()
+    out = np.packbits(rng.random(64 * W) < 1 / 64, bitorder="little").view("<u8").copy()
+    shifts = [0, 63, 64, 65, N] + [64 * int(rng.integers(0, (N - r) // 64 + 1)) + r for r in range(64)]
+    src, want = _as_int(words), _as_int(out)
+    for b in shifts:
+        want |= src << b
+    _shift_or(words, np.array(shifts), out, np.empty_like(words), np.empty_like(words))
+    mask = (1 << (N + 1)) - 1
+    assert _as_int(out) & mask == want & mask
+
+
 # word boundaries of the uint64 packing (63/64/65, 127/128/129, 4095/4096/4097),
 # the first representable n = 36, and the shift group r = 0 (p = 64 w)
 @pytest.mark.parametrize("N", [1, 35, 36, 63, 64, 65, 127, 128, 129, 4095, 4096, 4097, 10**5, 10**6])
@@ -92,7 +119,7 @@ def test_memory_guard_matches_allocation(monkeypatch):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= estimate
+    assert 0.95 * estimate <= peak <= estimate  # peak / estimate measured 0.968
     monkeypatch.setenv(BUDGET_ENV, str(estimate - 1))
     with pytest.raises(CapacityError):
         run_census(N)

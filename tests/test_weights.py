@@ -125,6 +125,20 @@ def test_csv_round_trip(tmp_path):
     assert table_digest(back) == table_digest(t)
 
 
+def test_csv_blocks_skip_blank_lines(tmp_path, monkeypatch):
+    t = build_weight_table(derive_params(27**6), "a")
+    p = tmp_path / "t.csv"
+    save_csv(t, p)
+    monkeypatch.setattr(weights, "BUCKET", 64)  # 210 pairs in four blocks, then one all-blank block
+    with open(p, "a") as f:
+        f.write(" \n" + "\n" * 64)
+    assert table_digest(load_csv(p, role="a")) == table_digest(t)
+    for bad in ("value,count\n1,1\n", "value,multiplicity\n1,1,1\n", "value,multiplicity\n1,1\n2,x\n"):
+        (tmp_path / "bad.csv").write_text(bad)
+        with pytest.raises(ValueError):
+            load_csv(tmp_path / "bad.csv")
+
+
 def test_csv_sidecar_matches_binary(tmp_path):
     t = WeightTable("b", (10, 11, 40), (2, 1, 7))
     save_csv(t, tmp_path / "t.csv", meta={"origin": "test"})
