@@ -1,8 +1,8 @@
 #!/usr/bin/env python3
 """Compare the exact representation mass over [N/2, N] with the model density.
 
-The exact side sums R(n) over the window from the two cached self-convolved
-series.  The predicted side samples S(n; Q) * J(n) on a deterministic stride
+The exact side sums R(n) over the window by one sweep of the bulk squares
+per thin pair sum.  The predicted side samples S(n; Q) * J(n) on a deterministic stride
 and multiplies the mean by the window length.  At small scales the thin
 leading interval holds very few integers, so the continuous model undercounts
 by roughly (interval length)^-2; the ratio printed here quantifies that

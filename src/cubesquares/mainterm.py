@@ -5,10 +5,9 @@
 
 weighted by the table multiplicities: v, v' run over the bulk table, h1, h2
 over the thin table, p1, p2 over the prime window.  R is a double
-convolution of two integer-indexed series, evaluated sparsely and exactly
-on sorted int64 key arrays that `weights._aggregate` and
-`weights._outer_sum` build; a dense FFT route over the full index range
-cross-checks it.
+convolution of two integer-indexed series, counted exactly by a sweep of
+the sorted bulk squares for each thin pair sum, in memory linear in the
+bulk table; a dense FFT route over the full index range cross-checks it.
 
 The model main term is (singular series at n) * J(n) where J(n) is the
 four-fold convolution of the kernel slot densities at n, summed over the
@@ -25,11 +24,12 @@ single tuples.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from functools import lru_cache
 
 import numpy as np
 
+from . import weights
 from .cubesieve import reserve
 from .errors import CapacityError, QuadratureError
 from .oscillatory import KernelSlot, _leggauss, _panel_rule, plain_slot, scaled_slot
@@ -48,69 +48,68 @@ def _max_n(table_a: WeightTable, table_b: WeightTable, primes: list[int]) -> int
 
 def _square_series(table_a: WeightTable, table_b: WeightTable, primes: list[int]):
     """a = {v^2} over the bulk table and b = {p^6 h^2} over the thin table and primes, as sorted keys and counts."""
-    a = _aggregate(table_a.support**2, table_a.counts)
+    a = (table_a.support**2, table_a.counts)  # distinct non-negative values have distinct squares
     b = _aggregate(np.multiply.outer(np.array(primes, np.int64) ** 6, table_b.support**2), table_b.counts)
     return a, b
 
 
-@dataclass
 class RnEvaluator:
-    """Caches the two self-convolved series so many n are cheap.
+    """Keeps the bulk square series a and the thin self-sum bb so many n are cheap.
 
-    aa maps v^2 + v'^2 and bb maps p1^6 h1^2 + p2^6 h2^2 to their
-    multiplicities, so R(n) = sum over keys kb of bb(kb) aa(n - kb).  The
-    build checks in Python ints that no int64 key, count or sum can wrap,
-    and that each self-sum fits the memory budget.  A self-sum of k terms
-    is built one value range at a time within `table_bytes(k, k)`: 16 bytes
-    for each of the k^2 raw sums plus one bucket.  It keeps its distinct
-    entries, about half the raw sums since k1 + k2 = k2 + k1.
+    a maps v^2 and bb maps p1^6 h1^2 + p2^6 h2^2 to their multiplicities.
+    With F(t) = sum of ca_i ca_j over ka_i + ka_j <= t, a window mass is the
+    sum of bb(kb) (F(hi - kb) - F(lo - 1 - kb)) over bb keys kb, each F(t) a
+    searchsorted of t - ka into ka over the prefix sums of ca.  The int64
+    checks, in Python ints, and `rn_bytes` come before any allocation.
     """
 
-    table_a: WeightTable
-    table_b: WeightTable
-    primes: list[int]
-    aa: WeightTable = field(init=False, repr=False)
-    bb: WeightTable = field(init=False, repr=False)
-    prefix: np.ndarray = field(init=False, repr=False)
-
-    def __post_init__(self):
-        ta, tb, m = self.table_a, self.table_b, len(self.primes)
-        total = (ta.total * m * tb.total) ** 2
-        if total >> 63:
-            raise CapacityError(f"sum of R(n) = {total} does not fit an int64")
-        top = _max_n(ta, tb, self.primes)
-        bits = (max(int(ta.counts.max(initial=0)), m * int(tb.counts.max(initial=0))) ** 2).bit_length()
-        if top.bit_length() + bits > 63:
-            raise CapacityError(f"R(n) keys up to {top} do not fit an int64 beside {bits} count bits")
-        (ka, ca), (kb, cb) = _square_series(ta, tb, self.primes)
-        need = table_bytes(ka.size, ka.size) + table_bytes(kb.size, kb.size)
-        reserve(need, f"R(n) self-sums of {ka.size} and {kb.size} terms")
-        self.aa = WeightTable("a", *_outer_sum(ka, ca, ka, ca))
+    def __init__(self, table_a: WeightTable, table_b: WeightTable, primes: list[int]):
+        m, top = len(primes), _max_n(table_a, table_b, primes)
+        square = int(table_a.support.max(initial=0)) ** 2
+        bits = ((m * int(table_b.counts.max(initial=0))) ** 2).bit_length()  # beside each packed bb key
+        total = (table_a.total * m * table_b.total) ** 2
+        if top >> 63 or total >> 63 or (top - 2 * square).bit_length() + bits > 63:
+            raise CapacityError(f"R(n) keys to {top}, bb keys beside {bits} count bits or sum {total} overflow int64")
+        reserve(rn_bytes(len(table_a), m * len(table_b)), "R(n) sweep and thin self-sum")
+        (ka, ca), (kb, cb) = _square_series(table_a, table_b, primes)
+        self.a = WeightTable("a", ka, ca)
         self.bb = WeightTable("b", *_outer_sum(kb, cb, kb, cb))
-        self.prefix = np.concatenate(([0], np.cumsum(self.aa.counts)))
+        self.total = total  # sum_n R(n) = (a total)^2 * (|primes| b total)^2
+        self.max_n = 2 * square + int(self.bb.support[-1]) if total else 0
 
     def __call__(self, n: int) -> int:
         return self.window_mass(n, n)
 
     def window_mass(self, lo: int, hi: int) -> int:
-        """sum of R(n) over lo <= n <= hi, exactly, by prefix sums over the aa keys."""
+        """sum of R(n) over lo <= n <= hi, exactly, by sweeps of at most BUCKET (t, i) entries, or one t."""
         lo, hi = max(lo, 0), min(hi, self.max_n)
-        if hi < lo:
+        if hi < lo or not self.total:
             return 0
-        keys, kb = self.aa.support, self.bb.support
-        inside = self.prefix[np.searchsorted(keys, hi - kb, "right")] - self.prefix[np.searchsorted(keys, lo - kb)]
-        return int(self.bb.counts @ inside)
+        ka, ca, kb = self.a.support, self.a.counts, self.bb.support
+        pre = np.concatenate(([0], np.cumsum(ca)))
+        t = np.concatenate((hi - kb, lo - 1 - kb))
+        f = np.empty(t.size, np.int64)  # F(t)
+        block = np.empty((min(max(1, weights.BUCKET // ka.size), t.size), ka.size), np.int64)
+        for s in range(0, t.size, len(block)):
+            b = block[: t.size - s]
+            for x, row in zip(t[s : s + len(b)].tolist(), b):  # row by row: a broadcast would take ufunc buffers
+                np.subtract(x, ka, out=row)
+            np.take(pre, np.searchsorted(ka, b, "right"), out=b, mode="clip")
+            np.matmul(b, ca, out=f[s : s + len(b)])
+        return int(self.bb.counts @ (f[: kb.size] - f[kb.size :]))
 
-    @property
-    def max_n(self) -> int:
-        if not len(self.aa) or not len(self.bb):
-            return 0
-        return int(self.aa.support[-1]) + int(self.bb.support[-1])
 
-    @property
-    def total(self) -> int:
-        """sum_n R(n) = (a total)^2 * (|primes| b total)^2."""
-        return self.aa.total * self.bb.total
+def rn_bytes(k: int, nb: int) -> int:
+    """Upper bound on the bytes `RnEvaluator` holds for k bulk squares and nb thin terms.
+
+    Building bb takes `table_bytes(nb, nb)`; its <= nb (nb + 1) / 2 keys give
+    twice as many t.  A sweep block of r rows of k entries takes 16 bytes per
+    entry (differences, then prefix sums, and indices), beside 16 per square,
+    24 per t and 2^12 bytes of headers.
+    """
+    ts = nb * (nb + 1)
+    rows = max(1, min(weights.BUCKET // max(k, 1), ts))
+    return table_bytes(nb, nb) + 16 * rows * k + 16 * k + 24 * ts + 2**12
 
 
 def toy_tables() -> tuple[WeightTable, WeightTable, list[int]]:

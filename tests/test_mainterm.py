@@ -12,9 +12,11 @@ from cubesquares.cubesieve import BUDGET_ENV
 from cubesquares.errors import CapacityError, QuadratureError
 from cubesquares.mainterm import (
     RnEvaluator,
+    _square_series,
     conv4_value,
     conv4_value_beta,
     dense_dft_bytes,
+    rn_bytes,
     rn_dense_dft,
     singular_integral_J,
 )
@@ -22,7 +24,7 @@ from cubesquares.oscillatory import _leggauss, plain_slot, scaled_slot
 from cubesquares.params import derive_params
 from cubesquares.scale import Scale
 from cubesquares.smooth import enumerate_smooth
-from cubesquares.weights import WeightTable, table_bytes
+from cubesquares.weights import WeightTable, _outer_sum
 
 TOY_A = WeightTable("a", (3,), (1,))
 TOY_B = WeightTable("b", (3,), (1,))
@@ -318,7 +320,7 @@ def test_window_mass_matches_pointwise_sum():
 
 
 def _rn_dict_oracle(table_a, table_b, primes):
-    """The second exact route: aa and bb as {key: multiplicity} dicts, by Python-int loops."""
+    """The second exact route: a, aa and bb as {key: multiplicity} dicts, by Python-int loops."""
 
     def self_sum(x):
         out = {}
@@ -333,7 +335,21 @@ def _rn_dict_oracle(table_a, table_b, primes):
     for p in primes:
         for v, c in zip(table_b.support.tolist(), table_b.counts.tolist()):
             b[p**6 * v * v] = b.get(p**6 * v * v, 0) + c
-    return self_sum(a), self_sum(b)
+    return a, self_sum(a), self_sum(b)
+
+
+class _AaTableRn:
+    """The former program route: the bulk self-sum aa built as a table, masses by prefix sums over its keys."""
+
+    def __init__(self, table_a, table_b, primes):
+        (ka, ca), (kb, cb) = _square_series(table_a, table_b, primes)
+        self.aa, self.bb = _outer_sum(ka, ca, ka, ca), _outer_sum(kb, cb, kb, cb)
+        self.prefix = np.concatenate(([0], np.cumsum(self.aa[1])))
+
+    def window_mass(self, lo, hi):
+        keys, (kb, cb) = self.aa[0], self.bb
+        inside = self.prefix[np.searchsorted(keys, hi - kb, "right")] - self.prefix[np.searchsorted(keys, lo - kb)]
+        return int(cb @ inside)
 
 
 def _dict_rn(aa, bb, n):
@@ -353,8 +369,8 @@ def _dict_window_mass(aa, bb, lo, hi):
 def test_rn_matches_dict_oracle(P):
     scale = Scale(P**6)
     ev = scale.rn
-    aa, bb = _rn_dict_oracle(scale.table_a, scale.table_b, scale.primes)
-    for table, oracle in ((ev.aa, aa), (ev.bb, bb)):
+    a, aa, bb = _rn_dict_oracle(scale.table_a, scale.table_b, scale.primes)
+    for table, oracle in ((ev.a, a), (ev.bb, bb)):
         assert list(zip(table.support.tolist(), table.counts.tolist())) == sorted(oracle.items())
     lo, hi = scale.params.N // 2, scale.params.N
     mass = ev.window_mass(lo, hi)
@@ -368,8 +384,25 @@ def test_rn_matches_dict_oracle(P):
     assert all(ev(n) > 0 for n in hits)
 
 
+@pytest.mark.parametrize("P", [27, 64, 100])
+def test_rn_matches_aa_table_oracle(P):
+    scale = Scale(P**6)
+    ev, oracle = scale.rn, _AaTableRn(scale.table_a, scale.table_b, scale.primes)
+    N = scale.params.N
+    assert ev.max_n == int(oracle.aa[0][-1]) + int(oracle.bb[0][-1])
+    assert ev.window_mass(0, ev.max_n) == ev.total == oracle.window_mass(0, ev.max_n)
+    for lo, hi in ((N // 2, N), (N // 3, N // 3 + 1000), (N // 4, 3 * N // 4), (N, 2 * N)):
+        assert ev.window_mass(lo, hi) == oracle.window_mass(lo, hi)
+    rng = np.random.default_rng(P)
+    (ka, _), (kb, _) = oracle.aa, oracle.bb
+    hits = ka[rng.integers(ka.size, size=30)] + kb[rng.integers(kb.size, size=30)]
+    for n in [*rng.integers(N // 2, N + 1, size=30).tolist(), *hits.tolist()]:
+        assert ev(n) == oracle.window_mass(n, n)
+    assert all(ev(n) > 0 for n in hits.tolist())
+
+
 def test_rn_overflowing_keys_raise():
-    # 2 v^2 must fit beside one count bit: 2 (1.5e9)^2 < 2^62 < 2 (2.2e9)^2
+    # every R(n) key must fit an int64: 2 (1.5e9)^2 + 1152 < 2^63 < 2 (2.2e9)^2
     v = 1_500_000_000
     assert RnEvaluator(WeightTable("a", (v,), (1,)), TOY_B, [2])(2 * v * v + 1152) == 1
     with pytest.raises(CapacityError):
@@ -378,22 +411,35 @@ def test_rn_overflowing_keys_raise():
         RnEvaluator(TOY_A, WeightTable("b", (400_000_000,), (1,)), [2])
     with pytest.raises(CapacityError):  # sum of R(n) = (2^16 * 2^16)^2 = 2^64
         RnEvaluator(WeightTable("a", (3,), (1 << 16,)), WeightTable("b", (3,), (1 << 16,)), [2])
+    # the bb key 2 * 2^6 h^2 must fit beside the bits of its count bound (2^10)^2: 2^43 + 21 bits does not
+    with pytest.raises(CapacityError):
+        RnEvaluator(TOY_A, WeightTable("b", (200_000,), (1 << 10,)), [2])
+    assert RnEvaluator(TOY_A, WeightTable("b", (100_000,), (1 << 10,)), [2]).total == 1 << 20
 
 
 def test_rn_memory_guard_matches_allocation(monkeypatch):
-    scale = Scale(27**6)
+    scale = Scale(64**6)
     ta, tb, primes = scale.table_a, scale.table_b, scale.primes
-    # v -> v^2 keeps the bulk keys distinct, and the thin keys p^6 h^2 are distinct at this scale
-    need = table_bytes(len(ta), len(ta)) + table_bytes(len(primes) * len(tb), len(primes) * len(tb))
+    N = scale.params.N
+    # the thin keys p^6 h^2 and their pair sums are distinct at this scale, and the sweep blocks fill
+    need = rn_bytes(len(ta), len(primes) * len(tb))
+    RnEvaluator(ta, tb, primes).window_mass(N // 2, N)  # numpy sets up its own state on first use
     monkeypatch.setenv(BUDGET_ENV, str(need))
     tracemalloc.start()
     try:
-        ev = RnEvaluator(ta, tb, primes)
+        mass = RnEvaluator(ta, tb, primes).window_mass(N // 2, N)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert len(ev.aa) > 0
+    assert mass == 170_633_786
     assert 0.99 * need <= peak <= need
     monkeypatch.setenv(BUDGET_ENV, str(need - 1))
     with pytest.raises(CapacityError):
         RnEvaluator(ta, tb, primes)
+
+
+def test_rn_at_three_hundred_fits_a_small_budget(monkeypatch):
+    # the bulk self-sum at P = 300 (k = 6 740) would need about 0.77 GB; the sweep holds O(k)
+    monkeypatch.setenv(BUDGET_ENV, str(64 << 20))
+    scale = Scale(300**6)
+    assert scale.rn.window_mass(scale.N // 2, scale.N) == 425_153_165_830

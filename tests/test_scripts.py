@@ -24,14 +24,18 @@ def test_arc_sweep_smoke():
     assert rows[0][:4] == [0.0, 64.0, 1.0, 1.0]  # alpha = 0: |h| = table a mass, on the q = 1 arc
 
 
-def test_window_workload_checks_pass():
+@pytest.mark.parametrize("traced", [False, True], ids=["untraced", "traced"])
+def test_window_workload_checks_pass(tmp_path, traced):
     # The benchmark's window workload runs scripts/window_mass.py and checks
-    # its printed mass and each S(n), J(n) call against recorded references.
-    proc = _run("perfbench/workloads.py", "--workload", "window", "--seed", "0")
+    # its printed mass and each S(n), J(n) call against recorded references,
+    # also with the layers traced.
+    spans = ["--spans", str(tmp_path / "spans.json")] if traced else []
+    proc = _run("perfbench/workloads.py", "--workload", "window", "--seed", "0", *spans)
     assert proc.returncode == 0, proc.stderr
     checks = json.loads(proc.stdout.splitlines()[-1])["checks"]
     assert len(checks) == 9
     assert [c for c in checks if not c[1]] == []
+    assert (tmp_path / "spans.json").exists() == traced
 
 
 @pytest.mark.parametrize("argv", [["scripts/window_mass.py", "--samples", "0"], ["scripts/arc_sweep.py", "--points", "0"]])

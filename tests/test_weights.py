@@ -292,13 +292,14 @@ def test_bucketed_rn_matches_one_sort(monkeypatch, P):
     scale = Scale(P**6)
     (ka, ca), (kb, cb) = _square_series(scale.table_a, scale.table_b, scale.primes)
     aa, bb = _one_sort_oracle(ka, ca, ka, ca), _one_sort_oracle(kb, cb, kb, cb)
-    monkeypatch.setattr(weights, "BUCKET", 300)
-    ev = RnEvaluator(scale.table_a, scale.table_b, scale.primes)
-    for table, want in ((ev.aa, aa), (ev.bb, bb)):
-        assert np.array_equal(table.support, want[0]) and np.array_equal(table.counts, want[1])
     N = scale.params.N
-    for lo, hi in ((0, ev.max_n), (N // 2, N), (N // 3, N // 3 + 1000)):
-        assert ev.window_mass(lo, hi) == _oracle_mass(aa, bb, lo, hi)
+    for bucket in (300, 7):  # both cut the sweep into blocks of one t; 7 also builds bb in several buckets
+        monkeypatch.setattr(weights, "BUCKET", bucket)
+        ev = RnEvaluator(scale.table_a, scale.table_b, scale.primes)
+        for table, want in ((ev.a, (ka, ca)), (ev.bb, bb)):
+            assert np.array_equal(table.support, want[0]) and np.array_equal(table.counts, want[1])
+        for lo, hi in ((0, ev.max_n), (N // 2, N), (N // 3, N // 3 + 1000)):
+            assert ev.window_mass(lo, hi) == _oracle_mass(aa, bb, lo, hi)
 
 
 def test_binary_blocks_keep_the_bytes(tmp_path, monkeypatch):
