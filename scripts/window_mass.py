@@ -33,8 +33,8 @@ def main() -> int:
 
     scale = Scale(args.P**6)
     pp = scale.params
-    thin = list(pp.leading_range_thin())
-    print(f"P={pp.P}  N={pp.N}  thin leading integers: {thin}  interval length {pp.H2 - pp.H1:.4f}")
+    thin = list(pp.thin.leading)
+    print(f"P={pp.P}  N={pp.N}  thin leading integers: {thin}  interval length {pp.thin.hi - pp.thin.lo:.4f}")
     if not thin:
         print("thin interval holds no integer at this scale; the exact mass is zero")
         return 1

@@ -31,7 +31,7 @@ from .localsolve import (
 )
 from .w2 import w2, w2_carrier, w2_scan
 from .arcs import TAU, ArcDissection, ArcHit, classify
-from .oscillatory import osc_integral_v, osc_integral_v_thin, thin_volume, v_at_zero
+from .oscillatory import osc_integral_v, osc_integral_v_thin, v_at_zero
 from .generating import F_diagnostic, W_star, eval_W, eval_h, h_star, model_V, model_W
 from .mainterm import (
     MainTermReport,

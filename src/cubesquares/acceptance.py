@@ -262,7 +262,7 @@ def criterion_11() -> CriterionResult:
     part1 = 0.99 <= ratio1 <= 1.01
 
     pp16 = derive_params(16**6)
-    degenerate16 = len(list(pp16.leading_range_thin())) == 0
+    degenerate16 = len(pp16.thin.leading) == 0
 
     scale = Scale(27**6)
     lo, hi = scale.N // 2, scale.N

@@ -34,7 +34,7 @@ from .cubesieve import reserve
 from .errors import CapacityError, QuadratureError
 from .oscillatory import KernelSlot, _leggauss, _panel_rule, plain_slot, scaled_slot
 from .params import Params
-from .weights import WeightTable, _aggregate, _outer_sum, smooth_cube_pairs, table_bytes
+from .weights import WeightTable, _outer_sum, smooth_cube_pairs, table_bytes
 
 # -- exact counts --------------------------------------------------------------
 
@@ -47,10 +47,16 @@ def _max_n(table_a: WeightTable, table_b: WeightTable, primes: list[int]) -> int
 
 
 def _square_series(table_a: WeightTable, table_b: WeightTable, primes: list[int]):
-    """a = {v^2} over the bulk table and b = {p^6 h^2} over the thin table and primes, as sorted keys and counts."""
-    a = (table_a.support**2, table_a.counts)  # distinct non-negative values have distinct squares
-    b = _aggregate(np.multiply.outer(np.array(primes, np.int64) ** 6, table_b.support**2), table_b.counts)
-    return a, b
+    """a = {v^2} over the bulk table and b = {p^6 h^2} over the thin table and primes, as sorted keys and counts.
+
+    a's keys are distinct, since distinct non-negative values have distinct
+    squares.  b's may repeat (2^6 27^2 = 3^6 8^2); every reader of b sums
+    the counts of a repeated key.
+    """
+    a = (table_a.support**2, table_a.counts)
+    kb = np.multiply.outer(np.array(primes, np.int64) ** 6, table_b.support**2).ravel()
+    order = np.argsort(kb, kind="stable")
+    return a, (kb[order], np.tile(table_b.counts, len(primes))[order])
 
 
 class RnEvaluator:
@@ -75,7 +81,7 @@ class RnEvaluator:
         self.a = WeightTable("a", ka, ca)
         self.bb = WeightTable("b", *_outer_sum(kb, cb, kb, cb))
         self.total = total  # sum_n R(n) = (a total)^2 * (|primes| b total)^2
-        self.max_n = 2 * square + int(self.bb.support[-1]) if total else 0
+        self.max_n = top if total else 0
 
     def __call__(self, n: int) -> int:
         return self.window_mass(n, n)
@@ -120,15 +126,15 @@ def toy_tables() -> tuple[WeightTable, WeightTable, list[int]]:
 def dense_dft_bytes(L: int, terms: int) -> int:
     """Upper bound on the bytes `rn_dense_dft` holds for a length-L transform of `terms` series terms.
 
-    The two squared series peak at 33 bytes per term while they are built
-    (the squares, both outputs, a flag byte and the run ends) and keep 16
-    after.  Then at most four length-L float64 arrays are live
-    at once (both transforms beside two products, or beside the last
-    product and the inverse transform), plus 64 bytes for the Nyquist bins;
-    2^13 bytes cover the array headers and the interpreter's own small
-    allocations.
+    The two squared series peak at 40 bytes per term while they are built
+    (the thin keys, their sort order, the sorted keys, the tiled counts and
+    the sorted counts) and keep 16 after.  Then at most four length-L
+    float64 arrays are live at once (both transforms beside two products,
+    or beside the last product and the inverse transform), plus 64 bytes
+    for the Nyquist bins; 2^13 bytes cover the array headers and the
+    interpreter's own small allocations.
     """
-    return 32 * L + 33 * terms + 2**13
+    return 32 * L + 40 * terms + 2**13
 
 
 def rn_dense_dft(table_a: WeightTable, table_b: WeightTable, primes: list[int]) -> np.ndarray:
@@ -281,14 +287,13 @@ class _SlotPairs:
 @lru_cache(maxsize=8)
 def _j_slot_pairs(params: Params, primes: tuple[int, ...]) -> tuple[_SlotPairs, _SlotPairs] | None:
     """Thin pairs (prime-scaled slots) and bulk pairs (plain slots) of J."""
-    c3, m3 = smooth_cube_pairs(int(math.floor(params.H3)), params.R)
-    cp, mp = smooth_cube_pairs(params.P, params.R)
+    tf, bf = params.thin, params.bulk
+    c3, m3 = smooth_cube_pairs(tf.smooth_box, params.R)
+    cp, mp = smooth_cube_pairs(bf.smooth_box, params.R)
     if not primes or not c3.size or not cp.size:
         return None
-    thin = [
-        (scaled_slot(params.H1, params.H2, float(C), p), m) for p in primes for C, m in zip(c3.tolist(), m3.tolist())
-    ]
-    bulk = [(plain_slot(params.P / 2.0, float(params.P), float(C)), m) for C, m in zip(cp.tolist(), mp.tolist())]
+    thin = [(scaled_slot(tf.lo, tf.hi, float(C), p), m) for p in primes for C, m in zip(c3.tolist(), m3.tolist())]
+    bulk = [(plain_slot(bf.lo, bf.hi, float(C)), m) for C, m in zip(cp.tolist(), mp.tolist())]
     return _SlotPairs.build(thin), _SlotPairs.build(bulk)
 
 

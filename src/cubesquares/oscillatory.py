@@ -1,8 +1,9 @@
-"""Oscillatory volume integrals of e(beta * T(x)^2) over box families.
+"""Oscillatory volume integrals of e(beta * T(x)^2) over the two cube families.
 
-v(beta) integrates e(beta (x1^3 + y2^3 + y3^3)^2) over x1 in [t_lo, t_hi] and
-y2, y3 in [0, Y].  Two independent evaluation routes are kept deliberately
-separate; they share only the Gauss panel rule and the node count per cycle:
+v(beta) integrates e(beta (x1^3 + y2^3 + y3^3)^2) over x1 in [lo, hi] and
+y2, y3 in [0, box] of a `params.Family`.  Two independent evaluation routes
+are kept deliberately separate; they share only the Gauss panel rule and the
+node count per cycle:
 
   cubature3d   tensor Gauss-Legendre directly in (x1, y2, y3) space.  The sum
                over each x1 node t is the quadratic form A(t)^T M A(t) from
@@ -13,9 +14,10 @@ separate; they share only the Gauss panel rule and the node count per cycle:
                and substituted there to remove rho's singularity and cusp.
                The name is historical; callers pass it as the method string.
 
-Both are driven by an effective frequency: the thin-family integral with
-prime p equals the plain one at beta_eff = beta * p^6 over its own box.
-The kernel slots are reused by the singular-integral convolution.
+Both are driven by an effective frequency: `osc_integral_v` integrates over
+the bulk family at beta, and `osc_integral_v_thin` over the thin family at
+beta_eff = beta * p^6 for its prime p.  The kernel slots are reused by the
+singular-integral convolution.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import QuadratureError
-from .params import Params
+from .params import Family, Params
 
 MAX_NODES_PER_AXIS = 4096
 _BLOCK = 1 << 20  # largest phase block of _kernel1d, in entries
@@ -100,12 +102,6 @@ def scaled_slot(t_lo: float, t_hi: float, C: float, p: int) -> KernelSlot:
 
 
 # -- the two integral routes ---------------------------------------------------
-
-
-def _region(params: Params, thin: bool) -> tuple[float, float, float]:
-    if thin:
-        return params.H1, params.H2, params.H3
-    return params.P / 2.0, float(params.P), float(params.P)
 
 
 def _cubature3d(beta_eff: float, t_lo: float, t_hi: float, ybox: float, tol: float) -> complex:
@@ -186,30 +182,24 @@ def _kernel1d(beta_eff: float, t_lo: float, t_hi: float, ybox: float, tol: float
     raise QuadratureError("kernel1d did not stabilize", partial=final)
 
 
-def osc_integral_v(
-    beta: float, params: Params, method: str = "kernel1d", tol: float = 1e-6, thin: bool = False, p: int = 1
-) -> complex:
-    """v(beta) over the bulk box, or its thin-family variant at prime p.
-
-    thin=True integrates over (H1, H2] x [0, H3]^2 with phase scaled by p^6.
-    """
-    t_lo, t_hi, ybox = _region(params, thin)
-    beta_eff = beta * float(p) ** 6 if thin else beta
+def _osc_integral(beta_eff: float, family: Family, method: str, tol: float) -> complex:
     if method == "kernel1d":
-        return _kernel1d(beta_eff, t_lo, t_hi, ybox, tol)
+        return _kernel1d(beta_eff, family.lo, family.hi, family.box, tol)
     if method == "cubature3d":
-        return _cubature3d(beta_eff, t_lo, t_hi, ybox, tol)
+        return _cubature3d(beta_eff, family.lo, family.hi, family.box, tol)
     raise ValueError(f"unknown method {method!r}")
 
 
+def osc_integral_v(beta: float, params: Params, method: str = "kernel1d", tol: float = 1e-6) -> complex:
+    """v(beta) over the bulk family."""
+    return _osc_integral(beta, params.bulk, method, tol)
+
+
 def osc_integral_v_thin(beta: float, p: int, params: Params, method: str = "kernel1d", tol: float = 1e-6) -> complex:
-    return osc_integral_v(beta, params, method=method, tol=tol, thin=True, p=p)
+    """v(beta) over the thin family with its phase scaled by p^6."""
+    return _osc_integral(beta * float(p) ** 6, params.thin, method, tol)
 
 
 def v_at_zero(params: Params) -> float:
     """Closed form v(0) = P^3 / 2 (box volume)."""
     return params.P**3 / 2.0
-
-
-def thin_volume(params: Params) -> float:
-    return (params.H2 - params.H1) * params.H3**2

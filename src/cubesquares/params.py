@@ -12,6 +12,9 @@ positive cubes).  The derived quantities fix the search boxes:
     H3 = (1/6)^(1/3) H^(1/3)   box for the two trailing smooth cubes
 
 The smoothness cutoff R defaults to max(2, ceil(P^eta)); eta in (0, 1).
+
+The two cube families are stated once, as `Params.bulk` and `Params.thin`;
+every other module reads them, not P/2 or H1, H2, H3.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ import numpy as np
 
 from .errors import DegenerateParamsError
 
-__all__ = ["DegenerateParamsError", "Params", "derive_params", "floor_nth_root", "primes_upto"]
+__all__ = ["DegenerateParamsError", "Family", "Params", "derive_params", "floor_nth_root", "primes_upto"]
 
 
 def floor_nth_root(n: int, k: int) -> int:
@@ -43,6 +46,30 @@ def floor_nth_root(n: int, k: int) -> int:
 
 
 @dataclass(frozen=True)
+class Family:
+    """Sums x1^3 + y2^3 + y3^3 with x1 in (lo, hi] and y2, y3 R-smooth in [1, box]."""
+
+    lo: float
+    hi: float
+    box: float
+
+    @property
+    def leading(self) -> range:
+        """The integers in (lo, hi]; often empty for the thin family at desk scale."""
+        return range(math.floor(self.lo) + 1, math.floor(self.hi) + 1)
+
+    @property
+    def smooth_box(self) -> int:
+        """floor(box), the largest integer y2, y3 may take."""
+        return math.floor(self.box)
+
+    @property
+    def volume(self) -> float:
+        """(hi - lo) box^2, the measure of the continuous box, which is v(0)."""
+        return (self.hi - self.lo) * self.box**2
+
+
+@dataclass(frozen=True)
 class Params:
     """Derived size parameters; construct through :func:`derive_params`."""
 
@@ -56,20 +83,15 @@ class Params:
     eta: float
     R: int
 
-    # -- integer ranges used by the weight tables ---------------------------
+    @property
+    def bulk(self) -> Family:
+        """x1 in (P/2, P] and y2, y3 in [1, P]."""
+        return Family(self.P / 2.0, float(self.P), float(self.P))
 
-    def leading_range_main(self) -> range:
-        """Integers y with P/2 < y <= P (leading cube of the bulk family)."""
-        return range(self.P // 2 + 1, self.P + 1)
-
-    def leading_range_thin(self) -> range:
-        """Integers y with H1 < y <= H2 (leading cube of the thin family).
-
-        Often empty at desk scale; callers must cope with that.
-        """
-        lo = math.floor(self.H1) + 1
-        hi = math.floor(self.H2)
-        return range(lo, hi + 1)
+    @property
+    def thin(self) -> Family:
+        """Its sums are scaled by p^6 for each prime p of the window."""
+        return Family(self.H1, self.H2, self.H3)
 
     def prime_window(self) -> tuple[float, float]:
         return (self.M / 2.0, self.M)

@@ -53,12 +53,12 @@ class Scale:
     @cached_property
     def c_bulk(self) -> float:
         """Smooth density of the bulk box [1, P]."""
-        return estimate_c_eta(self.params.P, self.params.R)
+        return estimate_c_eta(self.params.bulk.smooth_box, self.params.R)
 
     @cached_property
     def c_thin(self) -> float:
-        """Smooth density of the thin box [1, floor(H3)], or of [1, 1] when H3 < 1."""
-        return estimate_c_eta(max(math.floor(self.params.H3), 1), self.params.R)
+        """Smooth density of the thin box [1, smooth_box], or of [1, 1] when that box holds no integer."""
+        return estimate_c_eta(max(self.params.thin.smooth_box, 1), self.params.R)
 
     def predicted_window_mass(self, lo: int, hi: int, samples: int, Q: int) -> float:
         """(hi - lo) * mean of S(n; Q) * J(n) over `samples` n on a fixed stride from lo."""

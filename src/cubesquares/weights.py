@@ -1,19 +1,21 @@
 """Weighted supports of T(y) = y1^3 + y2^3 + y3^3 over the two cube families.
 
-Role "a" (bulk): y1 in (P/2, P], y2, y3 R-smooth in [1, P].
-Role "b" (thin): y1 in (H1, H2], y2, y3 R-smooth in [1, floor(H3)].
+Role "a" reads the family `Params.bulk` and role "b" the family
+`Params.thin`: y1 runs over the family's leading integers and y2, y3 over
+the R-smooth integers in [1, smooth_box].
 
 The table maps each attained value v = T(y) to its multiplicity, i.e. the
 number of ordered triples producing it.  These multiplicities are the
 coefficients of the quadratic generating sums evaluated in generating.py.
 
 Both folds (the smooth pair sums, then the leading cube against them) are
-outer sums, built one value range at a time by `_outer_sum`: each range
-gathers at most BUCKET raw sums, packs each with its count into one int64
-key, sorts the keys in cache and sums the counts of each run of equal
-values into the preallocated output.  At P = 10^4 the bulk table has 11.4M
-entries and the build holds the 16-byte output entries plus one bucket;
-`table_bytes` is the capacity guard's estimate of it.
+outer sums, built one value range at a time by `_outer_sum`, the one
+packed-key aggregation of the package (R(n)'s thin self-sum is another of
+its calls): each range gathers at most BUCKET raw sums, packs each with its
+count into one int64 key, sorts the keys in cache and sums the counts of
+each run of equal values into the preallocated output.  At P = 10^4 the
+bulk table has 11.4M entries and the build holds the 16-byte output entries
+plus one bucket; `table_bytes` is the capacity guard's estimate of it.
 
 Disk formats: a little-endian binary record (magic WCL1) and a CSV with
 header ``value,multiplicity``; a JSON sidecar carries provenance fields.
@@ -85,26 +87,6 @@ def _key_bits(lo: int, hi: int, top_count: int) -> int:
     return sh
 
 
-def _aggregate(values: np.ndarray, counts) -> tuple[np.ndarray, np.ndarray]:
-    """Distinct `values` in increasing order and the summed `counts` of each.
-
-    `values` is a non-negative int64 array that this call overwrites;
-    `counts` is positive and broadcasts against it.  Each pair is packed into
-    one int64 key, value above count, and `_runs` reduces the keys into
-    output allocated at one entry per key and trimmed in place.
-    """
-    m = values.size
-    sup, cnt = np.empty(m, np.int64), np.empty(m, np.int64)
-    if m:
-        sh = _key_bits(int(values.min()), int(values.max()), int(np.max(counts)))
-        values <<= sh
-        values |= counts
-        d = _runs(values.reshape(-1), sh, sup, cnt, np.empty(m, bool))
-        sup.resize(d, refcheck=False)
-        cnt.resize(d, refcheck=False)
-    return sup, cnt
-
-
 def _runs(key: np.ndarray, sh: int, sup: np.ndarray, cnt: np.ndarray, last: np.ndarray) -> int:
     """Reduce m keys packed `sh` count bits deep; return the number d of distinct values.
 
@@ -138,8 +120,8 @@ def _runs(key: np.ndarray, sh: int, sup: np.ndarray, cnt: np.ndarray, last: np.n
 def _outer_sum(x: np.ndarray, cx: np.ndarray, y: np.ndarray, cy: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Distinct x_i + y_j in increasing order and the summed cx_i * cy_j of each.
 
-    x and y are sorted non-negative int64 arrays and cx, cy their positive
-    int64 counts.  The |x| |y| raw sums are never formed at once.  The value
+    x and y are sorted non-negative int64 arrays, whose values may repeat,
+    and cx, cy their positive int64 counts.  The |x| |y| raw sums are never formed at once.  The value
     axis is cut into ranges of at most BUCKET raw sums, each range's width
     scaled from the fill of the one before, and `searchsorted` gives each
     row's part of a range.  `_bucket` packs those sums into one reused key
@@ -213,16 +195,12 @@ def build_weight_table(params: Params, role: str) -> WeightTable:
     """
     if role not in ("a", "b"):
         raise ValueError(f"role must be 'a' or 'b', got {role!r}")
-    if role == "a":
-        leading = params.leading_range_main()
-        box = params.P
-    else:
-        leading = params.leading_range_thin()
-        box = int(np.floor(params.H3))
-    if len(leading) == 0 or box < 1:
+    family = params.bulk if role == "a" else params.thin
+    leading = family.leading
+    if len(leading) == 0 or family.smooth_box < 1:
         return WeightTable(role=role, support=np.empty(0, np.int64), counts=np.empty(0, np.int64))
 
-    pair_sup, pair_cnt = smooth_cube_pairs(box, params.R)
+    pair_sup, pair_cnt = smooth_cube_pairs(family.smooth_box, params.R)
     reserve(table_bytes(len(leading), pair_sup.size), f"weight table role={role} ({len(leading)} x {pair_sup.size})")
     cubes = np.arange(leading.start, leading.stop, dtype=np.int64) ** 3
     return WeightTable(role, *_outer_sum(cubes, np.ones(cubes.size, np.int64), pair_sup, pair_cnt))

@@ -63,6 +63,20 @@ def test_dense_dft_matches_sparse():
     assert int(dense.sum()) == ev.total
 
 
+def test_repeated_thin_keys_are_summed():
+    # 2^6 27^2 = 3^6 8^2 = 46 656: two thin terms share a key, with counts 3 and 1
+    ta = WeightTable("a", (3, 5, 7), (1, 2, 1))
+    tb = WeightTable("b", (8, 27), (1, 3))
+    primes = [2, 3]
+    ev = RnEvaluator(ta, tb, primes)
+    assert ev.bb.multiplicity(2 * 46_656) == (3 + 1) ** 2
+    dense = rn_dense_dft(ta, tb, primes)
+    support = np.flatnonzero(dense).tolist()
+    assert len(support) == 36
+    assert all(ev(n) == int(dense[n]) for n in support)
+    assert ev.window_mass(0, ev.max_n) == ev.total == int(dense.sum())
+
+
 def test_dense_dft_margin_guard():
     ta = WeightTable("a", (3,), (2_000_000,))
     tb = WeightTable("b", (3,), (1_000_000,))

@@ -14,7 +14,6 @@ from cubesquares.oscillatory import (
     osc_integral_v_thin,
     plain_slot,
     scaled_slot,
-    thin_volume,
     v_at_zero,
 )
 from cubesquares.params import derive_params
@@ -135,8 +134,8 @@ def test_thin_integral_at_zero():
     pp = derive_params(27**6)
     for p in (2, 3):
         v = osc_integral_v_thin(0.0, p, pp)
-        assert v.real == pytest.approx(thin_volume(pp), rel=1e-7)
-        assert abs(v.imag) < 1e-9 * thin_volume(pp)
+        assert v.real == pytest.approx(pp.thin.volume, rel=1e-7)
+        assert abs(v.imag) < 1e-9 * pp.thin.volume
 
 
 @pytest.mark.parametrize("p", [2, 3])
@@ -146,7 +145,7 @@ def test_thin_routes_agree_off_zero(p):
         beta = 2.0 * k / pp.N
         a = osc_integral_v_thin(beta, p, pp, method="kernel1d")
         b = osc_integral_v_thin(beta, p, pp, method="cubature3d")
-        assert abs(b) < 0.99 * thin_volume(pp)  # the phase turns over the box
+        assert abs(b) < 0.99 * pp.thin.volume  # the phase turns over the box
         assert abs(a - b) <= 1e-10 * abs(b)
 
 

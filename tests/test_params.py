@@ -4,6 +4,7 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from cubesquares.errors import DegenerateParamsError
+from cubesquares.oscillatory import v_at_zero
 from cubesquares.params import derive_params, floor_nth_root
 from cubesquares.scale import Scale
 from cubesquares.smooth import estimate_c_eta
@@ -39,11 +40,20 @@ def test_derived_scales_consistent():
 
 def test_leading_ranges():
     pp = derive_params(16**6)
-    assert list(pp.leading_range_main()) == list(range(9, 17))
-    assert list(pp.leading_range_thin()) == []  # H1, H2 straddle no integer here
+    assert list(pp.bulk.leading) == list(range(9, 17))
+    assert list(pp.thin.leading) == []  # H1, H2 straddle no integer here
     pp27 = derive_params(27**6)
-    assert list(pp27.leading_range_main()) == list(range(14, 28))
-    assert list(pp27.leading_range_thin()) == [6]
+    assert list(pp27.bulk.leading) == list(range(14, 28))
+    assert list(pp27.thin.leading) == [6]
+
+
+@pytest.mark.parametrize("P, thin_box", [(16, 2), (27, 3), (64, 6)])
+def test_family_boxes_and_volumes(P, thin_box):
+    pp = derive_params(P**6)
+    assert pp.bulk.smooth_box == P
+    assert pp.thin.smooth_box == thin_box == math.floor(pp.H3)
+    assert pp.bulk.volume == v_at_zero(pp)
+    assert pp.thin.volume == (pp.H2 - pp.H1) * pp.H3**2
 
 
 def test_prime_window_and_defaults():

@@ -1,4 +1,5 @@
 import json
+import math
 import tracemalloc
 
 import numpy as np
@@ -32,14 +33,15 @@ def _aggregate_oracle(values: np.ndarray, counts: np.ndarray) -> tuple[np.ndarra
 
 
 def _one_sort_oracle(x, cx, y, cy) -> tuple[np.ndarray, np.ndarray]:
-    """The former outer-sum route: every raw sum at once through one `_aggregate` call."""
-    return weights._aggregate(np.add.outer(x, y), np.multiply.outer(cx, cy))
+    """The former outer-sum route: every raw sum at once, aggregated by the `np.unique` oracle."""
+    return _aggregate_oracle(np.add.outer(x, y), np.multiply.outer(cx, cy))
 
 
 def _family(pp, role):
+    """Leading integers and smooth box of each family, stated here apart from `Params`."""
     if role == "a":
-        return pp.leading_range_main(), pp.P
-    return pp.leading_range_thin(), int(np.floor(pp.H3))
+        return range(pp.P // 2 + 1, pp.P + 1), pp.P
+    return range(math.floor(pp.H1) + 1, math.floor(pp.H2) + 1), math.floor(pp.H3)
 
 
 def _table_oracle(pp, role) -> WeightTable:
@@ -65,24 +67,27 @@ def test_table_matches_aggregation_oracle(P, role):
     assert table_digest(got) == table_digest(want)
 
 
-def test_aggregate_matches_oracle_on_repeats():
+def test_outer_sum_matches_oracle_on_repeated_inputs():
     rng = np.random.default_rng(7)
-    values = rng.integers(0, 50, size=(40, 25), dtype=np.int64)
-    counts = rng.integers(1, 1000, size=25, dtype=np.int64)  # a count of several bits
-    want = _aggregate_oracle(values, np.broadcast_to(counts, values.shape))
-    got = weights._aggregate(values.copy(), counts)
+    x = np.sort(rng.integers(0, 50, size=40))  # repeated values on both sides
+    y = np.sort(rng.integers(0, 50, size=25))
+    cx = rng.integers(1, 1000, size=x.size)  # counts of several bits
+    cy = rng.integers(1, 1000, size=y.size)
+    want = _aggregate_oracle(np.add.outer(x, y), np.multiply.outer(cx, cy))
+    got = weights._outer_sum(x, cx, y, cy)
     assert np.array_equal(got[0], want[0])
     assert np.array_equal(got[1], want[1])
-    assert got[1].sum() == 40 * counts.sum()
+    assert got[1].sum() == cx.sum() * cy.sum()
 
 
-def test_aggregate_rejects_values_past_the_key():
+def test_outer_sum_rejects_values_past_the_key():
     # one count bit leaves 62 bits for the value
+    one, zero = np.ones(1, np.int64), np.zeros(1, np.int64)
     with pytest.raises(OverflowError):
-        weights._aggregate(np.array([2**62], dtype=np.int64), 1)
+        weights._outer_sum(np.array([2**62], dtype=np.int64), one, zero, one)
     with pytest.raises(OverflowError):
-        weights._aggregate(np.array([-1], dtype=np.int64), 1)
-    sup, cnt = weights._aggregate(np.array([2**62 - 1, 2**62 - 1], dtype=np.int64), 1)
+        weights._outer_sum(np.array([-1], dtype=np.int64), one, zero, one)
+    sup, cnt = weights._outer_sum(np.array([2**62 - 1, 2**62 - 1], dtype=np.int64), np.ones(2, np.int64), zero, one)
     assert sup.tolist() == [2**62 - 1] and cnt.tolist() == [2]
 
 
@@ -90,7 +95,7 @@ def test_build_totals_and_support():
     pp = derive_params(8**6)
     ta = build_weight_table(pp, "a")
     U = len(enumerate_smooth(pp.P, pp.R))
-    n1 = len(list(pp.leading_range_main()))
+    n1 = len(_family(pp, "a")[0])
     assert ta.total == n1 * U * U
     # every supported value is a sum of three cubes in the admissible box
     assert ta.support.min() >= (pp.P // 2 + 1) ** 3 + 2
