@@ -7,7 +7,7 @@ from cubesquares.acceptance import run_all
 
 
 def main() -> int:
-    results = run_all(verbose=True)
+    results = run_all()
     return 0 if all(r.passed for r in results) else 1
 
 

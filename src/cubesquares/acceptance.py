@@ -309,15 +309,13 @@ ALL_CRITERIA = [
 ]
 
 
-def run_all(verbose: bool = True) -> list[CriterionResult]:
+def run_all() -> list[CriterionResult]:
+    """Run every criterion, printing one line each and a tally."""
     results = []
     for fn in ALL_CRITERIA:
         res = fn()
         results.append(res)
-        if verbose:
-            tag = "PASS" if res.passed else "FAIL"
-            print(f"[{tag}] criterion {res.index:2d} ({res.name}) [{res.elapsed:.2f}s] {res.detail}")
-    if verbose:
-        n_pass = sum(r.passed for r in results)
-        print(f"{n_pass}/{len(results)} criteria passed")
+        tag = "PASS" if res.passed else "FAIL"
+        print(f"[{tag}] criterion {res.index:2d} ({res.name}) [{res.elapsed:.2f}s] {res.detail}")
+    print(f"{sum(r.passed for r in results)}/{len(results)} criteria passed")
     return results

@@ -46,10 +46,10 @@ class ArcDissection:
         return cls(X=float(P) ** 0.8, n=n)
 
     @classmethod
-    def narrow(cls, P: int, n: int, tau: float = TAU) -> "ArcDissection":
+    def narrow(cls, P: int, n: int) -> "ArcDissection":
         if P < 3:
             raise ValueError("narrow dissection needs log P > 1")
-        return cls(X=math.log(P) ** tau, n=n)
+        return cls(X=math.log(P) ** TAU, n=n)
 
     def half_width(self, q: int) -> float:
         return self.X / (q * self.n)

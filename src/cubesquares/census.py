@@ -2,10 +2,11 @@
 
 C = sums of three positive cubes (min 3).  n is representable when
 n = c1^2 + c2^2 + c3^2 + c4^2 with all ci in C.  The census builds the
-pair set A = {c1^2 + c2^2} <= N, takes its sumset A + A exactly in
-integers by shift-OR on a bit-packed copy, and reports the exceptional set
-E(N), witnesses, and the provable obstruction family n = 2^(6+12j).  A is
-itself B + B with B = {c^2 <= N} (379 members at N = 10^7), so A + A =
+pair set A = {c1^2 + c2^2} <= N in bit-packed uint64 words, takes its
+sumset A + A exactly in integers by shift-OR, and reports the exceptional
+set E(N), witnesses, and the provable obstruction family n = 2^(6+12j),
+checking that family and the lift n -> 64 n on every run.  A is itself
+B + B with B = {c^2 <= N} (379 members at N = 10^7), so A + A =
 (A + B) + B is two passes of one shifted OR per square.
 """
 
@@ -27,7 +28,7 @@ class Census:
 
     N: int
     cube_sums: np.ndarray = field(repr=False)  # members of C up to floor(sqrt(N))
-    pair: np.ndarray = field(repr=False)  # bool: sums of two squares of C-members
+    pair: np.ndarray = field(repr=False)  # uint64 words, bit k of word w for 64 w + k: sums of two C-member squares
     representable: np.ndarray = field(repr=False)  # bool over 0..N
 
     @property
@@ -62,34 +63,32 @@ def _words(N: int) -> int:
 def census_bytes(N: int) -> int:
     """Upper bound on the bytes `run_census(N)` allocates at once.
 
-    During the two shift-OR passes `pair` (N + 1 bytes) is alive beside four
-    word arrays: the packed pair set, the three-square sums, the shifted copy
-    and its carry.  At the unpack `pair`, one word array and the bool
-    `representable` (N + 1 bytes) are alive, which is the larger of the two.
-    The cube-sum members and their squares are O(sqrt N).
+    During the second shift-OR pass five word arrays are alive: the packed
+    pair set, the three-square sums, the shifted copy, its carry and the
+    four-square sums.  At the unpack the pair set, the four-square sums and
+    the bool `representable` (N + 1 bytes) are alive.  The cube-sum members,
+    their squares and the per-square bit scatter are O(sqrt N).
     """
     words = 8 * _words(N)
-    small = 2**14 + 64 * floor_nth_root(N, 2)
-    return (N + 1) + max(4 * words, words + (N + 1)) + small
+    small = 2**13 + 8 * floor_nth_root(N, 2)
+    return max(5 * words, 2 * words + (N + 1)) + small
 
 
 def _sumset(pair: np.ndarray, squares: np.ndarray, N: int) -> np.ndarray:
     """Bool over 0..N: sums of four squares from `squares`, exactly, by shift-OR on uint64 words.
 
-    `pair` marks the sums of two of them, so the sumset pair + pair is
-    (pair + squares) + squares: two passes of one shift per square.  Bit k
-    of word w stands for 64 w + k.
+    `pair` holds the sums of two of them as packed words (bit k of word w
+    stands for 64 w + k) and is left intact.  The sumset pair + pair is
+    (pair + squares) + squares: two passes of one shift per square.
     """
-    words = np.zeros(_words(N), dtype="<u8")
-    words.view(np.uint8)[: (N + 8) // 8] = np.packbits(pair, bitorder="little")
-    three = np.zeros_like(words)
-    sh = np.empty_like(words)
-    carry = np.empty_like(words)
-    _shift_or(words, squares, three, sh, carry)
-    words.fill(0)
-    _shift_or(three, squares, words, sh, carry)
+    three = np.zeros_like(pair)
+    sh = np.empty_like(pair)
+    carry = np.empty_like(pair)
+    _shift_or(pair, squares, three, sh, carry)
+    four = np.zeros_like(pair)
+    _shift_or(three, squares, four, sh, carry)
     del three, sh, carry  # before the (N + 1)-byte unpack, as `census_bytes` counts
-    return np.unpackbits(words.view(np.uint8), count=N + 1, bitorder="little").view(bool)
+    return np.unpackbits(four.view(np.uint8), count=N + 1, bitorder="little").view(bool)
 
 
 def _shift_or(words: np.ndarray, shifts: np.ndarray, out: np.ndarray, sh: np.ndarray, carry: np.ndarray) -> None:
@@ -125,11 +124,11 @@ def run_census(N: int) -> Census:
     root = floor_nth_root(N, 2)
     sieve = sieve_cube_sums(root)
     members = sieve.members
-    pair = np.zeros(N + 1, dtype=bool)
+    pair = np.zeros(_words(N), dtype="<u8")
     sq = members.astype(np.int64) ** 2
     for c2 in sq.tolist():
-        rest = sq[sq <= N - c2]
-        pair[rest + c2] = True
+        s = sq[sq <= N - c2] + c2
+        np.bitwise_or.at(pair, s >> 6, np.uint64(1) << (s & 63).astype(np.uint64))
     representable = _sumset(pair, sq, N)
     cens = Census(N=N, cube_sums=members, pair=pair, representable=representable)
     _assert_family_consistency(cens)
@@ -154,7 +153,8 @@ def witness_for(census: Census, n: int) -> tuple[int, int, int, int] | None:
             break
         rest = n - s1 - sq[i:]
         ok = rest >= 2 * sq[i:]
-        ok[ok] = census.pair[rest[ok]]
+        r = rest[ok]
+        ok[ok] = (census.pair[r >> 6] >> (r & 63).astype(np.uint64)) & 1
         for j in (np.flatnonzero(ok) + i).tolist():
             c2 = members[j]
             s2 = s1 + c2 * c2
@@ -265,10 +265,17 @@ def family_members_upto(N: int) -> list[int]:
 
 
 def _assert_family_consistency(census: Census) -> None:
-    """The proved family must show up as exceptional; checked, not assumed."""
+    """The proved family must show up as exceptional, and C's 64-lift as representable; checked, not assumed.
+
+    (2x)^3 + (2y)^3 + (2z)^3 = 8 (x^3 + y^3 + z^3), so 8C is inside C and
+    every representable n <= N / 64 has 64 n representable.
+    """
+    r = census.representable
     for n in family_members_upto(census.N):
-        if census.representable[n]:
+        if r[n]:
             raise VerificationError(f"family member {n} claims to be representable")
+    if not r[64 * np.flatnonzero(r[: census.N // 64 + 1])].all():
+        raise VerificationError("some representable n has 64 n marked exceptional")
 
 
 @dataclass

@@ -13,10 +13,10 @@ The model main term is (singular series at n) * J(n) where J(n) is the
 four-fold convolution of the kernel slot densities at n, summed over the
 discrete smooth tuples and prime pairs.  Convolution is multilinear, so
 that sum is one convolution of summed slots, (T * T * U * U)(n): the thin
-and bulk slot pairs are built once per (params, primes) and J(n) is a
-single deterministic Gauss integral over their pair convolutions, with the
-bulk pair sum interpolated from a few Chebyshev points per smooth panel.
-The per-tuple sum of conv4_value and the bulk sum at every Gauss node are
+and bulk slot pairs are built once per (params, primes), each pair sum is
+expanded in a Chebyshev series on its smooth panels, and J(n) is a single
+deterministic Gauss integral of the product of the two series.  The
+per-tuple sum of conv4_value and both pair sums at every Gauss node are
 its test oracles, and conv4_value_beta an independent Fourier route for
 single tuples.
 """
@@ -164,24 +164,24 @@ def rn_dense_dft(table_a: WeightTable, table_b: WeightTable, primes: list[int]) 
 # -- singular integral ----------------------------------------------------------
 
 
-def _pair_conv(sa: KernelSlot, sb: KernelSlot, u: np.ndarray, order: int = 24) -> np.ndarray:
-    """(B_a * B_b)(u) on an array of points, each a smooth 1D integral."""
+def _pair_conv(sa: KernelSlot, sb: KernelSlot, u: np.ndarray) -> np.ndarray:
+    """(B_a * B_b)(u) on an array of points, each a smooth 1D integral by a 24-point Gauss rule."""
     lo = np.maximum(sa.gamma_lo, u - sb.gamma_hi)
     hi = np.minimum(sa.gamma_hi, u - sb.gamma_lo)
     span = np.maximum(hi - lo, 0.0)
-    x, w = _leggauss(order)  # the rule on [0, 1] is 0.5 + 0.5 x with weights 0.5 w
+    x, w = _leggauss(24)  # the rule on [0, 1] is 0.5 + 0.5 x with weights 0.5 w
     g = lo[None, :] + span[None, :] * (0.5 + 0.5 * x)[:, None]
     gb = np.maximum(u[None, :] - g, sb.gamma_lo)  # clamp float dust at the edge
     vals = sa.density(np.maximum(g, sa.gamma_lo)) * sb.density(gb)
     return np.sum(vals * (0.5 * w)[:, None], axis=0) * span
 
 
-def conv4_value(slots: tuple[KernelSlot, ...], n: float, order: int = 24) -> float:
+def conv4_value(slots: tuple[KernelSlot, ...], n: float) -> float:
     """(B1 * B2 * B3 * B4)(n) as int F12(u) F34(n - u) du.
 
     F12 and F34 are the pair convolutions; they are smooth between known
     breakpoints (where the overlap window changes shape), so the outer
-    integral is split there and each piece gets its own Gauss rule.
+    integral is split there and each piece gets its own 24-point Gauss rule.
     """
     s1, s2, s3, s4 = slots
     b12 = [s1.gamma_lo + s2.gamma_lo, s1.gamma_lo + s2.gamma_hi, s1.gamma_hi + s2.gamma_lo, s1.gamma_hi + s2.gamma_hi]
@@ -193,12 +193,12 @@ def conv4_value(slots: tuple[KernelSlot, ...], n: float, order: int = 24) -> flo
     cuts = sorted({u_lo, u_hi, *(b for b in b12 if u_lo < b < u_hi), *(n - b for b in b34 if u_lo < n - b < u_hi)})
     total = 0.0
     for a, b in zip(cuts[:-1], cuts[1:]):
-        u, wu = _panel_rule(a, b, 1, order)
-        total += float(np.sum(wu * _pair_conv(s1, s2, u, order) * _pair_conv(s3, s4, n - u, order)))
+        u, wu = _panel_rule(a, b, 1, 24)
+        total += float(np.sum(wu * _pair_conv(s1, s2, u) * _pair_conv(s3, s4, n - u)))
     return total
 
 
-def conv4_value_beta(slots: tuple[KernelSlot, ...], n: float, K: float = 40.0, order: int = 16) -> float:
+def conv4_value_beta(slots: tuple[KernelSlot, ...], n: float, K: float = 40.0) -> float:
     """Independent route: truncated Fourier inversion over |beta| <= K/n.
 
     Each slot transform is evaluated on a shared beta grid; the truncation
@@ -209,10 +209,10 @@ def conv4_value_beta(slots: tuple[KernelSlot, ...], n: float, K: float = 40.0, o
     glo = sum(s.gamma_lo for s in slots)
     ghi = sum(s.gamma_hi for s in slots)
     rate = max(abs(glo - n), abs(ghi - n), 1.0)
-    panels = max(8, int(4.0 * T * rate / order) + 8)
-    if panels * order > 200_000:
-        raise QuadratureError(f"beta grid would need {panels * order} nodes; n is far outside the support")
-    beta, wb = _panel_rule(-T, T, panels, order)
+    panels = max(8, int(4.0 * T * rate / 16) + 8)
+    if panels * 16 > 200_000:
+        raise QuadratureError(f"beta grid would need {panels * 16} nodes; n is far outside the support")
+    beta, wb = _panel_rule(-T, T, panels, 16)
     prod = np.ones_like(beta, dtype=np.complex128)
     for s in slots:
         cycles = T * (s.gamma_hi - s.gamma_lo)
@@ -224,16 +224,15 @@ def conv4_value_beta(slots: tuple[KernelSlot, ...], n: float, K: float = 40.0, o
     return float(val.real)
 
 
-# Outer nodes per pair-convolution call, and per interpolation block of
-# _BLOCK // 2.  Each (order x block) or (block / 2 x _CHEB_POINTS) float64
-# temporary stays under glibc's 128 KiB mmap threshold, so it is reused from
-# the heap rather than mapped and page-faulted in on every call.
+# Points per pair-convolution call.  Each (24 x block) float64 temporary
+# stays under glibc's 128 KiB mmap threshold, so it is reused from the heap
+# rather than mapped and page-faulted in on every call.
 _BLOCK = 512
 
-# F_UU is sampled at _CHEB_POINTS Chebyshev-Lobatto points per smooth bulk
-# panel.  A panel whose last three Chebyshev coefficients exceed _CHEB_TAIL
-# of its largest |F_UU|, plus the samples' rounding noise, is bisected, at
-# most _CHEB_ROUNDS times over.
+# Each pair sum is sampled at _CHEB_POINTS Chebyshev-Lobatto points per
+# smooth panel.  A panel whose last three Chebyshev coefficients exceed
+# _CHEB_TAIL of its largest sample, plus the samples' rounding noise, is
+# bisected, at most _CHEB_ROUNDS times over.
 _CHEB_POINTS = 32
 _CHEB_TAIL = 1e-12
 _CHEB_ROUNDS = 4
@@ -298,72 +297,66 @@ def _j_slot_pairs(params: Params, primes: tuple[int, ...]) -> tuple[_SlotPairs, 
 
 
 @lru_cache(maxsize=4)
-def _lobatto(m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Ascending Chebyshev-Lobatto points t_k on [-1, 1], their barycentric
-    weights, and the m x m cosine matrix taking samples at t_k to the
-    Chebyshev coefficients (up to sign, as t_k runs upward).
+def _lobatto(m: int) -> tuple[np.ndarray, np.ndarray]:
+    """Ascending Chebyshev-Lobatto points t_k on [-1, 1] and the m x m matrix
+    taking samples at t_k to the Chebyshev coefficients.
+
+    The points run upward and T_j(-x) = (-1)^j T_j(x), so the odd rows of
+    the cosine transform change sign.
     """
     k = np.arange(m)
     t = -np.cos(np.pi * k / (m - 1))
-    w = np.where(k % 2, -1.0, 1.0)
-    w[[0, -1]] *= 0.5
     cos = np.cos(np.pi * np.outer(k, k) / (m - 1)) * (2.0 / (m - 1))
     cos[:, [0, -1]] *= 0.5
     cos[[0, -1]] *= 0.5
-    for x in (t, w, cos):
+    cos[1::2] *= -1
+    for x in (t, cos):
         x.flags.writeable = False
-    return t, w, cos
+    return t, cos
 
 
-def _bulk_panels(bulk: _SlotPairs, v_lo: float, v_hi: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Panels [a, b] of [v_lo, v_hi] and F_UU at their Chebyshev-Lobatto points.
+def _panels(pairs: _SlotPairs, lo: float, hi: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Panels [a, b] of [lo, hi] and the Chebyshev coefficients of the pair sum on each.
 
-    The first panels run between consecutive bulk breakpoints, where F_UU
-    is smooth.  Each round samples the open panels in one ascending call and
-    bisects those whose Chebyshev tail exceeds _CHEB_TAIL of the panel's
-    largest |F_UU| by more than rounding noise.  Bisection cannot lower that
-    noise: on a narrow panel far from 0 the sample points themselves sit
-    only to within eps |v|.  A panel still open after _CHEB_ROUNDS rounds
-    raises QuadratureError.
+    The first panels run between consecutive pair breakpoints, where the
+    pair sum is smooth.  Each round samples the open panels at their
+    Chebyshev-Lobatto points in one ascending call and bisects those whose
+    Chebyshev tail exceeds _CHEB_TAIL of the panel's largest sample by more
+    than rounding noise.  Bisection cannot lower that noise: on a narrow
+    panel far from 0 the sample points themselves sit only to within
+    eps |v|.  A panel still open after _CHEB_ROUNDS rounds raises
+    QuadratureError.
     """
-    t, _, cos = _lobatto(_CHEB_POINTS)
-    edges = np.concatenate(([v_lo], bulk.breaks[(bulk.breaks > v_lo) & (bulk.breaks < v_hi)], [v_hi]))
+    t, cos = _lobatto(_CHEB_POINTS)
+    edges = np.concatenate(([lo], pairs.breaks[(pairs.breaks > lo) & (pairs.breaks < hi)], [hi]))
     a, b = edges[:-1], edges[1:]
     done: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
     for _ in range(_CHEB_ROUNDS + 1):
         v = np.clip(0.5 * (a + b)[:, None] + 0.5 * (b - a)[:, None] * t, a[:, None], b[:, None])
-        f = bulk(v.ravel()).reshape(v.shape)
-        tail = np.abs(f @ cos[-3:].T).max(axis=1)
-        # rounding noise: F_UU's mean slope on the panel times eps |v|
+        f = pairs(v.ravel()).reshape(v.shape)
+        c = f @ cos.T
+        tail = np.abs(c[:, -3:]).max(axis=1)
+        # rounding noise: the pair sum's mean slope on the panel times eps |v|
         noise = np.finfo(np.float64).eps * np.maximum(np.abs(a), np.abs(b)) / (b - a) * np.ptp(f, axis=1)
         ok = tail <= _CHEB_TAIL * np.abs(f).max(axis=1) + noise
-        done.append((a[ok], b[ok], f[ok]))
+        done.append((a[ok], b[ok], c[ok]))
         if ok.all():
-            a, b, f = (np.concatenate(x) for x in zip(*done))
+            a, b, c = (np.concatenate(x) for x in zip(*done))
             order = np.argsort(a)
-            return a[order], b[order], f[order]
+            return a[order], b[order], c[order]
         mid = 0.5 * (a[~ok] + b[~ok])
         a, b = np.column_stack((a[~ok], mid)).ravel(), np.column_stack((mid, b[~ok])).ravel()
-    raise QuadratureError(f"F_UU needs more than {_CHEB_ROUNDS} bisections of its bulk panels at {_CHEB_POINTS} points")
+    raise QuadratureError(f"pair sum needs more than {_CHEB_ROUNDS} bisections of its panels at {_CHEB_POINTS} points")
 
 
-def _interpolate(a: np.ndarray, b: np.ndarray, f: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """The panel interpolants of `_bulk_panels` at points v, by the barycentric formula."""
-    t, w, _ = _lobatto(f.shape[1])
-    panel = np.clip(np.searchsorted(a, v, "right") - 1, 0, a.size - 1)
-    out = np.empty_like(v)
-    step = _BLOCK // 2
-    for i in range(0, v.size, step):
-        k = panel[i : i + step]
-        fk = f[k]
-        d = ((2.0 * v[i : i + step] - (a[k] + b[k])) / (b[k] - a[k]))[:, None] - t
-        hit = d == 0.0
-        d[hit] = 1.0
-        q = w / d
-        out[i : i + k.size] = np.sum(q * fk, axis=1) / np.sum(q, axis=1)
-        rows, cols = np.nonzero(hit)
-        out[i + rows] = fk[rows, cols]
-    return out
+def _chebval(a: np.ndarray, b: np.ndarray, c: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """The panel series of `_panels` at points v, by Clenshaw's recurrence one coefficient column at a time."""
+    k = np.clip(np.searchsorted(a, v, "right") - 1, 0, a.size - 1)
+    s = (2.0 * v - (a[k] + b[k])) / (b[k] - a[k])
+    b1, b2 = np.zeros_like(v), np.zeros_like(v)
+    for j in range(c.shape[1] - 1, 0, -1):
+        b1, b2 = c[k, j] + 2.0 * s * b1 - b2, b1
+    return c[k, 0] + s * b1 - b2
 
 
 def singular_integral_J(n: int, params: Params, primes: list[int]) -> float:
@@ -372,11 +365,10 @@ def singular_integral_J(n: int, params: Params, primes: list[int]) -> float:
     The sum over primes p1, p2 and cube pairs C1..C4 of
     (B_{p1,C1} * B_{p2,C2} * B_{C3} * B_{C4})(n) is, by multilinearity,
     int F_TT(u) F_UU(n - u) du with F_TT and F_UU the summed pair
-    convolutions of the thin and bulk slots.  The u-integral is cut at
-    every thin breakpoint and every n - (bulk breakpoint), so each piece
-    is smooth for every pair, and gets the same Gauss rule as conv4_value.
-    F_TT is evaluated at every node.  F_UU is smooth across the many thin
-    cuts, so it is sampled only on its own panels and interpolated.
+    convolutions of the thin and bulk slots.  Each is a Chebyshev series on
+    its own smooth panels, and the u-integral is cut at every thin panel
+    edge and every n - (bulk panel edge), so both series are polynomials on
+    each piece, which gets the same Gauss rule as conv4_value.
     """
     built = _j_slot_pairs(params, tuple(primes))
     if built is None:
@@ -387,15 +379,16 @@ def singular_integral_J(n: int, params: Params, primes: list[int]) -> float:
     u_hi = min(thin.hi.max(), n - bulk.lo.min())
     if u_hi <= u_lo:
         return 0.0
-    cuts = np.unique(np.concatenate(([u_lo, u_hi], thin.breaks, n - bulk.breaks)))
+    f_tt = _panels(thin, u_lo, u_hi)
+    f_uu = _panels(bulk, n - u_hi, n - u_lo)
+    cuts = np.unique(np.concatenate((f_tt[0], [u_hi], n - f_uu[0][1:])))
     cuts = cuts[(cuts >= u_lo) & (cuts <= u_hi)]
     x, w = _leggauss(24)
     mid = 0.5 * (cuts[:-1] + cuts[1:])[:, None]
     half = 0.5 * (cuts[1:] - cuts[:-1])[:, None]
     u = (mid + half * x).ravel()
     wu = (half * w).ravel()
-    f_uu = _interpolate(*_bulk_panels(bulk, n - u_hi, n - u_lo), n - u)
-    return float(np.sum(wu * thin(u) * f_uu))
+    return float(np.sum(wu * _chebval(*f_tt, u) * _chebval(*f_uu, n - u)))
 
 
 # -- the report -----------------------------------------------------------------

@@ -51,8 +51,8 @@ def _panel_rule(lo: float, hi: float, panels: int, order: int) -> tuple[np.ndarr
     return nodes, weights
 
 
-def _nodes_for_cycles(cycles: float, base: int = 12) -> int:
-    n = max(base, int(3.2 * cycles) + base)
+def _nodes_for_cycles(cycles: float) -> int:
+    n = max(12, int(3.2 * cycles) + 12)
     if n > MAX_NODES_PER_AXIS:
         raise QuadratureError(f"oscillation budget exceeded: {cycles:.1f} cycles needs {n} nodes/axis")
     return n

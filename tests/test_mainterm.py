@@ -179,7 +179,7 @@ def _J_support(params, primes):
 
 
 def _J_direct(n, params, primes):
-    """Oracle: J(n) on the same outer rule, with F_UU evaluated at every outer node."""
+    """Oracle: J(n) on an outer rule cut at the pair breakpoints, with F_TT and F_UU evaluated at every node."""
     built = mainterm._j_slot_pairs(params, tuple(primes))
     if built is None:
         return 0.0
@@ -247,25 +247,26 @@ def test_J_matches_direct_node_oracle(P, primes, fracs):
 
 
 def test_lobatto_interpolant_reproduces_polynomials():
-    t, _, cos = mainterm._lobatto(8)
+    t, cos = mainterm._lobatto(8)
     assert np.all(np.diff(t) > 0) and t[0] == -1.0 and t[-1] == 1.0
-    # the cosine matrix maps samples of T_j to +-e_j
+    # the coefficient matrix maps samples of T_j to e_j
     for j in range(8):
         coef = cos @ np.polynomial.chebyshev.chebval(t, np.eye(8)[j])
-        assert np.allclose(np.abs(coef), np.eye(8)[j], atol=1e-13)
-    # two panels of a degree-7 polynomial, read back at random points and at the samples themselves
+        assert np.allclose(coef, np.eye(8)[j], rtol=0, atol=1e-13)
+    # two panels of a degree-7 polynomial, read back at random points and at the samples themselves.
+    # Clenshaw's error scales with the panel's values, not the point's: at v = 3 the polynomial is
+    # -15.5, small beside its thousands on [3, 7], so the bound is relative to its largest value.
     a, b = np.array([1.0, 3.0]), np.array([3.0, 7.0])
     poly = np.polynomial.Polynomial([0.5, -1.0, 0.25, 2.0, 0.0, 0.0, -0.125, 0.01])
     v = 0.5 * (a + b)[:, None] + 0.5 * (b - a)[:, None] * t
-    f = poly(v)
+    c = poly(v) @ cos.T
     at = np.concatenate((np.random.default_rng(1).uniform(1.0, 7.0, 50), v.ravel()))
-    assert np.allclose(mainterm._interpolate(a, b, f, at), poly(at), rtol=1e-13, atol=0)
-    # a point on a sample returns that sample, not 0 / 0
-    assert mainterm._interpolate(a, b, f, np.array([1.0, 3.0, 7.0])).tolist() == [f[0, 0], f[1, 0], f[1, -1]]
+    want = poly(at)
+    assert np.abs(mainterm._chebval(a, b, c, at) - want).max() <= 1e-14 * np.abs(want).max()
 
 
 class _Sampled:
-    """A stand-in for the bulk pairs: a function with no breakpoints."""
+    """A stand-in for the slot pairs: a function with no breakpoints."""
 
     breaks = np.array([])
 
@@ -280,33 +281,37 @@ def test_bulk_panels_tell_rounding_noise_from_a_kink():
     # A panel 98 wide at v ~ 3.6e11, as between two close bulk breakpoints at P = 150.  Its sample
     # points sit only to within eps |v|, which alone lifts a smooth function's tail past 1e-12.
     a, b = 3.5597221891e11, 3.5597221891e11 + 98.0
-    lo, hi, f = mainterm._bulk_panels(_Sampled(lambda v: 1.0 + 1e-4 * np.sin((v - a) / 98.0)), a, b)
+    lo, hi, c = mainterm._panels(_Sampled(lambda v: 1.0 + 1e-4 * np.sin((v - a) / 98.0)), a, b)
     assert lo.tolist() == [a] and hi.tolist() == [b]
-    _, _, cos = mainterm._lobatto(mainterm._CHEB_POINTS)
-    assert np.abs(cos[-3:] @ f[0]).max() > mainterm._CHEB_TAIL
+    assert np.abs(c[0, -3:]).max() > mainterm._CHEB_TAIL
     with pytest.raises(QuadratureError):
-        mainterm._bulk_panels(_Sampled(lambda v: 1.0 + np.abs(v - a - 30.123) / 98.0), a, b)
+        mainterm._panels(_Sampled(lambda v: 1.0 + np.abs(v - a - 30.123) / 98.0), a, b)
 
 
 def test_J_bulk_panels_bisect_then_give_up(monkeypatch):
     pp = derive_params(8**6)
     n = 196_608
     want = _J_direct(n, pp, [2])
-    panels = []
-    build = mainterm._bulk_panels
+    thin, bulk = mainterm._j_slot_pairs(pp, (2,))
+    names = {id(thin): "thin", id(bulk): "bulk"}
+    calls = []
+    build = mainterm._panels
 
-    def spy(bulk, v_lo, v_hi):
-        a, b, f = build(bulk, v_lo, v_hi)
-        panels.append((a.size, 1 + np.count_nonzero((bulk.breaks > v_lo) & (bulk.breaks < v_hi))))
-        return a, b, f
+    def spy(pairs, lo, hi):
+        a, b, c = build(pairs, lo, hi)
+        calls.append((names.get(id(pairs)), a.size, 1 + np.count_nonzero((pairs.breaks > lo) & (pairs.breaks < hi))))
+        return a, b, c
 
-    monkeypatch.setattr(mainterm, "_bulk_panels", spy)
+    monkeypatch.setattr(mainterm, "_panels", spy)
     assert singular_integral_J(n, pp, [2]) == pytest.approx(want, rel=1e-14)
-    assert panels[-1][0] == panels[-1][1]  # 32 points resolve every panel unsplit
+    assert [k[0] for k in calls] == ["thin", "bulk"]  # both pair sums, thin then bulk
+    assert all(k[1] == k[2] for k in calls)  # 32 points resolve every panel of both sums unsplit
     # 12 points need a few bisections and still meet the oracle
     monkeypatch.setattr(mainterm, "_CHEB_POINTS", 12)
+    calls.clear()
     assert singular_integral_J(n, pp, [2]) == pytest.approx(want, rel=1e-14)
-    assert panels[-1][0] > panels[-1][1]
+    assert [k[0] for k in calls] == ["thin", "bulk"]
+    assert calls[-1][1] > calls[-1][2]
     # 8 points are not enough after _CHEB_ROUNDS bisections
     monkeypatch.setattr(mainterm, "_CHEB_POINTS", 8)
     with pytest.raises(QuadratureError, match="bisections"):
