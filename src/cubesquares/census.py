@@ -66,8 +66,9 @@ def census_bytes(N: int) -> int:
     During the second shift-OR pass five word arrays are alive: the packed
     pair set, the three-square sums, the shifted copy, its carry and the
     four-square sums.  At the unpack the pair set, the four-square sums and
-    the bool `representable` (N + 1 bytes) are alive.  The cube-sum members,
-    their squares and the per-square bit scatter are O(sqrt N).
+    the bool `representable` (N + 1 bytes) are alive, and then the 64-lift
+    check adds N / 32 bytes.  The cube-sum members, their squares and the
+    per-square bit scatter are O(sqrt N).
     """
     words = 8 * _words(N)
     small = 2**13 + 8 * floor_nth_root(N, 2)
@@ -256,12 +257,7 @@ def verify_obstruction_family(j: int) -> ObstructionProof:
 
 
 def family_members_upto(N: int) -> list[int]:
-    out = []
-    j = 0
-    while 2 ** (6 + 12 * j) <= N:
-        out.append(2 ** (6 + 12 * j))
-        j += 1
-    return out
+    return [2**k for k in range(6, N.bit_length(), 12)]  # 2^k <= N exactly when k < N.bit_length()
 
 
 def _assert_family_consistency(census: Census) -> None:
@@ -274,7 +270,7 @@ def _assert_family_consistency(census: Census) -> None:
     for n in family_members_upto(census.N):
         if r[n]:
             raise VerificationError(f"family member {n} claims to be representable")
-    if not r[64 * np.flatnonzero(r[: census.N // 64 + 1])].all():
+    if (r[: r[::64].size] & ~r[::64]).any():  # r[::64] holds r[64 k] for k <= N / 64
         raise VerificationError("some representable n has 64 n marked exceptional")
 
 

@@ -163,13 +163,15 @@ def rn_dense_dft(table_a: WeightTable, table_b: WeightTable, primes: list[int]) 
 
 # -- singular integral ----------------------------------------------------------
 
+_GAUSS_ORDER = 24  # Gauss points per pair convolution and per outer piece, in conv4_value and J
+
 
 def _pair_conv(sa: KernelSlot, sb: KernelSlot, u: np.ndarray) -> np.ndarray:
-    """(B_a * B_b)(u) on an array of points, each a smooth 1D integral by a 24-point Gauss rule."""
+    """(B_a * B_b)(u) on an array of points, each a smooth 1D integral by a _GAUSS_ORDER-point Gauss rule."""
     lo = np.maximum(sa.gamma_lo, u - sb.gamma_hi)
     hi = np.minimum(sa.gamma_hi, u - sb.gamma_lo)
     span = np.maximum(hi - lo, 0.0)
-    x, w = _leggauss(24)  # the rule on [0, 1] is 0.5 + 0.5 x with weights 0.5 w
+    x, w = _leggauss(_GAUSS_ORDER)  # the rule on [0, 1] is 0.5 + 0.5 x with weights 0.5 w
     g = lo[None, :] + span[None, :] * (0.5 + 0.5 * x)[:, None]
     gb = np.maximum(u[None, :] - g, sb.gamma_lo)  # clamp float dust at the edge
     vals = sa.density(np.maximum(g, sa.gamma_lo)) * sb.density(gb)
@@ -181,7 +183,7 @@ def conv4_value(slots: tuple[KernelSlot, ...], n: float) -> float:
 
     F12 and F34 are the pair convolutions; they are smooth between known
     breakpoints (where the overlap window changes shape), so the outer
-    integral is split there and each piece gets its own 24-point Gauss rule.
+    integral is split there and each piece gets its own _GAUSS_ORDER-point Gauss rule.
     """
     s1, s2, s3, s4 = slots
     b12 = [s1.gamma_lo + s2.gamma_lo, s1.gamma_lo + s2.gamma_hi, s1.gamma_hi + s2.gamma_lo, s1.gamma_hi + s2.gamma_hi]
@@ -193,7 +195,7 @@ def conv4_value(slots: tuple[KernelSlot, ...], n: float) -> float:
     cuts = sorted({u_lo, u_hi, *(b for b in b12 if u_lo < b < u_hi), *(n - b for b in b34 if u_lo < n - b < u_hi)})
     total = 0.0
     for a, b in zip(cuts[:-1], cuts[1:]):
-        u, wu = _panel_rule(a, b, 1, 24)
+        u, wu = _panel_rule(a, b, 1, _GAUSS_ORDER)
         total += float(np.sum(wu * _pair_conv(s1, s2, u) * _pair_conv(s3, s4, n - u)))
     return total
 
@@ -209,22 +211,23 @@ def conv4_value_beta(slots: tuple[KernelSlot, ...], n: float, K: float = 40.0) -
     glo = sum(s.gamma_lo for s in slots)
     ghi = sum(s.gamma_hi for s in slots)
     rate = max(abs(glo - n), abs(ghi - n), 1.0)
-    panels = max(8, int(4.0 * T * rate / 16) + 8)
-    if panels * 16 > 200_000:
-        raise QuadratureError(f"beta grid would need {panels * 16} nodes; n is far outside the support")
-    beta, wb = _panel_rule(-T, T, panels, 16)
+    order = 16
+    panels = max(8, int(4.0 * T * rate / order) + 8)
+    if panels * order > 200_000:
+        raise QuadratureError(f"beta grid would need {panels * order} nodes; n is far outside the support")
+    beta, wb = _panel_rule(-T, T, panels, order)
     prod = np.ones_like(beta, dtype=np.complex128)
     for s in slots:
         cycles = T * (s.gamma_hi - s.gamma_lo)
         sp = max(2, int(cycles / 3.0) + 1)
-        g, wg = _panel_rule(s.gamma_lo, s.gamma_hi, sp, 16)
+        g, wg = _panel_rule(s.gamma_lo, s.gamma_hi, sp, order)
         dens = s.density(g) * wg
         prod *= np.exp(2j * np.pi * np.outer(beta, g)) @ dens
     val = np.sum(wb * prod * np.exp(-2j * np.pi * beta * n))
     return float(val.real)
 
 
-# Points per pair-convolution call.  Each (24 x block) float64 temporary
+# Points per pair-convolution call.  Each (_GAUSS_ORDER x block) float64 temporary
 # stays under glibc's 128 KiB mmap threshold, so it is reused from the heap
 # rather than mapped and page-faulted in on every call.
 _BLOCK = 512
@@ -310,8 +313,7 @@ def _lobatto(m: int) -> tuple[np.ndarray, np.ndarray]:
     cos[:, [0, -1]] *= 0.5
     cos[[0, -1]] *= 0.5
     cos[1::2] *= -1
-    for x in (t, cos):
-        x.flags.writeable = False
+    t.flags.writeable = cos.flags.writeable = False
     return t, cos
 
 
@@ -383,7 +385,7 @@ def singular_integral_J(n: int, params: Params, primes: list[int]) -> float:
     f_uu = _panels(bulk, n - u_hi, n - u_lo)
     cuts = np.unique(np.concatenate((f_tt[0], [u_hi], n - f_uu[0][1:])))
     cuts = cuts[(cuts >= u_lo) & (cuts <= u_hi)]
-    x, w = _leggauss(24)
+    x, w = _leggauss(_GAUSS_ORDER)
     mid = 0.5 * (cuts[:-1] + cuts[1:])[:, None]
     half = 0.5 * (cuts[1:] - cuts[:-1])[:, None]
     u = (mid + half * x).ravel()

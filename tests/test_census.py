@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from cubesquares.census import (
+    Census,
     DyadicFilter,
     _assert_family_consistency,
     _shift_or,
@@ -125,6 +126,22 @@ def test_memory_guard_matches_allocation(monkeypatch):
     monkeypatch.setenv(BUDGET_ENV, str(estimate - 1))
     with pytest.raises(CapacityError):
         run_census(N)
+
+
+def test_lift_check_fits_census_bytes():
+    # the check runs inside run_census with the pair set and representable alive;
+    # a dense representable (every n but the family and their 64th parts) is its worst case
+    N = 10**6
+    r = np.ones(N + 1, dtype=bool)
+    r[[1, 64, 4096, 262144]] = False
+    c = Census(N=N, cube_sums=np.zeros(0, dtype=np.int64), pair=np.zeros(_words(N), dtype="<u8"), representable=r)
+    tracemalloc.start()
+    try:
+        _assert_family_consistency(c)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= census_bytes(N) - c.pair.nbytes - r.nbytes
 
 
 def test_matches_brute_force():
