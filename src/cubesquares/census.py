@@ -54,6 +54,34 @@ class Census:
             out.append([int(t), count])
         return out
 
+    def unlifted_exceptions(self) -> tuple[list[list[int]], int | None]:
+        """The exceptions not divisible by 64: [lo, hi, count] per decade [10^k, 10^(k+1)) cut at N, and the largest.
+
+        An exception divisible by 64 is the 64-lift of a smaller one (8C is
+        inside C), so these are the exceptions the lift does not explain.
+        The counts read views of `representable`; the largest is found from
+        one flag per row of 64 n, in at most N / 32 bytes.
+        """
+        r, N = self.representable, self.N
+        decades = []
+        lo = 1
+        while lo <= N:
+            hi = min(10 * lo - 1, N)
+            lifted = r[-(-lo // 64) * 64 : hi + 1 : 64]
+            misses = (hi + 1 - lo - np.count_nonzero(r[lo : hi + 1])) - (lifted.size - np.count_nonzero(lifted))
+            decades.append([lo, hi, int(misses)])
+            lo *= 10
+        rows = r[: (N + 1) // 64 * 64].reshape(-1, 64)[:, 1:]  # column c of row w is n = 64 w + 1 + c
+        tail = np.flatnonzero(~r[rows.shape[0] * 64 + 1 :])  # past the last full row, whose first n is divisible by 64
+        if tail.size:
+            return decades, rows.shape[0] * 64 + 1 + int(tail[-1])
+        missing = rows.all(axis=1)
+        np.logical_not(missing, out=missing)
+        if not missing.any():
+            return decades, None
+        w = missing.size - 1 - int(np.argmax(missing[::-1]))
+        return decades, 64 * w + 1 + int(np.flatnonzero(~rows[w])[-1])
+
 
 def _words(N: int) -> int:
     """uint64 words holding bits 0..N."""

@@ -210,11 +210,14 @@ def cmd_census(args, cfg: RunConfig, out: Path) -> int:
         print(f"{args.jmax + 1} family members confirmed")
     if args.N is not None:
         census = run_census(args.N)
+        decades, largest = census.unlifted_exceptions()
         payload = {
             "N": census.N,
             "E_count": census.E_count,
             "family_hits": family_members_upto(census.N),
             "density_curve": census.density_curve(),
+            "not_div64_per_decade": decades,
+            "not_div64_largest": largest,
         }
         _write_json(out / f"census_{args.N}.json", cfg, payload)
         print(f"N={census.N}: |E| = {census.E_count}")

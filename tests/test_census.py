@@ -217,6 +217,32 @@ def test_lift_tamper():
         _assert_family_consistency(dataclasses.replace(c, representable=member))
 
 
+def test_unlifted_exceptions_frozen_at_a_million():
+    # past 2 10^8 every exception is a 64-lift (ROADMAP item 5); at 10^6 the unlifted ones still grow per decade
+    decades, largest = run_census(10**6).unlifted_exceptions()
+    assert [d[:2] for d in decades] == [[10**k, min(10 ** (k + 1) - 1, 10**6)] for k in range(7)]
+    assert [d[2] for d in decades] == [9, 88, 866, 8026, 60955, 134778, 0]
+    assert largest == 999_968
+
+
+@pytest.mark.parametrize("N", [63, 64, 130, 1000, 4095, 20_037])
+def test_unlifted_exceptions_match_a_scan(N):
+    import dataclasses
+
+    c = run_census(N)
+    e = np.flatnonzero(c.exceptional)
+    e = e[e % 64 != 0]
+    decades, largest = c.unlifted_exceptions()
+    assert decades[-1][1] == N
+    assert [d[2] for d in decades] == [int(np.count_nonzero((e >= lo) & (e <= hi))) for lo, hi, _ in decades]
+    assert largest == int(e[-1])
+    # with every exception off the multiples of 64 made representable, none is left
+    r = c.representable.copy()
+    r[1:][np.arange(1, N + 1) % 64 != 0] = True
+    decades, largest = dataclasses.replace(c, representable=r).unlifted_exceptions()
+    assert largest is None and all(d[2] == 0 for d in decades)
+
+
 def test_family_members():
     assert family_members_upto(2**20) == [64, 262144]
     assert family_members_upto(63) == []

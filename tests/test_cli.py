@@ -163,6 +163,8 @@ def test_census_command(tmp_path):
     assert run(tmp_path, "census", "--N", "2000") == 0
     payload = json.loads((tmp_path / "census_2000.json").read_text())
     assert payload["E_count"] == run_census_count(2000)
+    assert [d[2] for d in payload["not_div64_per_decade"]] == [9, 88, 866, 941]
+    assert payload["not_div64_largest"] == 2000
 
 
 def run_census_count(N):

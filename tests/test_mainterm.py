@@ -1,6 +1,9 @@
 import bisect
 import itertools
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 from collections import Counter
 
@@ -12,6 +15,7 @@ from cubesquares.cubesieve import BUDGET_ENV
 from cubesquares.errors import CapacityError, QuadratureError
 from cubesquares.mainterm import (
     RnEvaluator,
+    _pair_conv,
     _square_series,
     conv4_value,
     conv4_value_beta,
@@ -178,12 +182,25 @@ def _J_support(params, primes):
     return lo, hi
 
 
+def _pair_sum_loop(pairs, v):
+    """Oracle: the pair sum at ascending points v as one _pair_conv call per (pair, 512-point run)."""
+    out = np.zeros_like(v)
+    starts = np.searchsorted(v, pairs.lo, "right")
+    ends = np.searchsorted(v, pairs.hi, "left")
+    for k in np.flatnonzero(ends > starts).tolist():
+        sa, sb = pairs.pairs[k]
+        for i in range(starts[k], ends[k], 512):
+            j = min(i + 512, ends[k])
+            out[i:j] += pairs.weight[k] * _pair_conv(sa, sb, v[i:j])
+    return out
+
+
 def _J_direct(n, params, primes):
     """Oracle: J(n) on an outer rule cut at the pair breakpoints, with F_TT and F_UU evaluated at every node."""
     built = mainterm._j_slot_pairs(params, tuple(primes))
     if built is None:
         return 0.0
-    thin, bulk = built
+    thin, bulk, _ = built
     n = float(n)
     u_lo = max(thin.lo.min(), n - bulk.hi.max())
     u_hi = min(thin.hi.max(), n - bulk.lo.min())
@@ -196,8 +213,16 @@ def _J_direct(n, params, primes):
     half = 0.5 * (cuts[1:] - cuts[:-1])[:, None]
     u = (mid + half * x).ravel()
     wu = (half * w).ravel()
-    f_uu = bulk((n - u)[::-1])[::-1]
-    return float(np.sum(wu * thin(u) * f_uu))
+    f_uu = _pair_sum_loop(bulk, (n - u)[::-1])[::-1]
+    return float(np.sum(wu * _pair_sum_loop(thin, u) * f_uu))
+
+
+@pytest.fixture
+def fresh_j_cache():
+    """Clears the cached slot pairs and F_TT panels before and after a test that changes the rules they were built by."""
+    mainterm._j_slot_pairs.cache_clear()
+    yield
+    mainterm._j_slot_pairs.cache_clear()
 
 
 def test_J_exhaustive_frozen():
@@ -288,34 +313,115 @@ def test_bulk_panels_tell_rounding_noise_from_a_kink():
         mainterm._panels(_Sampled(lambda v: 1.0 + np.abs(v - a - 30.123) / 98.0), a, b)
 
 
-def test_J_bulk_panels_bisect_then_give_up(monkeypatch):
-    pp = derive_params(8**6)
-    n = 196_608
-    want = _J_direct(n, pp, [2])
-    thin, bulk = mainterm._j_slot_pairs(pp, (2,))
-    names = {id(thin): "thin", id(bulk): "bulk"}
+def _spy_panels(monkeypatch):
+    """Records (pairs, lo, hi, panel starts, panel ends) for every `_panels` build."""
     calls = []
     build = mainterm._panels
 
     def spy(pairs, lo, hi):
         a, b, c = build(pairs, lo, hi)
-        calls.append((names.get(id(pairs)), a.size, 1 + np.count_nonzero((pairs.breaks > lo) & (pairs.breaks < hi))))
+        calls.append((pairs, lo, hi, a, b))
         return a, b, c
 
     monkeypatch.setattr(mainterm, "_panels", spy)
+    return calls
+
+
+def test_J_bulk_panels_bisect_then_give_up(monkeypatch, fresh_j_cache):
+    pp = derive_params(8**6)
+    n = 196_608
+    want = _J_direct(n, pp, [2])
+    mainterm._j_slot_pairs.cache_clear()
+    calls = _spy_panels(monkeypatch)
+
+    def built():
+        """(name, panels, panels between breakpoints) of each build recorded since the last call; clears the record."""
+        thin, bulk, _ = mainterm._j_slot_pairs(pp, (2,))
+        names = {id(thin): "thin", id(bulk): "bulk"}
+        out = [(names[id(p)], a.size, 1 + np.count_nonzero((p.breaks > lo) & (p.breaks < hi))) for p, lo, hi, a, _ in calls]
+        calls.clear()
+        return out
+
+    # thin panels once per (params, primes), over the whole thin support; bulk panels once per J call
     assert singular_integral_J(n, pp, [2]) == pytest.approx(want, rel=1e-14)
-    assert [k[0] for k in calls] == ["thin", "bulk"]  # both pair sums, thin then bulk
-    assert all(k[1] == k[2] for k in calls)  # 32 points resolve every panel of both sums unsplit
+    first = built()
+    assert [k[0] for k in first] == ["thin", "bulk"]
+    assert all(k[1] == k[2] for k in first)  # 32 points resolve every panel of both sums unsplit
+    assert singular_integral_J(n + 1000, pp, [2]) > 0
+    assert singular_integral_J(n, pp, [2]) == pytest.approx(want, rel=1e-14)
+    assert [k[0] for k in built()] == ["bulk", "bulk"]
     # 12 points need a few bisections and still meet the oracle
     monkeypatch.setattr(mainterm, "_CHEB_POINTS", 12)
-    calls.clear()
+    mainterm._j_slot_pairs.cache_clear()
     assert singular_integral_J(n, pp, [2]) == pytest.approx(want, rel=1e-14)
-    assert [k[0] for k in calls] == ["thin", "bulk"]
-    assert calls[-1][1] > calls[-1][2]
+    twelve = built()
+    assert [k[0] for k in twelve] == ["thin", "bulk"]
+    assert twelve[-1][1] > twelve[-1][2]
     # 8 points are not enough after _CHEB_ROUNDS bisections
     monkeypatch.setattr(mainterm, "_CHEB_POINTS", 8)
+    mainterm._j_slot_pairs.cache_clear()
     with pytest.raises(QuadratureError, match="bisections"):
         singular_integral_J(n, pp, [2])
+
+
+@pytest.mark.parametrize("P", [16, 27, 64])
+def test_pair_sum_kernel_matches_pair_conv_loop(monkeypatch, fresh_j_cache, P):
+    # every Lobatto point of every panel that J(N/2) builds, on both pair sums
+    pp = derive_params(P**6)
+    calls = _spy_panels(monkeypatch)
+    assert singular_integral_J(pp.N // 2, pp, pp.default_primes()) > 0
+    assert len(calls) == 2
+    t, _ = mainterm._lobatto(mainterm._CHEB_POINTS)
+    for pairs, _, _, a, b in calls:
+        v = np.clip(0.5 * (a + b)[:, None] + 0.5 * (b - a)[:, None] * t, a[:, None], b[:, None]).ravel()
+        want = _pair_sum_loop(pairs, v)
+        assert np.abs(pairs(v) - want).max() <= 1e-14 * np.abs(want).max()
+
+
+def test_J_loads_no_numpy_ma():
+    # np.unique imports numpy.ma on first use, 14-25 ms of a short run
+    code = (
+        "import sys\n"
+        "from cubesquares.mainterm import singular_integral_J\n"
+        "from cubesquares.params import derive_params\n"
+        "pp = derive_params(27**6)\n"
+        "assert singular_integral_J(3 * pp.N // 4, pp, pp.default_primes()) > 0\n"
+        "print('numpy.ma' in sys.modules)\n"
+    )
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["False"]
+
+
+def test_J_warm_call_memory():
+    # the kernel builds its entry indices one block at a time; all at once they peaked at 20 MiB at this scale
+    pp = derive_params(64**6)
+    n, primes = 3 * pp.N // 4, pp.default_primes()
+    singular_integral_J(n, pp, primes)
+    tracemalloc.start()
+    try:
+        singular_integral_J(n, pp, primes)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 << 20
+
+
+def test_J_inner_rule_gap_is_bounded(monkeypatch, fresh_j_cache):
+    # The 24-point rule in g is not converged on bulk pairs at mid-support: at the two n of the
+    # window workload, J moves by 6.9e-10 and 3.7e-8 relative at 48 points (ROADMAP open item).
+    pp = derive_params(27**6)
+    lo, hi = pp.N // 2, pp.N
+    ns = (lo, lo + (hi - lo) // 2)
+    j24 = [singular_integral_J(n, pp, pp.default_primes()) for n in ns]
+    monkeypatch.setattr(mainterm, "_GAUSS_ORDER", 48)
+    mainterm._j_slot_pairs.cache_clear()
+    j48 = [singular_integral_J(n, pp, pp.default_primes()) for n in ns]
+    for a, b in zip(j24, j48):
+        assert a != b
+        assert abs(a - b) <= 1e-7 * abs(b)
 
 
 def test_main_term_report_shape():
