@@ -226,9 +226,9 @@ def criterion_10() -> CriterionResult:
     t0 = time.perf_counter()
     c_small = run_census(10_000)
     brute = brute_force_representable(10_000)
-    agree = bool(np.array_equal(c_small.representable, brute))
+    agree = bool(np.array_equal(c_small.representable[:], brute))
     c = run_census(100_000)
-    in_e = bool(c.exceptional[64])
+    in_e = not c.representable[64]
     small_ok = all(not c.representable[n] for n in range(36))
     wit = witness_for(c, 36)
     wit_ok = wit == (3, 3, 3, 3)

@@ -3,7 +3,8 @@
 C = sums of three positive cubes (min 3).  n is representable when
 n = c1^2 + c2^2 + c3^2 + c4^2 with all ci in C.  The census builds the
 pair set A = {c1^2 + c2^2} <= N in bit-packed uint64 words, takes its
-sumset A + A exactly in integers by shift-OR, and reports the exceptional
+sumset A + A exactly in integers by shift-OR, keeps both packed
+(`PackedBits`, never an (N + 1)-byte bool array), and reports the exceptional
 set E(N), witnesses, and the provable obstruction family n = 2^(6+12j),
 checking that family and the lift n -> 64 n on every run.  A is itself
 B + B with B = {c^2 <= N} (379 members at N = 10^7), so A + A =
@@ -13,6 +14,7 @@ B + B with B = {c^2 <= N} (379 members at N = 10^7), so A + A =
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -22,24 +24,91 @@ from .errors import DegenerateParamsError, VerificationError
 from .params import floor_nth_root
 
 
+_BLOCK = 1 << 15  # words per block of the carry, popcount and scan loops: 256 KiB of scratch
+_ALL = (1 << 64) - 1
+
+
+def _words(N: int) -> int:
+    """uint64 words holding bits 0..N."""
+    return (N + 1 + 63) // 64
+
+
+def _ones(words: np.ndarray, lo: int, hi: int, fill: int = 0) -> int:
+    """Set bits of w | fill, for each word w of `words`, at bit positions lo <= n < hi.
+
+    The words are read in blocks of `_BLOCK`, so the scratch stays small;
+    the edge words lose the bits below lo and from hi on.
+    """
+    if lo >= hi:
+        return 0
+    w0, w1 = lo >> 6, (hi - 1) >> 6
+    total = 0
+    for a in range(w0, w1 + 1, _BLOCK):
+        block = words[a : min(a + _BLOCK, w1 + 1)]
+        if fill:
+            block = block | np.uint64(fill)
+        total += int(np.bitwise_count(block).sum())
+    total -= ((int(words[w0]) | fill) & ((1 << (lo & 63)) - 1)).bit_count()
+    total -= ((int(words[w1]) | fill) >> (((hi - 1) & 63) + 1)).bit_count()
+    return total
+
+
+class PackedBits:
+    """A set of n in 0..N as uint64 words: bit k of word w stands for n = 64 w + k.
+
+    The bits past N are 0, so popcounts are exact.  `b[n]` is a bool,
+    `b[int_array]` a bool array, `b[lo:hi]` unpacks only that range and
+    `count(lo, hi)` counts the members in [lo, hi).  There is no
+    `__array__`: nothing rebuilds the (N + 1)-byte bool array unasked.
+    """
+
+    __slots__ = ("words", "N")
+
+    def __init__(self, words: np.ndarray, N: int):
+        if words.dtype != np.dtype("<u8") or words.shape != (_words(N),):
+            raise ValueError(f"expected {_words(N)} little-endian uint64 words for bits 0..{N}")
+        self.words = words
+        self.N = N
+
+    def __getitem__(self, key):
+        if isinstance(key, slice):
+            lo, hi, step = key.indices(self.N + 1)
+            if step != 1:
+                raise ValueError("PackedBits slices take no step")
+            hi = max(lo, hi)
+            w0 = lo >> 6
+            part = self.words[w0 : -(-hi // 64)].view(np.uint8)
+            return np.unpackbits(part, count=hi - 64 * w0, bitorder="little").view(bool)[lo - 64 * w0 :]
+        if isinstance(key, np.ndarray):
+            if key.dtype.kind not in "iu":
+                raise TypeError("PackedBits takes an integer index array")
+            k = key.astype(np.uint64)  # a negative index wraps past N
+            if k.size and k.max() > self.N:
+                raise IndexError(f"index outside 0..{self.N}")
+            return ((self.words[k >> 6] >> (k & 63)) & 1).astype(bool)
+        n = operator.index(key)
+        if not 0 <= n <= self.N:
+            raise IndexError(f"index {n} outside 0..{self.N}")
+        return bool(int(self.words[n >> 6]) >> (n & 63) & 1)
+
+    def count(self, lo: int = 0, hi: int | None = None) -> int:
+        """Members n with lo <= n < hi (hi defaults to N + 1)."""
+        hi = self.N + 1 if hi is None else min(hi, self.N + 1)
+        return _ones(self.words, max(lo, 0), hi)
+
+
 @dataclass
 class Census:
     """Representability data for 1..N."""
 
     N: int
     cube_sums: np.ndarray = field(repr=False)  # members of C up to floor(sqrt(N))
-    pair: np.ndarray = field(repr=False)  # uint64 words, bit k of word w for 64 w + k: sums of two C-member squares
-    representable: np.ndarray = field(repr=False)  # bool over 0..N
-
-    @property
-    def exceptional(self) -> np.ndarray:
-        out = ~self.representable
-        out[0] = False
-        return out
+    pair: PackedBits = field(repr=False)  # sums of two C-member squares
+    representable: PackedBits = field(repr=False)  # sums of four C-member squares
 
     @property
     def E_count(self) -> int:
-        return self.N - int(np.count_nonzero(self.representable[1:]))
+        return self.N - self.representable.count(1)
 
     def density_curve(self, points: int = 10) -> list[list[int]]:
         """[[t, |E(t)|], ...] at t = N/points, 2N/points, ..., N."""
@@ -49,7 +118,7 @@ class Census:
         for i in range(1, points + 1):
             t = self.N * i // points
             # exceptional n in (prev, t]; 0 is neither representable nor exceptional
-            count += (t - prev) - int(np.count_nonzero(self.representable[prev + 1 : t + 1]))
+            count += (t - prev) - self.representable.count(prev + 1, t + 1)
             prev = t
             out.append([int(t), count])
         return out
@@ -59,79 +128,76 @@ class Census:
 
         An exception divisible by 64 is the 64-lift of a smaller one (8C is
         inside C), so these are the exceptions the lift does not explain.
-        The counts read views of `representable`; the largest is found from
-        one flag per row of 64 n, in at most N / 32 bytes.
+        They are the 0 bits of the words with bit 0 (n = 64 w) read as 1,
+        counted and scanned block by block.
         """
-        r, N = self.representable, self.N
+        words, N = self.representable.words, self.N
         decades = []
         lo = 1
         while lo <= N:
             hi = min(10 * lo - 1, N)
-            lifted = r[-(-lo // 64) * 64 : hi + 1 : 64]
-            misses = (hi + 1 - lo - np.count_nonzero(r[lo : hi + 1])) - (lifted.size - np.count_nonzero(lifted))
-            decades.append([lo, hi, int(misses)])
+            decades.append([lo, hi, (hi + 1 - lo) - _ones(words, lo, hi + 1, fill=1)])
             lo *= 10
-        rows = r[: (N + 1) // 64 * 64].reshape(-1, 64)[:, 1:]  # column c of row w is n = 64 w + 1 + c
-        tail = np.flatnonzero(~r[rows.shape[0] * 64 + 1 :])  # past the last full row, whose first n is divisible by 64
-        if tail.size:
-            return decades, rows.shape[0] * 64 + 1 + int(tail[-1])
-        missing = rows.all(axis=1)
-        np.logical_not(missing, out=missing)
-        if not missing.any():
-            return decades, None
-        w = missing.size - 1 - int(np.argmax(missing[::-1]))
-        return decades, 64 * w + 1 + int(np.flatnonzero(~rows[w])[-1])
-
-
-def _words(N: int) -> int:
-    """uint64 words holding bits 0..N."""
-    return (N + 1 + 63) // 64
+        # the last word, with its bits past N read as 1, then whole words from the top down
+        last = N >> 6
+        top = int(words[last]) | 1 | (_ALL ^ ((2 << (N & 63)) - 1))
+        if top != _ALL:
+            return decades, 64 * last + (_ALL ^ top).bit_length() - 1
+        for b in range(last, 0, -_BLOCK):
+            a = max(0, b - _BLOCK)
+            short = np.flatnonzero((words[a:b] | np.uint64(1)) != np.uint64(_ALL))
+            if short.size:
+                w = a + int(short[-1])
+                return decades, 64 * w + (_ALL ^ (int(words[w]) | 1)).bit_length() - 1
+        return decades, None
 
 
 def census_bytes(N: int) -> int:
     """Upper bound on the bytes `run_census(N)` allocates at once.
 
-    During the second shift-OR pass five word arrays are alive: the packed
-    pair set, the three-square sums, the shifted copy, its carry and the
-    four-square sums.  At the unpack the pair set, the four-square sums and
-    the bool `representable` (N + 1 bytes) are alive, and then the 64-lift
-    check adds N / 32 bytes.  The cube-sum members, their squares and the
-    per-square bit scatter are O(sqrt N).
+    During the second shift-OR pass four word arrays are alive: the packed
+    pair set, the three-square sums, the shifted copy and the four-square
+    sums, plus one block of carry words.  The 64-lift check afterwards
+    holds the pair set, the four-square sums and about N / 16 bytes.
+    The cube-sum members, their squares and the per-square bit scatter are
+    O(sqrt N).
     """
-    words = 8 * _words(N)
+    W = _words(N)
     small = 2**13 + 8 * floor_nth_root(N, 2)
-    return max(5 * words, 2 * words + (N + 1)) + small
+    return 8 * (4 * W + min(_BLOCK, W)) + small
 
 
 def _sumset(pair: np.ndarray, squares: np.ndarray, N: int) -> np.ndarray:
-    """Bool over 0..N: sums of four squares from `squares`, exactly, by shift-OR on uint64 words.
+    """Packed words over 0..N: sums of four squares from `squares`, exactly, by shift-OR on uint64 words.
 
     `pair` holds the sums of two of them as packed words (bit k of word w
     stands for 64 w + k) and is left intact.  The sumset pair + pair is
-    (pair + squares) + squares: two passes of one shift per square.
+    (pair + squares) + squares: two passes of one shift per square.  The
+    bits past N are cleared.
     """
     three = np.zeros_like(pair)
     sh = np.empty_like(pair)
-    carry = np.empty_like(pair)
-    _shift_or(pair, squares, three, sh, carry)
+    _shift_or(pair, squares, three, sh)
     four = np.zeros_like(pair)
-    _shift_or(three, squares, four, sh, carry)
-    del three, sh, carry  # before the (N + 1)-byte unpack, as `census_bytes` counts
-    return np.unpackbits(four.view(np.uint8), count=N + 1, bitorder="little").view(bool)
+    _shift_or(three, squares, four, sh)
+    four[-1] &= np.uint64((2 << (N & 63)) - 1)
+    return four
 
 
-def _shift_or(words: np.ndarray, shifts: np.ndarray, out: np.ndarray, sh: np.ndarray, carry: np.ndarray) -> None:
+def _shift_or(words: np.ndarray, shifts: np.ndarray, out: np.ndarray, sh: np.ndarray) -> None:
     """OR `words` shifted left by every b in `shifts` (all below 64 * words.size) into `out`.
 
-    `sh` and `carry` are scratch arrays of the same size as `words`.
+    `sh` is a scratch array of the same size as `words`.
 
     Shifts are grouped by r = b mod 64, and one copy of `words` shifted left
     by r bits, with the carry from the word below, serves the whole group:
-    for b = 64 w + r it is OR-ed in w words further on.  Bits shifted past
-    the last word are dropped.  The bits `_sumset` sets past N are never
-    read, and left shifts only move them further up.
+    for b = 64 w + r it is OR-ed in w words further on.  The carry is taken
+    in blocks of `_BLOCK` words.  Bits shifted past the last word are
+    dropped.  Left shifts only move bits past N further up, where
+    `_sumset` clears them.
     """
     W = words.size
+    carry = np.empty(min(_BLOCK, W), dtype=words.dtype)
     for r in range(64):
         ws = (shifts[shifts % 64 == r] // 64).tolist()
         if not ws:
@@ -140,8 +206,11 @@ def _shift_or(words: np.ndarray, shifts: np.ndarray, out: np.ndarray, sh: np.nda
         if r:
             src = sh
             np.left_shift(words, r, out=sh)
-            np.right_shift(words[:-1], 64 - r, out=carry[:-1])
-            sh[1:] |= carry[:-1]
+            for a in range(0, W - 1, _BLOCK):
+                b = min(a + _BLOCK, W - 1)
+                c = carry[: b - a]
+                np.right_shift(words[a:b], 64 - r, out=c)
+                sh[a + 1 : b + 1] |= c
         for w in ws:
             out[w:] |= src[: W - w]
 
@@ -158,8 +227,8 @@ def run_census(N: int) -> Census:
     for c2 in sq.tolist():
         s = sq[sq <= N - c2] + c2
         np.bitwise_or.at(pair, s >> 6, np.uint64(1) << (s & 63).astype(np.uint64))
-    representable = _sumset(pair, sq, N)
-    cens = Census(N=N, cube_sums=members, pair=pair, representable=representable)
+    four = _sumset(pair, sq, N)
+    cens = Census(N=N, cube_sums=members, pair=PackedBits(pair, N), representable=PackedBits(four, N))
     _assert_family_consistency(cens)
     return cens
 
@@ -183,7 +252,7 @@ def witness_for(census: Census, n: int) -> tuple[int, int, int, int] | None:
         rest = n - s1 - sq[i:]
         ok = rest >= 2 * sq[i:]
         r = rest[ok]
-        ok[ok] = (census.pair[r >> 6] >> (r & 63).astype(np.uint64)) & 1
+        ok[ok] = census.pair[r]
         for j in (np.flatnonzero(ok) + i).tolist():
             c2 = members[j]
             s2 = s1 + c2 * c2
@@ -298,7 +367,8 @@ def _assert_family_consistency(census: Census) -> None:
     for n in family_members_upto(census.N):
         if r[n]:
             raise VerificationError(f"family member {n} claims to be representable")
-    if (r[: r[::64].size] & ~r[::64]).any():  # r[::64] holds r[64 k] for k <= N / 64
+    lifted = (r.words.view(np.uint8)[::8] & 1).view(bool)  # r[64 k] for k = 0..N/64: bit 0 of word k
+    if (r[: lifted.size] & ~lifted).any():
         raise VerificationError("some representable n has 64 n marked exceptional")
 
 

@@ -200,6 +200,9 @@ def cmd_arcs(args, cfg: RunConfig, out: Path) -> int:
     return 0
 
 
+_WITNESS_BLOCK = 1 << 20  # n per unpacked slice of the representable set in the witness walk
+
+
 def cmd_census(args, cfg: RunConfig, out: Path) -> int:
     # the filter is cheap and checks its scale, so it runs before any artifact is written
     f = None if args.filter_upsilon is None else filter_A_upsilon(args.N or 10**6, args.filter_upsilon)
@@ -223,10 +226,11 @@ def cmd_census(args, cfg: RunConfig, out: Path) -> int:
         print(f"N={census.N}: |E| = {census.E_count}")
         if args.witnesses:
             rows = []
-            for n in np.flatnonzero(census.representable).tolist():
-                wit = witness_for(census, n)
-                if wit is not None:
-                    rows.append((n, *wit))
+            for lo in range(0, census.N + 1, _WITNESS_BLOCK):
+                for n in (lo + np.flatnonzero(census.representable[lo : lo + _WITNESS_BLOCK])).tolist():
+                    wit = witness_for(census, n)
+                    if wit is not None:
+                        rows.append((n, *wit))
             _write_tsv(out / f"witnesses_{args.N}.tsv", cfg, ["n", "c1", "c2", "c3", "c4"], rows)
     if f is not None:
         _write_json(out / f"filter_u{args.filter_upsilon}.json", cfg, dataclasses.asdict(f))

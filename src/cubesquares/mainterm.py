@@ -324,8 +324,7 @@ class _SlotPairs:
             g, h, r = buf[:, :, : e.size]  # nodes down, entries across
             np.multiply(t, span, out=g)
             g += lo  # g >= lo >= gamma_lo of slot a, since rounding is monotone
-            np.subtract(u, g, out=h)
-            np.maximum(h, b_lo, out=h)  # clamp float dust at the edge
+            np.subtract(u, g, out=h)  # no clamp at b_lo: the density's pole, C_b^2, lies below it
             np.sqrt(g, out=g)
             np.sqrt(h, out=h)
             np.subtract(g, ca, out=r)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 
@@ -5,8 +6,10 @@ import numpy as np
 import pytest
 
 from cubesquares.census import (
+    _BLOCK,
     Census,
     DyadicFilter,
+    PackedBits,
     _assert_family_consistency,
     _shift_or,
     _words,
@@ -33,6 +36,33 @@ def _fft_bool_square(mask: np.ndarray, N: int) -> np.ndarray:
     f = np.fft.rfft(mask.astype(np.float64), n=L)
     conv = np.fft.irfft(f * f, n=L)
     return conv[: N + 1] > 0.5
+
+
+def _packed(bits: np.ndarray) -> np.ndarray:
+    """The uint64 words of a bool array over 0..N, zero past N."""
+    N = bits.size - 1
+    padded = np.zeros(64 * _words(N), dtype=bool)
+    padded[: N + 1] = bits
+    return np.packbits(padded, bitorder="little").view("<u8")
+
+
+def _unpacked(bits: PackedBits) -> np.ndarray:
+    """Every bit of the words, past N included, read without the accessors."""
+    return np.unpackbits(bits.words.view(np.uint8), bitorder="little").view(bool)
+
+
+def _with_bit(bits: PackedBits, n: int, value: bool) -> PackedBits:
+    """A copy of `bits` with bit n set or cleared."""
+    words = bits.words.copy()
+    one = np.uint64(1) << np.uint64(n & 63)
+    words[n >> 6] = words[n >> 6] | one if value else words[n >> 6] & ~one
+    return PackedBits(words, bits.N)
+
+
+def _exceptional(c: Census) -> np.ndarray:
+    out = ~c.representable[:]
+    out[0] = False
+    return out
 
 
 def _witness_direct(census, n):
@@ -68,8 +98,9 @@ def test_counts_frozen():
     big = run_census(100_000)
     assert big.E_count == 71407
     assert big.density_curve(10)[:3] == [[10000, 9143], [20000, 17466], [30000, 25167]]
-    assert big.E_count == int(big.exceptional.sum())
-    cum = np.cumsum(big.exceptional)
+    exceptional = _exceptional(big)
+    assert big.E_count == int(exceptional.sum())
+    cum = np.cumsum(exceptional)
     for points in (1, 7, 10):
         ts = [100_000 * i // points for i in range(1, points + 1)]
         assert big.density_curve(points) == [[t, int(cum[t])] for t in ts]
@@ -96,9 +127,20 @@ def test_shift_or_matches_int_oracle(N):
     src, want = _as_int(words), _as_int(out)
     for b in shifts:
         want |= src << b
-    _shift_or(words, np.array(shifts), out, np.empty_like(words), np.empty_like(words))
+    _shift_or(words, np.array(shifts), out, np.empty_like(words))
     mask = (1 << (N + 1)) - 1
     assert _as_int(out) & mask == want & mask
+
+
+def test_shift_or_carries_across_blocks():
+    # the carry is taken _BLOCK words at a time; dense words and one shift per call show every carried bit
+    W = 2 * _BLOCK + 5
+    words = np.frombuffer(np.random.default_rng(7).bytes(8 * W), dtype="<u8").copy()
+    src = _as_int(words)
+    for b in (1, 63, 64 * 3 + 17):
+        out = np.zeros_like(words)
+        _shift_or(words, np.array([b]), out, np.empty_like(words))
+        assert _as_int(out) == (src << b) & ((1 << (64 * W)) - 1), b
 
 
 # word boundaries of the uint64 packing (63/64/65, 127/128/129, 4095/4096/4097),
@@ -106,15 +148,72 @@ def test_shift_or_matches_int_oracle(N):
 @pytest.mark.parametrize("N", [1, 35, 36, 63, 64, 65, 127, 128, 129, 4095, 4096, 4097, 10**5, 10**6])
 def test_sumset_matches_fft_oracle(N):
     c = run_census(N)
-    assert c.representable.dtype == bool and c.representable.shape == (N + 1,)
-    pair = np.unpackbits(c.pair.view(np.uint8), count=N + 1, bitorder="little").view(bool)
-    assert np.array_equal(c.representable, _fft_bool_square(pair, N))
+    want = _fft_bool_square(_unpacked(c.pair)[: N + 1], N)
+    # word for word, so the bits past N are 0 in both sets
+    assert np.array_equal(c.representable.words, _packed(want))
+    assert np.array_equal(c.pair.words, _packed(_unpacked(c.pair)[: N + 1]))
+    assert np.array_equal(c.representable[:], want)
+
+
+# N + 1 = 0, 1 and 63 mod 64, the census's first representable n = 36, and a
+# random set dense enough to fill whole words
+@pytest.mark.parametrize("N", [1, 62, 63, 64, 65, 126, 4095, 4097])
+@pytest.mark.parametrize("source", ["census", "random"])
+def test_packed_bits_access_matches_oracle(N, source):
+    if source == "census":
+        c = run_census(N)
+        b = c.representable
+        want = _fft_bool_square(_unpacked(c.pair)[: N + 1], N)
+    else:
+        want = np.random.default_rng(N).random(N + 1) < 0.7
+        b = PackedBits(_packed(want).copy(), N)
+    assert not _unpacked(b)[N + 1 :].any()
+    edges = sorted({0, 1, 35, 36, 37, 63, 64, 65, 127, 128, N // 2, N - 1, N, N + 1, N + 2, 5000})
+    for lo in edges + [-1, -N - 2]:
+        for hi in edges + [-1, None]:
+            assert np.array_equal(b[lo:hi], want[lo:hi]), (lo, hi)
+    for lo in edges:
+        for hi in edges:
+            assert b.count(lo, hi) == int(np.count_nonzero(want[lo:hi])), (lo, hi)
+    assert b.count() == int(want.sum())
+    idx = np.random.default_rng(N + 1).integers(0, N + 1, size=3 * N + 7)
+    assert np.array_equal(b[idx], want[idx])
+    assert np.array_equal(b[idx.astype(np.uint64)], want[idx])
+    assert np.array_equal(b[np.arange(N + 1)], want)
+    assert [b[n] for n in range(N + 1)] == want.tolist()
+    assert all(type(b[n]) is bool for n in (0, N, np.int64(N)))
+    for bad in (-1, N + 1, np.array([0, N + 1]), np.array([-1])):
+        with pytest.raises(IndexError):
+            b[bad]
+    with pytest.raises(TypeError):
+        b[np.array([True])]
+    with pytest.raises(ValueError):
+        b[::2]
+    assert not hasattr(b, "__array__")
+
+
+def test_packed_bits_span_several_blocks():
+    # the popcount and the scan for the largest unlifted exception read _BLOCK words at a time
+    N = 64 * (2 * _BLOCK + 3) + 17
+    want = np.ones(N + 1, dtype=bool)
+    holes = [0, 5, 64, 64 * _BLOCK - 1, 64 * _BLOCK + 1, 64 * _BLOCK + 64, 64 * (2 * _BLOCK) + 3]
+    want[holes] = False
+    r = PackedBits(_packed(want), N)
+    c = Census(N=N, cube_sums=np.zeros(0, dtype=np.int64), pair=r, representable=r)
+    for lo, hi in [(0, N + 1), (1, 64 * _BLOCK), (63, 64 * _BLOCK + 2), (64 * _BLOCK - 1, N), (17, 64 * 2 * _BLOCK + 4)]:
+        assert c.representable.count(lo, hi) == int(np.count_nonzero(want[lo:hi]))
+    assert c.E_count == len(holes) - 1
+    decades, largest = c.unlifted_exceptions()
+    assert largest == 64 * (2 * _BLOCK) + 3
+    assert sum(d[2] for d in decades) == 4  # 5, 64 _BLOCK - 1, 64 _BLOCK + 1 and the largest
+    decades, largest = dataclasses.replace(c, representable=_with_bit(c.representable, largest, True)).unlifted_exceptions()
+    assert largest == 64 * _BLOCK + 1 and sum(d[2] for d in decades) == 3
 
 
 def test_memory_guard_matches_allocation(monkeypatch):
     N = 10**6
     estimate = census_bytes(N)
-    assert estimate < 3 * N
+    assert estimate < N  # no (N + 1)-byte array fits
     monkeypatch.setenv(BUDGET_ENV, str(estimate))
     tracemalloc.start()
     try:
@@ -122,7 +221,7 @@ def test_memory_guard_matches_allocation(monkeypatch):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert 0.95 * estimate <= peak <= estimate  # peak / estimate measured 0.995
+    assert 0.95 * estimate <= peak <= estimate  # peak / estimate measured 0.987
     monkeypatch.setenv(BUDGET_ENV, str(estimate - 1))
     with pytest.raises(CapacityError):
         run_census(N)
@@ -132,23 +231,25 @@ def test_lift_check_fits_census_bytes():
     # the check runs inside run_census with the pair set and representable alive;
     # a dense representable (every n but the family and their 64th parts) is its worst case
     N = 10**6
-    r = np.ones(N + 1, dtype=bool)
-    r[[1, 64, 4096, 262144]] = False
-    c = Census(N=N, cube_sums=np.zeros(0, dtype=np.int64), pair=np.zeros(_words(N), dtype="<u8"), representable=r)
+    r = PackedBits(_packed(np.ones(N + 1, dtype=bool)), N)
+    for n in (1, 64, 4096, 262144):
+        r = _with_bit(r, n, False)
+    pair = PackedBits(np.zeros(_words(N), dtype="<u8"), N)
+    c = Census(N=N, cube_sums=np.zeros(0, dtype=np.int64), pair=pair, representable=r)
     tracemalloc.start()
     try:
         _assert_family_consistency(c)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= census_bytes(N) - c.pair.nbytes - r.nbytes
+    assert peak <= census_bytes(N) - pair.words.nbytes - r.words.nbytes
 
 
 def test_matches_brute_force():
     N = 3000
     c = run_census(N)
     brute = brute_force_representable(N)
-    assert np.array_equal(c.representable, brute)
+    assert np.array_equal(c.representable[:], brute)
 
 
 def test_witnesses():
@@ -189,30 +290,26 @@ def test_obstruction_family():
         assert proof.n == 2 ** (6 + 12 * j)
         assert proof.verify()
     c = run_census(100_000)
-    assert c.exceptional[64]
+    assert not c.representable[64]
 
 
 def test_obstruction_tamper():
-    import dataclasses
-
     proof = verify_obstruction_family(1)
     with pytest.raises(VerificationError):
         dataclasses.replace(proof, forced_root_mod9=5).verify()
 
 
 def test_lift_tamper():
-    import dataclasses
-
-    # 8C is inside C, so representable n has 64 n representable; the census checks it on every run
-    c = run_census(10_000)
-    n = int(np.flatnonzero(c.representable)[0])
-    assert n == 36 and c.representable[64 * n]
-    lifted = c.representable.copy()
-    lifted[64 * n] = False
-    with pytest.raises(VerificationError, match="64 n"):
-        _assert_family_consistency(dataclasses.replace(c, representable=lifted))
-    member = c.representable.copy()
-    member[64] = True
+    # 8C is inside C, so representable n has 64 n representable; the census checks it on every run.
+    # 127, the second representable n, is bit 63 of its word and, at N = 64 * 127, the last k = N / 64
+    c = run_census(64 * 127)
+    assert np.flatnonzero(c.representable[:128]).tolist() == [36, 127]
+    for n in (36, 127):
+        assert c.representable[64 * n]
+        lifted = _with_bit(c.representable, 64 * n, False)
+        with pytest.raises(VerificationError, match="64 n"):
+            _assert_family_consistency(dataclasses.replace(c, representable=lifted))
+    member = _with_bit(c.representable, 64, True)
     with pytest.raises(VerificationError, match="family member 64"):
         _assert_family_consistency(dataclasses.replace(c, representable=member))
 
@@ -227,19 +324,17 @@ def test_unlifted_exceptions_frozen_at_a_million():
 
 @pytest.mark.parametrize("N", [63, 64, 130, 1000, 4095, 20_037])
 def test_unlifted_exceptions_match_a_scan(N):
-    import dataclasses
-
     c = run_census(N)
-    e = np.flatnonzero(c.exceptional)
+    e = np.flatnonzero(_exceptional(c))
     e = e[e % 64 != 0]
     decades, largest = c.unlifted_exceptions()
     assert decades[-1][1] == N
     assert [d[2] for d in decades] == [int(np.count_nonzero((e >= lo) & (e <= hi))) for lo, hi, _ in decades]
     assert largest == int(e[-1])
     # with every exception off the multiples of 64 made representable, none is left
-    r = c.representable.copy()
+    r = c.representable[:]
     r[1:][np.arange(1, N + 1) % 64 != 0] = True
-    decades, largest = dataclasses.replace(c, representable=r).unlifted_exceptions()
+    decades, largest = dataclasses.replace(c, representable=PackedBits(_packed(r), N)).unlifted_exceptions()
     assert largest is None and all(d[2] == 0 for d in decades)
 
 

@@ -182,6 +182,19 @@ def test_census_witnesses(tmp_path):
     assert sum(x * x for x in quad) == n
 
 
+def test_census_witness_walk_by_blocks(tmp_path, monkeypatch):
+    # the walk unpacks the representable set one block at a time; every representable n gets its row
+    from cubesquares.census import run_census
+
+    monkeypatch.setattr(cli, "_WITNESS_BLOCK", 100)
+    assert run(tmp_path, "census", "--N", "2000", "--witnesses") == 0
+    rows = [line.split("\t") for line in (tmp_path / "witnesses_2000.tsv").read_text().splitlines()[2:]]
+    census = run_census(2000)
+    want = [n for n in range(2001) if census.representable[n]]
+    assert [int(r[0]) for r in rows] == want
+    assert all(sum(int(x) ** 2 for x in r[1:]) == int(r[0]) for r in rows)
+
+
 def test_census_family(tmp_path):
     assert run(tmp_path, "census", "--family", "--jmax", "3") == 0
 

@@ -378,6 +378,26 @@ def test_pair_sum_kernel_matches_pair_conv_loop(monkeypatch, fresh_j_cache, P):
         assert np.abs(pairs(v) - want).max() <= 1e-14 * np.abs(want).max()
 
 
+def _ulp_steps(x: np.ndarray, toward: float, k: int) -> list[np.ndarray]:
+    """x and its first k float64 neighbours toward `toward`."""
+    out = [x]
+    for _ in range(k):
+        out.append(np.nextafter(out[-1], toward))
+    return out
+
+
+@pytest.mark.parametrize("P", [16, 27])
+def test_pair_sum_kernel_at_support_edges(fresh_j_cache, P):
+    # within a few ulp of each pair's support edges the overlap span is float dust
+    pp = derive_params(P**6)
+    thin, bulk, _ = mainterm._j_slot_pairs(pp, tuple(pp.default_primes()))
+    for pairs in (thin, bulk):
+        v = np.sort(np.concatenate(_ulp_steps(pairs.lo, np.inf, 6) + _ulp_steps(pairs.hi, -np.inf, 6)))
+        got, want = pairs(v), _pair_sum_loop(pairs, v)
+        assert np.isfinite(got).all() and np.isfinite(want).all()
+        assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+
+
 def test_J_loads_no_numpy_ma():
     # np.unique imports numpy.ma on first use, 14-25 ms of a short run
     code = (
