@@ -21,6 +21,7 @@ the multiplicativity check and the series tests compare against.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -28,18 +29,29 @@ import numpy as np
 
 from .errors import VerificationError
 from .residues import t_square_distribution
-from .w2 import spf_sieve
+from .w2 import factorizations
+
+
+def phase_sum(residues: Iterable[int], weights: Iterable, q: int) -> complex:
+    """sum of c e(r / q) over integer residues r with nonzero weights c; cos and sin parts each by math.fsum.
+
+    The angle is 2 pi (r / q): int / int true division stays finite for q past 10^308.
+    """
+    re, im = [], []
+    for r, c in zip(residues, weights):
+        if c:
+            theta = 2.0 * math.pi * (r / q)
+            re.append(c * math.cos(theta))
+            im.append(c * math.sin(theta))
+    return complex(math.fsum(re), math.fsum(im))
 
 
 def complete_sum_S(q: int, a: int) -> complex:
     """Direct phase sum against the T^2 residue distribution; O(q) exact phases."""
     if q < 1:
         raise ValueError("q must be >= 1")
-    dist = t_square_distribution(q).tolist()
     a %= q
-    re = math.fsum(c * math.cos(2.0 * math.pi * ((a * m) % q) / q) for m, c in enumerate(dist) if c)
-    im = math.fsum(c * math.sin(2.0 * math.pi * ((a * m) % q) / q) for m, c in enumerate(dist) if c)
-    return complex(re, im)
+    return phase_sum(((a * m) % q for m in range(q)), t_square_distribution(q).tolist(), q)
 
 
 def batch_is_exact(q: int) -> bool:
@@ -62,10 +74,7 @@ def gauss_sum_S2(q: int, a: int) -> complex:
     if q < 1:
         raise ValueError("q must be >= 1")
     a %= q
-    terms = [(a * ((x * x) % q)) % q for x in range(q)]
-    re = math.fsum(math.cos(2.0 * math.pi * t / q) for t in terms)
-    im = math.fsum(math.sin(2.0 * math.pi * t / q) for t in terms)
-    return complex(re, im)
+    return phase_sum(((a * x * x) % q for x in range(q)), [1] * q, q)
 
 
 def coprime_residues(q: int) -> np.ndarray:
@@ -115,23 +124,12 @@ def truncated_singular_series(n: int, Q: int) -> SeriesTruncation:
     """
     if Q < 1:
         raise ValueError("Q must be >= 1")
-    spf = spf_sieve(Q).tolist()
-    prime_power_terms: dict[int, float] = {}
-    terms = np.empty(Q + 1, dtype=np.float64)
-    terms[0] = 0.0
-    for q in range(1, Q + 1):
-        term = 1.0
-        m = q
-        while m > 1:
-            p = spf[m]
-            pk = 1
-            while m % p == 0:
-                m //= p
-                pk *= p
-            if pk not in prime_power_terms:
-                prime_power_terms[pk] = coefficient_Sn(pk, n)
-            term *= prime_power_terms[pk]
-        terms[q] = term
+    sn: dict[int, float] = {}  # Sn(p^k), taken when the walk reaches q = p^k, before any multiple of it
+    terms = np.zeros(Q + 1, dtype=np.float64)
+    for q, factors in factorizations(Q):
+        if len(factors) == 1:
+            sn[q] = coefficient_Sn(q, n)
+        terms[q] = math.prod(sn[p**k] for p, k in factors)
     value = float(math.fsum(terms[1:].tolist()))
     tails: dict[int, float] = {}
     Qd = Q // 2

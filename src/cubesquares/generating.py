@@ -15,14 +15,13 @@ F = h^2 W^2 - (h* W*)^2 is the quantity the minor-arc analysis bounds.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
 from .arcs import ArcDissection
-from .expsums import complete_sum_S
+from .expsums import complete_sum_S, phase_sum
 from .oscillatory import osc_integral_v, osc_integral_v_thin
 from .params import Params
 from .scale import Scale
@@ -36,14 +35,7 @@ def _exact_phases(values: np.ndarray, counts: np.ndarray, alpha: Fraction, scale
     if num == 0:
         return complex(float(counts.sum()), 0.0)
     s2 = scale * scale
-    re = []
-    im = []
-    for v, c in zip(values.tolist(), counts.tolist()):
-        r = (num * (v * v * s2 % den)) % den
-        theta = 2.0 * math.pi * (r / den)
-        re.append(c * math.cos(theta))
-        im.append(c * math.sin(theta))
-    return complex(math.fsum(re), math.fsum(im))
+    return phase_sum(((num * (v * v * s2 % den)) % den for v in values.tolist()), counts.tolist(), den)
 
 
 def eval_h(alpha: float | Fraction, table: WeightTable) -> complex:

@@ -35,7 +35,7 @@ import numpy as np
 from . import weights
 from .cubesieve import reserve
 from .errors import CapacityError, QuadratureError
-from .oscillatory import KernelSlot, _leggauss, _panel_rule, plain_slot, scaled_slot
+from .oscillatory import KernelSlot, gauss_rule, plain_slot, scaled_slot
 from .params import Params
 from .weights import WeightTable, _outer_sum, smooth_cube_pairs, table_bytes
 
@@ -174,11 +174,11 @@ def _pair_conv(sa: KernelSlot, sb: KernelSlot, u: np.ndarray) -> np.ndarray:
     lo = np.maximum(sa.gamma_lo, u - sb.gamma_hi)
     hi = np.minimum(sa.gamma_hi, u - sb.gamma_lo)
     span = np.maximum(hi - lo, 0.0)
-    x, w = _leggauss(_GAUSS_ORDER)  # the rule on [0, 1] is 0.5 + 0.5 x with weights 0.5 w
-    g = lo[None, :] + span[None, :] * (0.5 + 0.5 * x)[:, None]
+    t, wt = gauss_rule((0.0, 1.0), _GAUSS_ORDER)
+    g = lo[None, :] + span[None, :] * t[:, None]
     gb = np.maximum(u[None, :] - g, sb.gamma_lo)  # clamp float dust at the edge
     vals = sa.density(np.maximum(g, sa.gamma_lo)) * sb.density(gb)
-    return np.sum(vals * (0.5 * w)[:, None], axis=0) * span
+    return np.sum(vals * wt[:, None], axis=0) * span
 
 
 def conv4_value(slots: tuple[KernelSlot, ...], n: float) -> float:
@@ -196,11 +196,8 @@ def conv4_value(slots: tuple[KernelSlot, ...], n: float) -> float:
     if u_hi <= u_lo:
         return 0.0
     cuts = sorted({u_lo, u_hi, *(b for b in b12 if u_lo < b < u_hi), *(n - b for b in b34 if u_lo < n - b < u_hi)})
-    total = 0.0
-    for a, b in zip(cuts[:-1], cuts[1:]):
-        u, wu = _panel_rule(a, b, 1, _GAUSS_ORDER)
-        total += float(np.sum(wu * _pair_conv(s1, s2, u) * _pair_conv(s3, s4, n - u)))
-    return total
+    u, wu = gauss_rule(cuts, _GAUSS_ORDER)
+    return float(np.sum(wu * _pair_conv(s1, s2, u) * _pair_conv(s3, s4, n - u)))
 
 
 def conv4_value_beta(slots: tuple[KernelSlot, ...], n: float, K: float = 40.0) -> float:
@@ -218,12 +215,12 @@ def conv4_value_beta(slots: tuple[KernelSlot, ...], n: float, K: float = 40.0) -
     panels = max(8, int(4.0 * T * rate / order) + 8)
     if panels * order > 200_000:
         raise QuadratureError(f"beta grid would need {panels * order} nodes; n is far outside the support")
-    beta, wb = _panel_rule(-T, T, panels, order)
+    beta, wb = gauss_rule(np.linspace(-T, T, panels + 1), order)
     prod = np.ones_like(beta, dtype=np.complex128)
     for s in slots:
         cycles = T * (s.gamma_hi - s.gamma_lo)
         sp = max(2, int(cycles / 3.0) + 1)
-        g, wg = _panel_rule(s.gamma_lo, s.gamma_hi, sp, order)
+        g, wg = gauss_rule(np.linspace(s.gamma_lo, s.gamma_hi, sp + 1), order)
         dens = s.density(g) * wg
         prod *= np.exp(2j * np.pi * np.outer(beta, g)) @ dens
     val = np.sum(wb * prod * np.exp(-2j * np.pi * beta * n))
@@ -310,8 +307,8 @@ class _SlotPairs:
         starts, runs = starts[live], runs[live]
         first = np.cumsum(runs) - runs  # the entry index of each live pair's first point
         total = int(runs.sum())
-        x, w = _leggauss(_GAUSS_ORDER)
-        t, hw = (0.5 + 0.5 * x)[:, None], 0.5 * w  # the rule on [0, 1]
+        t, hw = gauss_rule((0.0, 1.0), _GAUSS_ORDER)
+        t = t[:, None]
         buf = np.empty((3, _GAUSS_ORDER, min(_BLOCK, total)))
         for e0 in range(0, total, _BLOCK):
             e = np.arange(e0, min(e0 + _BLOCK, total))
@@ -445,11 +442,7 @@ def singular_integral_J(n: int, params: Params, primes: list[int]) -> float:
     f_uu = _panels(bulk, n - u_hi, n - u_lo)
     cuts = _distinct(np.concatenate((f_tt[0], [u_lo, u_hi], n - f_uu[0][1:])))
     cuts = cuts[(cuts >= u_lo) & (cuts <= u_hi)]
-    x, w = _leggauss(_GAUSS_ORDER)
-    mid = 0.5 * (cuts[:-1] + cuts[1:])[:, None]
-    half = 0.5 * (cuts[1:] - cuts[:-1])[:, None]
-    u = (mid + half * x).ravel()
-    wu = (half * w).ravel()
+    u, wu = gauss_rule(cuts, _GAUSS_ORDER)
     return float(np.sum(wu * _chebval(*f_tt, u) * _chebval(*f_uu, n - u)))
 
 

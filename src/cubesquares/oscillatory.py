@@ -2,8 +2,8 @@
 
 v(beta) integrates e(beta (x1^3 + y2^3 + y3^3)^2) over x1 in [lo, hi] and
 y2, y3 in [0, box] of a `params.Family`.  Two independent evaluation routes
-are kept deliberately separate; they share only the Gauss panel rule and the
-node count per cycle:
+are kept deliberately separate; they share only `gauss_rule`, the 16-point
+panel policy of `_panel_rule` and the node count per cycle:
 
   cubature3d   tensor Gauss-Legendre directly in (x1, y2, y3) space.  The sum
                over each x1 node t is the quadratic form A(t)^T M A(t) from
@@ -16,8 +16,9 @@ node count per cycle:
 
 Both are driven by an effective frequency: `osc_integral_v` integrates over
 the bulk family at beta, and `osc_integral_v_thin` over the thin family at
-beta_eff = beta * p^6 for its prime p.  The kernel slots are reused by the
-singular-integral convolution.
+beta_eff = beta * p^6 for its prime p.  Neither route uses the kernel slots:
+they are the pushforward densities of x1 that the singular integral J(n)
+and its Fourier cross-check `mainterm.conv4_value_beta` convolve.
 """
 
 from __future__ import annotations
@@ -34,21 +35,24 @@ MAX_NODES_PER_AXIS = 4096
 _BLOCK = 1 << 20  # largest phase block of _kernel1d, in entries
 
 
-@lru_cache(maxsize=64)
-def _leggauss(order: int) -> tuple[np.ndarray, np.ndarray]:
-    x, w = np.polynomial.legendre.leggauss(order)
-    return x, w
+_leggauss = lru_cache(maxsize=64)(np.polynomial.legendre.leggauss)
 
 
-def _panel_rule(lo: float, hi: float, panels: int, order: int) -> tuple[np.ndarray, np.ndarray]:
-    """GL nodes/weights for [lo, hi] split into equal panels."""
+def gauss_rule(edges, order: int) -> tuple[np.ndarray, np.ndarray]:
+    """Flat nodes and weights of the `order`-point Gauss-Legendre rule on each piece [edges[i], edges[i + 1]].
+
+    On (0.0, 1.0) the rule is 0.5 + 0.5 x with weights 0.5 w, bit for bit.
+    """
     x, w = _leggauss(order)
-    edges = np.linspace(lo, hi, panels + 1)
+    edges = np.asarray(edges, dtype=np.float64)
     mid = 0.5 * (edges[:-1] + edges[1:])[:, None]
-    half = 0.5 * (edges[1] - edges[0])
-    nodes = (mid + half * x[None, :]).ravel()
-    weights = np.broadcast_to(half * w[None, :], (panels, order)).ravel()
-    return nodes, weights
+    half = 0.5 * (edges[1:] - edges[:-1])[:, None]
+    return (mid + half * x).ravel(), (half * w).ravel()
+
+
+def _panel_rule(lo: float, hi: float, nodes: int) -> tuple[np.ndarray, np.ndarray]:
+    """At least `nodes` Gauss nodes on [lo, hi]: ceil(nodes / 16) equal panels of 16 points."""
+    return gauss_rule(np.linspace(lo, hi, (nodes + 15) // 16 + 1), 16)
 
 
 def _nodes_for_cycles(cycles: float) -> int:
@@ -104,22 +108,23 @@ def scaled_slot(t_lo: float, t_hi: float, C: float, p: int) -> KernelSlot:
 # -- the two integral routes ---------------------------------------------------
 
 
-def _cubature3d(beta_eff: float, t_lo: float, t_hi: float, ybox: float, tol: float) -> complex:
+def _cubature3d(beta_eff: float, family: Family, tol: float) -> complex:
     # (t^3 + a + b)^2 = t^6 + (2 t^3 a + a^2) + (2 t^3 b + b^2) + 2ab with a = y2^3,
     # b = y3^3: the (y2, y3) tensor sum at each x1 node t is A(t)^T M A(t).
+    t_lo, t_hi, ybox = family.lo, family.hi, family.box
     gamma_max = (t_hi**3 + 2.0 * ybox**3) ** 2
     cycles = abs(beta_eff) * gamma_max
     n = _nodes_for_cycles(cycles)
     prev = None
     for nodes in (n, int(1.4 * n) + 8):
-        x1, w1 = _panel_rule(t_lo, t_hi, 1, min(nodes, 64)) if nodes <= 64 else _panel_rule(t_lo, t_hi, (nodes + 15) // 16, 16)
-        y, wy = _panel_rule(0.0, ybox, (nodes + 15) // 16, 16)
+        x1, w1 = _panel_rule(t_lo, t_hi, nodes)
+        y, wy = _panel_rule(0.0, ybox, nodes)
         t3, cy = x1**3, y**3
         A = np.exp(2j * np.pi * beta_eff * (2.0 * t3[:, None] * cy[None, :] + cy[None, :] ** 2))
         M = np.outer(wy, wy) * np.exp(2j * np.pi * (2.0 * beta_eff) * np.outer(cy, cy))
         inner = np.einsum("ti,ti->t", A @ M, A)
         acc = complex(np.sum(w1 * np.exp(2j * np.pi * beta_eff * t3**2) * inner))
-        if prev is not None and abs(acc - prev) <= tol * max(abs(acc), (t_hi - t_lo) * ybox**2):
+        if prev is not None and abs(acc - prev) <= tol * max(abs(acc), family.volume):
             return acc
         prev = acc
     raise QuadratureError("cubature3d did not stabilize", partial=prev)
@@ -132,11 +137,11 @@ def _c_density(C: np.ndarray, ybox: float) -> np.ndarray:
     max(C - ybox^3, 0)^(1/3) to (C/2)^(1/3).  There C - w^3 >= C/2, so the
     integrand is analytic and a fixed 24-point Gauss rule is exact to rounding.
     """
-    u, wu = _leggauss(24)
+    t, wt = gauss_rule((0.0, 1.0), 24)
     lo = np.cbrt(np.maximum(C - ybox**3, 0.0))
-    half = 0.5 * (np.cbrt(C / 2.0) - lo)
-    w = (lo + half)[:, None] + half[:, None] * u[None, :]
-    return (2.0 / 3.0) * half * ((C[:, None] - w**3) ** (-2.0 / 3.0) @ wu)
+    span = np.cbrt(C / 2.0) - lo
+    w = lo[:, None] + span[:, None] * t[None, :]
+    return (2.0 / 3.0) * span * ((C[:, None] - w**3) ** (-2.0 / 3.0) @ wt)
 
 
 def _c_rule(ybox: float, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -145,15 +150,16 @@ def _c_rule(ybox: float, n: int) -> tuple[np.ndarray, np.ndarray]:
     C = s^3 on [0, ybox^3] removes rho's C^(-1/3) singularity, and
     C = ybox^3 + c^3 on [ybox^3, 2 ybox^3] its (C - ybox^3)^(1/3) cusp.
     """
-    r, wr = _panel_rule(0.0, ybox, (n + 15) // 16, 16)
+    r, wr = _panel_rule(0.0, ybox, n)
     C = np.concatenate([r**3, ybox**3 + r**3])
     jac = np.tile(3.0 * r**2 * wr, 2)
     return C, jac * _c_density(C, ybox)
 
 
-def _kernel1d(beta_eff: float, t_lo: float, t_hi: float, ybox: float, tol: float) -> complex:
+def _kernel1d(beta_eff: float, family: Family, tol: float) -> complex:
     # v = int dx1 int rho(C) e(beta (x1^3 + C)^2) dC: an (x1, C) phase matrix
     # between two weight vectors, built in row blocks of at most _BLOCK entries.
+    t_lo, t_hi, ybox = family.lo, family.hi, family.box
     if ybox <= 0.0:
         return 0.0 + 0.0j
     Cmax = 2.0 * ybox**3
@@ -161,7 +167,7 @@ def _kernel1d(beta_eff: float, t_lo: float, t_hi: float, ybox: float, tol: float
     nx = _nodes_for_cycles(abs(beta_eff) * ((t_hi**3 + Cmax) ** 2 - (t_lo**3 + Cmax) ** 2))
 
     def evaluate(nx_: int, nc_: int) -> complex:
-        x, wx = _panel_rule(t_lo, t_hi, (nx_ + 15) // 16, 16)
+        x, wx = _panel_rule(t_lo, t_hi, nx_)
         C, wC = _c_rule(ybox, nc_)
         x3 = x**3
         rows = max(1, _BLOCK // C.size)
@@ -173,7 +179,7 @@ def _kernel1d(beta_eff: float, t_lo: float, t_hi: float, ybox: float, tol: float
 
     prev = evaluate(nx, nc)
     cur = evaluate(int(1.4 * nx) + 8, int(1.4 * nc) + 8)
-    scale = max(abs(cur), (t_hi - t_lo) * ybox**2)
+    scale = max(abs(cur), family.volume)
     if abs(cur - prev) <= tol * scale:
         return cur
     final = evaluate(int(2.0 * nx) + 8, int(2.0 * nc) + 8)
@@ -184,9 +190,9 @@ def _kernel1d(beta_eff: float, t_lo: float, t_hi: float, ybox: float, tol: float
 
 def _osc_integral(beta_eff: float, family: Family, method: str, tol: float) -> complex:
     if method == "kernel1d":
-        return _kernel1d(beta_eff, family.lo, family.hi, family.box, tol)
+        return _kernel1d(beta_eff, family, tol)
     if method == "cubature3d":
-        return _cubature3d(beta_eff, family.lo, family.hi, family.box, tol)
+        return _cubature3d(beta_eff, family, tol)
     raise ValueError(f"unknown method {method!r}")
 
 
@@ -201,5 +207,5 @@ def osc_integral_v_thin(beta: float, p: int, params: Params, method: str = "kern
 
 
 def v_at_zero(params: Params) -> float:
-    """Closed form v(0) = P^3 / 2 (box volume)."""
-    return params.P**3 / 2.0
+    """Closed form v(0) = P^3 / 2, the bulk family's box volume."""
+    return params.bulk.volume

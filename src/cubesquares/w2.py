@@ -20,6 +20,7 @@ exponent of q is >= 6 (the "6-full" numbers: 64, 128, ..., 729, ...).
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 
 import numpy as np
 
@@ -62,14 +63,24 @@ def w2(q: int) -> float:
     return w2_carrier(q) ** (-1.0 / 6.0)
 
 
-def spf_sieve(limit: int) -> np.ndarray:
-    """Smallest-prime-factor table for 0..limit (0 and 1 map to themselves)."""
-    spf = np.arange(limit + 1, dtype=np.int64)
-    for i in range(2, int(math.isqrt(limit)) + 1):
+def factorizations(Q: int) -> Iterator[tuple[int, list[tuple[int, int]]]]:
+    """Each q = 1..Q with its prime powers [(p, k), ...], p^k || q, in ascending p, from one smallest-prime-factor table."""
+    spf = np.arange(Q + 1, dtype=np.int64)
+    for i in range(2, math.isqrt(Q) + 1):
         if spf[i] == i:
             sl = spf[i * i :: i]
-            sl[sl == np.arange(i * i, limit + 1, i)] = i
-    return spf
+            sl[sl == np.arange(i * i, Q + 1, i)] = i
+    spf = spf.tolist()
+    for q in range(1, Q + 1):
+        factors = []
+        m = q
+        while m > 1:
+            p, k = spf[m], 0
+            while m % p == 0:
+                m //= p
+                k += 1
+            factors.append((p, k))
+        yield q, factors
 
 
 def w2_scan(Q: int) -> tuple[np.ndarray, bool, list[int]]:
@@ -78,19 +89,12 @@ def w2_scan(Q: int) -> tuple[np.ndarray, bool, list[int]]:
     The carrier stays a Python int (p^6 for a prime near 1e5 overflows int64),
     so the majorant comparison W(q) >= q is exact.
     """
-    spf = spf_sieve(Q)
     w2sq = np.zeros(Q + 1, dtype=np.float64)
     majorant_ok = True
     equality: list[int] = []
-    for q in range(1, Q + 1):
+    for q, factors in factorizations(Q):
         w = 1
-        m = q
-        while m > 1:
-            p = int(spf[m])
-            k = 0
-            while m % p == 0:
-                m //= p
-                k += 1
+        for p, k in factors:
             w *= _carrier_factor(p, k)
         w2sq[q] = w ** (-1.0 / 3.0)
         if w < q:
@@ -103,7 +107,7 @@ def w2_scan(Q: int) -> tuple[np.ndarray, bool, list[int]]:
 def six_full_upto(Q: int) -> list[int]:
     """The 6-full q in [2, Q], in increasing order, generated as products of p^e with e >= 6.
 
-    Built from trial-division primes, independent of `spf_sieve` and
+    Built from trial-division primes, independent of `factorizations` and
     `factorize`, so it can check the equality set that `w2_scan` reports.
     """
     found = [1]

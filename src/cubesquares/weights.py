@@ -266,8 +266,10 @@ def load_binary(path: str | Path) -> WeightTable:
     path = Path(path)
     with open(path, "rb") as f:
         head = f.read(13)
+        if len(head) < 13:
+            raise ValueError(f"{path} is shorter than its 13-byte header")
         if head[:4] != MAGIC:
-            raise ValueError(f"bad magic {head[:4]!r}")
+            raise ValueError(f"{path} has bad magic {head[:4]!r}")
         role = head[4:5].decode("ascii")
         (npairs,) = struct.unpack_from("<Q", head, 5)
         if path.stat().st_size < 13 + 16 * npairs:

@@ -4,6 +4,9 @@ Each test prints the one-line verdict so the pytest -v log doubles as the
 acceptance report.
 """
 
+import importlib.util
+from pathlib import Path
+
 import pytest
 
 from cubesquares import acceptance
@@ -62,3 +65,32 @@ def test_criterion_11_model_vs_counts():
 
 def test_criterion_12_certificates():
     _check(acceptance.criterion_12)
+
+
+def _stub_pass():
+    return acceptance.CriterionResult(1, "stub that passes", True, "within tolerance", 0.0)
+
+
+def _stub_fail():
+    return acceptance.CriterionResult(2, "stub that fails", False, "off by 1e-3", 0.0)
+
+
+def test_run_all_prints_each_criterion_and_the_tally(monkeypatch, capsys):
+    monkeypatch.setattr(acceptance, "ALL_CRITERIA", [_stub_pass, _stub_fail])
+    results = acceptance.run_all()
+    assert [(r.index, r.passed) for r in results] == [(1, True), (2, False)]
+    assert capsys.readouterr().out.splitlines() == [
+        "[PASS] criterion  1 (stub that passes) [0.00s] within tolerance",
+        "[FAIL] criterion  2 (stub that fails) [0.00s] off by 1e-3",
+        "1/2 criteria passed",
+    ]
+
+
+def test_run_acceptance_script_fails_on_a_failed_criterion(monkeypatch, capsys):
+    monkeypatch.setattr(acceptance, "ALL_CRITERIA", [_stub_pass, _stub_fail])
+    path = Path(__file__).resolve().parents[1] / "scripts" / "run_acceptance.py"
+    spec = importlib.util.spec_from_file_location("run_acceptance", path)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    assert script.main() == 1
+    assert capsys.readouterr().out.splitlines()[-1] == "1/2 criteria passed"

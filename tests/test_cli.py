@@ -1,10 +1,13 @@
 import json
+from pathlib import Path
 
 import pytest
 
-from cubesquares import cli
+from cubesquares import __version__, cli
 from cubesquares.cli import RunConfig, main
 from cubesquares.cubesieve import BUDGET_ENV
+from cubesquares.errors import QuadratureError
+from cubesquares.scale import Scale
 
 
 def run(tmp_path, *argv):
@@ -144,6 +147,22 @@ def test_arcs_v_at_zero(tmp_path, capsys):
     assert "256" in out
 
 
+def _drifted_v(beta, params, method="kernel1d", tol=1e-6):
+    return complex(1.001 * params.bulk.volume)
+
+
+def _failing_v(beta, params, method="kernel1d", tol=1e-6):
+    raise QuadratureError(f"{method} did not stabilize")
+
+
+@pytest.mark.parametrize("fake", [_drifted_v, _failing_v], ids=["drift", "quadrature"])
+def test_arcs_verification_failure_exits_3(tmp_path, capsys, monkeypatch, fake):
+    monkeypatch.setattr(cli, "osc_integral_v", fake)
+    assert run(tmp_path, "arcs", "--v-at-zero", "--N", str(8**6)) == 3
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("verification failure:")
+
+
 def test_arcs_v_sweep(tmp_path):
     N = 8**6
     assert run(tmp_path, "arcs", "--v-sweep", "--N", str(N), "--beta-max", "1e-5", "--sweep-points", "5") == 0
@@ -157,6 +176,20 @@ def test_arcs_rn_exact_toy(tmp_path):
     lines = (tmp_path / "rn_toy.tsv").read_text().splitlines()
     rows = {int(l.split("\t")[0]): int(l.split("\t")[1]) for l in lines[2:]}
     assert rows[1170] == 1
+
+
+def test_arcs_rn_exact_table(tmp_path):
+    N = 262_144
+    argv = ["arcs", "--rn-exact", "--N", str(N), "--sweep-points", "4", "--out", str(tmp_path)]
+    assert main(argv) == 0
+    lines = (tmp_path / f"rn_N{N}.tsv").read_text().splitlines()
+    options = {k: v for k, v in vars(cli.parse_args(argv)).items() if k != "config" and not isinstance(v, Path)}
+    assert lines[0] == f"# config={RunConfig('arcs', options).hash} version={__version__}"
+    assert lines[1].split("\t") == ["n", "R"]
+    rows = [tuple(int(x) for x in line.split("\t")) for line in lines[2:]]
+    rn = Scale(N).rn
+    assert rows == [(n, rn(n)) for n in range(N // 2, N + 1, N // 2 // 4)]
+    assert len(rows) == 5
 
 
 def test_census_command(tmp_path):

@@ -95,3 +95,12 @@ def test_F_diagnostic_fields():
     assert diag.h_model == h_star(Fraction(0), d, pp, estimate_c_eta(pp.P, pp.R))
     # F = h^2 W^2 - (model h)^2 (model W)^2 is finite
     assert math.isfinite(diag.F.real) and math.isfinite(diag.F.imag)
+
+
+def test_sums_at_a_denominator_past_float_range_keep_the_mass():
+    # alpha = 2^-1100: 2^1100 overflows a float, so the angle must divide int by int
+    a, b = WeightTable("a", (3, 5, 9), (1, 2, 4)), WeightTable("b", (2, 7), (3, 1))
+    alpha = Fraction(1, 2**1100)
+    h, W = eval_h(alpha, a), eval_W(alpha, b, [2, 3])
+    assert h.real == 7.0 and abs(h.imag) < 1e-300
+    assert W.real == 8.0 and abs(W.imag) < 1e-300

@@ -24,7 +24,7 @@ from cubesquares.mainterm import (
     rn_dense_dft,
     singular_integral_J,
 )
-from cubesquares.oscillatory import _leggauss, plain_slot, scaled_slot
+from cubesquares.oscillatory import gauss_rule, plain_slot, scaled_slot
 from cubesquares.params import derive_params
 from cubesquares.scale import Scale
 from cubesquares.smooth import enumerate_smooth
@@ -208,11 +208,7 @@ def _J_direct(n, params, primes):
         return 0.0
     cuts = np.unique(np.concatenate(([u_lo, u_hi], thin.breaks, n - bulk.breaks)))
     cuts = cuts[(cuts >= u_lo) & (cuts <= u_hi)]
-    x, w = _leggauss(24)
-    mid = 0.5 * (cuts[:-1] + cuts[1:])[:, None]
-    half = 0.5 * (cuts[1:] - cuts[:-1])[:, None]
-    u = (mid + half * x).ravel()
-    wu = (half * w).ravel()
+    u, wu = gauss_rule(cuts, 24)
     f_uu = _pair_sum_loop(bulk, (n - u)[::-1])[::-1]
     return float(np.sum(wu * _pair_sum_loop(thin, u) * f_uu))
 

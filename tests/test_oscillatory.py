@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from cubesquares.oscillatory import (
     _c_rule,
     _nodes_for_cycles,
     _panel_rule,
+    gauss_rule,
     osc_integral_v,
     osc_integral_v_thin,
     plain_slot,
@@ -45,14 +47,15 @@ def test_routes_agree_at_tight_tol():
         assert abs(a - b) <= 1e-8 * abs(b)
 
 
-def _cubature3d_direct(beta_eff, t_lo, t_hi, ybox, tol):
+def _cubature3d_direct(beta_eff, family, tol):
     """The tensor Gauss-Legendre sum of cubature3d as a literal loop over x1 nodes."""
+    t_lo, t_hi, ybox = family.lo, family.hi, family.box
     gamma_max = (t_hi**3 + 2.0 * ybox**3) ** 2
     n = _nodes_for_cycles(abs(beta_eff) * gamma_max)
     prev = None
     for nodes in (n, int(1.4 * n) + 8):
-        x1, w1 = _panel_rule(t_lo, t_hi, 1, min(nodes, 64)) if nodes <= 64 else _panel_rule(t_lo, t_hi, (nodes + 15) // 16, 16)
-        y, wy = _panel_rule(0.0, ybox, (nodes + 15) // 16, 16)
+        x1, w1 = _panel_rule(t_lo, t_hi, nodes)
+        y, wy = _panel_rule(0.0, ybox, nodes)
         cy = y**3
         pair = cy[:, None] + cy[None, :]
         wpair = wy[:, None] * wy[None, :]
@@ -60,7 +63,7 @@ def _cubature3d_direct(beta_eff, t_lo, t_hi, ybox, tol):
         for t, wt in zip(x1.tolist(), w1.tolist()):
             phase = beta_eff * (t**3 + pair) ** 2
             acc += wt * complex(np.sum(wpair * np.exp(2j * np.pi * phase)))
-        if prev is not None and abs(acc - prev) <= tol * max(abs(acc), (t_hi - t_lo) * ybox**2):
+        if prev is not None and abs(acc - prev) <= tol * max(abs(acc), family.volume):
             return acc
         prev = acc
     raise QuadratureError("cubature3d did not stabilize", partial=prev)
@@ -71,7 +74,7 @@ def test_cubature_matches_direct_loop(k):
     pp = derive_params(8**6)
     beta = 2.0 * k / pp.N
     fast = osc_integral_v(beta, pp, method="cubature3d")
-    direct = _cubature3d_direct(beta, pp.P / 2.0, float(pp.P), float(pp.P), 1e-6)
+    direct = _cubature3d_direct(beta, pp.bulk, 1e-6)
     assert abs(fast - direct) <= 1e-13 * abs(direct)
 
 
@@ -79,7 +82,7 @@ def test_thin_cubature_matches_direct_loop():
     pp = derive_params(27**6)
     beta, p = 2.0 * 20 / pp.N, 3
     fast = osc_integral_v_thin(beta, p, pp, method="cubature3d")
-    direct = _cubature3d_direct(beta * p**6, pp.H1, pp.H2, pp.H3, 1e-6)
+    direct = _cubature3d_direct(beta * p**6, pp.thin, 1e-6)
     assert abs(fast - direct) <= 1e-13 * abs(direct)
 
 
@@ -126,7 +129,7 @@ def test_scaled_slot_mass_invariant(lo, width, C, p):
 def test_kernel_quad_at_zero_equals_mass():
     # J integrates slot densities and relies on each carrying the slot's mass
     slot = plain_slot(1.0, 2.5, 0.2)
-    g, w = _panel_rule(slot.gamma_lo, slot.gamma_hi, 32, 16)
+    g, w = _panel_rule(slot.gamma_lo, slot.gamma_hi, 512)
     assert float(np.sum(w * slot.density(g))) == pytest.approx(slot.mass, rel=1e-9)
 
 
@@ -153,3 +156,20 @@ def test_node_budget_guard():
     pp = derive_params(16**6)
     with pytest.raises(QuadratureError):
         osc_integral_v(10.0, pp, method="kernel1d")
+
+
+@pytest.mark.parametrize("order", [3, 16, 24])
+def test_gauss_rule_exact_to_its_degree_on_uneven_cuts(order):
+    edges = [-0.7, 0.1, 0.35, 0.4, 2.0]
+    k = 2 * order - 1
+    x, w = gauss_rule(edges, order)
+    assert x.size == w.size == order * (len(edges) - 1)
+    exact = (Fraction(edges[-1]) ** (k + 1) - Fraction(edges[0]) ** (k + 1)) / (k + 1)
+    assert float(np.sum(w * x**k)) == pytest.approx(float(exact), rel=1e-12)
+
+
+def test_gauss_rule_on_unit_interval_is_the_shifted_legendre_rule():
+    # J's pair kernel and its loop oracle both take this rule; they must stay bit-identical
+    x, w = np.polynomial.legendre.leggauss(24)
+    t, wt = gauss_rule((0.0, 1.0), 24)
+    assert np.array_equal(t, 0.5 + 0.5 * x) and np.array_equal(wt, 0.5 * w)

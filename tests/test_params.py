@@ -52,7 +52,7 @@ def test_family_boxes_and_volumes(P, thin_box):
     pp = derive_params(P**6)
     assert pp.bulk.smooth_box == P
     assert pp.thin.smooth_box == thin_box == math.floor(pp.H3)
-    assert pp.bulk.volume == v_at_zero(pp)
+    assert pp.bulk.volume == v_at_zero(pp) == P**3 / 2
     assert pp.thin.volume == (pp.H2 - pp.H1) * pp.H3**2
 
 

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import assume, given, strategies as st
 
 from cubesquares.w2 import (
+    factorizations,
     factorize,
     six_full_upto,
     w2,
@@ -73,3 +74,10 @@ def test_decade_sums_from_one_scan():
     w2sq, _, _ = w2_scan(100_000)
     for Q in (100, 1000, 10_000, 100_000):
         assert float(w2sq[1 : Q + 1].sum()) == float(w2_scan(Q)[0][1:].sum())
+
+
+def test_factorizations_match_trial_division():
+    walk = list(factorizations(10_000))
+    assert [q for q, _ in walk] == list(range(1, 10_001))
+    for q, factors in walk:
+        assert factors == factorize(q)

@@ -318,3 +318,13 @@ def test_binary_blocks_keep_the_bytes(tmp_path, monkeypatch):
     (tmp_path / "short.wcl").write_bytes((tmp_path / "one.wcl").read_bytes()[:-8])
     with pytest.raises(ValueError):
         load_binary(tmp_path / "short.wcl")
+
+
+@pytest.mark.parametrize("size", [0, 4, 5, 12])
+def test_load_binary_cut_header_names_the_file(tmp_path, size):
+    # 5 bytes is b"WCL1a": the magic and the role byte, without the pair count
+    save_binary(WeightTable("a", (3, 5), (1, 2)), tmp_path / "whole.wcl")
+    cut = tmp_path / "cut.wcl"
+    cut.write_bytes((tmp_path / "whole.wcl").read_bytes()[:size])
+    with pytest.raises(ValueError, match="cut.wcl"):
+        load_binary(cut)
