@@ -384,10 +384,24 @@ class DyadicFilter:
 
 
 def filter_A_upsilon(N: int, upsilon: float) -> DyadicFilter:
+    """The n <= N divisible by 2^k, k minimal with 2^k >= (ln N)^upsilon.
+
+    k is read off log2 of the power, which overflows a float past 2^1024,
+    and settled exactly against the power wherever that is finite.  Raises
+    DegenerateParamsError when N < 3, and when 2^k > N, since then no
+    n <= N is in the filter.
+    """
     if N < 3:
         raise DegenerateParamsError("N must be >= 3 so ln N > 1")
-    target = math.log(N) ** upsilon
-    k = 0
-    while 2**k < target:
-        k += 1
-    return DyadicFilter(N=N, upsilon=upsilon, k=k, modulus=2**k, count=N // 2**k)
+    t = upsilon * math.log2(math.log(N))
+    if t < N.bit_length():  # else 2^k >= 2^t > N
+        k = math.ceil(max(t, 0.0))
+        if t < 1000:  # the power is a finite float
+            target = math.log(N) ** upsilon
+            if 2**k < target:
+                k += 1
+            elif k > 0 and 2 ** (k - 1) >= target:
+                k -= 1
+        if 2**k <= N:
+            return DyadicFilter(N=N, upsilon=upsilon, k=k, modulus=2**k, count=N // 2**k)
+    raise DegenerateParamsError(f"the least 2^k >= (ln N)^upsilon exceeds N={N} at upsilon={upsilon}: the filter is empty")

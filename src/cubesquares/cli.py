@@ -344,7 +344,8 @@ def parse_args(argv: list[str]) -> argparse.Namespace:
 
     Raises SystemExit on bad usage, OSError or ValueError on a bad config file.
     """
-    args = build_parser().parse_args(argv)
+    ap = build_parser()
+    args = ap.parse_args(argv)
     if args.config is None:
         return args
     defaults = json.loads(args.config.read_text())
@@ -353,7 +354,24 @@ def parse_args(argv: list[str]) -> argparse.Namespace:
     unknown = sorted(set(defaults) - (set(vars(args)) - {"config", "subcommand"}))
     if unknown:
         raise ValueError(f"unknown {args.subcommand} options {unknown}")
+    (sub,) = (a for a in ap._actions if isinstance(a, argparse._SubParsersAction))
+    actions = {a.dest: a for a in sub.choices[args.subcommand]._actions}
+    for key, value in defaults.items():
+        error = _config_error(actions[key], value)
+        if error:
+            raise ValueError(f"{key}: {error}")
     return build_parser(defaults).parse_args(argv)
+
+
+def _config_error(action: argparse.Action, value) -> str | None:
+    """What is wrong with a config value, on the checks argparse runs on a flag but not on a default."""
+    if value is None:
+        return None if action.default is None else f"null for an option that defaults to {action.default!r}"
+    if isinstance(action, argparse._StoreTrueAction) and not isinstance(value, bool):
+        return f"{json.dumps(value)} is not true or false"
+    if action.choices is not None and value not in action.choices:
+        return f"{json.dumps(value)} is not one of {list(action.choices)}"
+    return None
 
 
 _DISPATCH = {

@@ -19,8 +19,6 @@ import numpy as np
 from .errors import CapacityError
 from .params import floor_nth_root
 
-__all__ = ["CubeSumSieve", "sieve_cube_sums", "sieve_bytes", "memory_budget", "reserve", "BUDGET_ENV"]
-
 
 BUDGET_ENV = "CUBESQUARES_MEMORY_BUDGET"
 SATURATE = np.iinfo(np.uint16).max

@@ -26,8 +26,6 @@ import numpy as np
 
 from .errors import DegenerateParamsError
 
-__all__ = ["DegenerateParamsError", "Family", "Params", "derive_params", "floor_nth_root", "primes_upto"]
-
 
 def floor_nth_root(n: int, k: int) -> int:
     """Exact floor(n^(1/k)) for nonnegative integers, immune to float error."""

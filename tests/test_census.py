@@ -22,7 +22,7 @@ from cubesquares.census import (
     witness_for,
 )
 from cubesquares.cubesieve import BUDGET_ENV
-from cubesquares.errors import CapacityError, VerificationError
+from cubesquares.errors import CapacityError, DegenerateParamsError, VerificationError
 
 
 def _fft_bool_square(mask: np.ndarray, N: int) -> np.ndarray:
@@ -358,3 +358,27 @@ def test_filter_k_minimal():
     f = filter_A_upsilon(10**6, 2.0)
     assert 2**f.k >= math.log(10**6) ** 2.0
     assert 2 ** (f.k - 1) < math.log(10**6) ** 2.0
+
+
+def _filter_k_loop(N, upsilon):
+    """Oracle: the least k with 2^k >= (ln N)^upsilon, by doubling."""
+    target = math.log(N) ** upsilon
+    k = 0
+    while 2**k < target:
+        k += 1
+    return k
+
+
+@pytest.mark.parametrize("N", [3, 10, 1000, 10**6, 2**20, 2**20 - 1, 10**12])
+def test_filter_matches_doubling_and_refuses_empty_filters(N):
+    # upsilon = 6 at N = 10^6 needs 2^23 > N; upsilon = 300 overflows (ln N)^upsilon
+    for upsilon in [-2.0, 0.0, 0.5, 1.0, 2.0, 2.5, 6.0, 12.0, 40.0]:
+        k = _filter_k_loop(N, upsilon)
+        if 2**k <= N:
+            assert filter_A_upsilon(N, upsilon).k == k
+        else:
+            with pytest.raises(DegenerateParamsError):
+                filter_A_upsilon(N, upsilon)
+    for upsilon in (300.0, 1e308):
+        with pytest.raises(DegenerateParamsError):
+            filter_A_upsilon(N, upsilon)

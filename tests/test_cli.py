@@ -289,6 +289,8 @@ def test_count_options_reject_empty_runs(tmp_path, argv, option, value):
         ["arcs", "--classify", "0.3", "--n", "0"],
         ["census", "--N", "0"],
         ["census", "--filter-upsilon", "inf"],
+        # (ln 10^6)^300 overflows a float, and no n <= 10^6 is divisible by 2^k >= it
+        ["census", "--filter-upsilon", "300"],
         # the 2-adic descent needs n >= 1, checked before the --sqa row is written
         ["local", "--sqa", "5", "--certificate", "2", "--n", "0"],
         ["local", "--sqa", "5", "--certificate", "2", "--n", "-4"],
@@ -340,6 +342,13 @@ def test_over_budget_local_density_exit_2(tmp_path, capsys):
     # mod 97^4 the two-fold table would need ~20 GB; refused once levels 1 and 2 disagree
     assert run(tmp_path, "local", "--sigma-p", "97", "--n", "0", "--hmax", "4") == 2
     assert capsys.readouterr().err.startswith("capacity: two-fold T^2 distribution mod 97^4 needs")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_over_budget_smooth_set_exit_2(tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv(BUDGET_ENV, "1000")
+    assert run(tmp_path, "enumerate", "--smooth", "1000000") == 2
+    assert capsys.readouterr().err.startswith("capacity: smooth sieve for Y=1000000 needs")
     assert list(tmp_path.iterdir()) == []
 
 
@@ -415,12 +424,35 @@ def test_config_unknown_key_exit(tmp_path):
     assert not (tmp_path / "cube_sums_30.tsv").exists()
 
 
-def test_config_values_are_type_checked(tmp_path):
-    cfg = tmp_path / "zero.json"
-    for doc in ({"sweep_points": 0}, {"N": 1.5}):
+def test_config_values_are_type_checked(tmp_path, capsys):
+    cfg = tmp_path / "bad.json"
+    cases = [
+        ({"sweep_points": 0}, ["arcs", "--rn-exact"]),
+        ({"N": 1.5}, ["arcs", "--rn-exact"]),
+        # null is only the value of an option that defaults to None
+        ({"N": None}, ["arcs", "--rn-exact"]),
+        ({"sweep_points": None}, ["arcs", "--v-sweep", "--N", "4096"]),
+        # a flag takes only JSON true or false, not a truthy string
+        ({"witnesses": "no"}, ["census", "--N", "100"]),
+        ({"v_at_zero": "false"}, ["arcs"]),
+        # argparse checks choices on a flag's value, not on a default
+        ({"table": "c"}, ["enumerate"]),
+        ({"format": "xml"}, ["enumerate", "--table", "b", "--N", str(27**6)]),
+    ]
+    for doc, argv in cases:
         cfg.write_text(json.dumps(doc))
-        assert main(["--config", str(cfg), "arcs", "--rn-exact", "--out", str(tmp_path)]) == 4
-    assert list(tmp_path.glob("*.tsv")) == []
+        assert main(["--config", str(cfg), *argv, "--out", str(tmp_path)]) == 4
+        assert capsys.readouterr().out == ""
+    assert [p.name for p in tmp_path.iterdir()] == ["bad.json"]
+
+
+def test_config_flags_take_json_booleans(tmp_path):
+    cfg = tmp_path / "flags.json"
+    for witnesses in (False, True):
+        # census --N defaults to None, so null stays a value it takes
+        cfg.write_text(json.dumps({"witnesses": witnesses, "N": None}))
+        assert main(["--config", str(cfg), "census", "--N", "100", "--out", str(tmp_path)]) == 0
+        assert (tmp_path / "witnesses_100.tsv").exists() == witnesses
 
 
 def test_bad_config_file(tmp_path):

@@ -1,6 +1,11 @@
+import tracemalloc
+
+import pytest
 from hypothesis import given, strategies as st
 
-from cubesquares.smooth import SmoothSet, enumerate_smooth, estimate_c_eta
+from cubesquares.cubesieve import BUDGET_ENV
+from cubesquares.errors import CapacityError
+from cubesquares.smooth import SmoothSet, enumerate_smooth, estimate_c_eta, smooth_bytes
 
 
 def _largest_prime_factor(n):
@@ -45,3 +50,24 @@ def test_smoothset_contains_out_of_range():
     assert 0 not in s
     assert 101 not in s
     assert -4 not in s
+
+
+@pytest.mark.parametrize("R", [2, 10**6])
+def test_memory_guard_matches_allocation(monkeypatch, R):
+    # R = 2: the prime sieve is the peak; R = Y: every n is smooth, and the members are
+    Y = 10**6
+    count = len(enumerate_smooth(Y, R))
+    need = smooth_bytes(Y, count)
+    monkeypatch.setenv(BUDGET_ENV, str(need))
+    tracemalloc.start()
+    try:
+        s = enumerate_smooth(Y, R)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(s) == count
+    # the estimate bounds the allocation and is not far above it
+    assert 0.9 * need <= peak <= need
+    monkeypatch.setenv(BUDGET_ENV, str(need - 1))
+    with pytest.raises(CapacityError):
+        enumerate_smooth(Y, R)
