@@ -21,7 +21,9 @@ def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--P", type=int, default=8, help="scale parameter (N = P^6)")
     ap.add_argument("--points", type=positive_int, default=200, help="alpha grid size")
-    ap.add_argument("--denominator", type=int, default=1009, help="alpha grid denominator (prime keeps fractions exact)")
+    ap.add_argument(
+        "--denominator", type=positive_int, default=1009, help="alpha grid denominator (prime keeps fractions exact)"
+    )
     ap.add_argument("--wide", action="store_true", help="use the wide dissection instead of the narrow one")
     ap.add_argument("--out", default="-", help="output TSV path, - for stdout")
     args = ap.parse_args()

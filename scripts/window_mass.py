@@ -14,14 +14,14 @@ import argparse
 import sys
 import time
 
-from cubesquares.cli import positive_int
+from cubesquares.cli import modulus, positive_int
 from cubesquares.scale import Scale
 
 
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--P", type=int, default=27, help="scale parameter (N = P^6)")
-    ap.add_argument("--Q", type=int, default=64, help="series truncation")
+    ap.add_argument("--Q", type=modulus, default=64, help="series truncation")
     ap.add_argument(
         "--samples",
         type=positive_int,

@@ -400,7 +400,11 @@ def main(argv: list[str] | None = None) -> int:
     options = {k: v for k, v in vars(args).items() if k not in ("config",) and not isinstance(v, Path)}
     cfg = RunConfig(subcommand=args.subcommand, options=options)
     out = args.out
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as e:  # a file in the way
+        print(f"bad configuration: --out {out}: {e}", file=sys.stderr)
+        return 4
     try:
         return _DISPATCH[args.subcommand](args, cfg, out)
     except CapacityError as e:

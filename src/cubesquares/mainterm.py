@@ -11,16 +11,20 @@ bulk table; a dense FFT route over the full index range cross-checks it.
 
 The model main term is (singular series at n) * J(n) where J(n) is the
 four-fold convolution of the kernel slot densities at n, summed over the
-discrete smooth tuples and prime pairs.  Convolution is multilinear, so
-that sum is one convolution of summed slots, (T * T * U * U)(n): the thin
-and bulk slot pairs are built once per (params, primes), each pair sum is
-expanded in a Chebyshev series on its smooth panels, and J(n) is a single
-deterministic Gauss integral of the product of the two series.  The thin
-sum F_TT is expanded once per (params, primes) over its whole support, the
-bulk sum F_UU once per n over the range that n needs.  A pair sum at many
-points is one batched kernel over its (pair, point) entries.  The per-tuple
-sum of conv4_value and a loop of _pair_conv over the pairs at every Gauss
-node are its test oracles, and conv4_value_beta an independent Fourier
+discrete smooth tuples and prime pairs.  A slot is the pushforward of one
+leading variable under gamma = p^6 (x1^3 + C)^2, and its constants are
+stated here once, as arrays over the slots of a family.  Convolution is
+multilinear, so that sum is one convolution of summed slots,
+(T * T * U * U)(n): the thin and bulk slot pairs are built once per
+(params, primes), each pair sum is expanded in a Chebyshev series on its
+smooth panels, and J(n) is a single deterministic Gauss integral of the
+product of the two series.  The thin sum F_TT is expanded once per
+(params, primes) over its whole support, the bulk sum F_UU once per n
+over the range that n needs.  A pair sum at many points is one batched
+kernel over its (pair, point) entries.  The oracles live in
+tests/test_mainterm.py and build their slots from the parameters
+themselves: an exhaustive per-tuple sum of single four-fold convolutions,
+a loop of single pair convolutions at every Gauss node, and a Fourier
 route for single tuples.
 """
 
@@ -35,8 +39,8 @@ import numpy as np
 from . import weights
 from .cubesieve import reserve
 from .errors import CapacityError, QuadratureError
-from .oscillatory import KernelSlot, gauss_rule, plain_slot, scaled_slot
-from .params import Params
+from .oscillatory import gauss_rule
+from .params import Family, Params
 from .weights import WeightTable, _outer_sum, smooth_cube_pairs, table_bytes
 
 # -- exact counts --------------------------------------------------------------
@@ -166,65 +170,7 @@ def rn_dense_dft(table_a: WeightTable, table_b: WeightTable, primes: list[int]) 
 
 # -- singular integral ----------------------------------------------------------
 
-_GAUSS_ORDER = 24  # Gauss points per pair convolution and per outer piece, in conv4_value and J
-
-
-def _pair_conv(sa: KernelSlot, sb: KernelSlot, u: np.ndarray) -> np.ndarray:
-    """(B_a * B_b)(u) on an array of points, each a smooth 1D integral by a _GAUSS_ORDER-point Gauss rule."""
-    lo = np.maximum(sa.gamma_lo, u - sb.gamma_hi)
-    hi = np.minimum(sa.gamma_hi, u - sb.gamma_lo)
-    span = np.maximum(hi - lo, 0.0)
-    t, wt = gauss_rule((0.0, 1.0), _GAUSS_ORDER)
-    g = lo[None, :] + span[None, :] * t[:, None]
-    gb = np.maximum(u[None, :] - g, sb.gamma_lo)  # clamp float dust at the edge
-    vals = sa.density(np.maximum(g, sa.gamma_lo)) * sb.density(gb)
-    return np.sum(vals * wt[:, None], axis=0) * span
-
-
-def conv4_value(slots: tuple[KernelSlot, ...], n: float) -> float:
-    """(B1 * B2 * B3 * B4)(n) as int F12(u) F34(n - u) du.
-
-    F12 and F34 are the pair convolutions; they are smooth between known
-    breakpoints (where the overlap window changes shape), so the outer
-    integral is split there and each piece gets its own _GAUSS_ORDER-point Gauss rule.
-    """
-    s1, s2, s3, s4 = slots
-    b12 = [s1.gamma_lo + s2.gamma_lo, s1.gamma_lo + s2.gamma_hi, s1.gamma_hi + s2.gamma_lo, s1.gamma_hi + s2.gamma_hi]
-    b34 = [s3.gamma_lo + s4.gamma_lo, s3.gamma_lo + s4.gamma_hi, s3.gamma_hi + s4.gamma_lo, s3.gamma_hi + s4.gamma_hi]
-    u_lo = max(min(b12), n - max(b34))
-    u_hi = min(max(b12), n - min(b34))
-    if u_hi <= u_lo:
-        return 0.0
-    cuts = sorted({u_lo, u_hi, *(b for b in b12 if u_lo < b < u_hi), *(n - b for b in b34 if u_lo < n - b < u_hi)})
-    u, wu = gauss_rule(cuts, _GAUSS_ORDER)
-    return float(np.sum(wu * _pair_conv(s1, s2, u) * _pair_conv(s3, s4, n - u)))
-
-
-def conv4_value_beta(slots: tuple[KernelSlot, ...], n: float, K: float = 40.0) -> float:
-    """Independent route: truncated Fourier inversion over |beta| <= K/n.
-
-    Each slot transform is evaluated on a shared beta grid; the truncation
-    tail falls off like K^-3 relatively, so this is a cross-check, not the
-    default.
-    """
-    T = K / n
-    glo = sum(s.gamma_lo for s in slots)
-    ghi = sum(s.gamma_hi for s in slots)
-    rate = max(abs(glo - n), abs(ghi - n), 1.0)
-    order = 16
-    panels = max(8, int(4.0 * T * rate / order) + 8)
-    if panels * order > 200_000:
-        raise QuadratureError(f"beta grid would need {panels * order} nodes; n is far outside the support")
-    beta, wb = gauss_rule(np.linspace(-T, T, panels + 1), order)
-    prod = np.ones_like(beta, dtype=np.complex128)
-    for s in slots:
-        cycles = T * (s.gamma_hi - s.gamma_lo)
-        sp = max(2, int(cycles / 3.0) + 1)
-        g, wg = gauss_rule(np.linspace(s.gamma_lo, s.gamma_hi, sp + 1), order)
-        dens = s.density(g) * wg
-        prod *= np.exp(2j * np.pi * np.outer(beta, g)) @ dens
-    val = np.sum(wb * prod * np.exp(-2j * np.pi * beta * n))
-    return float(val.real)
+_GAUSS_ORDER = 24  # Gauss points per pair convolution and per outer piece of J
 
 
 # (pair, point) entries per block of the pair-sum kernel, each with
@@ -253,40 +199,32 @@ def _distinct(x: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class _SlotPairs:
-    """Unordered slot pairs (a, b) with weights; (B_a * B_b) lives on [lo, hi].
+    """Unordered pairs (a, b) of kernel slots with weights; (B_a * B_b) lives on [lo, hi].
 
+    A slot is the pushforward density
+    B(gamma) = pref gamma^(-1/2) (sqrt(gamma) - C)^(-2/3) on [gamma_lo, gamma_hi].
     Column k of `slot` holds pair k's constants for the batched kernel:
     gamma_lo, gamma_hi and C of slot a, the same of slot b, and
     weight * pref_a * pref_b.
     """
 
-    pairs: list[tuple[KernelSlot, KernelSlot]]
-    weight: np.ndarray
     lo: np.ndarray
     hi: np.ndarray
     breaks: np.ndarray
     slot: np.ndarray
 
     @classmethod
-    def build(cls, slots: list[tuple[KernelSlot, int]]) -> "_SlotPairs":
-        """Pairs of the given (slot, multiplicity m_i) list.
+    def build(cls, g_lo, g_hi, C, pref, m) -> "_SlotPairs":
+        """Pairs of the slots whose constants and multiplicities m_i are the entries of the five arrays.
 
         (B_a * B_b) = (B_b * B_a), so the pair {i, j} is kept once with
         weight 2 m_i m_j (m_i^2 on the diagonal).
         """
-        pairs, weight = [], []
-        for i, (sa, ma) in enumerate(slots):
-            for j, (sb, mb) in enumerate(slots[i:], start=i):
-                pairs.append((sa, sb))
-                weight.append(ma * mb * (1 if j == i else 2))
-        corners = np.array(
-            [[a.gamma_lo + b.gamma_lo, a.gamma_lo + b.gamma_hi, a.gamma_hi + b.gamma_lo, a.gamma_hi + b.gamma_hi]
-             for a, b in pairs]
-        )
-        slot = np.array([[a.gamma_lo, a.gamma_hi, a.C, b.gamma_lo, b.gamma_hi, b.C, a.pref * b.pref] for a, b in pairs]).T
-        weight = np.array(weight, dtype=np.float64)
-        slot[6] *= weight
-        return cls(pairs, weight, corners[:, 0], corners[:, 3], _distinct(corners), slot)
+        a, b = np.triu_indices(m.size)
+        weight = (m[a] * m[b] * np.where(a == b, 1, 2)).astype(np.float64)
+        corners = np.stack((g_lo[a] + g_lo[b], g_lo[a] + g_hi[b], g_hi[a] + g_lo[b], g_hi[a] + g_hi[b]))
+        slot = np.stack((g_lo[a], g_hi[a], C[a], g_lo[b], g_hi[b], C[b], pref[a] * pref[b] * weight))
+        return cls(corners[0], corners[3], _distinct(corners), slot)
 
     def __call__(self, v: np.ndarray) -> np.ndarray:
         """sum_k weight_k (B_a * B_b)_k(v) at ascending points v.
@@ -294,8 +232,8 @@ class _SlotPairs:
         Every pair breakpoint must be a cut of the rule that made v, so each
         pair's support covers a contiguous run of v.  The (pair, point)
         entries of those runs are taken _BLOCK at a time.  Each entry is the
-        _GAUSS_ORDER-point rule of `_pair_conv` in g over the overlap of the
-        two slots, with the density product at a node,
+        _GAUSS_ORDER-point Gauss rule in g over the overlap of the two
+        slots, with the density product at a node,
         pref_a pref_b / (sqrt(g) sqrt(u - g) cbrt((sqrt(g) - C_a)(sqrt(u - g) - C_b))^2),
         formed in place.  A matmul with the weights reduces the nodes, and
         bincount scatters the entries onto v.
@@ -338,6 +276,22 @@ class _SlotPairs:
         return out
 
 
+def _slots(family: Family, c: np.ndarray, m: np.ndarray, primes: tuple[int, ...]) -> tuple[np.ndarray, ...]:
+    """gamma_lo, gamma_hi, C, pref and multiplicity of a family's kernel slots, prime by prime.
+
+    The slot of prime p and cube pair sum c, given by m ordered pairs, is
+    the pushforward of x1 in [lo, hi] under gamma = p^6 (x1^3 + c)^2 =
+    (p^3 x1^3 + p^3 c)^2: C = p^3 c, pref = 1 / (6 p), and gamma runs
+    between the squares of p^3 (lo^3 + c) and p^3 (hi^3 + c).  The bulk
+    slots are those of p = 1.
+    """
+    k = c.size
+    p3 = np.repeat([float(p) ** 3 for p in primes], k)
+    pref = np.repeat([1.0 / (6.0 * p) for p in primes], k)
+    c = np.tile(c.astype(np.float64), len(primes))
+    return (p3 * (family.lo**3 + c)) ** 2, (p3 * (family.hi**3 + c)) ** 2, p3 * c, pref, np.tile(m, len(primes))
+
+
 @lru_cache(maxsize=8)
 def _j_slot_pairs(params: Params, primes: tuple[int, ...]) -> tuple[_SlotPairs, _SlotPairs, tuple] | None:
     """Thin pairs (prime-scaled slots), bulk pairs (plain slots) and F_TT's
@@ -348,11 +302,9 @@ def _j_slot_pairs(params: Params, primes: tuple[int, ...]) -> tuple[_SlotPairs, 
     cp, mp = smooth_cube_pairs(bf.smooth_box, params.R)
     if not primes or not c3.size or not cp.size:
         return None
-    thin = [(scaled_slot(tf.lo, tf.hi, float(C), p), m) for p in primes for C, m in zip(c3.tolist(), m3.tolist())]
-    bulk = [(plain_slot(bf.lo, bf.hi, float(C)), m) for C, m in zip(cp.tolist(), mp.tolist())]
-    thin_pairs = _SlotPairs.build(thin)
-    f_tt = _panels(thin_pairs, thin_pairs.lo.min(), thin_pairs.hi.max())
-    return thin_pairs, _SlotPairs.build(bulk), f_tt
+    thin = _SlotPairs.build(*_slots(tf, c3, m3, primes))
+    f_tt = _panels(thin, thin.lo.min(), thin.hi.max())
+    return thin, _SlotPairs.build(*_slots(bf, cp, mp, (1,))), f_tt
 
 
 @lru_cache(maxsize=4)
@@ -428,7 +380,7 @@ def singular_integral_J(n: int, params: Params, primes: list[int]) -> float:
     the slot pairs; F_UU's are built here over [n - u_hi, n - u_lo].  The
     u-integral is cut at u_lo, u_hi, every thin panel edge and every
     n - (bulk panel edge), so both series are polynomials on each piece,
-    which gets the same Gauss rule as conv4_value.
+    which gets a _GAUSS_ORDER-point Gauss rule.
     """
     built = _j_slot_pairs(params, tuple(primes))
     if built is None:

@@ -16,14 +16,11 @@ panel policy of `_panel_rule` and the node count per cycle:
 
 Both are driven by an effective frequency: `osc_integral_v` integrates over
 the bulk family at beta, and `osc_integral_v_thin` over the thin family at
-beta_eff = beta * p^6 for its prime p.  Neither route uses the kernel slots:
-they are the pushforward densities of x1 that the singular integral J(n)
-and its Fourier cross-check `mainterm.conv4_value_beta` convolve.
+beta_eff = beta * p^6 for its prime p.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -60,49 +57,6 @@ def _nodes_for_cycles(cycles: float) -> int:
     if n > MAX_NODES_PER_AXIS:
         raise QuadratureError(f"oscillation budget exceeded: {cycles:.1f} cycles needs {n} nodes/axis")
     return n
-
-
-# -- kernel slots -------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class KernelSlot:
-    """One pushforward kernel: gamma in [s_lo^2, s_hi^2],
-    B(gamma) = pref * gamma^(-1/2) * (sqrt(gamma) - C)^(-2/3).
-    """
-
-    C: float
-    s_lo: float
-    s_hi: float
-    pref: float
-
-    @property
-    def gamma_lo(self) -> float:
-        return self.s_lo**2
-
-    @property
-    def gamma_hi(self) -> float:
-        return self.s_hi**2
-
-    @property
-    def mass(self) -> float:
-        """int B dgamma, exactly 6*pref*((s_hi-C)^(1/3) - (s_lo-C)^(1/3))."""
-        return 6.0 * self.pref * ((self.s_hi - self.C) ** (1 / 3) - (self.s_lo - self.C) ** (1 / 3))
-
-    def density(self, gamma: np.ndarray) -> np.ndarray:
-        s = np.sqrt(gamma)
-        return self.pref / (s * (s - self.C) ** (2.0 / 3.0))
-
-
-def plain_slot(t_lo: float, t_hi: float, C: float) -> KernelSlot:
-    """Pushforward of x1 in [t_lo, t_hi] under gamma = (x1^3 + C)^2."""
-    return KernelSlot(C=C, s_lo=t_lo**3 + C, s_hi=t_hi**3 + C, pref=1.0 / 6.0)
-
-
-def scaled_slot(t_lo: float, t_hi: float, C: float, p: int) -> KernelSlot:
-    """Pushforward of gamma = p^6 (x1^3 + C)^2 = (p^3 x1^3 + p^3 C)^2."""
-    p3 = float(p) ** 3
-    return KernelSlot(C=p3 * C, s_lo=p3 * (t_lo**3 + C), s_hi=p3 * (t_hi**3 + C), pref=1.0 / (6.0 * p))
 
 
 # -- the two integral routes ---------------------------------------------------

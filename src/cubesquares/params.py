@@ -109,7 +109,7 @@ def primes_upto(limit: int) -> np.ndarray:
     for i in range(2, math.isqrt(limit) + 1):
         if is_prime[i]:
             is_prime[i * i :: i] = False
-    return np.flatnonzero(is_prime).astype(np.int64)
+    return np.flatnonzero(is_prime).astype(np.int64, copy=False)
 
 
 def derive_params(N: int, eta: float = 0.1, R_override: int | None = None) -> Params:

@@ -6,9 +6,10 @@ or a square of such; sums of independent coordinates convolve them
 cyclically.  Each is a numpy int64 array (T's counts sum to q^3 < 2^63
 for q < 2^21), read-only once cached.  Convolutions use Kronecker
 substitution: counts in carry-free byte slots of one big integer, one
-exact multiplication, the product read back in 8-byte limbs.  A direct
-O(q^2) routine is the small-case oracle.  `distribution_bytes` estimates
-the work, linear in q, and is reserved before a distribution is built.
+exact multiplication, the product read back in 8-byte limbs; the
+schoolbook O(q^2) oracle is in tests/test_residues.py.
+`distribution_bytes` estimates the work, linear in q, and is reserved
+before a distribution is built.
 """
 
 from __future__ import annotations
@@ -38,18 +39,6 @@ def square_pushforward(counts: np.ndarray, q: int) -> np.ndarray:
     t = np.arange(q, dtype=np.int64)
     out = np.zeros(q, dtype=np.int64)
     np.add.at(out, t * t % q, counts)
-    return out
-
-
-def cyclic_convolve_direct(a: list[int], b: list[int], q: int) -> list[int]:
-    """Schoolbook cyclic convolution; exact, O(q^2); the oracle path."""
-    out = [0] * q
-    for i, ai in enumerate(a):
-        if not ai:
-            continue
-        for j, bj in enumerate(b):
-            if bj:
-                out[(i + j) % q] += ai * bj
     return out
 
 

@@ -44,12 +44,12 @@ def smooth_bytes(Y: int, members: int = 0) -> int:
     """Upper bound on the bytes `enumerate_smooth(Y, R)` holds at once when `members` n <= Y are R-smooth.
 
     The flags take Y + 1 bytes throughout.  Beside them, `primes_upto(Y)`
-    holds its own Y + 1 sieve bytes and 16 bytes per prime while it collects
-    them, with fewer than 1.25506 Y / ln Y primes (Rosser and Schoenfeld);
-    then the int64 members take 8 bytes each, plus 1 KiB of array headers.
+    holds its own Y + 1 sieve bytes and 8 bytes per int64 prime, with fewer
+    than 1.25506 Y / ln Y primes (Rosser and Schoenfeld); then the int64
+    members take 8 bytes each, plus 1 KiB of array headers.
     """
     primes = math.ceil(1.25506 * Y / math.log(Y)) if Y > 1 else 0
-    return (Y + 1) + max(Y + 1 + 16 * primes, 8 * members) + 2**10
+    return (Y + 1) + max(Y + 1 + 8 * primes, 8 * members) + 2**10
 
 
 def enumerate_smooth(Y: int, R: int) -> SmoothSet:

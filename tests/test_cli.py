@@ -338,6 +338,16 @@ def test_bad_memory_budget_exit_4(tmp_path, monkeypatch, capsys, value):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("under", [(), ("sub",)], ids=["file", "under-file"])
+def test_out_path_blocked_by_a_file_exit_4(tmp_path, capsys, under):
+    blocker = tmp_path / "blocker"
+    blocker.write_text("kept")
+    assert main(["census", "--N", "100", "--out", str(blocker.joinpath(*under))]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("bad configuration: --out")
+    assert [p.name for p in tmp_path.iterdir()] == ["blocker"] and blocker.read_text() == "kept"
+
+
 def test_over_budget_local_density_exit_2(tmp_path, capsys):
     # mod 97^4 the two-fold table would need ~20 GB; refused once levels 1 and 2 disagree
     assert run(tmp_path, "local", "--sigma-p", "97", "--n", "0", "--hmax", "4") == 2

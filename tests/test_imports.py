@@ -10,6 +10,7 @@ import pytest
     [
         ("census", ["census", "cubesieve", "errors", "params"]),
         ("oscillatory", ["errors", "oscillatory", "params"]),
+        ("mainterm", ["cubesieve", "errors", "mainterm", "oscillatory", "params", "smooth", "weights"]),
     ],
 )
 def test_layer_import_loads_only_its_dependencies(layer, loaded):

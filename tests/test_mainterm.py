@@ -6,25 +6,24 @@ import subprocess
 import sys
 import tracemalloc
 from collections import Counter
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from cubesquares import mainterm
 from cubesquares.cubesieve import BUDGET_ENV
 from cubesquares.errors import CapacityError, QuadratureError
 from cubesquares.mainterm import (
     RnEvaluator,
-    _pair_conv,
     _square_series,
-    conv4_value,
-    conv4_value_beta,
     dense_dft_bytes,
     rn_bytes,
     rn_dense_dft,
     singular_integral_J,
 )
-from cubesquares.oscillatory import gauss_rule, plain_slot, scaled_slot
+from cubesquares.oscillatory import _panel_rule, gauss_rule
 from cubesquares.params import derive_params
 from cubesquares.scale import Scale
 from cubesquares.smooth import enumerate_smooth
@@ -109,6 +108,140 @@ def test_dense_dft_memory_guard_matches_allocation(monkeypatch, v):
         rn_dense_dft(ta, tb, [2])
 
 
+# -- the kernel slots and their convolutions, one tuple at a time: J's oracles ----
+# They read mainterm._GAUSS_ORDER at call time, so they use the program's rule order.
+
+
+@dataclass(frozen=True)
+class KernelSlot:
+    """One pushforward kernel: gamma in [s_lo^2, s_hi^2],
+    B(gamma) = pref * gamma^(-1/2) * (sqrt(gamma) - C)^(-2/3).
+    """
+
+    C: float
+    s_lo: float
+    s_hi: float
+    pref: float
+
+    @property
+    def gamma_lo(self) -> float:
+        return self.s_lo**2
+
+    @property
+    def gamma_hi(self) -> float:
+        return self.s_hi**2
+
+    @property
+    def mass(self) -> float:
+        """int B dgamma, exactly 6*pref*((s_hi-C)^(1/3) - (s_lo-C)^(1/3))."""
+        return 6.0 * self.pref * ((self.s_hi - self.C) ** (1 / 3) - (self.s_lo - self.C) ** (1 / 3))
+
+    def density(self, gamma: np.ndarray) -> np.ndarray:
+        s = np.sqrt(gamma)
+        return self.pref / (s * (s - self.C) ** (2.0 / 3.0))
+
+
+def plain_slot(t_lo: float, t_hi: float, C: float) -> KernelSlot:
+    """Pushforward of x1 in [t_lo, t_hi] under gamma = (x1^3 + C)^2."""
+    return KernelSlot(C=C, s_lo=t_lo**3 + C, s_hi=t_hi**3 + C, pref=1.0 / 6.0)
+
+
+def scaled_slot(t_lo: float, t_hi: float, C: float, p: int) -> KernelSlot:
+    """Pushforward of gamma = p^6 (x1^3 + C)^2 = (p^3 x1^3 + p^3 C)^2."""
+    p3 = float(p) ** 3
+    return KernelSlot(C=p3 * C, s_lo=p3 * (t_lo**3 + C), s_hi=p3 * (t_hi**3 + C), pref=1.0 / (6.0 * p))
+
+
+def _pair_conv(sa: KernelSlot, sb: KernelSlot, u: np.ndarray) -> np.ndarray:
+    """(B_a * B_b)(u) on an array of points, each a smooth 1D integral by a _GAUSS_ORDER-point Gauss rule."""
+    lo = np.maximum(sa.gamma_lo, u - sb.gamma_hi)
+    hi = np.minimum(sa.gamma_hi, u - sb.gamma_lo)
+    span = np.maximum(hi - lo, 0.0)
+    t, wt = gauss_rule((0.0, 1.0), mainterm._GAUSS_ORDER)
+    g = lo[None, :] + span[None, :] * t[:, None]
+    gb = np.maximum(u[None, :] - g, sb.gamma_lo)  # clamp float dust at the edge
+    vals = sa.density(np.maximum(g, sa.gamma_lo)) * sb.density(gb)
+    return np.sum(vals * wt[:, None], axis=0) * span
+
+
+def conv4_value(slots: tuple[KernelSlot, ...], n: float) -> float:
+    """(B1 * B2 * B3 * B4)(n) as int F12(u) F34(n - u) du.
+
+    F12 and F34 are the pair convolutions; they are smooth between known
+    breakpoints (where the overlap window changes shape), so the outer
+    integral is split there and each piece gets its own _GAUSS_ORDER-point Gauss rule.
+    """
+    s1, s2, s3, s4 = slots
+    b12 = [s1.gamma_lo + s2.gamma_lo, s1.gamma_lo + s2.gamma_hi, s1.gamma_hi + s2.gamma_lo, s1.gamma_hi + s2.gamma_hi]
+    b34 = [s3.gamma_lo + s4.gamma_lo, s3.gamma_lo + s4.gamma_hi, s3.gamma_hi + s4.gamma_lo, s3.gamma_hi + s4.gamma_hi]
+    u_lo = max(min(b12), n - max(b34))
+    u_hi = min(max(b12), n - min(b34))
+    if u_hi <= u_lo:
+        return 0.0
+    cuts = sorted({u_lo, u_hi, *(b for b in b12 if u_lo < b < u_hi), *(n - b for b in b34 if u_lo < n - b < u_hi)})
+    u, wu = gauss_rule(cuts, mainterm._GAUSS_ORDER)
+    return float(np.sum(wu * _pair_conv(s1, s2, u) * _pair_conv(s3, s4, n - u)))
+
+
+def conv4_value_beta(slots: tuple[KernelSlot, ...], n: float, K: float = 40.0) -> float:
+    """Independent route: truncated Fourier inversion over |beta| <= K/n.
+
+    Each slot transform is evaluated on a shared beta grid; the truncation
+    tail falls off like K^-3 relatively, so this is a cross-check, not the
+    default.
+    """
+    T = K / n
+    glo = sum(s.gamma_lo for s in slots)
+    ghi = sum(s.gamma_hi for s in slots)
+    rate = max(abs(glo - n), abs(ghi - n), 1.0)
+    order = 16
+    panels = max(8, int(4.0 * T * rate / order) + 8)
+    if panels * order > 200_000:
+        raise QuadratureError(f"beta grid would need {panels * order} nodes; n is far outside the support")
+    beta, wb = gauss_rule(np.linspace(-T, T, panels + 1), order)
+    prod = np.ones_like(beta, dtype=np.complex128)
+    for s in slots:
+        cycles = T * (s.gamma_hi - s.gamma_lo)
+        sp = max(2, int(cycles / 3.0) + 1)
+        g, wg = gauss_rule(np.linspace(s.gamma_lo, s.gamma_hi, sp + 1), order)
+        dens = s.density(g) * wg
+        prod *= np.exp(2j * np.pi * np.outer(beta, g)) @ dens
+    val = np.sum(wb * prod * np.exp(-2j * np.pi * beta * n))
+    return float(val.real)
+
+
+@given(
+    st.floats(min_value=0.1, max_value=5.0),
+    st.floats(min_value=0.1, max_value=5.0),
+    st.floats(min_value=0.0, max_value=0.05),
+)
+def test_slot_mass_is_interval_length(lo, width, C):
+    slot = plain_slot(lo, lo + width, C)
+    assert slot.mass == pytest.approx(width, rel=1e-12)
+
+
+@given(
+    st.floats(min_value=0.5, max_value=5.0),
+    st.floats(min_value=0.1, max_value=3.0),
+    st.floats(min_value=0.0, max_value=1.0),
+    st.integers(min_value=2, max_value=7),
+)
+def test_scaled_slot_mass_invariant(lo, width, C, p):
+    # the p-scaling changes the value range but not the carried mass
+    plain = plain_slot(lo, lo + width, C)
+    scaled = scaled_slot(lo, lo + width, C, p)
+    assert scaled.mass == pytest.approx(plain.mass, rel=1e-10)
+    assert scaled.s_lo == pytest.approx(p**3 * plain.s_lo, rel=1e-12)
+    assert scaled.C == pytest.approx(p**3 * plain.C, rel=1e-12)
+
+
+def test_kernel_quad_at_zero_equals_mass():
+    # J integrates slot densities and relies on each carrying the slot's mass
+    slot = plain_slot(1.0, 2.5, 0.2)
+    g, w = _panel_rule(slot.gamma_lo, slot.gamma_hi, 512)
+    assert float(np.sum(w * slot.density(g))) == pytest.approx(slot.mass, rel=1e-9)
+
+
 def _slots_for(P):
     pp = derive_params(P**6)
     return (
@@ -147,16 +280,22 @@ def test_conv4_beta_grid_guard():
         conv4_value_beta(slots, 1.0)
 
 
+def _cube_pair_sums(params):
+    """{a^3 + b^3: ordered pairs} over the R-smooth a, b of the thin box and of the bulk box, ascending."""
+    s3 = enumerate_smooth(int(math.floor(params.H3)), params.R).members.tolist()
+    sp = enumerate_smooth(params.P, params.R).members.tolist()
+    pairs3 = Counter(sorted(a**3 + b**3 for a in s3 for b in s3))
+    pairsp = Counter(sorted(a**3 + b**3 for a in sp for b in sp))
+    return pairs3, pairsp
+
+
 def _J_per_tuple(n, params, primes):
     """Oracle: the exhaustive sum of conv4_value over the tuple domain.
 
     Each tuple (p1, p2, C1, C2, C3, C4) is integrated on its own; repeated
     tuples are counted by multiplicity rather than recomputed.
     """
-    s3 = enumerate_smooth(int(math.floor(params.H3)), params.R).members.tolist()
-    sp = enumerate_smooth(params.P, params.R).members.tolist()
-    pairs3 = Counter(a**3 + b**3 for a in s3 for b in s3)
-    pairsp = Counter(a**3 + b**3 for a in sp for b in sp)
+    pairs3, pairsp = _cube_pair_sums(params)
     thin = [(p, C, m) for p in primes for C, m in pairs3.items()]
     total = 0.0
     for (p1, C1, m1), (p2, C2, m2) in itertools.product(thin, thin):
@@ -182,33 +321,58 @@ def _J_support(params, primes):
     return lo, hi
 
 
+def _slot_pairs(params, primes):
+    """The thin and bulk unordered slot pairs [(slot a, slot b, weight)], from the smooth sets by Python loops.
+
+    The thin slots run over primes, then cube pair sums; a pair {i, j} of
+    slots with multiplicities m_i, m_j has weight 2 m_i m_j, or m_i^2 when i = j.
+    """
+    pairs3, pairsp = _cube_pair_sums(params)
+    thin = [(scaled_slot(params.H1, params.H2, float(C), p), m) for p in primes for C, m in pairs3.items()]
+    bulk = [(plain_slot(params.P / 2.0, float(params.P), float(C)), m) for C, m in pairsp.items()]
+    out = []
+    for slots in (thin, bulk):
+        pairs = itertools.combinations_with_replacement(enumerate(slots), 2)
+        out.append([(sa, sb, ma * mb * (1 if i == j else 2)) for (i, (sa, ma)), (j, (sb, mb)) in pairs])
+    return out
+
+
+def _corners(pairs):
+    """The four breakpoints gamma_a + gamma_b of each pair, lo + lo first and hi + hi last."""
+    return np.array(
+        [[a.gamma_lo + b.gamma_lo, a.gamma_lo + b.gamma_hi, a.gamma_hi + b.gamma_lo, a.gamma_hi + b.gamma_hi]
+         for a, b, _ in pairs]
+    )
+
+
 def _pair_sum_loop(pairs, v):
     """Oracle: the pair sum at ascending points v as one _pair_conv call per (pair, 512-point run)."""
     out = np.zeros_like(v)
-    starts = np.searchsorted(v, pairs.lo, "right")
-    ends = np.searchsorted(v, pairs.hi, "left")
+    corners = _corners(pairs)
+    starts = np.searchsorted(v, corners[:, 0], "right")
+    ends = np.searchsorted(v, corners[:, 3], "left")
     for k in np.flatnonzero(ends > starts).tolist():
-        sa, sb = pairs.pairs[k]
+        sa, sb, weight = pairs[k]
         for i in range(starts[k], ends[k], 512):
             j = min(i + 512, ends[k])
-            out[i:j] += pairs.weight[k] * _pair_conv(sa, sb, v[i:j])
+            out[i:j] += weight * _pair_conv(sa, sb, v[i:j])
     return out
 
 
 def _J_direct(n, params, primes):
     """Oracle: J(n) on an outer rule cut at the pair breakpoints, with F_TT and F_UU evaluated at every node."""
-    built = mainterm._j_slot_pairs(params, tuple(primes))
-    if built is None:
+    thin, bulk = _slot_pairs(params, primes)
+    if not thin or not bulk:
         return 0.0
-    thin, bulk, _ = built
+    t, b = _corners(thin), _corners(bulk)
     n = float(n)
-    u_lo = max(thin.lo.min(), n - bulk.hi.max())
-    u_hi = min(thin.hi.max(), n - bulk.lo.min())
+    u_lo = max(t[:, 0].min(), n - b[:, 3].max())
+    u_hi = min(t[:, 3].max(), n - b[:, 0].min())
     if u_hi <= u_lo:
         return 0.0
-    cuts = np.unique(np.concatenate(([u_lo, u_hi], thin.breaks, n - bulk.breaks)))
+    cuts = np.unique(np.concatenate(([u_lo, u_hi], t.ravel(), n - b.ravel())))
     cuts = cuts[(cuts >= u_lo) & (cuts <= u_hi)]
-    u, wu = gauss_rule(cuts, 24)
+    u, wu = gauss_rule(cuts, mainterm._GAUSS_ORDER)
     f_uu = _pair_sum_loop(bulk, (n - u)[::-1])[::-1]
     return float(np.sum(wu * _pair_sum_loop(thin, u) * f_uu))
 
@@ -368,9 +532,9 @@ def test_pair_sum_kernel_matches_pair_conv_loop(monkeypatch, fresh_j_cache, P):
     assert singular_integral_J(pp.N // 2, pp, pp.default_primes()) > 0
     assert len(calls) == 2
     t, _ = mainterm._lobatto(mainterm._CHEB_POINTS)
-    for pairs, _, _, a, b in calls:
+    for (pairs, _, _, a, b), oracle in zip(calls, _slot_pairs(pp, pp.default_primes())):  # thin, then bulk
         v = np.clip(0.5 * (a + b)[:, None] + 0.5 * (b - a)[:, None] * t, a[:, None], b[:, None]).ravel()
-        want = _pair_sum_loop(pairs, v)
+        want = _pair_sum_loop(oracle, v)
         assert np.abs(pairs(v) - want).max() <= 1e-14 * np.abs(want).max()
 
 
@@ -386,10 +550,11 @@ def _ulp_steps(x: np.ndarray, toward: float, k: int) -> list[np.ndarray]:
 def test_pair_sum_kernel_at_support_edges(fresh_j_cache, P):
     # within a few ulp of each pair's support edges the overlap span is float dust
     pp = derive_params(P**6)
-    thin, bulk, _ = mainterm._j_slot_pairs(pp, tuple(pp.default_primes()))
-    for pairs in (thin, bulk):
-        v = np.sort(np.concatenate(_ulp_steps(pairs.lo, np.inf, 6) + _ulp_steps(pairs.hi, -np.inf, 6)))
-        got, want = pairs(v), _pair_sum_loop(pairs, v)
+    primes = pp.default_primes()
+    for pairs, oracle in zip(mainterm._j_slot_pairs(pp, tuple(primes))[:2], _slot_pairs(pp, primes)):
+        corners = _corners(oracle)
+        v = np.sort(np.concatenate(_ulp_steps(corners[:, 0], np.inf, 6) + _ulp_steps(corners[:, 3], -np.inf, 6)))
+        got, want = pairs(v), _pair_sum_loop(oracle, v)
         assert np.isfinite(got).all() and np.isfinite(want).all()
         assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
 

@@ -3,7 +3,6 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
 
 from cubesquares.errors import QuadratureError
 from cubesquares.oscillatory import (
@@ -14,8 +13,6 @@ from cubesquares.oscillatory import (
     gauss_rule,
     osc_integral_v,
     osc_integral_v_thin,
-    plain_slot,
-    scaled_slot,
     v_at_zero,
 )
 from cubesquares.params import derive_params
@@ -99,38 +96,6 @@ def test_c_density_closed_form_below_cusp(ybox):
 def test_c_rule_mass_is_box_area(ybox):
     _, w = _c_rule(ybox, 12)
     assert w.sum() == pytest.approx(ybox**2, rel=1e-13)
-
-
-@given(
-    st.floats(min_value=0.1, max_value=5.0),
-    st.floats(min_value=0.1, max_value=5.0),
-    st.floats(min_value=0.0, max_value=0.05),
-)
-def test_slot_mass_is_interval_length(lo, width, C):
-    slot = plain_slot(lo, lo + width, C)
-    assert slot.mass == pytest.approx(width, rel=1e-12)
-
-
-@given(
-    st.floats(min_value=0.5, max_value=5.0),
-    st.floats(min_value=0.1, max_value=3.0),
-    st.floats(min_value=0.0, max_value=1.0),
-    st.integers(min_value=2, max_value=7),
-)
-def test_scaled_slot_mass_invariant(lo, width, C, p):
-    # the p-scaling changes the value range but not the carried mass
-    plain = plain_slot(lo, lo + width, C)
-    scaled = scaled_slot(lo, lo + width, C, p)
-    assert scaled.mass == pytest.approx(plain.mass, rel=1e-10)
-    assert scaled.s_lo == pytest.approx(p**3 * plain.s_lo, rel=1e-12)
-    assert scaled.C == pytest.approx(p**3 * plain.C, rel=1e-12)
-
-
-def test_kernel_quad_at_zero_equals_mass():
-    # J integrates slot densities and relies on each carrying the slot's mass
-    slot = plain_slot(1.0, 2.5, 0.2)
-    g, w = _panel_rule(slot.gamma_lo, slot.gamma_hi, 512)
-    assert float(np.sum(w * slot.density(g))) == pytest.approx(slot.mass, rel=1e-9)
 
 
 def test_thin_integral_at_zero():

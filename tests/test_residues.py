@@ -13,7 +13,6 @@ from cubesquares.residues import (
     MAX_MODULUS,
     cube_residue_counts,
     cyclic_convolve,
-    cyclic_convolve_direct,
     distribution_bytes,
     square_pushforward,
     t_distribution,
@@ -46,6 +45,18 @@ def _cyclic_convolve_lists(a: list[int], b: list[int], q: int) -> list[int]:
         c = int.from_bytes(prod[k * slot : (k + 1) * slot], "little")
         if c:
             out[k % q] += c
+    return out
+
+
+def cyclic_convolve_direct(a: list[int], b: list[int], q: int) -> list[int]:
+    """Schoolbook cyclic convolution; exact, O(q^2); the oracle path."""
+    out = [0] * q
+    for i, ai in enumerate(a):
+        if not ai:
+            continue
+        for j, bj in enumerate(b):
+            if bj:
+                out[(i + j) % q] += ai * bj
     return out
 
 

@@ -38,12 +38,26 @@ def test_window_workload_checks_pass(tmp_path, traced):
     assert (tmp_path / "spans.json").exists() == traced
 
 
-@pytest.mark.parametrize("argv", [["scripts/window_mass.py", "--samples", "0"], ["scripts/arc_sweep.py", "--points", "0"]])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["scripts/window_mass.py", "--samples", "0"],
+        ["scripts/arc_sweep.py", "--points", "0"],
+        ["scripts/arc_sweep.py", "--denominator", "0"],
+    ],
+)
 def test_count_options_must_be_positive(argv):
     proc = _run(*argv)
     assert proc.returncode == 2
     assert proc.stdout == ""
     assert "positive integer" in proc.stderr
+
+
+def test_series_truncation_must_be_a_modulus():
+    proc = _run("scripts/window_mass.py", "--Q", "0")
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert "0 is not a modulus" in proc.stderr
 
 
 def test_volume_workload_checks_pass():

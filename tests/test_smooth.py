@@ -54,7 +54,7 @@ def test_smoothset_contains_out_of_range():
 
 @pytest.mark.parametrize("R", [2, 10**6])
 def test_memory_guard_matches_allocation(monkeypatch, R):
-    # R = 2: the prime sieve is the peak; R = Y: every n is smooth, and the members are
+    # R = 2: the prime sieve is the peak; R = Y: every n is smooth, and the members are the peak
     Y = 10**6
     count = len(enumerate_smooth(Y, R))
     need = smooth_bytes(Y, count)
