@@ -13,6 +13,7 @@ from fractions import Fraction
 
 from cubesquares.arcs import ArcDissection
 from cubesquares.cli import positive_int
+from cubesquares.errors import DegenerateParamsError
 from cubesquares.generating import F_diagnostic
 from cubesquares.scale import Scale
 
@@ -28,33 +29,31 @@ def main() -> int:
     ap.add_argument("--out", default="-", help="output TSV path, - for stdout")
     args = ap.parse_args()
 
-    scale = Scale(args.P**6)
-    P, N = scale.params.P, scale.N
-    d = ArcDissection.wide(P, N) if args.wide else ArcDissection.narrow(P, N)
+    try:
+        scale = Scale(args.P**6)
+        P, N = scale.params.P, scale.N
+        d = ArcDissection.wide(P, N) if args.wide else ArcDissection.narrow(P, N)
+    except DegenerateParamsError as e:
+        print(f"bad configuration: {e}", file=sys.stderr)
+        return 4
+    try:
+        fh = sys.stdout if args.out == "-" else open(args.out, "w")
+    except OSError as e:
+        print(f"bad configuration: --out {args.out}: {e}", file=sys.stderr)
+        return 4
 
-    rows = []
-    for i in range(args.points):
-        alpha = Fraction(i * args.denominator // args.points % args.denominator, args.denominator)
-        diag = F_diagnostic(alpha, scale, d)
-        rows.append(
-            (
-                float(alpha),
-                abs(diag.h),
-                abs(diag.W),
-                int(diag.on_arc),
-                abs(diag.F),
-            )
-        )
-
-    fh = sys.stdout if args.out == "-" else open(args.out, "w")
     try:
         fh.write("alpha\tabs_h\tabs_W\ton_arc\tabs_F\n")
-        for row in rows:
+        for i in range(args.points):
+            alpha = Fraction(i * args.denominator // args.points % args.denominator, args.denominator)
+            diag = F_diagnostic(alpha, scale, d)
+            row = (float(alpha), abs(diag.h), abs(diag.W), int(diag.on_arc), abs(diag.F))
             fh.write("\t".join(f"{x:.6g}" for x in row) + "\n")
     finally:
         if fh is not sys.stdout:
             fh.close()
-            print(f"wrote {args.out} ({len(rows)} rows)")
+    if fh is not sys.stdout:
+        print(f"wrote {args.out} ({args.points} rows)")
     return 0
 
 

@@ -15,6 +15,7 @@ import sys
 import time
 
 from cubesquares.cli import modulus, positive_int
+from cubesquares.errors import DegenerateParamsError
 from cubesquares.scale import Scale
 
 
@@ -32,7 +33,11 @@ def main() -> int:
     args = ap.parse_args()
 
     scale = Scale(args.P**6)
-    pp = scale.params
+    try:
+        pp = scale.params
+    except DegenerateParamsError as e:
+        print(f"bad configuration: {e}", file=sys.stderr)
+        return 4
     thin = list(pp.thin.leading)
     print(f"P={pp.P}  N={pp.N}  thin leading integers: {thin}  interval length {pp.thin.hi - pp.thin.lo:.4f}")
     if not thin:

@@ -18,6 +18,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .errors import DegenerateParamsError
+
 TAU = 18.0 / 31.0
 
 
@@ -48,7 +50,7 @@ class ArcDissection:
     @classmethod
     def narrow(cls, P: int, n: int) -> "ArcDissection":
         if P < 3:
-            raise ValueError("narrow dissection needs log P > 1")
+            raise DegenerateParamsError("narrow dissection needs log P > 1")
         return cls(X=math.log(P) ** TAU, n=n)
 
     def half_width(self, q: int) -> float:

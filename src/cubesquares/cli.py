@@ -25,18 +25,10 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .arcs import classify
-from .census import family_members_upto, filter_A_upsilon, run_census, verify_obstruction_family, witness_for
-from .cubesieve import memory_budget, sieve_cube_sums
 from .errors import CapacityError, DegenerateParamsError, QuadratureError, VerificationError
-from .expsums import batch_is_exact, complete_sum_S_batch, truncated_singular_series
-from .localsolve import hensel_certificate, mod27_square_sets, sigma_p, two_adic_profile
-from .mainterm import RnEvaluator, rn_dense_dft, toy_tables
-from .oscillatory import osc_integral_v, v_at_zero
-from .scale import Scale
-from .smooth import enumerate_smooth
-from .w2 import w2_scan
-from .weights import save_binary, save_csv
+
+# Each subcommand imports the layers it runs, so a script that imports only
+# the argparse types below loads no numerical layer.
 
 
 @dataclass(frozen=True)
@@ -73,6 +65,11 @@ def _write_tsv(path: Path, cfg: RunConfig, header: list[str], rows) -> None:
 
 
 def cmd_enumerate(args, cfg: RunConfig, out: Path) -> int:
+    from .cubesieve import sieve_cube_sums
+    from .scale import Scale
+    from .smooth import enumerate_smooth
+    from .weights import save_binary, save_csv
+
     scale = Scale(args.N, args.eta, args.R)
     if args.table is not None:
         scale.params  # a degenerate scale exits before any artifact is written
@@ -99,6 +96,10 @@ def cmd_enumerate(args, cfg: RunConfig, out: Path) -> int:
 
 
 def cmd_local(args, cfg: RunConfig, out: Path) -> int:
+    from .expsums import complete_sum_S_batch, truncated_singular_series
+    from .localsolve import hensel_certificate, mod27_square_sets, sigma_p, two_adic_profile
+    from .w2 import w2_scan
+
     if args.certificate == 2 and args.n < 1:
         # checked before the first action, so nothing is written; odd p reduce n mod p
         raise DegenerateParamsError(f"the 2-adic certificate needs --n >= 1, got {args.n}")
@@ -150,6 +151,11 @@ def cmd_local(args, cfg: RunConfig, out: Path) -> int:
 
 
 def cmd_arcs(args, cfg: RunConfig, out: Path) -> int:
+    from .arcs import classify
+    from .mainterm import RnEvaluator, rn_dense_dft, toy_tables
+    from .oscillatory import osc_integral_v, v_at_zero
+    from .scale import Scale
+
     scale = Scale(args.N, args.eta, args.R)
     if args.v_at_zero or args.v_sweep or (args.rn_exact and not args.toy) or args.report is not None:
         scale.params  # a degenerate scale exits before any artifact is written
@@ -204,6 +210,8 @@ _WITNESS_BLOCK = 1 << 20  # n per unpacked slice of the representable set in the
 
 
 def cmd_census(args, cfg: RunConfig, out: Path) -> int:
+    from .census import family_members_upto, filter_A_upsilon, run_census, verify_obstruction_family, witness_for
+
     # the filter is cheap and checks its scale, so it runs before any artifact is written
     f = None if args.filter_upsilon is None else filter_A_upsilon(args.N or 10**6, args.filter_upsilon)
     if args.family:
@@ -254,6 +262,12 @@ def _checked(name: str, convert, ok, what: str):
     return parse
 
 
+def _batch_is_exact(q: int) -> bool:
+    from .expsums import batch_is_exact  # on the first modulus parsed, not on import
+
+    return batch_is_exact(q)
+
+
 # Option values the subcommands' library calls would reject; checked here so
 # that a bad value exits 4 and every ValueError past parsing is a program error.
 positive_int = _checked("positive_int", int, lambda v: v >= 1, "a positive integer")
@@ -261,7 +275,7 @@ non_negative_int = _checked("non_negative_int", int, lambda v: v >= 0, "a non-ne
 smoothness_bound = _checked("smoothness_bound", int, lambda v: v >= 2, "an integer >= 2")
 prime = _checked("prime", int, lambda p: p >= 2 and all(p % d for d in range(2, math.isqrt(p) + 1)), "a prime")
 # complete_sum_S_batch, behind --sqa and every series term, needs q^3 < 2^53
-modulus = _checked("modulus", int, batch_is_exact, "a modulus q >= 1 with q^3 < 2^53")
+modulus = _checked("modulus", int, _batch_is_exact, "a modulus q >= 1 with q^3 < 2^53")
 open_unit = _checked("open_unit", float, lambda v: 0.0 < v < 1.0, "in (0, 1)")
 half_open_unit = _checked("half_open_unit", float, lambda v: 0.0 <= v < 1.0, "in [0, 1)")
 height = _checked("height", float, lambda v: 1.0 <= v < math.inf, "a finite height >= 1")
@@ -392,6 +406,8 @@ def main(argv: list[str] | None = None) -> int:
     except (OSError, ValueError) as e:
         print(f"bad config file: {e}", file=sys.stderr)
         return 4
+    from .cubesieve import memory_budget
+
     try:
         memory_budget()  # every guard reads it; a bad value exits here, before any output
     except ValueError as e:

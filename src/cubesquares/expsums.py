@@ -11,9 +11,15 @@ we check that numerically instead of assuming it.  The truncated singular
 series sums Sn(q) for q <= Q and reports dyadic tail masses as a
 convergence diagnostic.
 
+`complete_sum_S` and `gauss_sum_S2` evaluate their phases directly, one
+`phase_sum` array pass each: numpy's cos and sin of the exact angles
+2 pi (r / q), and math.fsum over each part, so the value does not depend
+on the order of the residues.
+
 Sn is multiplicative in q, so the series computes Sn only at the prime
 powers <= Q (198 of them for Q = 1024) and forms every other term as a
-product over the prime powers that exactly divide q.  `coefficient_Sn` on a
+product over the prime powers that exactly divide q, one array round of
+`w2.factorizations` per prime, in ascending p.  `coefficient_Sn` on a
 composite q stays the direct sum over a: it is the independent route that
 the multiplicativity check and the series tests compare against.
 """
@@ -21,7 +27,6 @@ the multiplicativity check and the series tests compare against.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterable
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -32,26 +37,25 @@ from .residues import t_square_distribution
 from .w2 import factorizations
 
 
-def phase_sum(residues: Iterable[int], weights: Iterable, q: int) -> complex:
-    """sum of c e(r / q) over integer residues r with nonzero weights c; cos and sin parts each by math.fsum.
+def phase_sum(residues: np.ndarray, weights: np.ndarray, q: int) -> complex:
+    """sum of c e(r / q) over the residues r with nonzero weights c, in one array pass; cos and sin parts each by math.fsum.
 
-    The angle is 2 pi (r / q): int / int true division stays finite for q past 10^308.
+    The angle is 2 pi (r / q).  int64 residues take r / q in float64, equal
+    to int / int true division while q < 2^53; an object array of Python
+    ints keeps int / int true division, which stays finite for q past 10^308.
     """
-    re, im = [], []
-    for r, c in zip(residues, weights):
-        if c:
-            theta = 2.0 * math.pi * (r / q)
-            re.append(c * math.cos(theta))
-            im.append(c * math.sin(theta))
-    return complex(math.fsum(re), math.fsum(im))
+    keep = weights != 0
+    c = weights[keep]
+    theta = 2.0 * math.pi * np.asarray(residues[keep] / q, dtype=np.float64)
+    return complex(math.fsum((c * np.cos(theta)).tolist()), math.fsum((c * np.sin(theta)).tolist()))
 
 
 def complete_sum_S(q: int, a: int) -> complex:
     """Direct phase sum against the T^2 residue distribution; O(q) exact phases."""
     if q < 1:
         raise ValueError("q must be >= 1")
-    a %= q
-    return phase_sum(((a * m) % q for m in range(q)), t_square_distribution(q).tolist(), q)
+    dist = t_square_distribution(q)  # refuses q >= 2^21, so a m < q^2 stays in int64
+    return phase_sum(a % q * np.arange(q, dtype=np.int64) % q, dist, q)
 
 
 def batch_is_exact(q: int) -> bool:
@@ -71,10 +75,10 @@ def complete_sum_S_batch(q: int) -> np.ndarray:
 
 def gauss_sum_S2(q: int, a: int) -> complex:
     """One-dimensional quadratic Gauss sum, exact residue phases."""
-    if q < 1:
-        raise ValueError("q must be >= 1")
-    a %= q
-    return phase_sum(((a * x * x) % q for x in range(q)), [1] * q, q)
+    if q < 1 or q * q >= 2**63:
+        raise ValueError("q must satisfy 1 <= q and q^2 < 2^63")
+    x = np.arange(q, dtype=np.int64)
+    return phase_sum(a % q * (x * x % q) % q, np.ones(q, dtype=np.int64), q)
 
 
 def coprime_residues(q: int) -> np.ndarray:
@@ -124,12 +128,15 @@ def truncated_singular_series(n: int, Q: int) -> SeriesTruncation:
     """
     if Q < 1:
         raise ValueError("Q must be >= 1")
-    sn: dict[int, float] = {}  # Sn(p^k), taken when the walk reaches q = p^k, before any multiple of it
-    terms = np.zeros(Q + 1, dtype=np.float64)
-    for q, factors in factorizations(Q):
-        if len(factors) == 1:
-            sn[q] = coefficient_Sn(q, n)
-        terms[q] = math.prod(sn[p**k] for p, k in factors)
+    sn = np.zeros(Q + 1, dtype=np.float64)  # Sn(p^k) at the prime powers p^k <= Q
+    terms = np.ones(Q + 1, dtype=np.float64)
+    terms[0] = 0.0
+    for q, p, k in factorizations(Q):
+        pk = p**k
+        # the prime powers are exactly the q = p^k of the first round, so sn is complete before it is read
+        for t in q[pk == q].tolist():
+            sn[t] = coefficient_Sn(t, n)
+        terms[q] *= sn[pk]  # one factor per round: each product runs in ascending p
     value = float(math.fsum(terms[1:].tolist()))
     tails: dict[int, float] = {}
     Qd = Q // 2

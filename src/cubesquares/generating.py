@@ -34,8 +34,8 @@ def _exact_phases(values: np.ndarray, counts: np.ndarray, alpha: Fraction, scale
     den = alpha.denominator
     if num == 0:
         return complex(float(counts.sum()), 0.0)
-    s2 = scale * scale
-    return phase_sum(((num * (v * v * s2 % den)) % den for v in values.tolist()), counts.tolist(), den)
+    v = values.astype(object)  # Python ints: v^2 ~ 1e25 and den are past int64
+    return phase_sum(num * (v * v * (scale * scale) % den) % den, counts, den)
 
 
 def eval_h(alpha: float | Fraction, table: WeightTable) -> complex:

@@ -15,6 +15,12 @@ which we use as the exact carrier: multiplicativity of w2 is inherited from
 integer multiplicativity of W, and the majorant w2(q) <= q^(-1/6) is the
 integer inequality W(q) >= q, with equality exactly when every prime
 exponent of q is >= 6 (the "6-full" numbers: 64, 128, ..., 729, ...).
+
+`factorizations` factors every q <= Q at once, in array rounds over one
+smallest-prime-factor table; `w2_scan` builds W(q) from the rounds in
+int64, exact because W(q) <= q^3 < 2^63 for q < 2^21, and the singular
+series in `expsums` multiplies its terms along the same rounds.
+`factorize` (trial division) and `w2_carrier` stay per-q.
 """
 
 from __future__ import annotations
@@ -23,6 +29,10 @@ import math
 from collections.abc import Iterator
 
 import numpy as np
+
+from .cubesieve import reserve
+from .errors import CapacityError
+from .residues import MAX_MODULUS
 
 
 def factorize(q: int) -> list[tuple[int, int]]:
@@ -63,44 +73,64 @@ def w2(q: int) -> float:
     return w2_carrier(q) ** (-1.0 / 6.0)
 
 
-def factorizations(Q: int) -> Iterator[tuple[int, list[tuple[int, int]]]]:
-    """Each q = 1..Q with its prime powers [(p, k), ...], p^k || q, in ascending p, from one smallest-prime-factor table."""
+def factorizations(Q: int) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """The prime powers p^k || q of every q = 1..Q, as array rounds over one smallest-prime-factor table.
+
+    Round j is int64 arrays (q, p, k): every q with more than j distinct
+    prime factors, its (j+1)-th smallest prime p and the exponent k of p in
+    q.  Each round peels the smallest prime power off every cofactor still
+    above 1, so the rounds give each q's prime powers in ascending p.
+    """
     spf = np.arange(Q + 1, dtype=np.int64)
     for i in range(2, math.isqrt(Q) + 1):
         if spf[i] == i:
             sl = spf[i * i :: i]
             sl[sl == np.arange(i * i, Q + 1, i)] = i
-    spf = spf.tolist()
-    for q in range(1, Q + 1):
-        factors = []
-        m = q
-        while m > 1:
-            p, k = spf[m], 0
-            while m % p == 0:
-                m //= p
-                k += 1
-            factors.append((p, k))
-        yield q, factors
+    q = np.arange(2, Q + 1, dtype=np.int64)
+    m = q.copy()  # the cofactor of q not yet peeled
+    while q.size:
+        p = spf[m]
+        k = np.zeros_like(m)
+        live = np.arange(m.size)  # the q whose cofactor p still divides
+        while live.size:
+            m[live] //= p[live]
+            k[live] += 1
+            live = live[m[live] % p[live] == 0]
+        yield q, p, k
+        more = m > 1
+        q, m = q[more], m[more]
+
+
+def w2_bytes(Q: int) -> int:
+    """Upper bound on the bytes `w2_scan(Q)` holds: about a dozen int64 arrays over q at the first round.
+
+    Fitted to tracemalloc peaks for Q from 10^4 to 2 * 10^6 (98.8 to 100.2 bytes per q).
+    """
+    return 101 * Q + 2**13
 
 
 def w2_scan(Q: int) -> tuple[np.ndarray, bool, list[int]]:
     """One pass over q <= Q: (array of w2(q)^2, majorant verdict, equality cases).
 
-    The carrier stays a Python int (p^6 for a prime near 1e5 overflows int64),
-    so the majorant comparison W(q) >= q is exact.
+    The carrier W(q) is built exactly in int64 from the rounds of
+    `factorizations`: W(q) <= q^3, as each factor p^3, p^6 (only when
+    p^2 | q) or p^k is at most (p^k)^3, so Q < 2^21 keeps every W(q) below
+    2^63 and the majorant comparison W(q) >= q is exact.  Larger Q, or Q past
+    the memory budget, raises CapacityError before anything is allocated.
+    w2(q)^2 = W(q)^(-1/3) is taken by np.power in float64.
     """
-    w2sq = np.zeros(Q + 1, dtype=np.float64)
-    majorant_ok = True
-    equality: list[int] = []
-    for q, factors in factorizations(Q):
-        w = 1
-        for p, k in factors:
-            w *= _carrier_factor(p, k)
-        w2sq[q] = w ** (-1.0 / 3.0)
-        if w < q:
-            majorant_ok = False
-        elif w == q and q > 1:
-            equality.append(q)
+    if Q >= MAX_MODULUS:
+        raise CapacityError(f"w2 scan to Q={Q}: the carrier W(q) <= q^3 passes int64 for Q >= 2^21")
+    reserve(w2_bytes(Q), f"w2 scan to Q={Q}")
+    carrier = np.ones(Q + 1, dtype=np.int64)
+    for q, p, k in factorizations(Q):
+        # exponent of p in W: k (k >= 7), 6 (2 <= k <= 6), 3 (k = 1)
+        carrier[q] *= p ** np.where(k >= 7, k, np.where(k >= 2, 6, 3))
+    qs = np.arange(Q + 1, dtype=np.int64)
+    w2sq = carrier.astype(np.float64) ** (-1.0 / 3.0)
+    w2sq[0] = 0.0
+    majorant_ok = bool((carrier[1:] >= qs[1:]).all())
+    equality = (np.flatnonzero(carrier[2:] == qs[2:]) + 2).tolist()
     return w2sq, majorant_ok, equality
 
 

@@ -3,7 +3,7 @@ from pathlib import Path
 
 import pytest
 
-from cubesquares import __version__, cli
+from cubesquares import __version__, cli, expsums, oscillatory
 from cubesquares.cli import RunConfig, main
 from cubesquares.cubesieve import BUDGET_ENV
 from cubesquares.errors import QuadratureError
@@ -157,7 +157,7 @@ def _failing_v(beta, params, method="kernel1d", tol=1e-6):
 
 @pytest.mark.parametrize("fake", [_drifted_v, _failing_v], ids=["drift", "quadrature"])
 def test_arcs_verification_failure_exits_3(tmp_path, capsys, monkeypatch, fake):
-    monkeypatch.setattr(cli, "osc_integral_v", fake)
+    monkeypatch.setattr(oscillatory, "osc_integral_v", fake)
     assert run(tmp_path, "arcs", "--v-at-zero", "--N", str(8**6)) == 3
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("verification failure:")
@@ -362,6 +362,13 @@ def test_over_budget_smooth_set_exit_2(tmp_path, monkeypatch, capsys):
     assert list(tmp_path.iterdir()) == []
 
 
+def test_w2_scan_past_int64_exit_2(tmp_path, capsys):
+    # the carrier W(q) <= q^3 passes int64 from q = 2^21 on
+    assert run(tmp_path, "local", "--w2-max", str(2**21), "--check-majorant") == 2
+    assert capsys.readouterr().err.startswith("capacity: w2 scan to Q=2097152")
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_local_density_converging_early_is_not_refused(tmp_path):
     # 97 does not divide 6n: levels 1 and 2 agree, so level 97^4 is never built or reserved
     assert run(tmp_path, "local", "--sigma-p", "97", "--n", "1", "--hmax", "4") == 0
@@ -373,7 +380,7 @@ def test_internal_value_error_is_not_bad_configuration(tmp_path, monkeypatch):
     def broken(*args, **kwargs):
         raise ValueError("internal inconsistency")
 
-    monkeypatch.setattr(cli, "truncated_singular_series", broken)
+    monkeypatch.setattr(expsums, "truncated_singular_series", broken)
     with pytest.raises(ValueError, match="internal inconsistency"):
         run(tmp_path, "local", "--sn", "36")
 

@@ -1,6 +1,7 @@
 import cmath
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -12,9 +13,12 @@ from cubesquares.expsums import (
     coefficient_Sn,
     coprime_residues,
     gauss_sum_S2,
+    phase_sum,
     truncated_singular_series,
 )
+from cubesquares.params import primes_upto
 from cubesquares.residues import t_square_distribution
+from cubesquares.w2 import factorize
 
 
 def test_S_small_values():
@@ -94,3 +98,58 @@ def test_series_terms_match_direct_Sn(n):
     terms = truncated_singular_series(n, 1024).terms
     worst = max(abs(terms[q] - coefficient_Sn(q, n)) for q in range(1, 1025))
     assert worst <= 1e-14
+
+
+# The per-element loops that the array passes replaced, kept as the oracle.
+def _phase_sum_loop(residues, weights, q):
+    re, im = [], []
+    for r, c in zip(residues, weights):
+        if c:
+            theta = 2.0 * math.pi * (r / q)
+            re.append(c * math.cos(theta))
+            im.append(c * math.sin(theta))
+    return complex(math.fsum(re), math.fsum(im))
+
+
+def _series_terms_loop(n, Q):
+    sn = {}
+    terms = np.zeros(Q + 1, dtype=np.float64)
+    for q in range(1, Q + 1):
+        factors = factorize(q)
+        if len(factors) == 1:
+            sn[q] = coefficient_Sn(q, n)
+        terms[q] = math.prod(sn[p**k] for p, k in factors)
+    return terms
+
+
+def test_gauss_sums_match_loop():
+    for p in primes_upto(997)[1:].tolist():
+        for a in (1, 2, 3, p - 2, p - 1):
+            want = _phase_sum_loop(((a * x * x) % p for x in range(p)), [1] * p, p)
+            assert gauss_sum_S2(p, a) == want, (p, a)
+
+
+def test_complete_sums_match_loop():
+    for q in range(1, 61):
+        dist = t_square_distribution(q).tolist()
+        for a in range(q):
+            assert complete_sum_S(q, a) == _phase_sum_loop(((a * m) % q for m in range(q)), dist, q), (q, a)
+
+
+def test_phase_sum_past_float_range():
+    # r / q stays int / int true division on Python ints; float(r) would overflow
+    q = 10**400
+    r = [0, 1, q // 3, q // 2, q - 1, 2 * q // 3]
+    c = [1, 2, 0, 5, 7, 11]
+    got = phase_sum(np.array(r, dtype=object), np.array(c, dtype=np.int64), q)
+    assert got == _phase_sum_loop(r, c, q)
+    want = 1 + 2 + 5 * -1 + 7 + 11 * cmath.exp(-2j * math.pi / 3)
+    assert abs(got - want) < 1e-12
+
+
+@pytest.mark.parametrize("n", [0, 36, 1001])
+def test_series_terms_match_loop(n):
+    tr = truncated_singular_series(n, 1024)
+    want = _series_terms_loop(n, 1024)
+    assert tr.terms.tobytes() == want.tobytes()
+    assert tr.value == math.fsum(want[1:].tolist())

@@ -104,3 +104,24 @@ def test_sums_at_a_denominator_past_float_range_keep_the_mass():
     h, W = eval_h(alpha, a), eval_W(alpha, b, [2, 3])
     assert h.real == 7.0 and abs(h.imag) < 1e-300
     assert W.real == 8.0 and abs(W.imag) < 1e-300
+
+
+# The per-element phase loop that the array pass replaced, kept as the oracle.
+def _exact_phases_loop(table, alpha, scale=1):
+    num, den = alpha.numerator % alpha.denominator, alpha.denominator
+    re, im = [], []
+    for v, c in zip(table.support.tolist(), table.counts.tolist()):
+        theta = 2.0 * math.pi * ((num * (v * v * scale * scale % den)) % den / den)
+        re.append(c * math.cos(theta))
+        im.append(c * math.sin(theta))
+    return complex(math.fsum(re), math.fsum(im))
+
+
+@pytest.mark.parametrize("alpha", [0.1234567891234, 1 / 3, 0.25 + 1e-9, 0.0123456789, Fraction(7, 1009)])
+def test_sums_match_phase_loop(alpha):
+    scale = Scale(27**6)
+    af = Fraction(alpha)
+    assert isinstance(alpha, Fraction) or af.denominator > 2**53
+    assert eval_h(alpha, scale.table_a) == _exact_phases_loop(scale.table_a, af)
+    want_W = sum((_exact_phases_loop(scale.table_b, af, p**3) for p in scale.primes), 0j)
+    assert eval_W(alpha, scale.table_b, scale.primes) == want_W

@@ -11,6 +11,7 @@ import pytest
         ("census", ["census", "cubesieve", "errors", "params"]),
         ("oscillatory", ["errors", "oscillatory", "params"]),
         ("mainterm", ["cubesieve", "errors", "mainterm", "oscillatory", "params", "smooth", "weights"]),
+        ("cli", ["cli", "errors"]),  # the scripts import the CLI's argparse types; each subcommand imports its layers
     ],
 )
 def test_layer_import_loads_only_its_dependencies(layer, loaded):

@@ -60,6 +60,36 @@ def test_series_truncation_must_be_a_modulus():
     assert "0 is not a modulus" in proc.stderr
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["scripts/window_mass.py", "--P", "1"],
+        ["scripts/arc_sweep.py", "--P", "1"],
+        ["scripts/arc_sweep.py", "--P", "2"],  # N = 64 derives, but the narrow dissection needs log P > 1
+    ],
+)
+def test_degenerate_scale_exits_4(argv):
+    proc = _run(*argv)
+    assert proc.returncode == 4
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("bad configuration: ") and len(proc.stderr.splitlines()) == 1
+
+
+def test_arc_sweep_out_path(tmp_path):
+    missing = tmp_path / "missing" / "x.tsv"
+    proc = _run("scripts/arc_sweep.py", "--P", "8", "--points", "2", "--out", str(missing))
+    assert proc.returncode == 4
+    assert proc.stdout == ""
+    assert proc.stderr.startswith(f"bad configuration: --out {missing}: ") and len(proc.stderr.splitlines()) == 1
+    assert list(tmp_path.iterdir()) == []
+    out = tmp_path / "x.tsv"
+    proc = _run("scripts/arc_sweep.py", "--P", "8", "--points", "2", "--out", str(out))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == f"wrote {out} (2 rows)\n"
+    assert out.read_text().splitlines()[0] == "alpha\tabs_h\tabs_W\ton_arc\tabs_F"
+    assert len(out.read_text().splitlines()) == 3
+
+
 def test_volume_workload_checks_pass():
     # The benchmark's volume workload calls osc_integral_v on both routes and
     # checks v(0) and the route agreement against criterion 8's gates.

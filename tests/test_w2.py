@@ -1,13 +1,20 @@
 import math
+import tracemalloc
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, strategies as st
 
+from cubesquares.cubesieve import BUDGET_ENV
+from cubesquares.errors import CapacityError
+from cubesquares.residues import MAX_MODULUS
 from cubesquares.w2 import (
+    _carrier_factor,
     factorizations,
     factorize,
     six_full_upto,
     w2,
+    w2_bytes,
     w2_carrier,
     w2_scan,
 )
@@ -77,7 +84,83 @@ def test_decade_sums_from_one_scan():
 
 
 def test_factorizations_match_trial_division():
-    walk = list(factorizations(10_000))
-    assert [q for q, _ in walk] == list(range(1, 10_001))
-    for q, factors in walk:
+    walk = {q: [] for q in range(1, 10_001)}
+    for q, p, k in factorizations(10_000):
+        for qi, pi, ki in zip(q.tolist(), p.tolist(), k.tolist()):
+            walk[qi].append((pi, ki))
+    for q, factors in walk.items():
         assert factors == factorize(q)
+
+
+# The per-q walk and scan that the array rounds replaced, kept as the oracle.
+def _factorizations_loop(Q):
+    spf = np.arange(Q + 1, dtype=np.int64)
+    for i in range(2, math.isqrt(Q) + 1):
+        if spf[i] == i:
+            sl = spf[i * i :: i]
+            sl[sl == np.arange(i * i, Q + 1, i)] = i
+    spf = spf.tolist()
+    for q in range(1, Q + 1):
+        factors = []
+        m = q
+        while m > 1:
+            p, k = spf[m], 0
+            while m % p == 0:
+                m //= p
+                k += 1
+            factors.append((p, k))
+        yield q, factors
+
+
+def _w2_scan_loop(Q):
+    w2sq = np.zeros(Q + 1, dtype=np.float64)
+    majorant_ok = True
+    equality = []
+    for q, factors in _factorizations_loop(Q):
+        w = 1
+        for p, k in factors:
+            w *= _carrier_factor(p, k)
+        w2sq[q] = w ** (-1.0 / 3.0)
+        if w < q:
+            majorant_ok = False
+        elif w == q and q > 1:
+            equality.append(q)
+    return w2sq, majorant_ok, equality
+
+
+@pytest.mark.parametrize("Q", [1, 2, 64, 100_000])
+def test_w2_scan_matches_loop(Q):
+    w2sq, majorant_ok, equality = w2_scan(Q)
+    want, want_ok, want_equality = _w2_scan_loop(Q)
+    assert majorant_ok == want_ok and equality == want_equality
+    # np.power and Python's ** may round W(q)^(-1/3) apart by one unit in the last place
+    assert w2sq.shape == want.shape and w2sq[0] == want[0] == 0.0
+    assert np.abs(w2sq.view(np.int64) - want.view(np.int64)).max() <= 1
+
+
+def test_w2_scan_refuses_int64_overflow_before_allocating():
+    # W(q) <= q^3 reaches 2^63 at q = 2^21
+    tracemalloc.start()
+    try:
+        with pytest.raises(CapacityError, match="2\\^21"):
+            w2_scan(MAX_MODULUS)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**16
+
+
+def test_memory_guard_matches_allocation(monkeypatch):
+    Q = 100_000
+    estimate = w2_bytes(Q)
+    monkeypatch.setenv(BUDGET_ENV, str(estimate))
+    tracemalloc.start()
+    try:
+        w2_scan(Q)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert 0.95 * estimate <= peak <= estimate  # peak / estimate measured 0.978
+    monkeypatch.setenv(BUDGET_ENV, str(estimate - 1))
+    with pytest.raises(CapacityError):
+        w2_scan(Q)
