@@ -20,7 +20,7 @@ from cubesquares.scale import Scale
 
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("--P", type=int, default=8, help="scale parameter (N = P^6)")
+    ap.add_argument("--P", type=positive_int, default=8, help="scale parameter (N = P^6)")
     ap.add_argument("--points", type=positive_int, default=200, help="alpha grid size")
     ap.add_argument(
         "--denominator", type=positive_int, default=1009, help="alpha grid denominator (prime keeps fractions exact)"

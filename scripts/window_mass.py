@@ -21,7 +21,7 @@ from cubesquares.scale import Scale
 
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("--P", type=int, default=27, help="scale parameter (N = P^6)")
+    ap.add_argument("--P", type=positive_int, default=27, help="scale parameter (N = P^6)")
     ap.add_argument("--Q", type=modulus, default=64, help="series truncation")
     ap.add_argument(
         "--samples",

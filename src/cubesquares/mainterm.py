@@ -115,14 +115,17 @@ class RnEvaluator:
 def rn_bytes(k: int, nb: int) -> int:
     """Upper bound on the bytes `RnEvaluator` holds for k bulk squares and nb thin terms.
 
-    Building bb takes `table_bytes(nb, nb)`; its <= nb (nb + 1) / 2 keys give
-    twice as many t.  A sweep block of r rows of k entries takes 16 bytes per
-    entry (differences, then prefix sums, and indices), beside 16 per square,
-    24 per t and 2^12 bytes of headers.
+    Building bb takes `table_bytes(nb, nb)`, whose scratch is freed before
+    any sweep; bb then keeps at most 16 bytes per pair of thin terms, and its
+    <= nb (nb + 1) / 2 keys give twice as many t.  A sweep block of r rows of
+    k entries takes 16 bytes per entry (differences, then prefix sums, and
+    indices), beside 24 per t.  Both phases hold 16 bytes per square and
+    2^12 bytes of headers.
     """
     ts = nb * (nb + 1)
     rows = max(1, min(weights.BUCKET // max(k, 1), ts))
-    return table_bytes(nb, nb) + 16 * rows * k + 16 * k + 24 * ts + 2**12
+    sweep = 16 * nb * nb + 16 * rows * k + 24 * ts
+    return max(table_bytes(nb, nb), sweep) + 16 * k + 2**12
 
 
 def toy_tables() -> tuple[WeightTable, WeightTable, list[int]]:

@@ -11,11 +11,15 @@ coefficients of the quadratic generating sums evaluated in generating.py.
 Both folds (the smooth pair sums, then the leading cube against them) are
 outer sums, built one value range at a time by `_outer_sum`, the one
 packed-key aggregation of the package (R(n)'s thin self-sum is another of
-its calls): each range gathers at most BUCKET raw sums, packs each with its
-count into one int64 key, sorts the keys in cache and sums the counts of
-each run of equal values into the preallocated output.  At P = 10^4 the
-bulk table has 11.4M entries and the build holds the 16-byte output entries
-plus one bucket; `table_bytes` is the capacity guard's estimate of it.
+its calls).  Each range gathers at most BUCKET raw sums at indices formed
+without a running sum, packs each with its count into one int64 key and
+sorts the keys in cache.  In both folds one side's counts are all 1, so the
+other side's count rides in its shifted values and no key takes a count
+product.  Each run of equal values writes its end's value and count
+straight into the preallocated output, and one `np.add.at` adds the counts
+of the rare repeated values.  At P = 10^4 the bulk table has 11.4M entries
+and the build holds the 16-byte output entries plus one bucket;
+`table_bytes` is the capacity guard's estimate of it.
 
 Disk formats: a little-endian binary record (magic WCL1) and a CSV with
 header ``value,multiplicity``; a JSON sidecar carries provenance fields.
@@ -87,49 +91,23 @@ def _key_bits(lo: int, hi: int, top_count: int) -> int:
     return sh
 
 
-def _runs(key: np.ndarray, sh: int, sup: np.ndarray, cnt: np.ndarray, last: np.ndarray) -> int:
-    """Reduce m keys packed `sh` count bits deep; return the number d of distinct values.
-
-    The keys are sorted in place, so equal values form runs; equal keys are
-    identical pairs, so the sort need not be stable.  The distinct values go
-    to sup[:d] and their summed counts to cnt[:d].  `sup`, `cnt` and the
-    bool scratch `last` hold at least m entries, and `key` is overwritten.
-    A run's count is the difference of the running count total at its last
-    key and at the last key of the run before; int64 wraparound in the
-    running total cancels in that difference.  The only allocation is the
-    d run ends.
-    """
-    m = key.size
-    key.sort()
-    total = cnt[:m]
-    np.bitwise_and(key, (1 << sh) - 1, out=total)
-    key >>= sh
-    last = last[:m]
-    last[-1] = True
-    np.not_equal(key[1:], key[:-1], out=last[:-1])
-    ends = np.flatnonzero(last)
-    d = ends.size
-    np.take(key, ends, out=sup[:d], mode="clip")
-    np.cumsum(total, out=total)
-    at_end = np.take(total, ends, out=key[:d], mode="clip")
-    cnt[0] = at_end[0]
-    np.subtract(at_end[1:], at_end[:-1], out=cnt[1:d])
-    return d
-
-
 def _outer_sum(x: np.ndarray, cx: np.ndarray, y: np.ndarray, cy: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Distinct x_i + y_j in increasing order and the summed cx_i * cy_j of each.
 
     x and y are sorted non-negative int64 arrays, whose values may repeat,
-    and cx, cy their positive int64 counts.  The |x| |y| raw sums are never formed at once.  The value
-    axis is cut into ranges of at most BUCKET raw sums, each range's width
-    scaled from the fill of the one before, and `searchsorted` gives each
-    row's part of a range.  `_bucket` packs those sums into one reused key
-    array and `_runs` reduces them into the output, which is preallocated
-    at one entry per raw sum and trimmed in place at the end.  Until a
-    bucket's d values are written, its output slots from the current end on
-    are free scratch, since at most m <= raw - pos raw sums remain.  A single
-    value with more than BUCKET raw sums is one bucket.
+    and cx, cy their positive int64 counts.  The |x| |y| raw sums are never
+    formed at once.  The value axis is cut into ranges of at most BUCKET raw
+    sums, each range's width scaled from the fill of the one before, and
+    `searchsorted` gives each row's part lo_i <= j < hi_i of a range.  x is
+    the shorter side, so a range costs O(|x|) beyond its raw sums.  Each raw
+    sum becomes the int64 key (x_i + y_j) << sh | cx_i * cy_j, and `_bucket`
+    reduces a range's keys into the output, which is preallocated at one
+    entry per raw sum and trimmed in place at the end.  Both sides are
+    shifted once.  When one side's counts are all 1, the other side's
+    counts are or-ed into its shifted values, and each key's count arrives
+    with its terms; only when neither side is all ones does `_bucket`
+    multiply cx_i * cy_j per key.  A single value with more than BUCKET raw
+    sums is one bucket.
     """
     if x.size > y.size:
         x, cx, y, cy = y, cy, x, cx  # each bucket costs O(rows): take the shorter side
@@ -139,7 +117,14 @@ def _outer_sum(x: np.ndarray, cx: np.ndarray, y: np.ndarray, cy: np.ndarray) -> 
         return sup, cnt
     bottom, top = int(x[0]) + int(y[0]), int(x[-1]) + int(y[-1])
     sh = _key_bits(bottom, top, int(cx.max()) * int(cy.max()))
-    key, last = np.empty(min(raw, BUCKET), np.int64), np.empty(min(raw, BUCKET), bool)
+    xs, ys, counts = x << sh, y << sh, None
+    if (cy == 1).all():
+        xs |= cx  # each key's count is its row's
+    elif (cx == 1).all():
+        ys |= cy  # each key's count is its gathered entry's
+    else:
+        counts = cx, cy
+    scratch = _scratch(min(raw, BUCKET))
     target, span = BUCKET - BUCKET // 16, top + 1 - bottom
     width = span if raw <= BUCKET else max(1, span * target // raw)
     e0, pos, lo = bottom, 0, np.zeros(x.size, np.int64)
@@ -150,11 +135,10 @@ def _outer_sum(x: np.ndarray, cx: np.ndarray, y: np.ndarray, cy: np.ndarray) -> 
         if m > BUCKET and e1 - e0 > 1:
             width = max(1, (e1 - e0) * target // m)
             continue
-        if m > key.size:
-            key, last = np.empty(m, np.int64), np.empty(m, bool)
+        if m > scratch[0].size:
+            scratch = _scratch(m)
         if m:
-            _bucket(x, cx, y, cy, lo, hi, sh, key[:m], sup[pos : pos + m], cnt[pos : pos + m])
-            pos += _runs(key[:m], sh, sup[pos:], cnt[pos:], last)
+            pos += _bucket(xs, ys, counts, lo, hi, sh, [a[:m] for a in scratch], sup[pos:], cnt[pos:])
         width = max(1, (e1 - e0) * target // m) if m else 2 * (e1 - e0)
         e0, lo = e1, hi
     sup.resize(pos, refcheck=False)
@@ -162,28 +146,54 @@ def _outer_sum(x: np.ndarray, cx: np.ndarray, y: np.ndarray, cy: np.ndarray) -> 
     return sup, cnt
 
 
-def _bucket(x, cx, y, cy, lo, hi, sh: int, key: np.ndarray, idx: np.ndarray, c: np.ndarray) -> None:
-    """Write the m = key.size keys (x_i + y_j) << sh | cx_i * cy_j over lo_i <= j < hi_i into `key`, row by row.
+def _scratch(m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The reused per-bucket arrays: int64 keys, run-end flags and the steps 0, 1, ..., m - 1."""
+    return np.empty(m, np.int64), np.empty(m, bool), np.arange(m)
 
-    `idx` and `c` are m-entry scratch.  Row i's part takes the y indices
-    lo_i, lo_i + 1, ..., so the indices are a cumulative sum of steps: 1
-    within a row, and from one row's last index to the next row's lo at
-    each row's head.  The largest allocation is one repeat of a row
-    quantity, 8m bytes, which is no less than the run ends `_runs` takes.
+
+def _bucket(xs, ys, counts, lo, hi, sh: int, scratch, sup: np.ndarray, cnt: np.ndarray) -> int:
+    """Reduce the m keys over lo_i <= j < hi_i to d distinct values in sup[:d], cnt[:d]; return d.
+
+    xs and ys are x << sh and y << sh, one of them already or-ed with its
+    counts when `counts` is None; otherwise `counts` is (cx, cy).
+    `scratch` is the m-entry key, flag and step arrays, and sup[:m],
+    cnt[:m] are free scratch, since m raw sums remain.  Row i's part takes
+    the y indices lo_i, lo_i + 1, ..., so the indices are the steps plus,
+    repeated over the row, lo_i less the row's head offset.  A key is ys at
+    its index plus the repeated row's xs, with the products cx_i * cy_j
+    or-ed in when `counts` is given.  After the in-place sort,
+    equal values form runs, and equal keys are identical pairs, so the sort
+    need not be stable.  The value and count at each run's end are written
+    straight to the output; the counts of the other entries, rare in these
+    tables, are added to their runs with one `np.add.at`.  The largest
+    allocation is one repeat of a row quantity or the run ends, 8m bytes.
     """
+    key, last, step = scratch
+    m = key.size
     lens = hi - lo
     rows = np.flatnonzero(lens)
     lens = lens[rows]
-    heads = np.cumsum(lens) - lens
-    idx.fill(1)
-    idx[heads] = lo[rows] - np.concatenate(([1], hi[rows[:-1]])) + 1
-    np.cumsum(idx, out=idx)
-    np.take(y, idx, out=key, mode="clip")
-    key += np.repeat(x[rows], lens)
-    key <<= sh
-    np.take(cy, idx, out=c, mode="clip")
-    c *= np.repeat(cx[rows], lens)
-    key |= c
+    idx = np.add(step, np.repeat(lo[rows] - (np.cumsum(lens) - lens), lens), out=sup[:m])
+    np.take(ys, idx, out=key, mode="clip")
+    key += np.repeat(xs[rows], lens)
+    if counts is not None:
+        cx, cy = counts
+        c = np.take(cy, idx, out=cnt[:m], mode="clip")
+        c *= np.repeat(cx[rows], lens)
+        key |= c
+    key.sort()
+    val = np.right_shift(key, sh, out=sup[:m])
+    last[-1] = True
+    np.not_equal(val[1:], val[:-1], out=last[:-1])
+    ends = np.flatnonzero(last)
+    d, mask = ends.size, (1 << sh) - 1
+    run = np.take(key, ends, out=cnt[:d], mode="clip")
+    np.right_shift(run, sh, out=sup[:d])
+    run &= mask
+    if d < m:
+        inner = np.flatnonzero(np.logical_not(last, out=last))
+        np.add.at(run, np.searchsorted(ends, inner), key[inner] & mask)
+    return d
 
 
 def build_weight_table(params: Params, role: str) -> WeightTable:
@@ -217,14 +227,15 @@ def table_bytes(leading: int, pairs: int) -> int:
     """Upper bound on the bytes `_outer_sum` holds for a `leading` x `pairs` table, inputs included.
 
     The output is preallocated at 16 bytes per raw sum.  A bucket of m <=
-    BUCKET raw sums adds 17 bytes per entry: the reused key and flag arrays
-    and one 8m-byte row repeat.  Once the output is trimmed to its d entries,
-    checking its order takes one byte per entry.  40 bytes per input entry,
-    fitted to tracemalloc, cover the inputs with their counts and the
-    per-row cut arrays.
+    BUCKET raw sums adds 25 bytes per entry: the reused key, flag and step
+    arrays (17) and one 8m-byte repeat of a row quantity or of the run ends,
+    plus 8 KiB for the buffers of `np.add.at`.  Once the output is trimmed
+    to its d entries, checking its order takes one byte per entry.  48
+    bytes per input entry, fitted to tracemalloc, cover the inputs with
+    their counts, their shifted copies and the per-row cut arrays.
     """
     raw = leading * pairs
-    return 16 * raw + max(17 * min(raw, BUCKET), raw) + 40 * (leading + pairs)
+    return 16 * raw + max(25 * min(raw, BUCKET) + 2**13, raw) + 48 * (leading + pairs)
 
 
 # -- serialization -----------------------------------------------------------
@@ -238,19 +249,25 @@ def table_digest(table: WeightTable) -> str:
     return h.hexdigest()[:16]
 
 
+def _pairs(table: WeightTable, dtype):
+    """The table's (value, count) rows, BUCKET at a time, interleaved in one reused two-column block."""
+    n = len(table)
+    block = np.empty((min(n, BUCKET), 2), dtype)
+    for i in range(0, n, BUCKET):
+        part = block[: min(BUCKET, n - i)]
+        part[:, 0] = table.support[i : i + BUCKET]
+        part[:, 1] = table.counts[i : i + BUCKET]
+        yield part
+
+
 def save_binary(table: WeightTable, path: str | Path, meta: dict | None = None) -> None:
     """MAGIC, role byte, u64 pair count, then (u64 value, u64 count) pairs, interleaved BUCKET pairs at a time."""
     path = Path(path)
-    n = len(table)
     with open(path, "wb") as f:
         f.write(MAGIC)
         f.write(table.role.encode("ascii"))
-        f.write(struct.pack("<Q", n))
-        block = np.empty((min(n, BUCKET), 2), dtype="<u8")
-        for i in range(0, n, BUCKET):
-            part = block[: min(BUCKET, n - i)]
-            part[:, 0] = table.support[i : i + BUCKET]
-            part[:, 1] = table.counts[i : i + BUCKET]
+        f.write(struct.pack("<Q", len(table)))
+        for part in _pairs(table, "<u8"):
             f.write(part)
     _write_sidecar(table, path, "WCL1", meta)
 
@@ -285,12 +302,16 @@ def load_binary(path: str | Path) -> WeightTable:
 
 
 def save_csv(table: WeightTable, path: str | Path, meta: dict | None = None) -> None:
-    """Header ``value,multiplicity``, then one line per pair; the sidecar is as for `save_binary`."""
+    """Header ``value,multiplicity``, then one line per pair; the sidecar is as for `save_binary`.
+
+    Each block of BUCKET pairs is formatted from one `tolist`, so memory
+    stays at one block whatever the table's length.
+    """
     path = Path(path)
     with open(path, "w") as f:
         f.write("value,multiplicity\n")
-        for v, c in zip(table.support.tolist(), table.counts.tolist()):
-            f.write(f"{v},{c}\n")
+        for part in _pairs(table, np.int64):
+            f.write("%d,%d\n" * len(part) % tuple(part.ravel().tolist()))
     _write_sidecar(table, path, "CSV", meta)
 
 

@@ -44,6 +44,10 @@ def test_window_workload_checks_pass(tmp_path, traced):
         ["scripts/window_mass.py", "--samples", "0"],
         ["scripts/arc_sweep.py", "--points", "0"],
         ["scripts/arc_sweep.py", "--denominator", "0"],
+        ["scripts/window_mass.py", "--P", "-8"],
+        ["scripts/window_mass.py", "--P", "0"],
+        ["scripts/arc_sweep.py", "--P", "-8"],
+        ["scripts/arc_sweep.py", "--P", "0"],
     ],
 )
 def test_count_options_must_be_positive(argv):

@@ -258,13 +258,18 @@ def test_outer_sum_matches_one_sort_across_bucket_edges(monkeypatch, bucket):
     cases = [(span, span), (gappy, span), (gappy, gappy[::3].copy()), (span[:1], gappy)]
     monkeypatch.setattr(weights, "BUCKET", bucket)
     for x, y in cases:
-        cx = rng.integers(1, 1000, size=x.size)
-        cy = rng.integers(1, 1000, size=y.size)
-        want = _one_sort_oracle(x, cx, y, cy)
-        for args in ((x, cx, y, cy), (y, cy, x, cx)):
-            got = weights._outer_sum(*args)
-            assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
-            assert got[1].sum() == cx.sum() * cy.sum()
+        many_x = rng.integers(1, 1000, size=x.size)
+        many_y = rng.integers(1, 1000, size=y.size)
+        ones_x, ones_y = np.ones(x.size, np.int64), np.ones(y.size, np.int64)
+        # all-one counts on either side fold the other side's count into its
+        # keys instead of a per-entry product: ones on the long side, the
+        # short side and both
+        for cx, cy in ((many_x, many_y), (ones_x, many_y), (many_x, ones_y), (ones_x, ones_y)):
+            want = _one_sort_oracle(x, cx, y, cy)
+            for args in ((x, cx, y, cy), (y, cy, x, cx)):
+                got = weights._outer_sum(*args)
+                assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+                assert got[1].sum() == cx.sum() * cy.sum()
 
 
 def test_outer_sum_of_an_empty_side(monkeypatch):
@@ -318,6 +323,30 @@ def test_binary_blocks_keep_the_bytes(tmp_path, monkeypatch):
     (tmp_path / "short.wcl").write_bytes((tmp_path / "one.wcl").read_bytes()[:-8])
     with pytest.raises(ValueError):
         load_binary(tmp_path / "short.wcl")
+
+
+def test_csv_blocks_keep_the_bytes(tmp_path, monkeypatch):
+    t = build_weight_table(derive_params(27**6), "a")
+    save_csv(t, tmp_path / "one.csv")
+    monkeypatch.setattr(weights, "BUCKET", 64)  # 210 pairs in four blocks
+    save_csv(t, tmp_path / "blocks.csv")
+    assert (tmp_path / "blocks.csv").read_bytes() == (tmp_path / "one.csv").read_bytes()
+    assert table_digest(load_csv(tmp_path / "blocks.csv", role="a")) == table_digest(t)
+
+
+def test_csv_memory_does_not_grow_with_the_table(tmp_path, monkeypatch):
+    tables = [build_weight_table(derive_params(P**6), "a") for P in (1000, 2000)]
+    monkeypatch.setattr(weights, "BUCKET", 4096)  # both tables span several blocks
+    peaks = []
+    for t in tables:
+        tracemalloc.start()
+        try:
+            save_csv(t, tmp_path / "t.csv")
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert len(tables[1]) > 30 * len(tables[0]) > 6 * 4096
+    assert peaks[1] < 1.1 * peaks[0] and peaks[1] < len(tables[1])
 
 
 @pytest.mark.parametrize("size", [0, 4, 5, 12])
