@@ -1,8 +1,9 @@
 """Acceptance criteria for the package: 12 checks, each printing pass/fail.
 
 Each criterion is a function returning a CriterionResult.  run_all executes
-them in order and prints one line per criterion.  Tolerances and scales are
-fixed here; they are the contract this package is tested against.
+them in order, times each call, and prints one line per criterion.
+Tolerances and scales are fixed here; they are the contract this package is
+tested against.
 """
 
 from __future__ import annotations
@@ -38,16 +39,11 @@ class CriterionResult:
     name: str
     passed: bool
     detail: str
-    elapsed: float
-
-
-def _result(index: int, name: str, passed: bool, detail: str, t0: float) -> CriterionResult:
-    return CriterionResult(index, name, passed, detail, time.perf_counter() - t0)
+    elapsed: float = 0.0  # seconds, set by run_all
 
 
 def criterion_1() -> CriterionResult:
     # Residue sets mod 27 and mod 8 match their frozen definitions.
-    t0 = time.perf_counter()
     try:
         A, B, AB = mod27_square_sets()
         m27 = m33_set(3, 3)
@@ -56,13 +52,12 @@ def criterion_1() -> CriterionResult:
         detail = f"|M33(27)|={len(m27)} |M33(8)|={len(m8)} |A|={len(A)} |B|={len(B)} |A+B|={len(AB)}"
     except Exception as exc:  # pragma: no cover - only on regression
         ok, detail = False, f"verification raised: {exc}"
-    return _result(1, "residue sets mod 27/8", ok, detail, t0)
+    return CriterionResult(1, "residue sets mod 27/8", ok, detail)
 
 
 def criterion_2() -> CriterionResult:
     # Complete sums S(q, a): batch DFT evaluation vs direct brute force,
     # every q <= 40 and every residue a, absolute error < 1e-6 * q^3.
-    t0 = time.perf_counter()
     worst = 0.0
     for q in range(1, 41):
         dist = t_square_distribution(q).tolist()
@@ -77,12 +72,11 @@ def criterion_2() -> CriterionResult:
             single = complete_sum_S(q, a)
             worst = max(worst, abs(single - brute) / q**3)
     ok = worst < 1e-6
-    return _result(2, "complete sums S(q,a) vs brute force", ok, f"worst rel err {worst:.2e} over q<=40", t0)
+    return CriterionResult(2, "complete sums S(q,a) vs brute force", ok, f"worst rel err {worst:.2e} over q<=40")
 
 
 def criterion_3() -> CriterionResult:
     # Orthogonality: sum of Sn(p^l) for l = 0..h equals p^(-11h) * M_n(p^h).
-    t0 = time.perf_counter()
     worst = 0.0
     cases = 0
     for p, hmax in ((2, 3), (3, 3), (5, 3), (7, 3)):
@@ -95,13 +89,12 @@ def criterion_3() -> CriterionResult:
                 worst = max(worst, err)
                 cases += 1
     ok = worst < 1e-6
-    return _result(3, "orthogonality Sn vs local counts", ok, f"worst rel err {worst:.2e} over {cases} cases", t0)
+    return CriterionResult(3, "orthogonality Sn vs local counts", ok, f"worst rel err {worst:.2e} over {cases} cases")
 
 
 def criterion_4() -> CriterionResult:
     # Multiplicativity: Sn(q1 q2) = Sn(q1) Sn(q2) for coprime pairs, and the
     # w2 carrier is exactly multiplicative on coprime pairs.
-    t0 = time.perf_counter()
     worst = 0.0
     pairs = 0
     for q1 in range(1, 31):
@@ -127,19 +120,17 @@ def criterion_4() -> CriterionResult:
                 carrier_ok = False
             checked += 1
     ok = worst < 1e-9 and carrier_ok
-    return _result(
+    return CriterionResult(
         4,
         "multiplicativity of Sn and w2 carrier",
         ok,
         f"worst |Sn| err {worst:.2e} over {pairs} pairs; carrier exact on {checked} pairs: {carrier_ok}",
-        t0,
     )
 
 
 def criterion_5() -> CriterionResult:
     # Weight majorant: carrier(q) >= q for all q <= 1e5 (so w2(q) <= q^(-1/6)),
     # equality exactly at 6-full q, and decade sums of w2^2 grow slowly.
-    t0 = time.perf_counter()
     w2sq, majorant_ok, equality = w2_scan(100_000)
     eq_ok = equality == six_full_upto(100_000)
     decade_sums = [float(w2sq[1 : Q + 1].sum()) for Q in (100, 1000, 10_000, 100_000)]
@@ -147,12 +138,11 @@ def criterion_5() -> CriterionResult:
     ratio_ok = all(r <= 1.8 for r in ratios)
     ok = majorant_ok and eq_ok and ratio_ok
     detail = f"majorant {majorant_ok}; equality at {len(equality)} 6-full q: {eq_ok}; decade ratios {[f'{r:.3f}' for r in ratios]}"
-    return _result(5, "w2 majorant, equality set, tail decay", ok, detail, t0)
+    return CriterionResult(5, "w2 majorant, equality set, tail decay", ok, detail)
 
 
 def criterion_6() -> CriterionResult:
     # Gauss sums: |S2(p, a)| = sqrt(p) for odd primes p and units a.
-    t0 = time.perf_counter()
     worst = 0.0
     primes = primes_upto(997)[1:].tolist()
     for p in primes:
@@ -162,13 +152,12 @@ def criterion_6() -> CriterionResult:
                 continue
             worst = max(worst, abs(abs(gauss_sum_S2(p, a)) - math.sqrt(p)))
     ok = worst < 1e-6
-    return _result(6, "Gauss sum modulus sqrt(p)", ok, f"worst err {worst:.2e} over {len(primes)} odd primes", t0)
+    return CriterionResult(6, "Gauss sum modulus sqrt(p)", ok, f"worst err {worst:.2e} over {len(primes)} odd primes")
 
 
 def criterion_7() -> CriterionResult:
     # Singular series truncation: the dyadic tail past 512 is strictly
     # smaller than 0.7x the tail past 64, for several n.
-    t0 = time.perf_counter()
     ok = True
     details = []
     for n in (36, 64, 1001):
@@ -177,14 +166,13 @@ def criterion_7() -> CriterionResult:
         good = tail_512 < 0.7 * tail_64 if tail_64 > 0 else True
         ok = ok and good
         details.append(f"n={n}: S={tr.value:.6f} tail64={tail_64:.2e} tail512={tail_512:.2e}")
-    return _result(7, "singular series dyadic tail decay", ok, "; ".join(details), t0)
+    return CriterionResult(7, "singular series dyadic tail decay", ok, "; ".join(details))
 
 
 def criterion_8() -> CriterionResult:
     # Oscillatory integral v(beta): value at 0 equals P^3/2 to 1e-6 relative,
     # and the two independent quadrature routes agree to 1e-4 relative on a
     # grid of beta with |beta| * n <= 10.
-    t0 = time.perf_counter()
     ok = True
     details = []
     for P in (4, 8, 16):
@@ -201,13 +189,12 @@ def criterion_8() -> CriterionResult:
             worst = max(worst, abs(a - b) / denom)
         ok = ok and worst < 1e-4
         details.append(f"P={P}: v(0) rel {rel0:.1e}, route agreement {worst:.1e}")
-    return _result(8, "oscillatory integral two-route agreement", ok, "; ".join(details), t0)
+    return CriterionResult(8, "oscillatory integral two-route agreement", ok, "; ".join(details))
 
 
 def criterion_9() -> CriterionResult:
     # Exact representation counts: the sparse evaluator and the dense DFT
     # agree exactly on the toy system, including the hand-checked value.
-    t0 = time.perf_counter()
     ta, tb, primes = toy_tables()
     ev = RnEvaluator(ta, tb, primes)
     dense = rn_dense_dft(ta, tb, primes)
@@ -216,14 +203,13 @@ def criterion_9() -> CriterionResult:
     # decomposition of 1170 is 576 + 576 + 9 + 9, so R(1170) = 1.
     hand_ok = ev(1170) == 1 and ev(663_570) == 0
     ok = mism == 0 and hand_ok
-    return _result(9, "exact counts: sparse vs dense DFT", ok, f"mismatches {mism}; R(1170)={ev(1170)}", t0)
+    return CriterionResult(9, "exact counts: sparse vs dense DFT", ok, f"mismatches {mism}; R(1170)={ev(1170)}")
 
 
 def criterion_10() -> CriterionResult:
     # Census: bitset pipeline matches brute force to 1e4; at 1e5 the
     # documented exceptional structure holds and the obstruction family
     # verifies through j = 3.
-    t0 = time.perf_counter()
     c_small = run_census(10_000)
     brute = brute_force_representable(10_000)
     agree = bool(np.array_equal(c_small.representable[:], brute))
@@ -238,7 +224,7 @@ def criterion_10() -> CriterionResult:
         f"bitset==brute@1e4: {agree}; 64 exceptional: {in_e}; n<36 all exceptional: {small_ok}; "
         f"witness(36)={wit}; family j<=3: {fam_ok}; |E(1e5)|={c.E_count}"
     )
-    return _result(10, "census vs brute force and obstructions", ok, detail, t0)
+    return CriterionResult(10, "census vs brute force and obstructions", ok, detail)
 
 
 def criterion_11() -> CriterionResult:
@@ -254,7 +240,6 @@ def criterion_11() -> CriterionResult:
     # window holds two primes.  Exact sum of R(n) over [N/2, N] must lie
     # within a factor of 10 of |window| * mean(S(n) * J(n)) sampled on a
     # deterministic stride.
-    t0 = time.perf_counter()
     big = Scale(10_000**6)
     h0 = eval_h(Fraction(0), big.table_a).real
     v0 = model_V(0.0, 1, 0, big.params, big.c_bulk)
@@ -275,22 +260,21 @@ def criterion_11() -> CriterionResult:
         f"h(0)/V(0)={ratio1:.6f}; P=16 thin interval empty: {degenerate16}; "
         f"window mass {mass} vs predicted {pred_mass:.1f}, ratio {ratio2:.3f}"
     )
-    return _result(11, "generating function vs model, window mass", ok, detail, t0)
+    return CriterionResult(11, "generating function vs model, window mass", ok, detail)
 
 
 def criterion_12() -> CriterionResult:
     # Lifting certificates: for every prime p in 5..97 and every residue n
     # mod p, a verified witness certificate exists.
-    t0 = time.perf_counter()
     primes = primes_upto(97)[2:].tolist()
     count = 0
     for p in primes:
         for n in range(p):
             cert = hensel_certificate(p, n)
             if not cert.condition_checked:
-                return _result(12, "lifting certificates p in 5..97", False, f"unchecked at p={p}, n={n}", t0)
+                return CriterionResult(12, "lifting certificates p in 5..97", False, f"unchecked at p={p}, n={n}")
             count += 1
-    return _result(12, "lifting certificates p in 5..97", True, f"{count} certificates verified", t0)
+    return CriterionResult(12, "lifting certificates p in 5..97", True, f"{count} certificates verified")
 
 
 ALL_CRITERIA = [
@@ -313,7 +297,9 @@ def run_all() -> list[CriterionResult]:
     """Run every criterion, printing one line each and a tally."""
     results = []
     for fn in ALL_CRITERIA:
+        t0 = time.perf_counter()
         res = fn()
+        res.elapsed = time.perf_counter() - t0
         results.append(res)
         tag = "PASS" if res.passed else "FAIL"
         print(f"[{tag}] criterion {res.index:2d} ({res.name}) [{res.elapsed:.2f}s] {res.detail}")

@@ -5,11 +5,11 @@ intervals |alpha - a/q| <= X / (q n) for 0 <= a <= q <= X, gcd(a, q) = 1.
 The wide cut uses X = P^(4/5), the narrow cut X = (log P)^tau with
 tau = 18/31; everything not covered is the minor region.
 
-classify() finds the smallest q <= X with ||q alpha|| <= X/n.  By the
-best-approximation theorem every record-minimum of ||q alpha|| occurs at a
-continued-fraction convergent denominator, so scanning convergents in
-order (with exact Fraction arithmetic) is sound and terminates in
-O(log X) steps.
+ArcDissection.classify finds the smallest q <= X with ||q alpha|| <= X/n.
+By the best-approximation theorem every record-minimum of ||q alpha||
+occurs at a continued-fraction convergent denominator, so scanning
+convergents in order (with exact Fraction arithmetic) is sound and
+terminates in O(log X) steps.
 """
 
 from __future__ import annotations
@@ -87,8 +87,3 @@ class ArcDissection:
             if err <= thr:
                 return ArcHit(a=h_cur, q=k_cur, beta=float(af - Fraction(h_cur, k_cur)))
         return None
-
-
-def classify(alpha: float | Fraction, X: float, n: int) -> ArcHit | None:
-    return ArcDissection(X=X, n=n).classify(alpha)
-

@@ -80,10 +80,10 @@ def cmd_enumerate(args, cfg: RunConfig, out: Path) -> int:
         _write_tsv(out / f"cube_sums_{args.csums}.tsv", cfg, ["value", "r3"] if args.r3 else ["value"], rows)
         print("members:", members)
     if args.smooth is not None:
-        s = enumerate_smooth(args.smooth, args.bound)
-        _write_tsv(out / f"smooth_{args.smooth}_{args.bound}.tsv", cfg, ["value"], [(v,) for v in s])
-        print("members:", list(s))
-        print(f"density {len(s) / max(args.smooth, 1):.6f}")
+        members = enumerate_smooth(args.smooth, args.bound).tolist()
+        _write_tsv(out / f"smooth_{args.smooth}_{args.bound}.tsv", cfg, ["value"], [(v,) for v in members])
+        print("members:", members)
+        print(f"density {len(members) / max(args.smooth, 1):.6f}")
     if args.table is not None:
         table = scale.table_a if args.table == "a" else scale.table_b
         base = out / f"weights_{args.table}_N{args.N}"
@@ -151,7 +151,7 @@ def cmd_local(args, cfg: RunConfig, out: Path) -> int:
 
 
 def cmd_arcs(args, cfg: RunConfig, out: Path) -> int:
-    from .arcs import classify
+    from .arcs import ArcDissection
     from .mainterm import RnEvaluator, rn_dense_dft, toy_tables
     from .oscillatory import osc_integral_v, v_at_zero
     from .scale import Scale
@@ -161,7 +161,7 @@ def cmd_arcs(args, cfg: RunConfig, out: Path) -> int:
         scale.params  # a degenerate scale exits before any artifact is written
     if args.classify is not None:
         n = args.n or 10**4
-        hit = classify(args.classify, args.X, n)
+        hit = ArcDissection(X=args.X, n=n).classify(args.classify)
         if hit is None:
             print(f"alpha={args.classify}: minor region (X={args.X}, n={n})")
         else:

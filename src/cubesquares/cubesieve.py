@@ -49,7 +49,6 @@ class CubeSumSieve:
     limit: int
     flags: np.ndarray = field(repr=False)
     counts: np.ndarray | None = field(default=None, repr=False)
-    saturated: bool = False
 
     def __contains__(self, n: int) -> bool:
         return 0 <= n <= self.limit and bool(self.flags[n])
@@ -104,9 +103,5 @@ def sieve_cube_sums(X: int, with_counts: bool = False) -> CubeSumSieve:
             np.add.at(cnt, s, 1)
         del s  # before the next cube's sums are formed, as `sieve_bytes` counts
 
-    counts = None
-    saturated = False
-    if cnt is not None:
-        saturated = bool((cnt > SATURATE).any())
-        counts = np.minimum(cnt, SATURATE).astype(np.uint16)
-    return CubeSumSieve(limit=X, flags=flags, counts=counts, saturated=saturated)
+    counts = None if cnt is None else np.minimum(cnt, SATURATE).astype(np.uint16)
+    return CubeSumSieve(limit=X, flags=flags, counts=counts)

@@ -1,4 +1,8 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package; each carries only its message.
+
+The CLI maps them to exit codes: CapacityError 2, VerificationError and
+QuadratureError 3, DegenerateParamsError 4.
+"""
 
 
 class DegenerateParamsError(ValueError):
@@ -15,7 +19,3 @@ class VerificationError(AssertionError):
 
 class QuadratureError(RuntimeError):
     """A quadrature failed to converge within its refinement budget."""
-
-    def __init__(self, message: str, partial: complex | float | None = None):
-        super().__init__(message)
-        self.partial = partial

@@ -8,9 +8,11 @@ floats convert losslessly), and (num * (x^2 mod den)) mod den is Python
 integer arithmetic, so no precision is lost even for v^2 ~ 1e25.
 
 The major-arc models replace each sum by
-(smooth density)^2 * q^-3 S(q, a) * (oscillatory volume at beta); the
-starred evaluators vanish off the dissection, and the difference
-F = h^2 W^2 - (h* W*)^2 is the quantity the minor-arc analysis bounds.
+(smooth density)^2 * q^-3 S(q, a) * (oscillatory volume at beta).
+`F_diagnostic` classifies alpha once: on an arc around a/q it evaluates both
+models at beta = alpha - a/q, and off the dissection it takes them as 0.
+The difference F = h^2 W^2 - (model h)^2 (model W)^2 is the quantity the
+minor-arc analysis bounds.
 """
 
 from __future__ import annotations
@@ -65,28 +67,10 @@ def model_W(beta: float, q: int, a: int, params: Params, c_thin: float, primes: 
     return (S / q**3) * c_thin**2 * vsum
 
 
-def h_star(alpha: float | Fraction, dissection: ArcDissection, params: Params, c_eta: float) -> complex:
-    """Model of h supported on the dissection, zero on the minor region."""
-    hit = dissection.classify(alpha)
-    if hit is None:
-        return 0j
-    return model_V(hit.beta, hit.q, hit.a, params, c_eta)
-
-
-def W_star(
-    alpha: float | Fraction, dissection: ArcDissection, params: Params, c_thin: float, primes: list[int]
-) -> complex:
-    hit = dissection.classify(alpha)
-    if hit is None:
-        return 0j
-    return model_W(hit.beta, hit.q, hit.a, params, c_thin, primes)
-
-
 @dataclass
 class ArcDiagnostic:
     """Pointwise comparison of data vs model at one alpha."""
 
-    alpha: float
     h: complex
     W: complex
     h_model: complex
@@ -100,12 +84,17 @@ class ArcDiagnostic:
 
 
 def F_diagnostic(alpha: float | Fraction, scale: Scale, dissection: ArcDissection) -> ArcDiagnostic:
+    """Data and model at alpha; both models are 0 on the minor region."""
     hit = dissection.classify(alpha)
+    if hit is None:
+        h_model = W_model = 0j
+    else:
+        h_model = model_V(hit.beta, hit.q, hit.a, scale.params, scale.c_bulk)
+        W_model = model_W(hit.beta, hit.q, hit.a, scale.params, scale.c_thin, scale.primes)
     return ArcDiagnostic(
-        alpha=float(alpha),
         h=eval_h(alpha, scale.table_a),
         W=eval_W(alpha, scale.table_b, scale.primes),
-        h_model=h_star(alpha, dissection, scale.params, scale.c_bulk),
-        W_model=W_star(alpha, dissection, scale.params, scale.c_thin, scale.primes),
+        h_model=h_model,
+        W_model=W_model,
         on_arc=hit is not None,
     )

@@ -49,6 +49,7 @@ def local_count_Mn(p: int, h: int, n: int) -> int:
         raise ValueError("h must be >= 1")
     q = p**h
     dd = _two_fold_square_distribution(q)
+    n %= q  # in Python ints: an n past int64 cannot enter the index arithmetic
     return sum(map(operator.mul, dd.tolist(), dd[(n - np.arange(q)) % q].tolist()))
 
 
@@ -60,7 +61,6 @@ class EulerFactorEstimate:
     n: int
     values: list[float]
     converged: bool
-    tol: float
 
     @property
     def value(self) -> float:
@@ -119,7 +119,7 @@ def sigma_p(p: int, n: int, h_max: int | None = None) -> EulerFactorEstimate:
             prev = cur
             break
         prev = cur
-    return EulerFactorEstimate(p=p, n=n, values=values, converged=converged, tol=tol)
+    return EulerFactorEstimate(p=p, n=n, values=values, converged=converged)
 
 
 # -- attainable T residues ---------------------------------------------------

@@ -29,6 +29,7 @@ from .errors import QuadratureError
 from .params import Family, Params
 
 MAX_NODES_PER_AXIS = 4096
+TOL = 1e-6  # relative change between refinements at which both routes stop
 _BLOCK = 1 << 20  # largest phase block of _kernel1d, in entries
 
 
@@ -62,7 +63,7 @@ def _nodes_for_cycles(cycles: float) -> int:
 # -- the two integral routes ---------------------------------------------------
 
 
-def _cubature3d(beta_eff: float, family: Family, tol: float) -> complex:
+def _cubature3d(beta_eff: float, family: Family) -> complex:
     # (t^3 + a + b)^2 = t^6 + (2 t^3 a + a^2) + (2 t^3 b + b^2) + 2ab with a = y2^3,
     # b = y3^3: the (y2, y3) tensor sum at each x1 node t is A(t)^T M A(t).
     t_lo, t_hi, ybox = family.lo, family.hi, family.box
@@ -78,10 +79,10 @@ def _cubature3d(beta_eff: float, family: Family, tol: float) -> complex:
         M = np.outer(wy, wy) * np.exp(2j * np.pi * (2.0 * beta_eff) * np.outer(cy, cy))
         inner = np.einsum("ti,ti->t", A @ M, A)
         acc = complex(np.sum(w1 * np.exp(2j * np.pi * beta_eff * t3**2) * inner))
-        if prev is not None and abs(acc - prev) <= tol * max(abs(acc), family.volume):
+        if prev is not None and abs(acc - prev) <= TOL * max(abs(acc), family.volume):
             return acc
         prev = acc
-    raise QuadratureError("cubature3d did not stabilize", partial=prev)
+    raise QuadratureError("cubature3d did not stabilize")
 
 
 def _c_density(C: np.ndarray, ybox: float) -> np.ndarray:
@@ -110,7 +111,7 @@ def _c_rule(ybox: float, n: int) -> tuple[np.ndarray, np.ndarray]:
     return C, jac * _c_density(C, ybox)
 
 
-def _kernel1d(beta_eff: float, family: Family, tol: float) -> complex:
+def _kernel1d(beta_eff: float, family: Family) -> complex:
     # v = int dx1 int rho(C) e(beta (x1^3 + C)^2) dC: an (x1, C) phase matrix
     # between two weight vectors, built in row blocks of at most _BLOCK entries.
     t_lo, t_hi, ybox = family.lo, family.hi, family.box
@@ -134,30 +135,30 @@ def _kernel1d(beta_eff: float, family: Family, tol: float) -> complex:
     prev = evaluate(nx, nc)
     cur = evaluate(int(1.4 * nx) + 8, int(1.4 * nc) + 8)
     scale = max(abs(cur), family.volume)
-    if abs(cur - prev) <= tol * scale:
+    if abs(cur - prev) <= TOL * scale:
         return cur
     final = evaluate(int(2.0 * nx) + 8, int(2.0 * nc) + 8)
-    if abs(final - cur) <= tol * scale:
+    if abs(final - cur) <= TOL * scale:
         return final
-    raise QuadratureError("kernel1d did not stabilize", partial=final)
+    raise QuadratureError("kernel1d did not stabilize")
 
 
-def _osc_integral(beta_eff: float, family: Family, method: str, tol: float) -> complex:
+def _osc_integral(beta_eff: float, family: Family, method: str) -> complex:
     if method == "kernel1d":
-        return _kernel1d(beta_eff, family, tol)
+        return _kernel1d(beta_eff, family)
     if method == "cubature3d":
-        return _cubature3d(beta_eff, family, tol)
+        return _cubature3d(beta_eff, family)
     raise ValueError(f"unknown method {method!r}")
 
 
-def osc_integral_v(beta: float, params: Params, method: str = "kernel1d", tol: float = 1e-6) -> complex:
+def osc_integral_v(beta: float, params: Params, method: str = "kernel1d") -> complex:
     """v(beta) over the bulk family."""
-    return _osc_integral(beta, params.bulk, method, tol)
+    return _osc_integral(beta, params.bulk, method)
 
 
-def osc_integral_v_thin(beta: float, p: int, params: Params, method: str = "kernel1d", tol: float = 1e-6) -> complex:
+def osc_integral_v_thin(beta: float, p: int, params: Params, method: str = "kernel1d") -> complex:
     """v(beta) over the thin family with its phase scaled by p^6."""
-    return _osc_integral(beta * float(p) ** 6, params.thin, method, tol)
+    return _osc_integral(beta * float(p) ** 6, params.thin, method)
 
 
 def v_at_zero(params: Params) -> float:

@@ -9,35 +9,11 @@ so we also expose the empirical density |smooth(P, R)| / P.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
 from .cubesieve import reserve
 from .params import primes_upto
-
-
-@dataclass(frozen=True)
-class SmoothSet:
-    """All R-smooth integers in [1, Y], ascending."""
-
-    Y: int
-    R: int
-    members: np.ndarray = field(repr=False)
-
-    def __post_init__(self):
-        m = np.asarray(self.members, dtype=np.int64)
-        object.__setattr__(self, "members", m)
-
-    def __len__(self) -> int:
-        return int(self.members.size)
-
-    def __contains__(self, v: int) -> bool:
-        i = int(np.searchsorted(self.members, v))
-        return i < self.members.size and int(self.members[i]) == v
-
-    def __iter__(self):
-        return iter(self.members.tolist())
 
 
 def smooth_bytes(Y: int, members: int = 0) -> int:
@@ -52,8 +28,8 @@ def smooth_bytes(Y: int, members: int = 0) -> int:
     return (Y + 1) + max(Y + 1 + 8 * primes, 8 * members) + 2**10
 
 
-def enumerate_smooth(Y: int, R: int) -> SmoothSet:
-    """Sieve out every integer in [1, Y] with a prime factor > R.
+def enumerate_smooth(Y: int, R: int) -> np.ndarray:
+    """All R-smooth integers in [1, Y], ascending, as an int64 array.
 
     Flag sieve: mark multiples of each prime p in (R, Y]; survivors are
     exactly the R-smooth numbers.  1 is always smooth.  `smooth_bytes` is
@@ -61,7 +37,7 @@ def enumerate_smooth(Y: int, R: int) -> SmoothSet:
     the survivors' count before they are listed.
     """
     if Y < 1:
-        return SmoothSet(Y=Y, R=R, members=np.empty(0, dtype=np.int64))
+        return np.empty(0, dtype=np.int64)
     if R < 2:
         raise ValueError("R must be >= 2")
     reserve(smooth_bytes(Y), f"smooth sieve for Y={Y}")
@@ -76,7 +52,7 @@ def enumerate_smooth(Y: int, R: int) -> SmoothSet:
     del primes  # before the members are listed, as `smooth_bytes` counts
     count = int(np.count_nonzero(ok))
     reserve(smooth_bytes(Y, count), f"{count} {R}-smooth integers up to {Y}")
-    return SmoothSet(Y=Y, R=R, members=np.flatnonzero(ok))
+    return np.flatnonzero(ok)
 
 
 def estimate_c_eta(P: int, R: int) -> float:

@@ -218,7 +218,7 @@ def build_weight_table(params: Params, role: str) -> WeightTable:
 
 def smooth_cube_pairs(box: int, R: int) -> tuple[np.ndarray, np.ndarray]:
     """a^3 + b^3 over R-smooth a, b in [1, box]: the distinct sums and the number of ordered pairs giving each."""
-    c = enumerate_smooth(box, R).members ** 3
+    c = enumerate_smooth(box, R) ** 3
     ones = np.ones(c.size, np.int64)
     return _outer_sum(c, ones, c, ones)
 
@@ -230,12 +230,16 @@ def table_bytes(leading: int, pairs: int) -> int:
     BUCKET raw sums adds 25 bytes per entry: the reused key, flag and step
     arrays (17) and one 8m-byte repeat of a row quantity or of the run ends,
     plus 8 KiB for the buffers of `np.add.at`.  Once the output is trimmed
-    to its d entries, checking its order takes one byte per entry.  48
-    bytes per input entry, fitted to tracemalloc, cover the inputs with
-    their counts, their shifted copies and the per-row cut arrays.
+    to its d entries, checking its order takes one byte per entry.  The
+    inputs with their counts and their shifted copies take 24 bytes per
+    entry, and the per-row cut arrays 40 bytes per row of the shorter side.
+    The fixed per-call term, 4 KiB fitted to tracemalloc, covers what does
+    not scale with the entries: the array headers and numpy's first-use
+    state.
     """
     raw = leading * pairs
-    return 16 * raw + max(25 * min(raw, BUCKET) + 2**13, raw) + 48 * (leading + pairs)
+    per_entry = 24 * (leading + pairs) + 40 * min(leading, pairs)
+    return 16 * raw + max(25 * min(raw, BUCKET) + 2**13, raw) + per_entry + 2**12
 
 
 # -- serialization -----------------------------------------------------------

@@ -6,6 +6,7 @@ acceptance report.
 
 import importlib.util
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -15,7 +16,7 @@ from cubesquares import acceptance
 def _check(fn):
     res = fn()
     tag = "PASS" if res.passed else "FAIL"
-    print(f"[{tag}] criterion {res.index:2d} ({res.name}) [{res.elapsed:.2f}s] {res.detail}")
+    print(f"[{tag}] criterion {res.index:2d} ({res.name}) {res.detail}")
     assert res.passed, res.detail
 
 
@@ -68,20 +69,23 @@ def test_criterion_12_certificates():
 
 
 def _stub_pass():
-    return acceptance.CriterionResult(1, "stub that passes", True, "within tolerance", 0.0)
+    return acceptance.CriterionResult(1, "stub that passes", True, "within tolerance")
 
 
 def _stub_fail():
-    return acceptance.CriterionResult(2, "stub that fails", False, "off by 1e-3", 0.0)
+    return acceptance.CriterionResult(2, "stub that fails", False, "off by 1e-3")
 
 
 def test_run_all_prints_each_criterion_and_the_tally(monkeypatch, capsys):
     monkeypatch.setattr(acceptance, "ALL_CRITERIA", [_stub_pass, _stub_fail])
+    # run_all reads the clock before and after each criterion
+    clock = iter([10.0, 11.5, 20.0, 20.25])
+    monkeypatch.setattr(acceptance, "time", SimpleNamespace(perf_counter=lambda: next(clock)))
     results = acceptance.run_all()
-    assert [(r.index, r.passed) for r in results] == [(1, True), (2, False)]
+    assert [(r.index, r.passed, r.elapsed) for r in results] == [(1, True, 1.5), (2, False, 0.25)]
     assert capsys.readouterr().out.splitlines() == [
-        "[PASS] criterion  1 (stub that passes) [0.00s] within tolerance",
-        "[FAIL] criterion  2 (stub that fails) [0.00s] off by 1e-3",
+        "[PASS] criterion  1 (stub that passes) [1.50s] within tolerance",
+        "[FAIL] criterion  2 (stub that fails) [0.25s] off by 1e-3",
         "1/2 criteria passed",
     ]
 

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 from hypothesis import given, strategies as st
 
-from cubesquares.arcs import TAU, ArcDissection, classify
+from cubesquares.arcs import TAU, ArcDissection
 
 
 def _oracle_classify(alpha: Fraction, X: float, n: int):
@@ -18,10 +18,10 @@ def _oracle_classify(alpha: Fraction, X: float, n: int):
 
 
 def test_center_hits():
-    hit = classify(0.5, 2, 64**6)
+    hit = ArcDissection(X=2, n=64**6).classify(0.5)
     assert (hit.a, hit.q) == (1, 2)
     assert hit.beta == 0.0
-    hit = classify(Fraction(1, 3), 5, 10**6)
+    hit = ArcDissection(X=5, n=10**6).classify(Fraction(1, 3))
     assert (hit.a, hit.q) == (1, 3)
 
 
@@ -35,7 +35,7 @@ def test_tau_value():
 )
 def test_classify_matches_oracle(alpha, X):
     n = 10**6
-    got = classify(alpha, X, n)
+    got = ArcDissection(X=X, n=n).classify(alpha)
     want = _oracle_classify(alpha, X, n)
     if want is None:
         assert got is None
@@ -57,8 +57,8 @@ def test_dissection_scales():
 
 def test_classify_beta_sign():
     # q=2 arc half width is 2 / (2 * 64^6) ~ 1.4e-11, so 1e-12 stays inside
-    hit = classify(0.5 + 1e-12, 2, 64**6)
+    hit = ArcDissection(X=2, n=64**6).classify(0.5 + 1e-12)
     assert hit is not None and (hit.a, hit.q) == (1, 2) and hit.beta > 0
-    hit = classify(0.5 - 1e-12, 2, 64**6)
+    hit = ArcDissection(X=2, n=64**6).classify(0.5 - 1e-12)
     assert hit is not None and (hit.a, hit.q) == (1, 2) and hit.beta < 0
 

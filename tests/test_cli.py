@@ -41,10 +41,11 @@ def test_enumerate_csums_r3(tmp_path):
     assert first == ["3", "1"]
 
 
-def test_enumerate_smooth(tmp_path):
+def test_enumerate_smooth(tmp_path, capsys):
     assert run(tmp_path, "enumerate", "--smooth", "10", "--bound", "2") == 0
     lines = (tmp_path / "smooth_10_2.tsv").read_text().splitlines()
     assert [int(l) for l in lines[2:]] == [1, 2, 4, 8]
+    assert capsys.readouterr().out.splitlines()[1:] == ["members: [1, 2, 4, 8]", "density 0.400000"]
 
 
 def test_enumerate_weight_table_csv(tmp_path):
@@ -109,6 +110,15 @@ def test_local_sigma_p(tmp_path):
     assert payload["converged"] is True
 
 
+def test_local_sigma_p_takes_n_past_int64(tmp_path):
+    n = 10**30 + 1
+    assert run(tmp_path, "local", "--sigma-p", "5", "--n", str(n), "--hmax", "2") == 0
+    assert run(tmp_path, "local", "--sigma-p", "5", "--n", "1", "--hmax", "2") == 0
+    big = json.loads((tmp_path / f"sigma_p5_n{n}.json").read_text())
+    one = json.loads((tmp_path / "sigma_p5_n1.json").read_text())
+    assert big["n"] == n and big["values"] == one["values"]
+
+
 def test_local_sigma_p_default_depth_follows_n(tmp_path):
     # v_2(8) = 3: the default depth is 7, and levels 5 and 6 agree
     assert run(tmp_path, "local", "--sigma-p", "2", "--n", "8") == 0
@@ -137,8 +147,7 @@ def test_local_two_adic(tmp_path):
 
 def test_arcs_classify(tmp_path, capsys):
     assert run(tmp_path, "arcs", "--classify", "0.5", "--X", "2", "--n", "262144") == 0
-    out = capsys.readouterr().out
-    assert '"q": 2' in out or "q=2" in out
+    assert capsys.readouterr().out == "alpha=0.5: arc (a=1, q=2), beta=0\n"
 
 
 def test_arcs_v_at_zero(tmp_path, capsys):
@@ -147,11 +156,11 @@ def test_arcs_v_at_zero(tmp_path, capsys):
     assert "256" in out
 
 
-def _drifted_v(beta, params, method="kernel1d", tol=1e-6):
+def _drifted_v(beta, params, method="kernel1d"):
     return complex(1.001 * params.bulk.volume)
 
 
-def _failing_v(beta, params, method="kernel1d", tol=1e-6):
+def _failing_v(beta, params, method="kernel1d"):
     raise QuadratureError(f"{method} did not stabilize")
 
 

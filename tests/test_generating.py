@@ -7,17 +7,15 @@ from cubesquares.arcs import ArcDissection
 from cubesquares.generating import (
     ArcDiagnostic,
     F_diagnostic,
-    W_star,
     eval_W,
     eval_h,
-    h_star,
     model_V,
     model_W,
 )
 from cubesquares.params import derive_params
 from cubesquares.scale import Scale
 from cubesquares.smooth import estimate_c_eta
-from cubesquares.weights import WeightTable, build_weight_table
+from cubesquares.weights import WeightTable
 
 
 def test_h_at_zero_is_total_mass():
@@ -70,16 +68,18 @@ def test_model_W_at_zero():
     assert w.real == pytest.approx(2 * c * c * (pp.H2 - pp.H1) * pp.H3**2, rel=1e-6)
 
 
-def test_h_star_vanishes_off_arcs():
-    pp = derive_params(8**6)
-    ta = build_weight_table(pp, "a")
+def test_model_vanishes_off_arcs():
+    scale = Scale(8**6)
+    pp = scale.params
     d = ArcDissection.narrow(pp.P, pp.N)
     c = estimate_c_eta(pp.P, pp.R)
     # 0.237 is far from every a/q with q <= X at this width
-    assert h_star(0.237, d, pp, c) == 0
-    assert W_star(0.237, d, pp, c, pp.default_primes()) == 0
+    off = F_diagnostic(0.237, scale, d)
+    assert not off.on_arc
+    assert off.h_model == 0 and off.W_model == 0
+    assert off.h != 0  # the data side is still evaluated
     # at the center of the q=1 arc the model is the real-volume term
-    v = h_star(Fraction(0), d, pp, c)
+    v = F_diagnostic(Fraction(0), scale, d).h_model
     assert v.real == pytest.approx(c * c * pp.P**3 / 2, rel=1e-6)
 
 
@@ -92,7 +92,8 @@ def test_F_diagnostic_fields():
     assert diag.on_arc
     assert diag.h == pytest.approx(eval_h(Fraction(0), scale.table_a))
     assert diag.W == pytest.approx(eval_W(Fraction(0), scale.table_b, scale.primes))
-    assert diag.h_model == h_star(Fraction(0), d, pp, estimate_c_eta(pp.P, pp.R))
+    assert diag.h_model == model_V(0.0, 1, 0, pp, estimate_c_eta(pp.P, pp.R))
+    assert diag.W_model == model_W(0.0, 1, 0, pp, scale.c_thin, scale.primes)
     # F = h^2 W^2 - (model h)^2 (model W)^2 is finite
     assert math.isfinite(diag.F.real) and math.isfinite(diag.F.imag)
 

@@ -55,6 +55,12 @@ def test_local_count_frozen():
     assert local_count_Mn(2, 8, 64) >= 2**72  # positive-density floor at h=8
 
 
+@pytest.mark.parametrize("n", [10**30 + 1, -(10**30 + 1)])
+@pytest.mark.parametrize("p, h", [(2, 3), (5, 2)])
+def test_local_count_takes_n_past_int64(p, h, n):
+    assert local_count_Mn(p, h, n) == local_count_Mn(p, h, n % p**h)
+
+
 def test_orthogonality_small():
     for p, h in ((3, 2), (5, 1), (2, 3)):
         for n in range(8):

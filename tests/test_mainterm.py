@@ -282,8 +282,8 @@ def test_conv4_beta_grid_guard():
 
 def _cube_pair_sums(params):
     """{a^3 + b^3: ordered pairs} over the R-smooth a, b of the thin box and of the bulk box, ascending."""
-    s3 = enumerate_smooth(int(math.floor(params.H3)), params.R).members.tolist()
-    sp = enumerate_smooth(params.P, params.R).members.tolist()
+    s3 = enumerate_smooth(int(math.floor(params.H3)), params.R).tolist()
+    sp = enumerate_smooth(params.P, params.R).tolist()
     pairs3 = Counter(sorted(a**3 + b**3 for a in s3 for b in s3))
     pairsp = Counter(sorted(a**3 + b**3 for a in sp for b in sp))
     return pairs3, pairsp
@@ -312,8 +312,8 @@ def _J_per_tuple(n, params, primes):
 
 def _J_support(params, primes):
     """Smallest and largest gamma1 + ... + gamma4 over the tuple domain."""
-    s3 = enumerate_smooth(int(math.floor(params.H3)), params.R).members.tolist()
-    sp = enumerate_smooth(params.P, params.R).members.tolist()
+    s3 = enumerate_smooth(int(math.floor(params.H3)), params.R).tolist()
+    sp = enumerate_smooth(params.P, params.R).tolist()
     thin = [scaled_slot(params.H1, params.H2, 2.0 * c**3, p) for p in primes for c in (min(s3), max(s3))]
     bulk = [plain_slot(params.P / 2.0, float(params.P), 2.0 * c**3) for c in (min(sp), max(sp))]
     lo = 2 * min(s.gamma_lo for s in thin) + 2 * min(s.gamma_lo for s in bulk)

@@ -5,7 +5,7 @@ from hypothesis import given, strategies as st
 
 from cubesquares.cubesieve import BUDGET_ENV
 from cubesquares.errors import CapacityError
-from cubesquares.smooth import SmoothSet, enumerate_smooth, estimate_c_eta, smooth_bytes
+from cubesquares.smooth import enumerate_smooth, estimate_c_eta, smooth_bytes
 
 
 def _largest_prime_factor(n):

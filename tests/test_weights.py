@@ -49,7 +49,7 @@ def _table_oracle(pp, role) -> WeightTable:
     y1 = np.arange(leading.start, leading.stop, dtype=np.int64)
     if y1.size == 0 or box < 1:
         return WeightTable(role, np.empty(0, np.int64), np.empty(0, np.int64))
-    c = enumerate_smooth(box, pp.R).members ** 3
+    c = enumerate_smooth(box, pp.R) ** 3
     pair_sup, pair_cnt = _aggregate_oracle(c[:, None] + c[None, :], np.ones((c.size, c.size), np.int64))
     vals = (y1**3)[:, None] + pair_sup[None, :]
     return WeightTable(role, *_aggregate_oracle(vals, np.broadcast_to(pair_cnt[None, :], vals.shape)))
@@ -174,7 +174,7 @@ def test_digest_distinguishes_tables():
 
 def _guard_need(pp) -> int:
     leading, box = _family(pp, "a")
-    c = enumerate_smooth(box, pp.R).members ** 3
+    c = enumerate_smooth(box, pp.R) ** 3
     return table_bytes(len(leading), np.unique(np.add.outer(c, c)).size)
 
 
@@ -214,6 +214,16 @@ def test_memory_guard_matches_allocation_over_many_buckets(monkeypatch):
         build_weight_table(pp, "a")
 
 
+@pytest.mark.parametrize("P", [64, 100, 150, 300])
+def test_memory_guard_bounds_small_tables(P):
+    # here the fixed per-call term is a large share of the estimate
+    pp = derive_params(P**6)
+    need = _guard_need(pp)
+    table, peak = _traced_build(pp)
+    assert len(table) > 0
+    assert peak <= need
+
+
 def test_budget_guard(monkeypatch):
     pp = derive_params(64**6)
     monkeypatch.setenv(BUDGET_ENV, "16")
@@ -237,7 +247,7 @@ def test_multiplicity_lookup():
 def test_bucketed_table_matches_one_sort(monkeypatch, P, role):
     pp = derive_params(P**6)
     leading, box = _family(pp, role)
-    c = enumerate_smooth(box, pp.R).members ** 3
+    c = enumerate_smooth(box, pp.R) ** 3
     ones = np.ones(c.size, np.int64)
     pair_sup, pair_cnt = _one_sort_oracle(c, ones, c, ones)
     cubes = np.arange(leading.start, leading.stop, dtype=np.int64) ** 3
