@@ -22,6 +22,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from . import weights
 from .arcs import ArcDissection
 from .expsums import complete_sum_S, phase_sum
 from .oscillatory import osc_integral_v, osc_integral_v_thin
@@ -31,13 +32,19 @@ from .weights import WeightTable
 
 
 def _exact_phases(values: np.ndarray, counts: np.ndarray, alpha: Fraction, scale: int = 1) -> complex:
-    """sum_v counts[v] * e(alpha * (scale * v)^2) with exact residue phases."""
+    """sum_v counts[v] * e(alpha * (scale * v)^2) with exact residue phases, one `phase_sum` over BUCKET-value blocks."""
     num = alpha.numerator % alpha.denominator
     den = alpha.denominator
     if num == 0:
         return complex(float(counts.sum()), 0.0)
-    v = values.astype(object)  # Python ints: v^2 ~ 1e25 and den are past int64
-    return phase_sum(num * (v * v * (scale * scale) % den) % den, counts, den)
+    return phase_sum(_residue_blocks(values, counts, num, den, scale * scale), den)
+
+
+def _residue_blocks(values: np.ndarray, counts: np.ndarray, num: int, den: int, s2: int):
+    """(num (s2 v^2 mod den) mod den, counts) for BUCKET values at a time: only one block is ever held as Python ints."""
+    for i in range(0, values.size, weights.BUCKET):
+        v = values[i : i + weights.BUCKET].astype(object)  # Python ints: v^2 ~ 1e25 and den are past int64
+        yield num * (v * v * s2 % den) % den, counts[i : i + weights.BUCKET]
 
 
 def eval_h(alpha: float | Fraction, table: WeightTable) -> complex:

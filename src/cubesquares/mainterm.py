@@ -41,7 +41,7 @@ from .cubesieve import reserve
 from .errors import CapacityError, QuadratureError
 from .oscillatory import gauss_rule
 from .params import Family, Params
-from .weights import WeightTable, _outer_sum, smooth_cube_pairs, table_bytes
+from .weights import WeightTable, _outer_sum, count_dtype, smooth_cube_pairs, table_bytes
 
 # -- exact counts --------------------------------------------------------------
 
@@ -83,7 +83,7 @@ class RnEvaluator:
         total = (table_a.total * m * table_b.total) ** 2
         if top >> 63 or total >> 63 or (top - 2 * square).bit_length() + bits > 63:
             raise CapacityError(f"R(n) keys to {top}, bb keys beside {bits} count bits or sum {total} overflow int64")
-        reserve(rn_bytes(len(table_a), m * len(table_b)), "R(n) sweep and thin self-sum")
+        reserve(rn_bytes(len(table_a), m * len(table_b), (m * table_b.total) ** 2), "R(n) sweep and thin self-sum")
         (ka, ca), (kb, cb) = _square_series(table_a, table_b, primes)
         self.a = WeightTable("a", ka, ca)
         self.bb = WeightTable("b", *_outer_sum(kb, cb, kb, cb))
@@ -98,7 +98,8 @@ class RnEvaluator:
         lo, hi = max(lo, 0), min(hi, self.max_n)
         if hi < lo or not self.total:
             return 0
-        ka, ca, kb = self.a.support, self.a.counts, self.bb.support
+        ka, kb = self.a.support, self.bb.support
+        ca = self.a.counts.astype(np.int64)  # the counts may be int32; F(t) and its matmul are int64 work
         pre = np.concatenate(([0], np.cumsum(ca)))
         t = np.concatenate((hi - kb, lo - 1 - kb))
         f = np.empty(t.size, np.int64)  # F(t)
@@ -112,20 +113,22 @@ class RnEvaluator:
         return int(self.bb.counts @ (f[: kb.size] - f[kb.size :]))
 
 
-def rn_bytes(k: int, nb: int) -> int:
-    """Upper bound on the bytes `RnEvaluator` holds for k bulk squares and nb thin terms.
+def rn_bytes(k: int, nb: int, total: int) -> int:
+    """Upper bound on the bytes `RnEvaluator` holds for k bulk squares and nb thin terms of pair mass `total`.
 
-    Building bb takes `table_bytes(nb, nb)`, whose scratch is freed before
-    any sweep; bb then keeps at most 16 bytes per pair of thin terms, and its
-    <= nb (nb + 1) / 2 keys give twice as many t.  A sweep block of r rows of
-    k entries takes 16 bytes per entry (differences, then prefix sums, and
-    indices), beside 24 per t.  Both phases hold 16 bytes per square and
-    2^12 bytes of headers.
+    Building bb, the thin self-sum of mass `total`, takes
+    `table_bytes(nb, nb, total)`, whose scratch is freed before any sweep;
+    bb then keeps at most 8 + w bytes per pair of thin terms, w the width of
+    `count_dtype(total)`, and its <= nb (nb + 1) / 2 keys give twice as many
+    t.  A sweep block of r rows of k entries takes 16 bytes per entry
+    (differences, then prefix sums, and indices), beside 24 per t and the
+    bulk counts widened to int64, 8 per square.  Both phases hold 16 bytes
+    per square and 2^12 bytes of headers.
     """
     ts = nb * (nb + 1)
     rows = max(1, min(weights.BUCKET // max(k, 1), ts))
-    sweep = 16 * nb * nb + 16 * rows * k + 24 * ts
-    return max(table_bytes(nb, nb), sweep) + 16 * k + 2**12
+    sweep = (8 + count_dtype(total).itemsize) * nb * nb + 16 * rows * k + 24 * ts + 8 * k
+    return max(table_bytes(nb, nb, total), sweep) + 16 * k + 2**12
 
 
 def toy_tables() -> tuple[WeightTable, WeightTable, list[int]]:
@@ -224,7 +227,7 @@ class _SlotPairs:
         weight 2 m_i m_j (m_i^2 on the diagonal).
         """
         a, b = np.triu_indices(m.size)
-        weight = (m[a] * m[b] * np.where(a == b, 1, 2)).astype(np.float64)
+        weight = (m[a].astype(np.int64) * m[b] * np.where(a == b, 1, 2)).astype(np.float64)
         corners = np.stack((g_lo[a] + g_lo[b], g_lo[a] + g_hi[b], g_hi[a] + g_lo[b], g_hi[a] + g_hi[b]))
         slot = np.stack((g_lo[a], g_hi[a], C[a], g_lo[b], g_hi[b], C[b], pref[a] * pref[b] * weight))
         return cls(corners[0], corners[3], _distinct(corners), slot)

@@ -17,8 +17,13 @@ sorts the keys in cache.  In both folds one side's counts are all 1, so the
 other side's count rides in its shifted values and no key takes a count
 product.  Each run of equal values writes its end's value and count
 straight into the preallocated output, and one `np.add.at` adds the counts
-of the rare repeated values.  At P = 10^4 the bulk table has 11.4M entries
-and the build holds the 16-byte output entries plus one bucket;
+of the rare repeated values.
+
+Counts are stored in `count_dtype(total)`: int32 while the table's total
+mass h(0) is below 2^31, else int64.  No count, product or run sum exceeds
+the total, and every reader widens before it computes.  At P = 10^4 the
+bulk table has 11.4M entries of total mass 22 445 000, and the build holds
+the 12-byte output entries (int64 value, int32 count) plus one bucket;
 `table_bytes` is the capacity guard's estimate of it.
 
 Disk formats: a little-endian binary record (magic WCL1) and a CSV with
@@ -47,9 +52,18 @@ MAGIC = b"WCL1"
 BUCKET = 1 << 16
 
 
+def count_dtype(total: int) -> np.dtype:
+    """The dtype of a table's counts: int32 while its total mass fits int32, else int64.
+
+    Every count, and every product or run sum that `_bucket` forms, is at
+    most the total, so the narrow type holds them all exactly.
+    """
+    return np.dtype(np.int32 if total < 2**31 else np.int64)
+
+
 @dataclass
 class WeightTable:
-    """Sorted support + positive multiplicities for one role."""
+    """Sorted int64 support + positive multiplicities, stored in `count_dtype` of their sum, for one role."""
 
     role: str
     support: np.ndarray = field(repr=False)
@@ -57,13 +71,16 @@ class WeightTable:
 
     def __post_init__(self):
         self.support = np.ascontiguousarray(self.support, dtype=np.int64)
-        self.counts = np.ascontiguousarray(self.counts, dtype=np.int64)
-        if self.support.shape != self.counts.shape:
+        counts = np.asarray(self.counts)
+        if counts.dtype != np.int32:
+            counts = counts.astype(np.int64, copy=False)
+        if self.support.shape != counts.shape:
             raise ValueError("support and counts must be parallel")
         if not (self.support[1:] > self.support[:-1]).all():
             raise ValueError("support must be strictly increasing")
-        if (self.counts <= 0).any():
+        if (counts <= 0).any():
             raise ValueError("multiplicities must be positive")
+        self.counts = np.ascontiguousarray(counts, dtype=count_dtype(int(counts.sum())))
 
     @property
     def total(self) -> int:
@@ -95,14 +112,16 @@ def _outer_sum(x: np.ndarray, cx: np.ndarray, y: np.ndarray, cy: np.ndarray) -> 
     """Distinct x_i + y_j in increasing order and the summed cx_i * cy_j of each.
 
     x and y are sorted non-negative int64 arrays, whose values may repeat,
-    and cx, cy their positive int64 counts.  The |x| |y| raw sums are never
-    formed at once.  The value axis is cut into ranges of at most BUCKET raw
-    sums, each range's width scaled from the fill of the one before, and
-    `searchsorted` gives each row's part lo_i <= j < hi_i of a range.  x is
+    and cx, cy their positive int32 or int64 counts.  The |x| |y| raw sums
+    are never formed at once.  The value axis is cut into ranges of at most
+    BUCKET raw sums, each range's width scaled from the fill of the one
+    before, and `searchsorted` gives each row's part lo_i <= j < hi_i of a
+    range.  x is
     the shorter side, so a range costs O(|x|) beyond its raw sums.  Each raw
     sum becomes the int64 key (x_i + y_j) << sh | cx_i * cy_j, and `_bucket`
     reduces a range's keys into the output, which is preallocated at one
-    entry per raw sum and trimmed in place at the end.  Both sides are
+    entry per raw sum, its counts in the `count_dtype` of the total
+    sum(cx) sum(cy), and trimmed in place at the end.  Both sides are
     shifted once.  When one side's counts are all 1, the other side's
     counts are or-ed into its shifted values, and each key's count arrives
     with its terms; only when neither side is all ones does `_bucket`
@@ -112,7 +131,7 @@ def _outer_sum(x: np.ndarray, cx: np.ndarray, y: np.ndarray, cy: np.ndarray) -> 
     if x.size > y.size:
         x, cx, y, cy = y, cy, x, cx  # each bucket costs O(rows): take the shorter side
     raw = x.size * y.size
-    sup, cnt = np.empty(raw, np.int64), np.empty(raw, np.int64)
+    sup, cnt = np.empty(raw, np.int64), np.empty(raw, count_dtype(int(cx.sum()) * int(cy.sum())))
     if raw == 0:
         return sup, cnt
     bottom, top = int(x[0]) + int(y[0]), int(x[-1]) + int(y[-1])
@@ -123,7 +142,7 @@ def _outer_sum(x: np.ndarray, cx: np.ndarray, y: np.ndarray, cy: np.ndarray) -> 
     elif (cx == 1).all():
         ys |= cy  # each key's count is its gathered entry's
     else:
-        counts = cx, cy
+        counts = cx.astype(cnt.dtype, copy=False), cy.astype(cnt.dtype, copy=False)
     scratch = _scratch(min(raw, BUCKET))
     target, span = BUCKET - BUCKET // 16, top + 1 - bottom
     width = span if raw <= BUCKET else max(1, span * target // raw)
@@ -155,8 +174,8 @@ def _bucket(xs, ys, counts, lo, hi, sh: int, scratch, sup: np.ndarray, cnt: np.n
     """Reduce the m keys over lo_i <= j < hi_i to d distinct values in sup[:d], cnt[:d]; return d.
 
     xs and ys are x << sh and y << sh, one of them already or-ed with its
-    counts when `counts` is None; otherwise `counts` is (cx, cy).
-    `scratch` is the m-entry key, flag and step arrays, and sup[:m],
+    counts when `counts` is None; otherwise `counts` is (cx, cy) in cnt's
+    dtype.  `scratch` is the m-entry key, flag and step arrays, and sup[:m],
     cnt[:m] are free scratch, since m raw sums remain.  Row i's part takes
     the y indices lo_i, lo_i + 1, ..., so the indices are the steps plus,
     repeated over the row, lo_i less the row's head offset.  A key is ys at
@@ -165,8 +184,10 @@ def _bucket(xs, ys, counts, lo, hi, sh: int, scratch, sup: np.ndarray, cnt: np.n
     equal values form runs, and equal keys are identical pairs, so the sort
     need not be stable.  The value and count at each run's end are written
     straight to the output; the counts of the other entries, rare in these
-    tables, are added to their runs with one `np.add.at`.  The largest
-    allocation is one repeat of a row quantity or the run ends, 8m bytes.
+    tables, are added to their runs with one `np.add.at`.  Every count
+    product and run sum is at most the table's total, so cnt's dtype holds
+    it exactly.  The largest allocation is one repeat of a row quantity or
+    the run ends, 8m bytes.
     """
     key, last, step = scratch
     m = key.size
@@ -187,12 +208,14 @@ def _bucket(xs, ys, counts, lo, hi, sh: int, scratch, sup: np.ndarray, cnt: np.n
     np.not_equal(val[1:], val[:-1], out=last[:-1])
     ends = np.flatnonzero(last)
     d, mask = ends.size, (1 << sh) - 1
-    run = np.take(key, ends, out=cnt[:d], mode="clip")
-    np.right_shift(run, sh, out=sup[:d])
-    run &= mask
+    run = np.take(key, ends, out=sup[:d], mode="clip")
+    cnt[:d] = run  # an int32 cnt keeps each key's low 32 bits, and the count is in its low sh <= 31
+    cnt[:d] &= mask
+    run >>= sh
     if d < m:
         inner = np.flatnonzero(np.logical_not(last, out=last))
-        np.add.at(run, np.searchsorted(ends, inner), key[inner] & mask)
+        rest = (key[inner] & mask).astype(cnt.dtype)  # an add.at that casts takes larger buffers
+        np.add.at(cnt[:d], np.searchsorted(ends, inner), rest)
     return d
 
 
@@ -211,7 +234,8 @@ def build_weight_table(params: Params, role: str) -> WeightTable:
         return WeightTable(role=role, support=np.empty(0, np.int64), counts=np.empty(0, np.int64))
 
     pair_sup, pair_cnt = smooth_cube_pairs(family.smooth_box, params.R)
-    reserve(table_bytes(len(leading), pair_sup.size), f"weight table role={role} ({len(leading)} x {pair_sup.size})")
+    total = len(leading) * int(pair_cnt.sum())
+    reserve(table_bytes(len(leading), pair_sup.size, total), f"weight table role={role} ({len(leading)} x {pair_sup.size})")
     cubes = np.arange(leading.start, leading.stop, dtype=np.int64) ** 3
     return WeightTable(role, *_outer_sum(cubes, np.ones(cubes.size, np.int64), pair_sup, pair_cnt))
 
@@ -223,33 +247,46 @@ def smooth_cube_pairs(box: int, R: int) -> tuple[np.ndarray, np.ndarray]:
     return _outer_sum(c, ones, c, ones)
 
 
-def table_bytes(leading: int, pairs: int) -> int:
-    """Upper bound on the bytes `_outer_sum` holds for a `leading` x `pairs` table, inputs included.
+def table_bytes(leading: int, pairs: int, total: int) -> int:
+    """Upper bound on the bytes `_outer_sum` holds for a `leading` x `pairs` table of mass `total`, inputs included.
 
-    The output is preallocated at 16 bytes per raw sum.  A bucket of m <=
-    BUCKET raw sums adds 25 bytes per entry: the reused key, flag and step
-    arrays (17) and one 8m-byte repeat of a row quantity or of the run ends,
-    plus 8 KiB for the buffers of `np.add.at`.  Once the output is trimmed
-    to its d entries, checking its order takes one byte per entry.  The
-    inputs with their counts and their shifted copies take 24 bytes per
-    entry, and the per-row cut arrays 40 bytes per row of the shorter side.
-    The fixed per-call term, 4 KiB fitted to tracemalloc, covers what does
-    not scale with the entries: the array headers and numpy's first-use
-    state.
+    The output is preallocated at one int64 value and one
+    `count_dtype(total)` count per raw sum: 12 bytes while the total fits
+    int32, else 16.  A bucket of m <= BUCKET raw sums adds 25 bytes per
+    entry: the reused key, flag and step arrays (17) and one 8m-byte repeat
+    of a row quantity or of the run ends, plus 8 KiB for the buffers of
+    `np.add.at`.  Once the output is trimmed to its d entries, checking its
+    order takes one byte per entry.  The inputs with their counts and their
+    shifted copies take 24 bytes per entry, and the per-row cut arrays 40
+    bytes per row of the shorter side.
+    The fixed per-call term, 5 KiB fitted to tracemalloc in a fresh
+    process, covers what does not scale with the entries: the array headers
+    and numpy's first-use state, which the int32 count loops enlarge.
     """
     raw = leading * pairs
     per_entry = 24 * (leading + pairs) + 40 * min(leading, pairs)
-    return 16 * raw + max(25 * min(raw, BUCKET) + 2**13, raw) + per_entry + 2**12
+    out = (8 + count_dtype(total).itemsize) * raw
+    return out + max(25 * min(raw, BUCKET) + 2**13, raw) + per_entry + 5 * 2**10
 
 
 # -- serialization -----------------------------------------------------------
 
 
 def table_digest(table: WeightTable) -> str:
+    """sha256 of the role, the support, then the counts as int64 (fed BUCKET at a time), cut to 16 hex digits.
+
+    Hashing the counts at a fixed width keeps a table's digest whatever
+    dtype `count_dtype` stores them in.
+    """
     h = hashlib.sha256()
     h.update(table.role.encode())
     h.update(table.support)
-    h.update(table.counts)
+    n = len(table)
+    block = np.empty(min(n, BUCKET), np.int64)
+    for i in range(0, n, BUCKET):
+        part = block[: min(BUCKET, n - i)]
+        part[:] = table.counts[i : i + BUCKET]
+        h.update(part)
     return h.hexdigest()[:16]
 
 

@@ -1,8 +1,11 @@
 import math
+import tracemalloc
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
+from cubesquares import weights
 from cubesquares.arcs import ArcDissection
 from cubesquares.generating import (
     ArcDiagnostic,
@@ -15,7 +18,7 @@ from cubesquares.generating import (
 from cubesquares.params import derive_params
 from cubesquares.scale import Scale
 from cubesquares.smooth import estimate_c_eta
-from cubesquares.weights import WeightTable
+from cubesquares.weights import WeightTable, build_weight_table
 
 
 def test_h_at_zero_is_total_mass():
@@ -126,3 +129,44 @@ def test_sums_match_phase_loop(alpha):
     assert eval_h(alpha, scale.table_a) == _exact_phases_loop(scale.table_a, af)
     want_W = sum((_exact_phases_loop(scale.table_b, af, p**3) for p in scale.primes), 0j)
     assert eval_W(alpha, scale.table_b, scale.primes) == want_W
+
+
+# The one-shot route that the blocks replaced: every residue held as a Python int at once, one fsum per part.
+def _exact_phases_one_shot(table, alpha, scale=1):
+    num, den = alpha.numerator % alpha.denominator, alpha.denominator
+    v = table.support.astype(object)
+    theta = 2.0 * math.pi * np.asarray(num * (v * v * scale * scale % den) % den / den, dtype=np.float64)
+    c = table.counts
+    return complex(math.fsum((c * np.cos(theta)).tolist()), math.fsum((c * np.sin(theta)).tolist()))
+
+
+@pytest.fixture(scope="module")
+def tables_300_1000():
+    return [build_weight_table(derive_params(P**6), "a") for P in (300, 1000)]
+
+
+@pytest.mark.parametrize("alpha", [0.123456789, Fraction(5, 7), 1e-9, Fraction(3, 2**80 + 1)])
+def test_blocked_sums_match_the_one_shot_sum(monkeypatch, tables_300_1000, alpha):
+    af, table = Fraction(alpha), tables_300_1000[1]
+    want = _exact_phases_one_shot(table, af)
+    scale = Scale(27**6)
+    want_W = sum((_exact_phases_one_shot(scale.table_b, af, p**3) for p in scale.primes), 0j)
+    for bucket in (weights.BUCKET, 4096, 7):  # 27 487 values in one block, then 7 blocks, then 3 927
+        monkeypatch.setattr(weights, "BUCKET", bucket)
+        assert eval_h(alpha, table) == want
+        assert eval_W(alpha, scale.table_b, scale.primes) == want_W
+
+
+def test_h_memory_does_not_grow_with_the_table(monkeypatch, tables_300_1000):
+    monkeypatch.setattr(weights, "BUCKET", 256)  # both tables span many blocks
+    peaks = []
+    for t in tables_300_1000:
+        tracemalloc.start()
+        try:
+            eval_h(0.123456789, t)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert len(tables_300_1000[1]) > 4 * len(tables_300_1000[0]) > 20 * 256
+    # holding every residue as a Python int took about 145 bytes per value
+    assert peaks[1] < 1.1 * peaks[0] and peaks[1] < 8 * len(tables_300_1000[1])

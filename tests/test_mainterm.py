@@ -728,7 +728,7 @@ def test_rn_memory_guard_matches_allocation(monkeypatch):
     ta, tb, primes = scale.table_a, scale.table_b, scale.primes
     N = scale.params.N
     # the thin keys p^6 h^2 and their pair sums are distinct at this scale, and the sweep blocks fill
-    need = rn_bytes(len(ta), len(primes) * len(tb))
+    need = rn_bytes(len(ta), len(primes) * len(tb), (len(primes) * tb.total) ** 2)
     RnEvaluator(ta, tb, primes).window_mass(N // 2, N)  # numpy sets up its own state on first use
     monkeypatch.setenv(BUDGET_ENV, str(need))
     tracemalloc.start()

@@ -1,6 +1,7 @@
 import json
 import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ import pytest
 from cubesquares import weights
 from cubesquares.cubesieve import BUDGET_ENV
 from cubesquares.errors import CapacityError
+from cubesquares.generating import eval_W, eval_h
 from cubesquares.mainterm import RnEvaluator, _square_series
 from cubesquares.params import derive_params
 from cubesquares.scale import Scale
@@ -15,6 +17,7 @@ from cubesquares.smooth import enumerate_smooth
 from cubesquares.weights import (
     WeightTable,
     build_weight_table,
+    count_dtype,
     load_binary,
     load_csv,
     save_binary,
@@ -61,6 +64,7 @@ def test_table_matches_aggregation_oracle(P, role):
     pp = derive_params(P**6)
     got = build_weight_table(pp, role)
     want = _table_oracle(pp, role)
+    assert got.counts.dtype == np.int32  # every total here is below 2^31
     assert got.support.dtype == want.support.dtype and got.counts.dtype == want.counts.dtype
     assert np.array_equal(got.support, want.support)
     assert np.array_equal(got.counts, want.counts)
@@ -172,10 +176,93 @@ def test_digest_distinguishes_tables():
     assert len(table_digest(t1)) == 16
 
 
+@pytest.mark.parametrize("bucket", [weights.BUCKET, 64])
+def test_digests_hash_the_counts_as_int64(monkeypatch, bucket):
+    # the digests of the tables when their counts were stored as int64; 64 cuts P = 27's 210 counts into four blocks
+    monkeypatch.setattr(weights, "BUCKET", bucket)
+    assert table_digest(WeightTable("b", (10, 11, 40), (2, 1, 7))) == "ec7dab73e31c6bc5"
+    pp = derive_params(27**6)
+    assert table_digest(build_weight_table(pp, "a")) == "210c40363a412ba4"
+    assert table_digest(build_weight_table(pp, "b")) == "6d98c91f37a4da9b"
+
+
+def test_count_dtype_is_int32_while_the_total_fits():
+    assert count_dtype(0) == count_dtype(2**31 - 1) == np.int32
+    assert count_dtype(2**31) == count_dtype(2**62) == np.int64
+
+
+def test_tables_store_counts_in_the_dtype_of_their_total():
+    c32 = np.array([1, 2], np.int32)
+    assert np.shares_memory(WeightTable("a", (3, 5), c32).counts, c32)  # no copy when the dtype already fits
+    assert WeightTable("a", (3, 5), (1, 2)).counts.dtype == np.int32
+    wide = WeightTable("a", (3, 5), (2**31 - 1, 1))
+    assert wide.counts.dtype == np.int64 and wide.total == 2**31
+    with pytest.raises(ValueError):
+        WeightTable("a", (3,), (-(2**32) + 1,))  # a wrapped int32 cast would read it as 1
+
+
+@pytest.mark.parametrize("dtype", [np.int32, np.int64])
+@pytest.mark.parametrize(
+    ("cx", "cy", "want"),
+    [
+        # one value, its count the run sum of two rows, folded into the keys beside an all-ones side
+        ((2**30, 2**30 - 1), (1,), np.int32),
+        ((2**30, 2**30), (1,), np.int64),
+        # neither side all ones: count products, then their run sum
+        ((2**14, 2**14 - 1), (2**15, 2**15 + 1), np.int32),
+        ((2**14, 2**14 - 1), (2**15, 2**15 + 3), np.int64),
+    ],
+)
+def test_outer_sum_counts_at_the_int32_edge(cx, cy, want, dtype):
+    total = sum(cx) * sum(cy)
+    assert (total < 2**31) == (want == np.int32)
+    x, y = np.full(len(cx), 3, np.int64), np.full(len(cy), 5, np.int64)
+    cx, cy = np.array(cx, dtype), np.array(cy, dtype)
+    for args in ((x, cx, y, cy), (y, cy, x, cx)):
+        sup, cnt = weights._outer_sum(*args)
+        assert cnt.dtype == want and sup.tolist() == [8] and cnt.tolist() == [total]
+
+
+def _widened(table: WeightTable) -> WeightTable:
+    """The same table with its counts stored as int64, as a table of mass 2^31 or more stores them."""
+    wide = WeightTable(table.role, table.support, table.counts)
+    wide.counts = table.counts.astype(np.int64)
+    return wide
+
+
+def test_readers_agree_on_int32_and_int64_counts(tmp_path):
+    scale = Scale(27**6)
+    ta, tb, primes, N = scale.table_a, scale.table_b, scale.primes, scale.params.N
+    wa, wb = _widened(ta), _widened(tb)
+    assert ta.counts.dtype == tb.counts.dtype == np.int32 and wa.counts.dtype == wb.counts.dtype == np.int64
+    assert wa.total == ta.total and wb.total == tb.total
+    for alpha in (Fraction(0), Fraction(5, 7)):
+        assert eval_h(alpha, wa) == eval_h(alpha, ta)
+        assert eval_W(alpha, wb, primes) == eval_W(alpha, tb, primes)
+    mass = RnEvaluator(ta, tb, primes).window_mass(N // 2, N)
+    assert mass == RnEvaluator(wa, wb, primes).window_mass(N // 2, N) == 2_737_855
+    for side, table in (("narrow", ta), ("wide", wa)):
+        (tmp_path / side).mkdir()
+        save_binary(table, tmp_path / side / "t.wcl")
+        save_csv(table, tmp_path / side / "t.csv")
+    for name in ("t.wcl", "t.wcl.meta.json", "t.csv", "t.csv.meta.json"):
+        assert (tmp_path / "narrow" / name).read_bytes() == (tmp_path / "wide" / name).read_bytes()
+
+
+@pytest.mark.parametrize("counts", [(1, 5, 2), (2**31 - 1, 5, 2)])
+def test_round_trips_keep_the_count_dtype_and_digest(tmp_path, counts):
+    t = WeightTable("b", (3, 9, 2**40), counts)
+    save_binary(t, tmp_path / "t.wcl")
+    save_csv(t, tmp_path / "t.csv")
+    for back in (load_binary(tmp_path / "t.wcl"), load_csv(tmp_path / "t.csv", role="b")):
+        assert back.counts.dtype == t.counts.dtype == count_dtype(sum(counts))
+        assert table_digest(back) == table_digest(t)
+
+
 def _guard_need(pp) -> int:
     leading, box = _family(pp, "a")
     c = enumerate_smooth(box, pp.R) ** 3
-    return table_bytes(len(leading), np.unique(np.add.outer(c, c)).size)
+    return table_bytes(len(leading), np.unique(np.add.outer(c, c)).size, len(leading) * c.size**2)
 
 
 def _traced_build(pp) -> tuple[WeightTable, int]:
@@ -287,7 +374,7 @@ def test_outer_sum_of_an_empty_side(monkeypatch):
     empty, three = np.empty(0, np.int64), np.arange(3, dtype=np.int64)
     for x, y in ((empty, three), (three, empty), (empty, empty)):
         sup, cnt = weights._outer_sum(x, np.ones(x.size, np.int64), y, np.ones(y.size, np.int64))
-        assert sup.size == cnt.size == 0 and sup.dtype == cnt.dtype == np.int64
+        assert sup.size == cnt.size == 0 and sup.dtype == np.int64 and cnt.dtype == count_dtype(0)
 
 
 @pytest.mark.parametrize("P", [2, 5])
