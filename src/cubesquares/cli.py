@@ -1,5 +1,11 @@
 """Command-line entry point: enumerate / local / arcs / census.
 
+Two `arcs` modes compare the exact data with the model at one scale:
+`--window-mass` sums R(n) over [N/2, N] against S(n) J(n) sampled on a
+stride (JSON; exit 3 when the ratio leaves [0.1, 10]), and `--f-sweep`
+tabulates |h|, |W|, the arc membership and the residual
+|F| = |h^2 W^2 - (model h)^2 (model W)^2| over an alpha grid (TSV).
+
 Every run is described by a RunConfig whose hash is embedded in each
 output artifact (inline for JSON/TSV, via .meta.json sidecar for the
 fixed-format CSV/binary tables).  Exit codes: 0 success, 2 capacity,
@@ -19,7 +25,9 @@ import hashlib
 import json
 import math
 import sys
+import time
 from dataclasses import dataclass
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -150,15 +158,26 @@ def cmd_local(args, cfg: RunConfig, out: Path) -> int:
     return 0
 
 
+# The --f-sweep grid is alpha = floor(i * D / points) / D; D is prime, so
+# every nonzero alpha has denominator exactly D.
+F_GRID_DENOMINATOR = 1009
+
+
 def cmd_arcs(args, cfg: RunConfig, out: Path) -> int:
     from .arcs import ArcDissection
+    from .generating import F_diagnostic
     from .mainterm import RnEvaluator, rn_dense_dft, toy_tables
     from .oscillatory import osc_integral_v, v_at_zero
     from .scale import Scale
 
     scale = Scale(args.N, args.eta, args.R)
+    # a degenerate scale, thin interval or dissection exits before any artifact is written
     if args.v_at_zero or args.v_sweep or (args.rn_exact and not args.toy) or args.report is not None:
-        scale.params  # a degenerate scale exits before any artifact is written
+        scale.params
+    if args.window_mass and not scale.params.thin.leading:
+        raise DegenerateParamsError(f"the thin interval at N={args.N} holds no integer, so the exact window mass is 0")
+    if args.f_sweep:
+        dissection = (ArcDissection.wide if args.wide else ArcDissection.narrow)(scale.params.P, args.N)
     if args.classify is not None:
         n = args.n or 10**4
         hit = ArcDissection(X=args.X, n=n).classify(args.classify)
@@ -203,6 +222,34 @@ def cmd_arcs(args, cfg: RunConfig, out: Path) -> int:
         rep = scale.report(args.report, args.Q)
         _write_json(out / f"report_n{args.report}.json", cfg, rep.as_json_dict())
         print(f"n={rep.n}: R={rep.R_exact} predicted={rep.predicted:.6g} ratio={rep.ratio:.6g}")
+    if args.window_mass:
+        pp = scale.params
+        thin = list(pp.thin.leading)
+        print(f"P={pp.P}  N={pp.N}  thin leading integers: {thin}  interval length {pp.thin.hi - pp.thin.lo:.4f}")
+        lo, hi = pp.N // 2, pp.N
+        mass = scale.rn.window_mass(lo, hi)
+        print(f"exact window mass sum R(n), n in [{lo}, {hi}]: {mass}")
+        t0 = time.perf_counter()
+        pred = scale.predicted_window_mass(lo, hi, args.samples, args.Q)
+        elapsed = time.perf_counter() - t0
+        ratio = mass / pred if pred > 0 else math.inf
+        print(f"predicted mass: {pred:.1f}  (mean term {pred / (hi - lo):.6g}, {args.samples} samples, {elapsed:.2f}s)")
+        print(f"ratio exact/predicted: {ratio:.3f}")
+        # written before the check, so that a ratio out of range is on record
+        _write_json(out / f"window_mass_N{args.N}.json", cfg, {
+            "lo": lo, "hi": hi, "thin": thin, "exact_mass": mass, "predicted_mass": pred,
+            "ratio": ratio if math.isfinite(ratio) else None,
+        })
+        if not 0.1 <= ratio <= 10.0:
+            raise VerificationError(f"window mass ratio exact/predicted {ratio:.3f} is outside [0.1, 10]")
+    if args.f_sweep:
+        rows = []
+        for i in range(args.sweep_points):
+            alpha = Fraction(i * F_GRID_DENOMINATOR // args.sweep_points, F_GRID_DENOMINATOR)
+            diag = F_diagnostic(alpha, scale, dissection)
+            row = (float(alpha), abs(diag.h), abs(diag.W), int(diag.on_arc), abs(diag.F))
+            rows.append([f"{x:.6g}" for x in row])
+        _write_tsv(out / f"f_sweep_N{args.N}.tsv", cfg, ["alpha", "abs_h", "abs_W", "on_arc", "abs_F"], rows)
     return 0
 
 
@@ -331,10 +378,18 @@ def build_parser(defaults: dict | None = None) -> argparse.ArgumentParser:
     pa.add_argument("--v-at-zero", dest="v_at_zero", action="store_true")
     pa.add_argument("--v-sweep", dest="v_sweep", action="store_true", help="v(beta) decay table")
     pa.add_argument("--beta-max", dest="beta_max", type=finite, default=10.0, help="sweep up to beta_max / N")
-    pa.add_argument("--sweep-points", dest="sweep_points", type=positive_int, default=21)
+    pa.add_argument("--sweep-points", dest="sweep_points", type=positive_int, default=21,
+                    help="grid size of --v-sweep, --rn-exact and --f-sweep")
     pa.add_argument("--rn-exact", dest="rn_exact", action="store_true", help="exact R(n) table")
     pa.add_argument("--toy", action="store_true", help="use the frozen single-entry tables")
     pa.add_argument("--report", type=int, help="MainTermReport at this n")
+    pa.add_argument("--window-mass", dest="window_mass", action="store_true",
+                    help="exact mass of R(n) over [N/2, N] against the sampled model S(n) J(n)")
+    pa.add_argument("--samples", type=positive_int, default=32,
+                    help="n sampled on a stride by --window-mass (the stride aliases with S(n), see ROADMAP item 1)")
+    pa.add_argument("--f-sweep", dest="f_sweep", action="store_true",
+                    help=f"residual F at --sweep-points alpha = a/{F_GRID_DENOMINATOR}")
+    pa.add_argument("--wide", action="store_true", help="--f-sweep on the wide dissection instead of the narrow one")
     pa.add_argument("--Q", type=modulus, default=64, help="series truncation")
     pa.add_argument("--N", type=int, default=8**6)
 

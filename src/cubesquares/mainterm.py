@@ -123,12 +123,12 @@ def rn_bytes(k: int, nb: int, total: int) -> int:
     t.  A sweep block of r rows of k entries takes 16 bytes per entry
     (differences, then prefix sums, and indices), beside 24 per t and the
     bulk counts widened to int64, 8 per square.  Both phases hold 16 bytes
-    per square and 2^12 bytes of headers.
+    per square and 5 KiB of array headers and interpreter objects.
     """
     ts = nb * (nb + 1)
     rows = max(1, min(weights.BUCKET // max(k, 1), ts))
     sweep = (8 + count_dtype(total).itemsize) * nb * nb + 16 * rows * k + 24 * ts + 8 * k
-    return max(table_bytes(nb, nb, total), sweep) + 16 * k + 2**12
+    return max(table_bytes(nb, nb, total), sweep) + 16 * k + 5 * 2**10
 
 
 def toy_tables() -> tuple[WeightTable, WeightTable, list[int]]:

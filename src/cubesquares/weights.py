@@ -319,6 +319,26 @@ def _write_sidecar(table: WeightTable, path: Path, fmt: str, meta: dict | None) 
     path.with_suffix(path.suffix + ".meta.json").write_text(json.dumps(sidecar, indent=2))
 
 
+class _CountFill:
+    """A loader's counts, filled block by block in `count_dtype` of the running total.
+
+    The array starts as int32 and widens to int64 once, when the total
+    reaches 2^31.  A count outside [1, 2^31) widens it too: in a valid
+    table such a count alone takes the total past int32, and an invalid
+    one reaches `WeightTable` unwrapped, which rejects it.
+    """
+
+    def __init__(self, n: int):
+        self.array, self.total = np.empty(n, count_dtype(0)), 0
+
+    def put(self, i: int, block: np.ndarray) -> None:
+        if self.array.dtype != np.int64:
+            self.total += int(block.sum())  # exact: the block's counts are below 2^31 unless it widens
+            if count_dtype(self.total) == np.int64 or not 1 <= block.min() <= block.max() < 2**31:
+                self.array = self.array.astype(np.int64)
+        self.array[i : i + block.size] = block
+
+
 def load_binary(path: str | Path) -> WeightTable:
     """Read a `save_binary` record BUCKET pairs at a time into the table's own arrays."""
     path = Path(path)
@@ -332,14 +352,14 @@ def load_binary(path: str | Path) -> WeightTable:
         (npairs,) = struct.unpack_from("<Q", head, 5)
         if path.stat().st_size < 13 + 16 * npairs:
             raise ValueError(f"{path} is shorter than its {npairs} pairs")
-        support, counts = np.empty(npairs, np.int64), np.empty(npairs, np.int64)
+        support, counts = np.empty(npairs, np.int64), _CountFill(npairs)
         block = np.empty((min(npairs, BUCKET), 2), dtype="<u8")
         for i in range(0, npairs, BUCKET):
             part = block[: min(BUCKET, npairs - i)]
             f.readinto(part)
             support[i : i + BUCKET] = part[:, 0]
-            counts[i : i + BUCKET] = part[:, 1]
-    return WeightTable(role=role, support=support, counts=counts)
+            counts.put(i, part[:, 1])
+    return WeightTable(role=role, support=support, counts=counts.array)
 
 
 def save_csv(table: WeightTable, path: str | Path, meta: dict | None = None) -> None:
@@ -357,7 +377,7 @@ def save_csv(table: WeightTable, path: str | Path, meta: dict | None = None) -> 
 
 
 def load_csv(path: str | Path, role: str = "a") -> WeightTable:
-    """Parse a `save_csv` file BUCKET lines at a time into the table's own int64 arrays.
+    """Parse a `save_csv` file BUCKET lines at a time into the table's own arrays.
 
     A first pass counts the lines in binary blocks, which bounds the pairs
     and sizes the arrays; blank lines are skipped.
@@ -365,7 +385,7 @@ def load_csv(path: str | Path, role: str = "a") -> WeightTable:
     path = Path(path)
     with open(path, "rb") as f:
         lines = 1 + sum(block.count(b"\n") for block in iter(lambda: f.read(1 << 20), b""))
-    support, counts = np.empty(lines, np.int64), np.empty(lines, np.int64)
+    support, counts = np.empty(lines, np.int64), _CountFill(lines)
     n = 0
     with open(path) as f:
         header = f.readline().strip()
@@ -379,6 +399,6 @@ def load_csv(path: str | Path, role: str = "a") -> WeightTable:
             if part.shape[1] != 2:
                 raise ValueError(f"{path}: expected value,multiplicity rows, got {part.shape[1]} fields")
             support[n : n + len(part)] = part[:, 0]
-            counts[n : n + len(part)] = part[:, 1]
+            counts.put(n, part[:, 1])
             n += len(part)
-    return WeightTable(role=role, support=support[:n], counts=counts[:n])
+    return WeightTable(role=role, support=support[:n], counts=counts.array[:n])

@@ -4,6 +4,7 @@ from pathlib import Path
 import pytest
 
 from cubesquares import __version__, cli, expsums, oscillatory
+from cubesquares.arcs import ArcDissection
 from cubesquares.cli import RunConfig, main
 from cubesquares.cubesieve import BUDGET_ENV
 from cubesquares.errors import QuadratureError
@@ -192,13 +193,91 @@ def test_arcs_rn_exact_table(tmp_path):
     argv = ["arcs", "--rn-exact", "--N", str(N), "--sweep-points", "4", "--out", str(tmp_path)]
     assert main(argv) == 0
     lines = (tmp_path / f"rn_N{N}.tsv").read_text().splitlines()
-    options = {k: v for k, v in vars(cli.parse_args(argv)).items() if k != "config" and not isinstance(v, Path)}
-    assert lines[0] == f"# config={RunConfig('arcs', options).hash} version={__version__}"
+    assert lines[0] == f"# config={RunConfig('arcs', _options(argv)).hash} version={__version__}"
     assert lines[1].split("\t") == ["n", "R"]
     rows = [tuple(int(x) for x in line.split("\t")) for line in lines[2:]]
     rn = Scale(N).rn
     assert rows == [(n, rn(n)) for n in range(N // 2, N + 1, N // 2 // 4)]
     assert len(rows) == 5
+
+
+def test_arcs_window_mass(tmp_path, capsys):
+    N = 27**6
+    argv = ["arcs", "--window-mass", "--N", str(N), "--samples", "2"]
+    assert run(tmp_path, *argv) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out[0].startswith("P=27  N=387420489  thin leading integers: [6]")
+    assert out[1] == "exact window mass sum R(n), n in [193710244, 387420489]: 2737855"
+    assert out[2].startswith("predicted mass: 1671431.2  (mean term 0.00862851, 2 samples, ")
+    assert out[3:] == ["ratio exact/predicted: 1.638", f"wrote {tmp_path / f'window_mass_N{N}.json'}"]
+    payload = json.loads((tmp_path / f"window_mass_N{N}.json").read_text())
+    assert payload["config_hash"] == RunConfig("arcs", _options(argv)).hash
+    assert payload["lo"] == N // 2 and payload["hi"] == N and payload["thin"] == [6]
+    assert payload["exact_mass"] == 2_737_855
+    assert payload["predicted_mass"] == pytest.approx(1671431.2, abs=0.05)
+    assert payload["ratio"] == pytest.approx(1.638, abs=5e-4)
+
+
+def test_arcs_window_mass_ratio_out_of_range_exits_3(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(Scale, "predicted_window_mass", lambda self, lo, hi, samples, Q: 0.0)
+    assert run(tmp_path, "arcs", "--window-mass", "--N", str(27**6), "--samples", "2") == 3
+    captured = capsys.readouterr()
+    assert "ratio exact/predicted: inf" in captured.out
+    assert captured.err.startswith("verification failure: window mass ratio") and len(captured.err.splitlines()) == 1
+    # the measurement is on record, with a strict-JSON ratio
+    payload = json.loads((tmp_path / f"window_mass_N{27**6}.json").read_text(), parse_constant=_reject_constant)
+    assert payload["exact_mass"] == 2_737_855 and payload["ratio"] is None
+
+
+# the rows of the former `scripts/arc_sweep.py --P 8 --points 5`, which the mode keeps byte for byte
+F_SWEEP_ROWS = [
+    "0\t64\t1\t1\t177.9",
+    "0.199207\t3.81187\t1\t0\t14.5304",
+    "0.399405\t21.005\t1\t0\t441.212",
+    "0.599604\t4.53094\t1\t0\t20.5294",
+    "0.799802\t6.02847\t1\t0\t36.3425",
+]
+
+
+def test_arcs_f_sweep(tmp_path):
+    argv = ["arcs", "--f-sweep", "--N", "262144", "--sweep-points", "5"]
+    assert run(tmp_path, *argv) == 0
+    lines = (tmp_path / "f_sweep_N262144.tsv").read_text().splitlines()
+    assert lines[0] == f"# config={RunConfig('arcs', _options(argv)).hash} version={__version__}"
+    assert lines[1].split("\t") == ["alpha", "abs_h", "abs_W", "on_arc", "abs_F"]
+    assert lines[2:] == F_SWEEP_ROWS
+    rows = [[float(x) for x in line.split("\t")] for line in lines[2:]]
+    assert rows[0][:4] == [0.0, 64.0, 1.0, 1.0]  # alpha = 0: |h| = table a mass, on the q = 1 arc
+
+
+def test_arcs_f_sweep_wide(tmp_path, monkeypatch):
+    # a/1009 lies on no arc but the one at 0 for either X at P = 8, so the rows are the narrow ones
+    calls = []
+    wide = ArcDissection.wide.__func__
+    monkeypatch.setattr(ArcDissection, "wide", classmethod(lambda cls, P, n: calls.append((P, n)) or wide(cls, P, n)))
+    assert run(tmp_path, "arcs", "--f-sweep", "--wide", "--N", "262144", "--sweep-points", "5") == 0
+    assert calls == [(8, 262144)]
+    assert (tmp_path / "f_sweep_N262144.tsv").read_text().splitlines()[2:] == F_SWEEP_ROWS
+
+
+def test_arcs_f_sweep_out_path(tmp_path, capsys):
+    blocker = tmp_path / "blocker"
+    blocker.write_text("kept")
+    assert main(["arcs", "--f-sweep", "--sweep-points", "2", "--out", str(blocker / "x")]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"bad configuration: --out {blocker / 'x'}: ")
+    assert len(captured.err.splitlines()) == 1
+    assert [p.name for p in tmp_path.iterdir()] == ["blocker"]
+    out = tmp_path / "missing" / "dir"
+    assert main(["arcs", "--f-sweep", "--sweep-points", "2", "--out", str(out)]) == 0
+    assert capsys.readouterr().out == f"wrote {out / 'f_sweep_N262144.tsv'}\n"
+    assert [p.name for p in out.iterdir()] == ["f_sweep_N262144.tsv"]
+    assert len((out / "f_sweep_N262144.tsv").read_text().splitlines()) == 2 + 2
+
+
+def _options(argv):
+    return {k: v for k, v in vars(cli.parse_args(argv)).items() if k != "config" and not isinstance(v, Path)}
 
 
 def test_census_command(tmp_path):
@@ -267,6 +346,22 @@ def test_sweep_points_must_be_positive(tmp_path, flags):
 
 
 @pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["--window-mass", "--samples", "0"], "0 is not a positive integer"),
+        (["--f-sweep", "--sweep-points", "0"], "0 is not a positive integer"),
+        (["--window-mass", "--Q", "0"], "0 is not a modulus"),
+    ],
+    ids=["window-samples", "f-sweep-points", "window-Q"],
+)
+def test_window_mass_and_f_sweep_options_exit_4(tmp_path, capsys, argv, message):
+    assert run(tmp_path, "arcs", *argv) == 4
+    captured = capsys.readouterr()
+    assert captured.out == "" and message in captured.err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize(
     "argv, option, value",
     [(["local", "--sigma-p", "5", "--n", "1"], "hmax", 0), (["census", "--family"], "jmax", -1)],
 )
@@ -329,11 +424,18 @@ def test_degenerate_filter_scale_exit_4(tmp_path):
     [
         ["arcs", "--rn-exact", "--toy", "--report", "5", "--N", "10"],
         ["enumerate", "--csums", "5", "--table", "a", "--N", "10"],
+        ["arcs", "--window-mass", "--N", "1"],
+        ["arcs", "--window-mass", "--N", str(16**6)],  # P = 16: the thin interval holds no integer
+        ["arcs", "--f-sweep", "--N", "1"],
+        ["arcs", "--f-sweep", "--N", "64"],  # P = 2 derives, but the narrow dissection needs log P > 1
     ],
 )
-def test_degenerate_scale_writes_nothing(tmp_path, argv):
+def test_degenerate_scale_writes_nothing(tmp_path, capsys, argv):
     # the scale is derived before the first action, so no earlier action leaves an artifact
     assert run(tmp_path, *argv) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("bad configuration: ") and len(captured.err.splitlines()) == 1
     assert list(tmp_path.iterdir()) == []
 
 

@@ -1,4 +1,5 @@
 import bisect
+import gc
 import itertools
 import math
 import os
@@ -723,21 +724,25 @@ def test_rn_overflowing_keys_raise():
     assert RnEvaluator(TOY_A, WeightTable("b", (100_000,), (1 << 10,)), [2]).total == 1 << 20
 
 
-def test_rn_memory_guard_matches_allocation(monkeypatch):
-    scale = Scale(64**6)
+@pytest.mark.parametrize("P, mass", [(27, 2_737_855), (64, 170_633_786)], ids=["27", "64"])
+def test_rn_memory_guard_matches_allocation(monkeypatch, P, mass):
+    scale = Scale(P**6)
     ta, tb, primes = scale.table_a, scale.table_b, scale.primes
     N = scale.params.N
     # the thin keys p^6 h^2 and their pair sums are distinct at this scale, and the sweep blocks fill
     need = rn_bytes(len(ta), len(primes) * len(tb), (len(primes) * tb.total) ** 2)
     RnEvaluator(ta, tb, primes).window_mass(N // 2, N)  # numpy sets up its own state on first use
     monkeypatch.setenv(BUDGET_ENV, str(need))
+    # a full collection empties the interpreter's free lists, so that every object the run makes
+    # is a traced allocation, as in a fresh process; reused objects put P = 27 about 2% below need
+    gc.collect()
     tracemalloc.start()
     try:
-        mass = RnEvaluator(ta, tb, primes).window_mass(N // 2, N)
+        got = RnEvaluator(ta, tb, primes).window_mass(N // 2, N)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert mass == 170_633_786
+    assert got == mass
     assert 0.99 * need <= peak <= need
     monkeypatch.setenv(BUDGET_ENV, str(need - 1))
     with pytest.raises(CapacityError):

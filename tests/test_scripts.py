@@ -9,19 +9,24 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def _run(*argv):
+def _run(*argv, cwd=ROOT):
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))}
-    return subprocess.run([sys.executable, *argv], cwd=ROOT, env=env, capture_output=True, text=True, timeout=300)
+    return subprocess.run([sys.executable, *argv], cwd=cwd, env=env, capture_output=True, text=True, timeout=300)
 
 
-def test_arc_sweep_smoke():
-    proc = _run("scripts/arc_sweep.py", "--P", "8", "--points", "5")
+def test_window_mass_wrapper(tmp_path):
+    # the wrapper runs `arcs --window-mass` at N = P^6 and keeps its JSON out of the working directory
+    script = str(ROOT / "scripts" / "window_mass.py")
+    proc = _run(script, "--P", "27", "--samples", "2", cwd=tmp_path)
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.splitlines()
-    assert lines[0].split("\t") == ["alpha", "abs_h", "abs_W", "on_arc", "abs_F"]
-    rows = [[float(x) for x in line.split("\t")] for line in lines[1:]]
-    assert len(rows) == 5
-    assert rows[0][:4] == [0.0, 64.0, 1.0, 1.0]  # alpha = 0: |h| = table a mass, on the q = 1 arc
+    assert lines[1].endswith(": 2737855")
+    assert lines[2].startswith("predicted mass: 1671431.2  ")
+    assert lines[3] == "ratio exact/predicted: 1.638"
+    assert list(tmp_path.iterdir()) == []
+    for P in ("-8", "0"):  # --P keeps its own type, and argparse's exit code
+        proc = _run(script, "--P", P, cwd=tmp_path)
+        assert proc.returncode == 2 and proc.stdout == "" and f"{P} is not a positive integer" in proc.stderr
 
 
 @pytest.mark.parametrize("traced", [False, True], ids=["untraced", "traced"])
@@ -36,62 +41,6 @@ def test_window_workload_checks_pass(tmp_path, traced):
     assert len(checks) == 9
     assert [c for c in checks if not c[1]] == []
     assert (tmp_path / "spans.json").exists() == traced
-
-
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ["scripts/window_mass.py", "--samples", "0"],
-        ["scripts/arc_sweep.py", "--points", "0"],
-        ["scripts/arc_sweep.py", "--denominator", "0"],
-        ["scripts/window_mass.py", "--P", "-8"],
-        ["scripts/window_mass.py", "--P", "0"],
-        ["scripts/arc_sweep.py", "--P", "-8"],
-        ["scripts/arc_sweep.py", "--P", "0"],
-    ],
-)
-def test_count_options_must_be_positive(argv):
-    proc = _run(*argv)
-    assert proc.returncode == 2
-    assert proc.stdout == ""
-    assert "positive integer" in proc.stderr
-
-
-def test_series_truncation_must_be_a_modulus():
-    proc = _run("scripts/window_mass.py", "--Q", "0")
-    assert proc.returncode == 2
-    assert proc.stdout == ""
-    assert "0 is not a modulus" in proc.stderr
-
-
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ["scripts/window_mass.py", "--P", "1"],
-        ["scripts/arc_sweep.py", "--P", "1"],
-        ["scripts/arc_sweep.py", "--P", "2"],  # N = 64 derives, but the narrow dissection needs log P > 1
-    ],
-)
-def test_degenerate_scale_exits_4(argv):
-    proc = _run(*argv)
-    assert proc.returncode == 4
-    assert proc.stdout == ""
-    assert proc.stderr.startswith("bad configuration: ") and len(proc.stderr.splitlines()) == 1
-
-
-def test_arc_sweep_out_path(tmp_path):
-    missing = tmp_path / "missing" / "x.tsv"
-    proc = _run("scripts/arc_sweep.py", "--P", "8", "--points", "2", "--out", str(missing))
-    assert proc.returncode == 4
-    assert proc.stdout == ""
-    assert proc.stderr.startswith(f"bad configuration: --out {missing}: ") and len(proc.stderr.splitlines()) == 1
-    assert list(tmp_path.iterdir()) == []
-    out = tmp_path / "x.tsv"
-    proc = _run("scripts/arc_sweep.py", "--P", "8", "--points", "2", "--out", str(out))
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == f"wrote {out} (2 rows)\n"
-    assert out.read_text().splitlines()[0] == "alpha\tabs_h\tabs_W\ton_arc\tabs_F"
-    assert len(out.read_text().splitlines()) == 3
 
 
 def test_volume_workload_checks_pass():

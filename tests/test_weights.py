@@ -249,9 +249,9 @@ def test_readers_agree_on_int32_and_int64_counts(tmp_path):
         assert (tmp_path / "narrow" / name).read_bytes() == (tmp_path / "wide" / name).read_bytes()
 
 
-@pytest.mark.parametrize("counts", [(1, 5, 2), (2**31 - 1, 5, 2)])
+@pytest.mark.parametrize("counts", [(1, 5, 2), (2**31 - 1, 5, 2), (2**31 - 1, 1)])
 def test_round_trips_keep_the_count_dtype_and_digest(tmp_path, counts):
-    t = WeightTable("b", (3, 9, 2**40), counts)
+    t = WeightTable("b", (3, 9, 2**40)[: len(counts)], counts)
     save_binary(t, tmp_path / "t.wcl")
     save_csv(t, tmp_path / "t.csv")
     for back in (load_binary(tmp_path / "t.wcl"), load_csv(tmp_path / "t.csv", role="b")):
@@ -431,8 +431,63 @@ def test_csv_blocks_keep_the_bytes(tmp_path, monkeypatch):
     assert table_digest(load_csv(tmp_path / "blocks.csv", role="a")) == table_digest(t)
 
 
-def test_csv_memory_does_not_grow_with_the_table(tmp_path, monkeypatch):
-    tables = [build_weight_table(derive_params(P**6), "a") for P in (1000, 2000)]
+@pytest.mark.parametrize("bucket", [weights.BUCKET, 2])
+def test_loaders_widen_the_counts_when_the_total_passes_int32(tmp_path, monkeypatch, bucket):
+    # with 2-entry blocks the total reaches 2^31 in the third block, after two blocks stored as int32
+    monkeypatch.setattr(weights, "BUCKET", bucket)
+    counts = (7, 1, 2, 3, 2**31 - 12, 1, 5)
+    t = WeightTable("a", tuple(range(0, 70, 10)), counts)
+    assert t.counts.dtype == np.int64
+    save_binary(t, tmp_path / "t.wcl")
+    save_csv(t, tmp_path / "t.csv")
+    for back in (load_binary(tmp_path / "t.wcl"), load_csv(tmp_path / "t.csv")):
+        assert back.counts.dtype == np.int64 and back.counts.tolist() == list(counts)
+        assert table_digest(back) == table_digest(t)
+
+
+def test_loaders_reject_counts_outside_int64(tmp_path):
+    # the counts sum to 8 in uint64, and their low 32 bits are 5 and 3; widened, the first reads as
+    # 5 - 2^32 and is rejected
+    path = tmp_path / "t.wcl"
+    path.write_bytes(weights.MAGIC + b"a" + np.array([2, 3, 2**64 - 2**32 + 5, 5, 2**32 + 3], "<u8").tobytes())
+    with pytest.raises(ValueError, match="positive"):
+        load_binary(path)
+    (tmp_path / "t.csv").write_text(f"value,multiplicity\n3,{-(2**40) + 5}\n5,2\n")
+    with pytest.raises(ValueError, match="positive"):
+        load_csv(tmp_path / "t.csv")
+
+
+@pytest.fixture(scope="module")
+def tables_1000_2000():
+    return [build_weight_table(derive_params(P**6), "a") for P in (1000, 2000)]
+
+
+@pytest.mark.parametrize("fmt", ["wcl", "csv"])
+def test_loaders_hold_the_counts_once(tmp_path, monkeypatch, tables_1000_2000, fmt):
+    # filled as int64 and then narrowed by WeightTable, the counts took about 21 bytes per entry at P = 2000
+    monkeypatch.setattr(weights, "BUCKET", 4096)  # both tables span several blocks
+    save, load = (save_binary, load_binary) if fmt == "wcl" else (save_csv, load_csv)
+    peaks = []
+    for t in tables_1000_2000:
+        save(t, tmp_path / f"t.{fmt}")
+        tracemalloc.start()
+        try:
+            back = load(tmp_path / f"t.{fmt}")
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert back.counts.dtype == t.counts.dtype == np.int32
+        assert table_digest(back) == table_digest(t)
+    # 8 bytes of value and 4 of count per entry, the one-byte masks of WeightTable's checks, and the
+    # blocks: the CSV line count reads 1 MiB at a time
+    sizes = [len(t) for t in tables_1000_2000]
+    assert sizes[1] > 40 * sizes[0] > 6 * 4096
+    assert all(peak <= 13 * n + (1 << 21) for peak, n in zip(peaks, sizes))
+    assert peaks[1] - peaks[0] <= 13 * (sizes[1] - sizes[0])
+
+
+def test_csv_memory_does_not_grow_with_the_table(tmp_path, monkeypatch, tables_1000_2000):
+    tables = tables_1000_2000
     monkeypatch.setattr(weights, "BUCKET", 4096)  # both tables span several blocks
     peaks = []
     for t in tables:
