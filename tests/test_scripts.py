@@ -24,9 +24,41 @@ def test_window_mass_wrapper(tmp_path):
     assert lines[2].startswith("predicted mass: 1671431.2  ")
     assert lines[3] == "ratio exact/predicted: 1.638"
     assert list(tmp_path.iterdir()) == []
-    for P in ("-8", "0"):  # --P keeps its own type, and argparse's exit code
-        proc = _run(script, "--P", P, cwd=tmp_path)
-        assert proc.returncode == 2 and proc.stdout == "" and f"{P} is not a positive integer" in proc.stderr
+
+
+# The wrapper's --P keeps its own type and argparse's exit code 2; `arcs`
+# takes any integer --N and rejects a non-positive one as a degenerate scale.
+@pytest.mark.parametrize(
+    "argv, code, message",
+    [
+        (["scripts/window_mass.py", "--P", "-8"], 2, "-8 is not a positive integer"),
+        (["scripts/window_mass.py", "--P", "0"], 2, "0 is not a positive integer"),
+        (["-m", "cubesquares.cli", "arcs", "--f-sweep", "--N", "-8"], 4, "bad configuration: parameters degenerate: N=-8 gives P<2\n"),
+        (["-m", "cubesquares.cli", "arcs", "--f-sweep", "--N", "0"], 4, "bad configuration: parameters degenerate: N=0 gives P<2\n"),
+    ],
+    ids=["argv3", "argv4", "argv5", "argv6"],
+)
+def test_count_options_must_be_positive(argv, code, message):
+    proc = _run(*argv)
+    assert proc.returncode == code
+    assert proc.stdout == ""
+    assert message in proc.stderr
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        [str(ROOT / "scripts" / "window_mass.py"), "--P", "1"],
+        ["-m", "cubesquares.cli", "arcs", "--f-sweep", "--N", "1"],
+        ["-m", "cubesquares.cli", "arcs", "--f-sweep", "--N", "64"],  # P = 2 derives, but the narrow dissection needs log P > 1
+    ],
+)
+def test_degenerate_scale_exits_4(tmp_path, argv):
+    proc = _run(*argv, cwd=tmp_path)
+    assert proc.returncode == 4
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("bad configuration: ") and len(proc.stderr.splitlines()) == 1
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("traced", [False, True], ids=["untraced", "traced"])
