@@ -55,8 +55,8 @@ def phase_sum(blocks: Iterable[tuple[np.ndarray, np.ndarray]], q: int) -> comple
         keep = weights != 0
         c = weights[keep]
         theta = 2.0 * math.pi * np.asarray(residues[keep] / q, dtype=np.float64)
-        re = _exact_floats(re) + (c * np.cos(theta)).tolist()
-        im = _exact_floats(im) + (c * np.sin(theta)).tolist()
+        re = (_exact_floats(re) if re else []) + (c * np.cos(theta)).tolist()  # nothing summed yet: no round
+        im = (_exact_floats(im) if im else []) + (c * np.sin(theta)).tolist()
     return complex(math.fsum(re), math.fsum(im))
 
 

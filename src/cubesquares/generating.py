@@ -20,9 +20,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
-from . import weights
 from .arcs import ArcDissection
 from .expsums import complete_sum_S, phase_sum
 from .oscillatory import osc_integral_v, osc_integral_v_thin
@@ -31,31 +28,31 @@ from .scale import Scale
 from .weights import WeightTable
 
 
-def _exact_phases(values: np.ndarray, counts: np.ndarray, alpha: Fraction, scale: int = 1) -> complex:
-    """sum_v counts[v] * e(alpha * (scale * v)^2) with exact residue phases, one `phase_sum` over BUCKET-value blocks."""
+def _exact_phases(table: WeightTable, alpha: Fraction, scale: int = 1) -> complex:
+    """sum_v a_v e(alpha * (scale * v)^2) over the table with exact residue phases, one `phase_sum` over its blocks."""
     num = alpha.numerator % alpha.denominator
     den = alpha.denominator
     if num == 0:
-        return complex(float(counts.sum()), 0.0)
-    return phase_sum(_residue_blocks(values, counts, num, den, scale * scale), den)
+        return complex(float(table.total), 0.0)
+    return phase_sum(_residue_blocks(table, num, den, scale * scale), den)
 
 
-def _residue_blocks(values: np.ndarray, counts: np.ndarray, num: int, den: int, s2: int):
-    """(num (s2 v^2 mod den) mod den, counts) for BUCKET values at a time: only one block is ever held as Python ints."""
-    for i in range(0, values.size, weights.BUCKET):
-        v = values[i : i + weights.BUCKET].astype(object)  # Python ints: v^2 ~ 1e25 and den are past int64
-        yield num * (v * v * s2 % den) % den, counts[i : i + weights.BUCKET]
+def _residue_blocks(table: WeightTable, num: int, den: int, s2: int):
+    """(num (s2 v^2 mod den) mod den, counts) for each block of `WeightTable.blocks`: one block at a time is held as Python ints."""
+    for values, counts in table.blocks():
+        v = values.astype(object)  # Python ints: v^2 ~ 1e25 and den are past int64
+        yield num * (v * v * s2 % den) % den, counts
 
 
 def eval_h(alpha: float | Fraction, table: WeightTable) -> complex:
     """The bulk generating sum at alpha; alpha = 0 returns the total mass."""
-    return _exact_phases(table.support, table.counts, Fraction(alpha))
+    return _exact_phases(table, Fraction(alpha))
 
 
 def eval_W(alpha: float | Fraction, table: WeightTable, primes: list[int]) -> complex:
     """The thin generating sum; empty table or prime window gives 0."""
     af = Fraction(alpha)
-    return sum((_exact_phases(table.support, table.counts, af, scale=p**3) for p in primes), 0j)
+    return sum((_exact_phases(table, af, scale=p**3) for p in primes), 0j)
 
 
 # -- major-arc models ----------------------------------------------------------

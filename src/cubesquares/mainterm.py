@@ -48,9 +48,17 @@ from .weights import WeightTable, _outer_sum, count_dtype, smooth_cube_pairs, ta
 
 def _max_n(table_a: WeightTable, table_b: WeightTable, primes: list[int]) -> int:
     """2 max(v)^2 + 2 max(p)^6 max(h)^2 in Python ints: no n above it has R(n) > 0."""
-    va = int(table_a.support.max(initial=0))
-    vb = int(table_b.support.max(initial=0))
-    return 2 * va**2 + 2 * max(primes, default=0) ** 6 * vb**2
+    return 2 * table_a.max_value**2 + 2 * max(primes, default=0) ** 6 * table_b.max_value**2
+
+
+def _squares(table: WeightTable) -> np.ndarray:
+    """The int64 squares v^2 of the table's values, formed one block of values at a time."""
+    out = np.empty(len(table), np.int64)
+    i = 0
+    for values, _ in table.blocks():
+        np.multiply(values, values, out=out[i : i + values.size])
+        i += values.size
+    return out
 
 
 def _square_series(table_a: WeightTable, table_b: WeightTable, primes: list[int]):
@@ -60,8 +68,8 @@ def _square_series(table_a: WeightTable, table_b: WeightTable, primes: list[int]
     squares.  b's may repeat (2^6 27^2 = 3^6 8^2); every reader of b sums
     the counts of a repeated key.
     """
-    a = (table_a.support**2, table_a.counts)
-    kb = np.multiply.outer(np.array(primes, np.int64) ** 6, table_b.support**2).ravel()
+    a = (_squares(table_a), table_a.counts)
+    kb = np.multiply.outer(np.array(primes, np.int64) ** 6, _squares(table_b)).ravel()
     order = np.argsort(kb, kind="stable")
     return a, (kb[order], np.tile(table_b.counts, len(primes))[order])
 
@@ -69,7 +77,9 @@ def _square_series(table_a: WeightTable, table_b: WeightTable, primes: list[int]
 class RnEvaluator:
     """Keeps the bulk square series a and the thin self-sum bb so many n are cheap.
 
-    a maps v^2 and bb maps p1^6 h1^2 + p2^6 h2^2 to their multiplicities.
+    a and bb are (sorted distinct int64 keys, counts) pairs: a maps v^2 and
+    bb maps p1^6 h1^2 + p2^6 h2^2 to their multiplicities.  They are plain
+    arrays, not `WeightTable`s, since bb's keys reach 2^63.
     With F(t) = sum of ca_i ca_j over ka_i + ka_j <= t, a window mass is the
     sum of bb(kb) (F(hi - kb) - F(lo - 1 - kb)) over bb keys kb, each F(t) a
     searchsorted of t - ka into ka over the prefix sums of ca.  The int64
@@ -78,15 +88,14 @@ class RnEvaluator:
 
     def __init__(self, table_a: WeightTable, table_b: WeightTable, primes: list[int]):
         m, top = len(primes), _max_n(table_a, table_b, primes)
-        square = int(table_a.support.max(initial=0)) ** 2
+        square = table_a.max_value**2
         bits = ((m * int(table_b.counts.max(initial=0))) ** 2).bit_length()  # beside each packed bb key
         total = (table_a.total * m * table_b.total) ** 2
         if top >> 63 or total >> 63 or (top - 2 * square).bit_length() + bits > 63:
             raise CapacityError(f"R(n) keys to {top}, bb keys beside {bits} count bits or sum {total} overflow int64")
         reserve(rn_bytes(len(table_a), m * len(table_b), (m * table_b.total) ** 2), "R(n) sweep and thin self-sum")
-        (ka, ca), (kb, cb) = _square_series(table_a, table_b, primes)
-        self.a = WeightTable("a", ka, ca)
-        self.bb = WeightTable("b", *_outer_sum(kb, cb, kb, cb))
+        self.a, (kb, cb) = _square_series(table_a, table_b, primes)
+        self.bb = _outer_sum(kb, cb, kb, cb)
         self.total = total  # sum_n R(n) = (a total)^2 * (|primes| b total)^2
         self.max_n = top if total else 0
 
@@ -98,8 +107,8 @@ class RnEvaluator:
         lo, hi = max(lo, 0), min(hi, self.max_n)
         if hi < lo or not self.total:
             return 0
-        ka, kb = self.a.support, self.bb.support
-        ca = self.a.counts.astype(np.int64)  # the counts may be int32; F(t) and its matmul are int64 work
+        (ka, ca), (kb, cb) = self.a, self.bb
+        ca = ca.astype(np.int64)  # the counts may be int32; F(t) and its matmul are int64 work
         pre = np.concatenate(([0], np.cumsum(ca)))
         t = np.concatenate((hi - kb, lo - 1 - kb))
         f = np.empty(t.size, np.int64)  # F(t)
@@ -110,14 +119,14 @@ class RnEvaluator:
                 np.subtract(x, ka, out=row)
             np.take(pre, np.searchsorted(ka, b, "right"), out=b, mode="clip")
             np.matmul(b, ca, out=f[s : s + len(b)])
-        return int(self.bb.counts @ (f[: kb.size] - f[kb.size :]))
+        return int(cb @ (f[: kb.size] - f[kb.size :]))
 
 
 def rn_bytes(k: int, nb: int, total: int) -> int:
     """Upper bound on the bytes `RnEvaluator` holds for k bulk squares and nb thin terms of pair mass `total`.
 
     Building bb, the thin self-sum of mass `total`, takes
-    `table_bytes(nb, nb, total)`, whose scratch is freed before any sweep;
+    `table_bytes(nb, nb, total, split=False)`, whose scratch is freed before any sweep;
     bb then keeps at most 8 + w bytes per pair of thin terms, w the width of
     `count_dtype(total)`, and its <= nb (nb + 1) / 2 keys give twice as many
     t.  A sweep block of r rows of k entries takes 16 bytes per entry
@@ -128,7 +137,7 @@ def rn_bytes(k: int, nb: int, total: int) -> int:
     ts = nb * (nb + 1)
     rows = max(1, min(weights.BUCKET // max(k, 1), ts))
     sweep = (8 + count_dtype(total).itemsize) * nb * nb + 16 * rows * k + 24 * ts + 8 * k
-    return max(table_bytes(nb, nb, total), sweep) + 16 * k + 5 * 2**10
+    return max(table_bytes(nb, nb, total, split=False), sweep) + 16 * k + 5 * 2**10
 
 
 def toy_tables() -> tuple[WeightTable, WeightTable, list[int]]:

@@ -19,12 +19,22 @@ product.  Each run of equal values writes its end's value and count
 straight into the preallocated output, and one `np.add.at` adds the counts
 of the rare repeated values.
 
+A table stores each value as its low word v mod 2^32 (uint32) under a
+sparse segment index of (high word v >> 32, first index) pairs, one per
+distinct high word.  The values at P = 10^4 lie below 2^42 and take 569
+high words, so the index is a few KB.  The weight-table build writes each
+bucket's run ends straight into this split layout, and int64 values exist
+only in the bucket's scratch.  Readers (`generating`, `table_digest`, the
+writers) take int64 values one BUCKET block at a time from
+`WeightTable.blocks`.  The smooth pair sums and R(n)'s thin self-sum keep
+`_outer_sum`'s int64 output, since their keys reach 2^63.
+
 Counts are stored in `count_dtype(total)`: int32 while the table's total
 mass h(0) is below 2^31, else int64.  No count, product or run sum exceeds
 the total, and every reader widens before it computes.  At P = 10^4 the
-bulk table has 11.4M entries of total mass 22 445 000, and the build holds
-the 12-byte output entries (int64 value, int32 count) plus one bucket;
-`table_bytes` is the capacity guard's estimate of it.
+bulk table has 11.4M entries of total mass 22 445 000 in 8 bytes per entry
+(uint32 low word, int32 count), and the build holds those output entries
+plus one bucket; `table_bytes` is the capacity guard's estimate of it.
 
 Disk formats: a little-endian binary record (magic WCL1) and a CSV with
 header ``value,multiplicity``; a JSON sidecar carries provenance fields.
@@ -35,7 +45,6 @@ from __future__ import annotations
 import hashlib
 import json
 import struct
-from dataclasses import dataclass, field
 from itertools import islice
 from pathlib import Path
 
@@ -61,24 +70,57 @@ def count_dtype(total: int) -> np.dtype:
     return np.dtype(np.int32 if total < 2**31 else np.int64)
 
 
-@dataclass
 class WeightTable:
-    """Sorted int64 support + positive multiplicities, stored in `count_dtype` of their sum, for one role."""
+    """Sorted distinct values in [0, 2^63) with positive multiplicities, for one role.
 
-    role: str
-    support: np.ndarray = field(repr=False)
-    counts: np.ndarray = field(repr=False)
+    A value v is stored as its low word v mod 2^32 in `low` (uint32) under
+    a sparse segment index: `high` holds each distinct high word v >> 32 in
+    increasing order and `starts` the index of its first entry, so entry i
+    of segment s, starts[s] <= i < starts[s + 1], has the value
+    high[s] 2^32 + low[i].  The counts are stored in `count_dtype` of their
+    sum.  With int32 counts a table takes 8 bytes per entry and 16 per
+    segment: 569 segments for the 11.4M entries at P = 10^4.
 
-    def __post_init__(self):
-        self.support = np.ascontiguousarray(self.support, dtype=np.int64)
-        counts = np.asarray(self.counts)
+    `WeightTable(role, support, counts)` splits a sorted int64 support, and
+    `from_split` takes the split arrays as they are.  Readers take the int64
+    values BUCKET at a time from `blocks`; `support` builds the whole int64
+    array, for small tables and tests.
+    """
+
+    def __init__(self, role: str, support, counts):
+        v = np.asarray(support, dtype=np.int64)
+        high: list[int] = []
+        starts: list[int] = []
+        _mark_segments(v >> 32, 0, high, starts)
+        self._init(role, v.astype(np.uint32), high, starts, counts)
+
+    @classmethod
+    def from_split(cls, role: str, low, high, starts, counts) -> WeightTable:
+        """The table with low words `low`, segment high words `high` and first indices `starts`, and `counts`."""
+        table = cls.__new__(cls)
+        table._init(role, low, high, starts, counts)
+        return table
+
+    def _init(self, role: str, low, high, starts, counts) -> None:
+        self.role = role
+        self.low = np.ascontiguousarray(low, dtype=np.uint32)
+        self.high = np.asarray(high, dtype=np.int64)
+        self.starts = np.asarray(starts, dtype=np.int64)
+        counts = np.asarray(counts)
         if counts.dtype != np.int32:
             counts = counts.astype(np.int64, copy=False)
-        if self.support.shape != counts.shape:
+        n, k = self.low.size, self.high.size
+        if self.low.shape != counts.shape or self.low.ndim != 1:
             raise ValueError("support and counts must be parallel")
-        if not (self.support[1:] > self.support[:-1]).all():
+        if self.starts.shape != (k,) or (n == 0) != (k == 0):
+            raise ValueError("high words and first indices must be parallel, and empty just when the table is")
+        if k and (self.starts[0] != 0 or self.starts[-1] >= n or (self.starts[1:] <= self.starts[:-1]).any()):
+            raise ValueError("segments must start at entry 0 and at increasing entries of the table")
+        if k and (self.high[0] < 0 or self.high[-1] >> 31):
+            raise ValueError("values must lie in [0, 2^63)")
+        if not _increasing(self.low, self.starts) or (self.high[1:] <= self.high[:-1]).any():
             raise ValueError("support must be strictly increasing")
-        if (counts <= 0).any():
+        if counts.min(initial=1) <= 0:
             raise ValueError("multiplicities must be positive")
         self.counts = np.ascontiguousarray(counts, dtype=count_dtype(int(counts.sum())))
 
@@ -88,16 +130,82 @@ class WeightTable:
         return int(self.counts.sum())
 
     def __len__(self) -> int:
-        return int(self.support.size)
+        return int(self.low.size)
+
+    @property
+    def max_value(self) -> int:
+        """The largest value, 0 for an empty table."""
+        return int(self.high[-1]) << 32 | int(self.low[-1]) if len(self) else 0
+
+    @property
+    def support(self) -> np.ndarray:
+        """All values as one new int64 array."""
+        return self._values(0, len(self), np.empty(len(self), np.int64))
+
+    def blocks(self):
+        """(int64 values, counts) of BUCKET entries at a time; the values fill one reused block."""
+        n, step = len(self), BUCKET
+        block = np.empty(min(n, step), np.int64)
+        for i in range(0, n, step):
+            yield self._values(i, min(i + step, n), block), self.counts[i : i + step]
+
+    def _segment(self, s: int) -> tuple[int, int]:
+        """The entries starts[s] <= i < end of segment s."""
+        end = int(self.starts[s + 1]) if s + 1 < self.starts.size else len(self)
+        return int(self.starts[s]), end
+
+    def _values(self, i: int, j: int, out: np.ndarray) -> np.ndarray:
+        """The values of entries i <= k < j in out[: j - i], one segment at a time."""
+        out = out[: j - i]
+        out[:] = self.low[i:j]
+        for s in range(max(int(np.searchsorted(self.starts, i, "right")) - 1, 0), self.starts.size):
+            a, b = self._segment(s)
+            if a >= j:
+                break
+            out[max(a, i) - i : b - i] += int(self.high[s]) << 32
+        return out
 
     def multiplicity(self, v: int) -> int:
-        i = int(np.searchsorted(self.support, v))
-        if i < self.support.size and int(self.support[i]) == v:
-            return int(self.counts[i])
-        return 0
+        if not 0 <= v < 2**63:
+            return 0
+        s = int(np.searchsorted(self.high, v >> 32))
+        if s == self.high.size or int(self.high[s]) != v >> 32:
+            return 0
+        a, b = self._segment(s)
+        w = v & 0xFFFFFFFF
+        i = a + int(np.searchsorted(self.low[a:b], w))
+        return int(self.counts[i]) if i < b and int(self.low[i]) == w else 0
 
     def as_dict(self) -> dict[int, int]:
         return dict(zip(self.support.tolist(), self.counts.tolist()))
+
+
+def _increasing(low: np.ndarray, starts: np.ndarray) -> bool:
+    """Whether the low words increase strictly inside each segment, checked BUCKET entries at a time."""
+    for i in range(1, low.size, BUCKET):
+        j = min(i + BUCKET, low.size)
+        up = low[i:j] > low[i - 1 : j - 1]
+        a, b = np.searchsorted(starts, (i, j))
+        up[starts[a:b] - i] = True  # a segment's first low word follows the last of a lower high word
+        if not up.all():
+            return False
+    return True
+
+
+def _mark_segments(hw: np.ndarray, base: int, high: list[int], starts: list[int]) -> None:
+    """Append (high word, first index) for each segment that opens in hw, the high words of entries base, base + 1, ....
+
+    The block's first entry opens one unless its word is the last segment's,
+    and each later entry whose word differs from the one before opens one.
+    """
+    if hw.size == 0:
+        return
+    if not high or high[-1] != hw[0]:
+        high.append(int(hw[0]))
+        starts.append(base)
+    opens = np.flatnonzero(hw[1:] != hw[:-1]) + 1
+    high.extend(hw[opens].tolist())
+    starts.extend((opens + base).tolist())
 
 
 def _key_bits(lo: int, hi: int, top_count: int) -> int:
@@ -108,7 +216,7 @@ def _key_bits(lo: int, hi: int, top_count: int) -> int:
     return sh
 
 
-def _outer_sum(x: np.ndarray, cx: np.ndarray, y: np.ndarray, cy: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _outer_sum(x: np.ndarray, cx: np.ndarray, y: np.ndarray, cy: np.ndarray, split: bool = False) -> tuple:
     """Distinct x_i + y_j in increasing order and the summed cx_i * cy_j of each.
 
     x and y are sorted non-negative int64 arrays, whose values may repeat,
@@ -127,13 +235,23 @@ def _outer_sum(x: np.ndarray, cx: np.ndarray, y: np.ndarray, cy: np.ndarray) -> 
     with its terms; only when neither side is all ones does `_bucket`
     multiply cx_i * cy_j per key.  A single value with more than BUCKET raw
     sums is one bucket.
+
+    The result is (values, counts) with int64 values, whose output `_bucket`
+    also borrows as scratch.  With `split` it is (low, high, starts, counts)
+    in the layout of `WeightTable.from_split`: `_bucket` writes a bucket's
+    values into an int64 scratch array of the bucket's size, their low words
+    go to the uint32 output, and each high word that first appears opens a
+    segment, so no int64 array of the table's length is ever formed.
     """
     if x.size > y.size:
         x, cx, y, cy = y, cy, x, cx  # each bucket costs O(rows): take the shorter side
     raw = x.size * y.size
-    sup, cnt = np.empty(raw, np.int64), np.empty(raw, count_dtype(int(cx.sum()) * int(cy.sum())))
+    sup = np.empty(raw, np.uint32 if split else np.int64)
+    cnt = np.empty(raw, count_dtype(int(cx.sum()) * int(cy.sum())))
+    high: list[int] = []
+    starts: list[int] = []
     if raw == 0:
-        return sup, cnt
+        return (sup, high, starts, cnt) if split else (sup, cnt)
     bottom, top = int(x[0]) + int(y[0]), int(x[-1]) + int(y[-1])
     sh = _key_bits(bottom, top, int(cx.max()) * int(cy.max()))
     xs, ys, counts = x << sh, y << sh, None
@@ -143,7 +261,7 @@ def _outer_sum(x: np.ndarray, cx: np.ndarray, y: np.ndarray, cy: np.ndarray) -> 
         ys |= cy  # each key's count is its gathered entry's
     else:
         counts = cx.astype(cnt.dtype, copy=False), cy.astype(cnt.dtype, copy=False)
-    scratch = _scratch(min(raw, BUCKET))
+    scratch = _scratch(min(raw, BUCKET), split)
     target, span = BUCKET - BUCKET // 16, top + 1 - bottom
     width = span if raw <= BUCKET else max(1, span * target // raw)
     e0, pos, lo = bottom, 0, np.zeros(x.size, np.int64)
@@ -155,19 +273,24 @@ def _outer_sum(x: np.ndarray, cx: np.ndarray, y: np.ndarray, cy: np.ndarray) -> 
             width = max(1, (e1 - e0) * target // m)
             continue
         if m > scratch[0].size:
-            scratch = _scratch(m)
+            scratch = _scratch(m, split)
         if m:
-            pos += _bucket(xs, ys, counts, lo, hi, sh, [a[:m] for a in scratch], sup[pos:], cnt[pos:])
+            key, last, step, wide = (a[:m] for a in scratch)
+            d = _bucket(xs, ys, counts, lo, hi, sh, (key, last, step), wide if split else sup[pos:], cnt[pos:])
+            if split:  # wide[:d] holds the values; the key scratch is free for their high words
+                sup[pos : pos + d] = wide[:d]
+                _mark_segments(np.right_shift(wide[:d], 32, out=key[:d]), pos, high, starts)
+            pos += d
         width = max(1, (e1 - e0) * target // m) if m else 2 * (e1 - e0)
         e0, lo = e1, hi
     sup.resize(pos, refcheck=False)
     cnt.resize(pos, refcheck=False)
-    return sup, cnt
+    return (sup, high, starts, cnt) if split else (sup, cnt)
 
 
-def _scratch(m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The reused per-bucket arrays: int64 keys, run-end flags and the steps 0, 1, ..., m - 1."""
-    return np.empty(m, np.int64), np.empty(m, bool), np.arange(m)
+def _scratch(m: int, split: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The reused per-bucket arrays: int64 keys, run-end flags, the steps 0, 1, ..., m - 1 and, if `split`, int64 values."""
+    return np.empty(m, np.int64), np.empty(m, bool), np.arange(m), np.empty(m if split else 0, np.int64)
 
 
 def _bucket(xs, ys, counts, lo, hi, sh: int, scratch, sup: np.ndarray, cnt: np.ndarray) -> int:
@@ -175,8 +298,10 @@ def _bucket(xs, ys, counts, lo, hi, sh: int, scratch, sup: np.ndarray, cnt: np.n
 
     xs and ys are x << sh and y << sh, one of them already or-ed with its
     counts when `counts` is None; otherwise `counts` is (cx, cy) in cnt's
-    dtype.  `scratch` is the m-entry key, flag and step arrays, and sup[:m],
-    cnt[:m] are free scratch, since m raw sums remain.  Row i's part takes
+    dtype.  `scratch` is the m-entry key, flag and step arrays.  sup is
+    int64, the output from the bucket's position or a split build's value
+    scratch, and sup[:m], cnt[:m] are free scratch, since m raw sums
+    remain.  Row i's part takes
     the y indices lo_i, lo_i + 1, ..., so the indices are the steps plus,
     repeated over the row, lo_i less the row's head offset.  A key is ys at
     its index plus the repeated row's xs, with the products cx_i * cy_j
@@ -237,7 +362,7 @@ def build_weight_table(params: Params, role: str) -> WeightTable:
     total = len(leading) * int(pair_cnt.sum())
     reserve(table_bytes(len(leading), pair_sup.size, total), f"weight table role={role} ({len(leading)} x {pair_sup.size})")
     cubes = np.arange(leading.start, leading.stop, dtype=np.int64) ** 3
-    return WeightTable(role, *_outer_sum(cubes, np.ones(cubes.size, np.int64), pair_sup, pair_cnt))
+    return WeightTable.from_split(role, *_outer_sum(cubes, np.ones(cubes.size, np.int64), pair_sup, pair_cnt, split=True))
 
 
 def smooth_cube_pairs(box: int, R: int) -> tuple[np.ndarray, np.ndarray]:
@@ -247,40 +372,44 @@ def smooth_cube_pairs(box: int, R: int) -> tuple[np.ndarray, np.ndarray]:
     return _outer_sum(c, ones, c, ones)
 
 
-def table_bytes(leading: int, pairs: int, total: int) -> int:
+def table_bytes(leading: int, pairs: int, total: int, split: bool = True) -> int:
     """Upper bound on the bytes `_outer_sum` holds for a `leading` x `pairs` table of mass `total`, inputs included.
 
-    The output is preallocated at one int64 value and one
-    `count_dtype(total)` count per raw sum: 12 bytes while the total fits
-    int32, else 16.  A bucket of m <= BUCKET raw sums adds 25 bytes per
+    The output is preallocated at one value and one `count_dtype(total)`
+    count per raw sum.  A value takes 4 bytes in the split layout that
+    `build_weight_table` asks for, so an entry takes 8 bytes while the
+    total fits int32, else 12; with `split` false it takes 8 (int64), so
+    12, else 16.  A bucket of m <= BUCKET raw sums adds 25 bytes per
     entry: the reused key, flag and step arrays (17) and one 8m-byte repeat
     of a row quantity or of the run ends, plus 8 KiB for the buffers of
-    `np.add.at`.  Once the output is trimmed to its d entries, checking its
-    order takes one byte per entry.  The inputs with their counts and their
-    shifted copies take 24 bytes per entry, and the per-row cut arrays 40
-    bytes per row of the shorter side.
+    `np.add.at`; the split build adds its reused int64 values, 8 more.
+    Once the output is trimmed, `WeightTable` checks its order one BUCKET
+    block at a time, in less than a bucket's scratch.  The inputs with their counts and their shifted
+    copies take 24 bytes per entry, and the per-row cut arrays 40 bytes per
+    row of the shorter side.
     The fixed per-call term, 5 KiB fitted to tracemalloc in a fresh
     process, covers what does not scale with the entries: the array headers
     and numpy's first-use state, which the int32 count loops enlarge.
     """
     raw = leading * pairs
     per_entry = 24 * (leading + pairs) + 40 * min(leading, pairs)
-    out = (8 + count_dtype(total).itemsize) * raw
-    return out + max(25 * min(raw, BUCKET) + 2**13, raw) + per_entry + 5 * 2**10
+    out = ((4 if split else 8) + count_dtype(total).itemsize) * raw
+    return out + (33 if split else 25) * min(raw, BUCKET) + 2**13 + per_entry + 5 * 2**10
 
 
 # -- serialization -----------------------------------------------------------
 
 
 def table_digest(table: WeightTable) -> str:
-    """sha256 of the role, the support, then the counts as int64 (fed BUCKET at a time), cut to 16 hex digits.
+    """sha256 of the role, the values as int64, then the counts as int64, each fed BUCKET at a time, cut to 16 hex digits.
 
-    Hashing the counts at a fixed width keeps a table's digest whatever
-    dtype `count_dtype` stores them in.
+    Hashing at a fixed width keeps a table's digest whatever layout and
+    count dtype store it.
     """
     h = hashlib.sha256()
     h.update(table.role.encode())
-    h.update(table.support)
+    for values, _ in table.blocks():
+        h.update(values)
     n = len(table)
     block = np.empty(min(n, BUCKET), np.int64)
     for i in range(0, n, BUCKET):
@@ -292,12 +421,11 @@ def table_digest(table: WeightTable) -> str:
 
 def _pairs(table: WeightTable, dtype):
     """The table's (value, count) rows, BUCKET at a time, interleaved in one reused two-column block."""
-    n = len(table)
-    block = np.empty((min(n, BUCKET), 2), dtype)
-    for i in range(0, n, BUCKET):
-        part = block[: min(BUCKET, n - i)]
-        part[:, 0] = table.support[i : i + BUCKET]
-        part[:, 1] = table.counts[i : i + BUCKET]
+    block = np.empty((min(len(table), BUCKET), 2), dtype)
+    for values, counts in table.blocks():
+        part = block[: values.size]
+        part[:, 0] = values
+        part[:, 1] = counts
         yield part
 
 
@@ -319,24 +447,34 @@ def _write_sidecar(table: WeightTable, path: Path, fmt: str, meta: dict | None) 
     path.with_suffix(path.suffix + ".meta.json").write_text(json.dumps(sidecar, indent=2))
 
 
-class _CountFill:
-    """A loader's counts, filled block by block in `count_dtype` of the running total.
+class _TableFill:
+    """A loader's table, filled block by block in the split layout, its counts in `count_dtype` of the running total.
 
-    The array starts as int32 and widens to int64 once, when the total
-    reaches 2^31.  A count outside [1, 2^31) widens it too: in a valid
-    table such a count alone takes the total past int32, and an invalid
-    one reaches `WeightTable` unwrapped, which rejects it.
+    Each block's values go in as their low words and the segments their
+    high words open; values out of order or outside [0, 2^63) give a
+    segment index or low words that `WeightTable` rejects.  The counts
+    start as int32 and widen to int64 once, when the total reaches 2^31.  A
+    count outside [1, 2^31) widens them too: in a valid table such a count
+    alone takes the total past int32, and an invalid one reaches
+    `WeightTable` unwrapped, which rejects it.
     """
 
     def __init__(self, n: int):
-        self.array, self.total = np.empty(n, count_dtype(0)), 0
+        self.low, self.high, self.starts = np.empty(n, np.uint32), [], []
+        self.counts, self.total = np.empty(n, count_dtype(0)), 0
 
-    def put(self, i: int, block: np.ndarray) -> None:
-        if self.array.dtype != np.int64:
-            self.total += int(block.sum())  # exact: the block's counts are below 2^31 unless it widens
-            if count_dtype(self.total) == np.int64 or not 1 <= block.min() <= block.max() < 2**31:
-                self.array = self.array.astype(np.int64)
-        self.array[i : i + block.size] = block
+    def put(self, i: int, values: np.ndarray, counts: np.ndarray) -> None:
+        self.low[i : i + values.size] = values  # the low 32 bits
+        _mark_segments(values >> 32, i, self.high, self.starts)
+        if self.counts.dtype != np.int64:
+            self.total += int(counts.sum())  # exact: the block's counts are below 2^31 unless it widens
+            if count_dtype(self.total) == np.int64 or not 1 <= counts.min() <= counts.max() < 2**31:
+                self.counts = self.counts.astype(np.int64)
+        self.counts[i : i + counts.size] = counts
+
+    def table(self, role: str, n: int) -> WeightTable:
+        """The table of the first n entries."""
+        return WeightTable.from_split(role, self.low[:n], self.high, self.starts, self.counts[:n])
 
 
 def load_binary(path: str | Path) -> WeightTable:
@@ -352,14 +490,13 @@ def load_binary(path: str | Path) -> WeightTable:
         (npairs,) = struct.unpack_from("<Q", head, 5)
         if path.stat().st_size < 13 + 16 * npairs:
             raise ValueError(f"{path} is shorter than its {npairs} pairs")
-        support, counts = np.empty(npairs, np.int64), _CountFill(npairs)
+        fill = _TableFill(npairs)
         block = np.empty((min(npairs, BUCKET), 2), dtype="<u8")
         for i in range(0, npairs, BUCKET):
             part = block[: min(BUCKET, npairs - i)]
             f.readinto(part)
-            support[i : i + BUCKET] = part[:, 0]
-            counts.put(i, part[:, 1])
-    return WeightTable(role=role, support=support, counts=counts.array)
+            fill.put(i, part[:, 0], part[:, 1])
+    return fill.table(role, npairs)
 
 
 def save_csv(table: WeightTable, path: str | Path, meta: dict | None = None) -> None:
@@ -385,8 +522,7 @@ def load_csv(path: str | Path, role: str = "a") -> WeightTable:
     path = Path(path)
     with open(path, "rb") as f:
         lines = 1 + sum(block.count(b"\n") for block in iter(lambda: f.read(1 << 20), b""))
-    support, counts = np.empty(lines, np.int64), _CountFill(lines)
-    n = 0
+    fill, n = _TableFill(lines), 0
     with open(path) as f:
         header = f.readline().strip()
         if header != "value,multiplicity":
@@ -398,7 +534,6 @@ def load_csv(path: str | Path, role: str = "a") -> WeightTable:
             part = np.loadtxt(rows, delimiter=",", dtype=np.int64, comments=None, ndmin=2)
             if part.shape[1] != 2:
                 raise ValueError(f"{path}: expected value,multiplicity rows, got {part.shape[1]} fields")
-            support[n : n + len(part)] = part[:, 0]
-            counts.put(n, part[:, 1])
+            fill.put(n, part[:, 0], part[:, 1])
             n += len(part)
-    return WeightTable(role=role, support=support[:n], counts=counts.array[:n])
+    return fill.table(role, n)

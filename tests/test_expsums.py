@@ -152,6 +152,19 @@ def test_phase_sum_blocks_match_one_block():
     assert complex(math.fsum(z.real for z in rounded), math.fsum(z.imag for z in rounded)) != whole
 
 
+def test_phase_sum_rounds_only_once_terms_are_held(monkeypatch):
+    # the first block starts from no terms, so the cos and sin parts take one fsum each, and each
+    # later block adds one fsum round per part before its terms join
+    calls = []
+    fsum = math.fsum
+    monkeypatch.setattr(math, "fsum", lambda terms: calls.append(1) or fsum(terms))
+    r, c = np.arange(6), np.array([1, 2, 3, 4, 5, 6])
+    one = phase_sum([(r, c)], 7)
+    assert len(calls) == 2
+    two = phase_sum([(r[:3], c[:3]), (r[3:], c[3:])], 7)
+    assert len(calls) > 4 and two == one == _phase_sum_loop(r.tolist(), c.tolist(), 7)
+
+
 def test_phase_sum_past_float_range():
     # r / q stays int / int true division on Python ints; float(r) would overflow
     q = 10**400

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import tracemalloc
@@ -385,7 +386,7 @@ def test_empty_thin_tables(monkeypatch, P):
     tb = build_weight_table(pp, "b")
     assert len(tb) == 0 and tb.total == 0
     ev = RnEvaluator(build_weight_table(pp, "a"), tb, [2])
-    assert len(ev.bb) == 0 and ev.total == 0 and ev.window_mass(0, 10**9) == 0
+    assert ev.bb[0].size == 0 and ev.total == 0 and ev.window_mass(0, 10**9) == 0
 
 
 def _oracle_mass(aa, bb, lo, hi) -> int:
@@ -403,8 +404,8 @@ def test_bucketed_rn_matches_one_sort(monkeypatch, P):
     for bucket in (300, 7):  # both cut the sweep into blocks of one t; 7 also builds bb in several buckets
         monkeypatch.setattr(weights, "BUCKET", bucket)
         ev = RnEvaluator(scale.table_a, scale.table_b, scale.primes)
-        for table, want in ((ev.a, (ka, ca)), (ev.bb, bb)):
-            assert np.array_equal(table.support, want[0]) and np.array_equal(table.counts, want[1])
+        for (keys, counts), want in ((ev.a, (ka, ca)), (ev.bb, bb)):
+            assert np.array_equal(keys, want[0]) and np.array_equal(counts, want[1])
         for lo, hi in ((0, ev.max_n), (N // 2, N), (N // 3, N // 3 + 1000)):
             assert ev.window_mass(lo, hi) == _oracle_mass(aa, bb, lo, hi)
 
@@ -478,12 +479,15 @@ def test_loaders_hold_the_counts_once(tmp_path, monkeypatch, tables_1000_2000, f
             tracemalloc.stop()
         assert back.counts.dtype == t.counts.dtype == np.int32
         assert table_digest(back) == table_digest(t)
-    # 8 bytes of value and 4 of count per entry, the one-byte masks of WeightTable's checks, and the
-    # blocks: the CSV line count reads 1 MiB at a time
+    # a 4-byte low word and a 4-byte count per entry, and the blocks: the CSV line count reads 1 MiB at
+    # a time, and WeightTable checks the order one block at a time
     sizes = [len(t) for t in tables_1000_2000]
     assert sizes[1] > 40 * sizes[0] > 6 * 4096
     assert all(peak <= 13 * n + (1 << 21) for peak, n in zip(peaks, sizes))
     assert peaks[1] - peaks[0] <= 13 * (sizes[1] - sizes[0])
+    # measured: 8.00 bytes per added entry for WCL1, 7.58 for CSV, whose fixed costs differ between the
+    # two tables; a whole int64 value array would add 8, a whole-table mask 1
+    assert 7 * (sizes[1] - sizes[0]) <= peaks[1] - peaks[0] <= 8.5 * (sizes[1] - sizes[0])
 
 
 def test_csv_memory_does_not_grow_with_the_table(tmp_path, monkeypatch, tables_1000_2000):
@@ -509,3 +513,116 @@ def test_load_binary_cut_header_names_the_file(tmp_path, size):
     cut.write_bytes((tmp_path / "whole.wcl").read_bytes()[:size])
     with pytest.raises(ValueError, match="cut.wcl"):
         load_binary(cut)
+
+
+def test_readers_never_form_the_whole_int64_support(tmp_path, monkeypatch):
+    # build, h, the digest and both writers take the values one block at a time
+    monkeypatch.setattr(weights, "BUCKET", 4096)
+    pp = derive_params(1000**6)
+    want = build_weight_table(pp, "a")
+    h57, digest = eval_h(Fraction(5, 7), want), table_digest(want)
+    save_binary(want, tmp_path / "want.wcl")
+    save_csv(want, tmp_path / "want.csv")
+
+    def whole_support(table):
+        raise AssertionError("the whole int64 support was formed")
+
+    monkeypatch.setattr(WeightTable, "support", property(whole_support))
+    table = build_weight_table(pp, "a")
+    assert len(table) > 6 * 4096 and table.high.size == 1  # several blocks; values below 2^32
+    assert eval_h(Fraction(0), table) == want.total and eval_h(Fraction(5, 7), table) == h57
+    assert table_digest(table) == digest
+    save_binary(table, tmp_path / "got.wcl")
+    save_csv(table, tmp_path / "got.csv")
+    for ext in ("wcl", "csv"):
+        assert (tmp_path / f"got.{ext}").read_bytes() == (tmp_path / f"want.{ext}").read_bytes()
+
+
+# -- tables whose values cross 2^32 boundaries ----------------------------------------
+
+_K = 1 << 32
+# sums cross 2^32 (reached exactly, and twice: (2^32 - 2) + 2 and 2^32 + 0), 2 * 2^32 and
+# 3 * 2^32 (reached exactly by (3 * 2^32 - 1) + 1); no value has the high word 4
+_EDGE_X = np.array([0, _K - 2, _K, 2 * _K - 3, 3 * _K - 1, 5 * _K + 9], np.int64)
+_EDGE_Y = np.array([0, 1, 2, 3, 4, 7], np.int64)
+
+
+def _edge_oracle(cx, cy) -> tuple[np.ndarray, np.ndarray]:
+    return _one_sort_oracle(_EDGE_X, cx, _EDGE_Y, cy)
+
+
+@pytest.mark.parametrize("bucket", [1, 3, 7, 64])
+def test_split_tables_across_high_words_match_the_int64_oracle(tmp_path, monkeypatch, bucket):
+    monkeypatch.setattr(weights, "BUCKET", bucket)
+    opened = []  # (entry, the segment opens inside its bucket) for each segment after the first
+
+    def mark(hw, base, high, starts):
+        before = len(starts)
+        mark_segments(hw, base, high, starts)
+        opened.extend((i, i > base) for i in starts[max(before, 1) :])
+
+    mark_segments = weights._mark_segments
+    rng = np.random.default_rng(bucket)
+    cx = rng.integers(1, 1000, size=_EDGE_X.size)
+    for cy in (np.ones(_EDGE_Y.size, np.int64), rng.integers(1, 1000, size=_EDGE_Y.size)):
+        monkeypatch.setattr(weights, "_mark_segments", mark)
+        table = WeightTable.from_split("a", *weights._outer_sum(_EDGE_X, cx, _EDGE_Y, cy, split=True))
+        monkeypatch.setattr(weights, "_mark_segments", mark_segments)
+        sup, cnt = _edge_oracle(cx, cy)
+        assert np.array_equal(table.support, sup) and np.array_equal(table.counts, cnt)
+        assert table.high.tolist() == [0, 1, 2, 3, 5]
+        assert np.array_equal(table.starts, np.searchsorted(sup, table.high << 32))
+        assert table.max_value == int(sup[-1])
+        assert table_digest(table) == hashlib.sha256(b"a" + sup.tobytes() + cnt.tobytes()).hexdigest()[:16]
+        save_binary(table, tmp_path / "t.wcl")
+        save_csv(table, tmp_path / "t.csv")
+        pairs = np.column_stack((sup, cnt)).astype("<u8")
+        head = weights.MAGIC + b"a" + len(sup).to_bytes(8, "little")
+        assert (tmp_path / "t.wcl").read_bytes() == head + pairs.tobytes()
+        lines = (tmp_path / "t.csv").read_text().splitlines()
+        assert lines == ["value,multiplicity", *(f"{v},{c}" for v, c in zip(sup.tolist(), cnt.tolist()))]
+        for back in (load_binary(tmp_path / "t.wcl"), load_csv(tmp_path / "t.csv")):
+            for name in ("low", "high", "starts", "counts"):
+                assert np.array_equal(getattr(back, name), getattr(table, name))
+        want = dict(zip(sup.tolist(), cnt.tolist()))
+        probes = {v + d for v in want for d in (-1, 0, 1)} | {k * _K + d for k in range(7) for d in (-1, 0, 1)}
+        for v in sorted(probes | {-1, 2**63, 2**64 + 3}):
+            assert table.multiplicity(v) == want.get(v, 0)
+    if bucket == 64:  # one bucket holds all 36 raw sums
+        assert {inside for _, inside in opened} == {True}
+    elif bucket == 1:  # a bucket of one value at a time
+        assert {inside for _, inside in opened} == {False}
+    else:
+        assert {inside for _, inside in opened} == {True, False}
+
+
+@pytest.mark.parametrize("bucket", [2, 64])
+def test_loaders_split_values_across_blocks(tmp_path, monkeypatch, bucket):
+    monkeypatch.setattr(weights, "BUCKET", bucket)  # with 2-entry blocks segments open inside and between blocks
+    sup, cnt = _edge_oracle(np.ones(_EDGE_X.size, np.int64), np.ones(_EDGE_Y.size, np.int64))
+    t = WeightTable("b", sup, cnt)
+    assert t.high.tolist() == [0, 1, 2, 3, 5] and np.array_equal(t.support, sup)
+    save_binary(t, tmp_path / "t.wcl")
+    save_csv(t, tmp_path / "t.csv")
+    for back in (load_binary(tmp_path / "t.wcl"), load_csv(tmp_path / "t.csv", role="b")):
+        assert np.array_equal(back.support, sup) and np.array_equal(back.counts, cnt)
+        assert np.array_equal(back.starts, t.starts) and table_digest(back) == table_digest(t)
+
+
+def test_split_layout_rejects_bad_segments():
+    low, counts = np.array([5, 1, 2], np.uint32), np.ones(3, np.int64)
+    assert WeightTable.from_split("a", low, [0, 1], [0, 1], counts).support.tolist() == [5, _K + 1, _K + 2]
+    for high, starts in (
+        ([0], [0]),  # 5, 1 in one segment: not increasing
+        ([1, 0], [0, 1]),  # high words out of order
+        ([0, 0], [0, 1]),  # one high word in two segments
+        ([0, 1], [1, 2]),  # entry 0 in no segment
+        ([0, 1], [0, 3]),  # a segment past the table
+        ([0, 1], [0]),  # a high word without a first index
+        ([-1, 0], [0, 1]),  # a value below 0
+        ([0, 1 << 31], [0, 1]),  # a value at 2^63
+    ):
+        with pytest.raises(ValueError):
+            WeightTable.from_split("a", low, high, starts, counts)
+    with pytest.raises(ValueError):
+        WeightTable("a", (-1, 3), (1, 1))
