@@ -6,22 +6,27 @@
 
 S(q, a) collapses to a single length-q phase sum against the distribution
 of T(x)^2 mod q, so computing the whole a-row is one inverse DFT of that
-integer vector.  Sn(q) is real (pairing a with q - a conjugates the term);
-we check that numerically instead of assuming it.  The truncated singular
-series sums Sn(q) for q <= Q and reports dyadic tail masses as a
-convergence diagnostic.
+integer vector.  In turn Sn(q) for every n mod q is one forward DFT of
+(S(q,a)/q^3)^4 placed on the a coprime to q (`_sn_row`), cached per q and
+shared by every n.  Sn(q) is real (pairing a with q - a conjugates the
+term); we check that numerically over the whole row instead of assuming
+it.  The truncated singular series sums Sn(q) for q <= Q and reports
+dyadic tail masses as a convergence diagnostic.
 
 `complete_sum_S` and `gauss_sum_S2` evaluate their phases directly, one
 `phase_sum` array pass each: numpy's cos and sin of the exact angles
 2 pi (r / q), and math.fsum over each part, so the value does not depend
-on the order of the residues.
+on the order of the residues.  `gauss_sum_S2` weighs each residue of
+a x^2 mod q by its count.
 
 Sn is multiplicative in q, so the series computes Sn only at the prime
 powers <= Q (198 of them for Q = 1024) and forms every other term as a
 product over the prime powers that exactly divide q, one array round of
 `w2.factorizations` per prime, in ascending p.  `coefficient_Sn` on a
-composite q stays the direct sum over a: it is the independent route that
-the multiplicativity check and the series tests compare against.
+composite q reads that q's own row, built from S(q, a) directly and not
+from a product: it is the independent route that the multiplicativity
+check and the series tests compare against.  The per-(q, n) sum over a
+that the row replaced is the oracle in tests/test_expsums.py.
 """
 
 from __future__ import annotations
@@ -34,7 +39,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import VerificationError
-from .residues import t_square_distribution
+from .residues import _read_only, t_square_distribution
 from .w2 import factorizations
 
 
@@ -99,11 +104,15 @@ def complete_sum_S_batch(q: int) -> np.ndarray:
 
 
 def gauss_sum_S2(q: int, a: int) -> complex:
-    """One-dimensional quadratic Gauss sum, exact residue phases."""
+    """One-dimensional quadratic Gauss sum, exact residue phases, against the counts of a x^2 mod q.
+
+    At an odd prime q every count is 0, 1 or 2, and 2 cos(theta) is exact,
+    so the value equals the fsum over the q unit terms bit for bit.
+    """
     if q < 1 or q * q >= 2**63:
         raise ValueError("q must satisfy 1 <= q and q^2 < 2^63")
     x = np.arange(q, dtype=np.int64)
-    return phase_sum([(a % q * (x * x % q) % q, np.ones(q, dtype=np.int64))], q)
+    return phase_sum([(x, np.bincount(a % q * (x * x % q) % q, minlength=q))], q)
 
 
 def coprime_residues(q: int) -> np.ndarray:
@@ -113,21 +122,22 @@ def coprime_residues(q: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=4096)
-def _sn_row(q: int) -> tuple[np.ndarray, np.ndarray]:
-    """Cached (coprime a's, (S(q,a)/q^3)^4) for reuse across many n."""
+def _sn_row(q: int) -> np.ndarray:
+    """Sn(q) at every n mod q: one DFT of (S(q,a)/q^3)^4 on the a coprime to q, verified near-real (to 1e-8 relative)."""
     a = coprime_residues(q)
-    s = complete_sum_S_batch(q)[a] / float(q) ** 3
-    return a, s**4
+    w4 = np.zeros(q, dtype=np.complex128)
+    w4[a] = (complete_sum_S_batch(q)[a] / float(q) ** 3) ** 4
+    row = np.fft.fft(w4)  # row[n] = sum over a of w4[a] e(-n a / q)
+    bad = np.abs(row.imag) > 1e-8 * np.maximum(1.0, np.abs(row.real))
+    if bad.any():
+        n = int(bad.argmax())
+        raise VerificationError(f"Sn({q}) is not near-real at n={n}: {complex(row[n])!r}")
+    return _read_only(row.real.copy())
 
 
 def coefficient_Sn(q: int, n: int) -> float:
-    """Sn(q), verified near-real (to 1e-8 relative) before the imaginary part is dropped."""
-    a, w4 = _sn_row(q)
-    phases = np.exp(-2j * np.pi * ((n % q) * a % q) / q)
-    val = complex(np.sum(w4 * phases))
-    if abs(val.imag) > 1e-8 * max(1.0, abs(val.real)):
-        raise VerificationError(f"Sn({q}) for n={n} is not near-real: {val!r}")
-    return val.real
+    """Sn(q) at n, read from the row of q."""
+    return float(_sn_row(q)[n % q])
 
 
 @dataclass

@@ -19,7 +19,8 @@ exponent of q is >= 6 (the "6-full" numbers: 64, 128, ..., 729, ...).
 `factorizations` factors every q <= Q at once, in array rounds over one
 smallest-prime-factor table; `w2_scan` builds W(q) from the rounds in
 int64, exact because W(q) <= q^3 < 2^63 for q < 2^21, and the singular
-series in `expsums` multiplies its terms along the same rounds.
+series in `expsums` multiplies its terms along the same rounds.  The
+rounds themselves are int32, as every q they take is below 2^31.
 `factorize` (trial division) and `w2_carrier` stay per-q.
 """
 
@@ -76,22 +77,25 @@ def w2(q: int) -> float:
 def factorizations(Q: int) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
     """The prime powers p^k || q of every q = 1..Q, as array rounds over one smallest-prime-factor table.
 
-    Round j is int64 arrays (q, p, k): every q with more than j distinct
+    Round j is int32 arrays (q, p, k): every q with more than j distinct
     prime factors, its (j+1)-th smallest prime p and the exponent k of p in
     q.  Each round peels the smallest prime power off every cofactor still
     above 1, so the rounds give each q's prime powers in ascending p.
+    Q >= 2^31 raises CapacityError, as q would pass int32.
     """
-    spf = np.arange(Q + 1, dtype=np.int64)
+    if Q >= 2**31:
+        raise CapacityError(f"factorizations to Q={Q}: q passes int32 for Q >= 2^31")
+    spf = np.arange(Q + 1, dtype=np.int32)
     for i in range(2, math.isqrt(Q) + 1):
         if spf[i] == i:
             sl = spf[i * i :: i]
-            sl[sl == np.arange(i * i, Q + 1, i)] = i
-    q = np.arange(2, Q + 1, dtype=np.int64)
+            sl[sl == np.arange(i * i, Q + 1, i, dtype=np.int32)] = i
+    q = np.arange(2, Q + 1, dtype=np.int32)
     m = q.copy()  # the cofactor of q not yet peeled
     while q.size:
         p = spf[m]
         k = np.zeros_like(m)
-        live = np.arange(m.size)  # the q whose cofactor p still divides
+        live = np.arange(m.size, dtype=np.int32)  # the q whose cofactor p still divides
         while live.size:
             m[live] //= p[live]
             k[live] += 1
@@ -102,11 +106,11 @@ def factorizations(Q: int) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]
 
 
 def w2_bytes(Q: int) -> int:
-    """Upper bound on the bytes `w2_scan(Q)` holds: about a dozen int64 arrays over q at the first round.
+    """Upper bound on the bytes `w2_scan(Q)` holds: the int64 carrier and about ten int32 arrays over q at the first round.
 
-    Fitted to tracemalloc peaks for Q from 10^4 to 2 * 10^6 (98.8 to 100.2 bytes per q).
+    Fitted to tracemalloc peaks for Q from 10^4 to 2 * 10^6 (67.9 to 61.0 bytes per q).
     """
-    return 101 * Q + 2**13
+    return 61 * Q + 2**17
 
 
 def w2_scan(Q: int) -> tuple[np.ndarray, bool, list[int]]:
@@ -125,7 +129,7 @@ def w2_scan(Q: int) -> tuple[np.ndarray, bool, list[int]]:
     carrier = np.ones(Q + 1, dtype=np.int64)
     for q, p, k in factorizations(Q):
         # exponent of p in W: k (k >= 7), 6 (2 <= k <= 6), 3 (k = 1)
-        carrier[q] *= p ** np.where(k >= 7, k, np.where(k >= 2, 6, 3))
+        carrier[q] *= p.astype(np.int64) ** np.where(k >= 7, k, np.where(k >= 2, 6, 3))
     qs = np.arange(Q + 1, dtype=np.int64)
     w2sq = carrier.astype(np.float64) ** (-1.0 / 3.0)
     w2sq[0] = 0.0

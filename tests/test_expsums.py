@@ -5,8 +5,10 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from cubesquares import expsums
 from cubesquares.errors import VerificationError
 from cubesquares.expsums import (
+    _sn_row,
     batch_is_exact,
     complete_sum_S,
     complete_sum_S_batch,
@@ -74,6 +76,36 @@ def test_Sn_multiplicative():
             assert lhs == pytest.approx(rhs, abs=1e-10)
 
 
+# The per-(q, n) sum over a that the row's DFT replaced, kept as the oracle.
+def _coefficient_Sn_direct(q, n):
+    a = coprime_residues(q)
+    w4 = (complete_sum_S_batch(q)[a] / float(q) ** 3) ** 4
+    phases = np.exp(-2j * np.pi * ((n % q) * a % q) / q)
+    return complex(np.sum(w4 * phases)).real
+
+
+def test_Sn_row_matches_direct_sum():
+    worst = max(
+        abs(coefficient_Sn(q, n) - _coefficient_Sn_direct(q, n))
+        for q in range(1, 201)
+        for n in (0, 36, 64, 1001, 193710244)
+    )
+    assert worst <= 2e-16  # measured 5.6e-17, at q = 7 and n = 36
+
+
+def test_Sn_row_refuses_planted_imaginary_part(monkeypatch):
+    # only a = 1 weighs: the row is e(-n / 7), real at n = 0 and not at n = 1
+    planted = np.zeros(7, dtype=np.complex128)
+    planted[1] = 7.0**3
+    monkeypatch.setattr(expsums, "complete_sum_S_batch", lambda q: planted)
+    _sn_row.cache_clear()
+    try:
+        with pytest.raises(VerificationError, match=r"Sn\(7\) is not near-real at n=1:"):
+            coefficient_Sn(7, 0)
+    finally:
+        _sn_row.cache_clear()
+
+
 def test_series_frozen_values():
     assert truncated_singular_series(36, 64).value == pytest.approx(0.7124479513717952, rel=1e-12)
     assert truncated_singular_series(64, 64).value == pytest.approx(0.09480776667200626, rel=1e-12)
@@ -94,7 +126,7 @@ def test_series_requires_positive_Q():
 
 @pytest.mark.parametrize("n", [0, 36, 64, 1001, 193710244])
 def test_series_terms_match_direct_Sn(n):
-    # the series multiplies prime-power terms; coefficient_Sn stays direct
+    # the series multiplies prime-power terms; coefficient_Sn reads q's own row
     terms = truncated_singular_series(n, 1024).terms
     worst = max(abs(terms[q] - coefficient_Sn(q, n)) for q in range(1, 1025))
     assert worst <= 1e-14

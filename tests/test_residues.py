@@ -152,6 +152,31 @@ def test_kronecker_convolution_matches_list_oracle(bound):
         assert cyclic_convolve(np.zeros(q, np.int64), b, q).tolist() == [0] * q
 
 
+def test_convolution_route_boundary(monkeypatch):
+    # totals multiplying to 2^53 - 1 take float64, 2^53 and 2^54 - 2^28 take Kronecker; each case has an odd
+    # coefficient past 2^52, folded in from the top, and the 2^54 - 2^28 one's is past 2^53, where float64 would
+    # round it.  A route_total of 2^53 sends the first case to Kronecker; one below the product changes nothing.
+    calls = []
+    convolve = np.convolve
+    monkeypatch.setattr(np, "convolve", lambda x, y: calls.append(1) or convolve(x, y))
+    # entries: an odd r and the odd t - r for each total t, so each case's product of big entries is odd
+    cases = [
+        (6361 * 69431, 20394401, 2, 0, True),  # 2^53 - 1 = 6361 * 69431 * 20394401
+        (2**26, 2**27, 1, 0, False),
+        (2**27, 2**27 - 2, 1, 0, False),
+        (6361 * 69431, 20394401, 2, 2**53, False),
+        (2**27, 2**27 - 2, 1, 2**53 - 1, False),
+    ]
+    for ta, tb, r, route_total, direct in cases:
+        a = np.array([r, 0, ta - r], dtype=np.int64)
+        b = np.array([0, tb - r, r], dtype=np.int64)
+        assert (ta - r) * (tb - r) % 2 == 1 and (ta - r) * (tb - r) > 2**52
+        calls.clear()
+        got = cyclic_convolve(a, b, 3, route_total)
+        assert got.tolist() == cyclic_convolve_direct(a.tolist(), b.tolist(), 3)
+        assert bool(calls) == direct, (ta, tb, route_total)
+
+
 def test_square_pushforward():
     c = cube_residue_counts(7)
     s = square_pushforward(c, 7)
