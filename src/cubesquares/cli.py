@@ -159,7 +159,10 @@ def cmd_local(args, cfg: RunConfig, out: Path) -> int:
 
 
 # The --f-sweep grid is alpha = floor(i * D / points) / D; D is prime, so
-# every nonzero alpha has denominator exactly D.
+# every nonzero alpha has denominator exactly D.  It meets the arcs only at
+# alpha = 0 while 1009 X < N and X < 1009 (P from 4 to 5656 on both
+# dissections): a/1009 with a != 0 lies at least 1 / (1009 q) from every b/q
+# with q <= X, farther than the arc's half-width X / (q N).
 F_GRID_DENOMINATOR = 1009
 
 
@@ -388,7 +391,8 @@ def build_parser(defaults: dict | None = None) -> argparse.ArgumentParser:
     pa.add_argument("--samples", type=positive_int, default=32,
                     help="n sampled on a stride by --window-mass (the stride aliases with S(n), see ROADMAP item 1)")
     pa.add_argument("--f-sweep", dest="f_sweep", action="store_true",
-                    help=f"residual F at --sweep-points alpha = a/{F_GRID_DENOMINATOR}")
+                    help=f"residual F at --sweep-points alpha = a/{F_GRID_DENOMINATOR}; for P = 4 to 5656 this grid "
+                         "meets the arcs only at alpha = 0, so off it the model columns are 0")
     pa.add_argument("--wide", action="store_true", help="--f-sweep on the wide dissection instead of the narrow one")
     pa.add_argument("--Q", type=modulus, default=64, help="series truncation")
     pa.add_argument("--N", type=int, default=8**6)

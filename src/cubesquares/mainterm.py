@@ -41,7 +41,7 @@ from .cubesieve import reserve
 from .errors import CapacityError, QuadratureError
 from .oscillatory import gauss_rule
 from .params import Family, Params
-from .weights import WeightTable, _outer_sum, count_dtype, smooth_cube_pairs, table_bytes
+from .weights import WeightTable, _outer_sum, count_bound, count_dtype, smooth_cube_pairs, table_bytes
 
 # -- exact counts --------------------------------------------------------------
 
@@ -89,11 +89,13 @@ class RnEvaluator:
     def __init__(self, table_a: WeightTable, table_b: WeightTable, primes: list[int]):
         m, top = len(primes), _max_n(table_a, table_b, primes)
         square = table_a.max_value**2
-        bits = ((m * int(table_b.counts.max(initial=0))) ** 2).bit_length()  # beside each packed bb key
+        b_top = m * int(table_b.counts.max(initial=0))  # b sums at most m counts at one key, one per prime
+        bits = (b_top**2).bit_length()  # beside each packed bb key
         total = (table_a.total * m * table_b.total) ** 2
         if top >> 63 or total >> 63 or (top - 2 * square).bit_length() + bits > 63:
             raise CapacityError(f"R(n) keys to {top}, bb keys beside {bits} count bits or sum {total} overflow int64")
-        reserve(rn_bytes(len(table_a), m * len(table_b), (m * table_b.total) ** 2), "R(n) sweep and thin self-sum")
+        b_sum = m * table_b.total
+        reserve(rn_bytes(len(table_a), m * len(table_b), count_bound(b_sum, b_top, b_sum, b_top)), "R(n) sweep and thin self-sum")
         self.a, (kb, cb) = _square_series(table_a, table_b, primes)
         self.bb = _outer_sum(kb, cb, kb, cb)
         self.total = total  # sum_n R(n) = (a total)^2 * (|primes| b total)^2
@@ -108,7 +110,7 @@ class RnEvaluator:
         if hi < lo or not self.total:
             return 0
         (ka, ca), (kb, cb) = self.a, self.bb
-        ca = ca.astype(np.int64)  # the counts may be int32; F(t) and its matmul are int64 work
+        ca = ca.astype(np.int64)  # the counts may be int16 or int32; F(t) and its matmul are int64 work
         pre = np.concatenate(([0], np.cumsum(ca)))
         t = np.concatenate((hi - kb, lo - 1 - kb))
         f = np.empty(t.size, np.int64)  # F(t)
@@ -122,13 +124,14 @@ class RnEvaluator:
         return int(cb @ (f[: kb.size] - f[kb.size :]))
 
 
-def rn_bytes(k: int, nb: int, total: int) -> int:
-    """Upper bound on the bytes `RnEvaluator` holds for k bulk squares and nb thin terms of pair mass `total`.
+def rn_bytes(k: int, nb: int, top: int) -> int:
+    """Upper bound on the bytes `RnEvaluator` holds for k bulk squares and nb thin terms whose self-sum counts reach `top`.
 
-    Building bb, the thin self-sum of mass `total`, takes
-    `table_bytes(nb, nb, total, split=False)`, whose scratch is freed before any sweep;
-    bb then keeps at most 8 + w bytes per pair of thin terms, w the width of
-    `count_dtype(total)`, and its <= nb (nb + 1) / 2 keys give twice as many
+    `top` bounds bb's largest count, not its total.  Building bb, the thin
+    self-sum, takes `table_bytes(nb, nb, top, split=False)`, whose scratch
+    is freed before any sweep; bb then keeps at most 8 + w bytes per pair
+    of thin terms, w the width of `count_dtype(top)` (2 while `top` is
+    below 2^15), and its <= nb (nb + 1) / 2 keys give twice as many
     t.  A sweep block of r rows of k entries takes 16 bytes per entry
     (differences, then prefix sums, and indices), beside 24 per t and the
     bulk counts widened to int64, 8 per square.  Both phases hold 16 bytes
@@ -136,8 +139,8 @@ def rn_bytes(k: int, nb: int, total: int) -> int:
     """
     ts = nb * (nb + 1)
     rows = max(1, min(weights.BUCKET // max(k, 1), ts))
-    sweep = (8 + count_dtype(total).itemsize) * nb * nb + 16 * rows * k + 24 * ts + 8 * k
-    return max(table_bytes(nb, nb, total, split=False), sweep) + 16 * k + 5 * 2**10
+    sweep = (8 + count_dtype(top).itemsize) * nb * nb + 16 * rows * k + 24 * ts + 8 * k
+    return max(table_bytes(nb, nb, top, split=False), sweep) + 16 * k + 5 * 2**10
 
 
 def toy_tables() -> tuple[WeightTable, WeightTable, list[int]]:

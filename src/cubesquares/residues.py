@@ -5,10 +5,10 @@ counting vectors D[t] = #{x mod q : f(x) = t}, f a cube, a sum of cubes,
 or a square of such; sums of independent coordinates convolve them
 cyclically.  Each is a numpy int64 array (T's counts sum to q^3 < 2^63
 for q < 2^21), read-only once cached.  A convolution whose totals
-multiply below 2^53 runs directly in float64 (`np.convolve`), where every
-product and partial sum is an integer that float64 holds exactly: T mod q
-for q < 208 064 (both of T's convolutions take the route of q^3) and the
-two-fold T^2 tables for q < 457.  Larger totals use Kronecker
+multiply below 2^53, at a modulus below DIRECT_BELOW_MODULUS, runs
+directly in float64 (`np.convolve`), where every product and partial sum
+is an integer that float64 holds exactly: T mod q for q < 30 000 and the
+two-fold T^2 tables for q < 457.  Larger totals and moduli use Kronecker
 substitution: counts in carry-free byte slots of one big integer, one
 exact multiplication, the product read back in 8-byte limbs.  The
 schoolbook O(q^2) oracle is in tests/test_residues.py.
@@ -26,6 +26,16 @@ from .cubesieve import reserve
 from .errors import CapacityError
 
 MAX_MODULUS = 2**21  # the least q with q^3 >= 2^63
+
+# The direct route costs O(q^2) and Kronecker's big-integer product less: T's two convolutions took
+# no longer by Kronecker from about q = 3 * 10^4 on, on a 2-core Xeon VM (0.27 s both at 3 * 10^4, direct
+# 1.06 against 0.90 s at 6.5 * 10^4, 2.4 against 2.3 s at 10^5, 4.1 against 3.7 s at 1.3 * 10^5).
+DIRECT_BELOW_MODULUS = 30_000
+
+
+def _direct(q: int, total: int) -> bool:
+    """Whether a convolution mod q of totals multiplying to `total` takes the float64 route."""
+    return total < 2**53 and q < DIRECT_BELOW_MODULUS
 
 
 def cube_residue_counts(q: int) -> np.ndarray:
@@ -69,24 +79,23 @@ def _unpack(packed: int, q: int, slot: int, total: int) -> np.ndarray:
     return out
 
 
-def cyclic_convolve(a: np.ndarray, b: np.ndarray, q: int, route_total: int = 0) -> np.ndarray:
+def cyclic_convolve(a: np.ndarray, b: np.ndarray, q: int) -> np.ndarray:
     """Exact cyclic convolution of non-negative int64 vectors.
 
     Each vector must sum below 2^63.  Coefficients of the linear product and
     every partial sum of them are bounded by total(a) * total(b).  Below
     2^53 they are integers that float64 holds exactly, in any summation
-    order, so `np.convolve` of float64 copies is exact.  From 2^53 on,
-    Kronecker substitution: a byte slot as wide as that bound can never
-    carry across entries.  The result is int64 while the bound is below
-    2^63, else an object array of Python ints.  A vector convolved with
-    itself is converted or packed once.  `route_total` > total(a) * total(b)
-    picks the route in its place, so a chain of convolutions can take the
-    route of its final total; it never sends a product past 2^53 to float64.
+    order, so `np.convolve` of float64 copies is exact; it runs while q is
+    below DIRECT_BELOW_MODULUS, past which its O(q^2) cost loses.
+    Otherwise, Kronecker substitution: a byte slot as wide as that bound
+    can never carry across entries.  The result is int64 while the bound
+    is below 2^63, else an object array of Python ints.  A vector
+    convolved with itself is converted or packed once.
     """
     if a.shape != (q,) or b.shape != (q,) or a.min() < 0 or b.min() < 0:
         raise ValueError("inputs must be non-negative and of length q")
     total = int(a.sum()) * int(b.sum())
-    if max(total, route_total) < 2**53:
+    if _direct(q, total):
         fa = a.astype(np.float64)
         lin = np.convolve(fa, fa if b is a else b.astype(np.float64))
         lin[: q - 1] += lin[q:]  # fold the 2q - 1 coefficients mod q; each sum stays below 2^53
@@ -105,11 +114,12 @@ def distribution_bytes(q: int, power: int) -> int:
     """Upper bound on the bytes held while distributions mod q are convolved up to totals q^power.
 
     The inputs take 16 bytes per residue and `np.add.at` 2^13 bytes.  While
-    q^power < 2^53 every convolution is direct: float64 copies of both
-    inputs, the reversed copy `np.convolve` makes and the 2q - 1 products,
-    40 bytes per residue (tracemalloc peaks of 56.0 to 65.7 bytes per
-    residue in all, for q from 97 to 2 * 10^5).  From 2^53 on, the widest
-    product is a Kronecker one, which outweighs the direct ones before it:
+    q^power < 2^53 and q < DIRECT_BELOW_MODULUS every convolution is
+    direct, as `cyclic_convolve` decides: float64 copies of both inputs,
+    the reversed copy `np.convolve` makes and the 2q - 1 products, 40 bytes
+    per residue (tracemalloc peaks of 56.0 to 65.7 bytes per residue in
+    all, for q from 97 to 2 * 10^5).  Otherwise the widest product is a
+    Kronecker one, which outweighs any direct one before it:
     with s-byte slots its multiplication takes 13 s bytes per residue (10 s
     for a square, as the even powers are), and past 2^63 the Python ints
     rebuilt from limbs about 140.  Fitted to tracemalloc peaks for q from
@@ -118,7 +128,7 @@ def distribution_bytes(q: int, power: int) -> int:
     for the two-fold table at q from 457 to 10^4, and 0.99 for T at
     q = 208 067.
     """
-    if q**power < 2**53:
+    if _direct(q, q**power):
         return q * (16 + 40) + 2**13
     slot = ((q**power).bit_length() + 7) // 8 + 1
     product = (10 if power % 2 == 0 else 13) * slot
@@ -143,9 +153,8 @@ def t_distribution(q: int) -> np.ndarray:
     """D3[t] = #{(x1, x2, x3) mod q : x1^3 + x2^3 + x3^3 = t}; sums to q^3."""
     reserve_distribution(q, 3, f"T residue distribution mod {q}")
     c = cube_residue_counts(q)
-    # both convolutions take the route of the total q^3: alone, c * c would stay direct,
-    # at O(q^2), up to q ~ 10^8, where Kronecker is far faster (25 s against 289 s mod 97^3)
-    return _read_only(cyclic_convolve(cyclic_convolve(c, c, q, q**3), c, q))
+    # both convolutions take one route: q^3 < 2^53 for every q below DIRECT_BELOW_MODULUS
+    return _read_only(cyclic_convolve(cyclic_convolve(c, c, q), c, q))
 
 
 @lru_cache(maxsize=512)

@@ -29,12 +29,14 @@ writers) take int64 values one BUCKET block at a time from
 `WeightTable.blocks`.  The smooth pair sums and R(n)'s thin self-sum keep
 `_outer_sum`'s int64 output, since their keys reach 2^63.
 
-Counts are stored in `count_dtype(total)`: int32 while the table's total
-mass h(0) is below 2^31, else int64.  No count, product or run sum exceeds
-the total, and every reader widens before it computes.  At P = 10^4 the
-bulk table has 11.4M entries of total mass 22 445 000 in 8 bytes per entry
-(uint32 low word, int32 count), and the build holds those output entries
-plus one bucket; `table_bytes` is the capacity guard's estimate of it.
+Counts are stored in `count_dtype` of the largest count, not the total:
+int16 while it is below 2^15, int32 below 2^31, else int64.  The build
+knows a bound on it before it allocates, which no count, product or run
+sum exceeds, and every reader widens before it computes.  At P = 10^4 the
+bulk table has 11.4M entries of total mass 22 445 000, whose largest count
+is 8 and bound 4 489, in 6 bytes per entry (uint32 low word, int16 count),
+and the build holds those output entries plus one bucket; `table_bytes`
+is the capacity guard's estimate of it.
 
 Disk formats: a little-endian binary record (magic WCL1) and a CSV with
 header ``value,multiplicity``; a JSON sidecar carries provenance fields.
@@ -61,13 +63,33 @@ MAGIC = b"WCL1"
 BUCKET = 1 << 16
 
 
-def count_dtype(total: int) -> np.dtype:
-    """The dtype of a table's counts: int32 while its total mass fits int32, else int64.
+def count_dtype(top: int) -> np.dtype:
+    """The narrowest of int16, int32 and int64 that holds `top`, the largest count an array can take.
 
-    Every count, and every product or run sum that `_bucket` forms, is at
-    most the total, so the narrow type holds them all exactly.
+    `top` is the largest count, not the total: a table's counts are sized
+    by its largest count, and `_outer_sum`'s by `count_bound`, which every
+    count, product and run sum that `_bucket` forms stays within.
     """
-    return np.dtype(np.int32 if total < 2**31 else np.int64)
+    return np.dtype(np.int16 if top < 2**15 else np.int32 if top < 2**31 else np.int64)
+
+
+def count_bound(sum_x: int, top_x: int, sum_y: int, top_y: int) -> int:
+    """The largest count an outer sum x_i + y_j can give one value: min(sum_x top_y, sum_y top_x).
+
+    sum_s is side s's total count and top_s its largest summed count of one
+    value (its largest count when its values are distinct).  A value v
+    collects cx_i times the summed count of y at v - x_i over the rows i,
+    so at most sum_x top_y, and by symmetry sum_y top_x.
+    """
+    return min(sum_x * top_y, sum_y * top_x)
+
+
+def _largest_run(v: np.ndarray, c: np.ndarray) -> int:
+    """The largest summed count of one value of the sorted v, 0 when v is empty."""
+    if v.size == 0:
+        return 0
+    heads = np.flatnonzero(v[1:] != v[:-1]) + 1
+    return int(np.add.reduceat(c, np.concatenate(([0], heads)), dtype=np.int64).max())
 
 
 class WeightTable:
@@ -77,9 +99,10 @@ class WeightTable:
     a sparse segment index: `high` holds each distinct high word v >> 32 in
     increasing order and `starts` the index of its first entry, so entry i
     of segment s, starts[s] <= i < starts[s + 1], has the value
-    high[s] 2^32 + low[i].  The counts are stored in `count_dtype` of their
-    sum.  With int32 counts a table takes 8 bytes per entry and 16 per
-    segment: 569 segments for the 11.4M entries at P = 10^4.
+    high[s] 2^32 + low[i].  The counts are stored in `count_dtype` of the
+    largest count, not the total.  With int16 counts a table takes 6 bytes
+    per entry and 16 per segment: 569 segments for the 11.4M entries at
+    P = 10^4.
 
     `WeightTable(role, support, counts)` splits a sorted int64 support, and
     `from_split` takes the split arrays as they are.  Readers take the int64
@@ -107,7 +130,7 @@ class WeightTable:
         self.high = np.asarray(high, dtype=np.int64)
         self.starts = np.asarray(starts, dtype=np.int64)
         counts = np.asarray(counts)
-        if counts.dtype != np.int32:
+        if counts.dtype not in (np.int16, np.int32):
             counts = counts.astype(np.int64, copy=False)
         n, k = self.low.size, self.high.size
         if self.low.shape != counts.shape or self.low.ndim != 1:
@@ -122,7 +145,7 @@ class WeightTable:
             raise ValueError("support must be strictly increasing")
         if counts.min(initial=1) <= 0:
             raise ValueError("multiplicities must be positive")
-        self.counts = np.ascontiguousarray(counts, dtype=count_dtype(int(counts.sum())))
+        self.counts = np.ascontiguousarray(counts, dtype=count_dtype(int(counts.max(initial=0))))
 
     @property
     def total(self) -> int:
@@ -220,7 +243,7 @@ def _outer_sum(x: np.ndarray, cx: np.ndarray, y: np.ndarray, cy: np.ndarray, spl
     """Distinct x_i + y_j in increasing order and the summed cx_i * cy_j of each.
 
     x and y are sorted non-negative int64 arrays, whose values may repeat,
-    and cx, cy their positive int32 or int64 counts.  The |x| |y| raw sums
+    and cx, cy their positive integer counts.  The |x| |y| raw sums
     are never formed at once.  The value axis is cut into ranges of at most
     BUCKET raw sums, each range's width scaled from the fill of the one
     before, and `searchsorted` gives each row's part lo_i <= j < hi_i of a
@@ -228,8 +251,8 @@ def _outer_sum(x: np.ndarray, cx: np.ndarray, y: np.ndarray, cy: np.ndarray, spl
     the shorter side, so a range costs O(|x|) beyond its raw sums.  Each raw
     sum becomes the int64 key (x_i + y_j) << sh | cx_i * cy_j, and `_bucket`
     reduces a range's keys into the output, which is preallocated at one
-    entry per raw sum, its counts in the `count_dtype` of the total
-    sum(cx) sum(cy), and trimmed in place at the end.  Both sides are
+    entry per raw sum, its counts in the `count_dtype` of their
+    `count_bound`, and trimmed in place at the end.  Both sides are
     shifted once.  When one side's counts are all 1, the other side's
     counts are or-ed into its shifted values, and each key's count arrives
     with its terms; only when neither side is all ones does `_bucket`
@@ -247,7 +270,8 @@ def _outer_sum(x: np.ndarray, cx: np.ndarray, y: np.ndarray, cy: np.ndarray, spl
         x, cx, y, cy = y, cy, x, cx  # each bucket costs O(rows): take the shorter side
     raw = x.size * y.size
     sup = np.empty(raw, np.uint32 if split else np.int64)
-    cnt = np.empty(raw, count_dtype(int(cx.sum()) * int(cy.sum())))
+    top = count_bound(int(cx.sum()), _largest_run(x, cx), int(cy.sum()), _largest_run(y, cy))
+    cnt = np.empty(raw, count_dtype(top))
     high: list[int] = []
     starts: list[int] = []
     if raw == 0:
@@ -310,9 +334,9 @@ def _bucket(xs, ys, counts, lo, hi, sh: int, scratch, sup: np.ndarray, cnt: np.n
     need not be stable.  The value and count at each run's end are written
     straight to the output; the counts of the other entries, rare in these
     tables, are added to their runs with one `np.add.at`.  Every count
-    product and run sum is at most the table's total, so cnt's dtype holds
-    it exactly.  The largest allocation is one repeat of a row quantity or
-    the run ends, 8m bytes.
+    product and run sum is at most the `count_bound` that sized cnt, so
+    cnt's dtype holds it exactly.  The largest allocation is one repeat of
+    a row quantity or the run ends, 8m bytes.
     """
     key, last, step = scratch
     m = key.size
@@ -334,7 +358,7 @@ def _bucket(xs, ys, counts, lo, hi, sh: int, scratch, sup: np.ndarray, cnt: np.n
     ends = np.flatnonzero(last)
     d, mask = ends.size, (1 << sh) - 1
     run = np.take(key, ends, out=sup[:d], mode="clip")
-    cnt[:d] = run  # an int32 cnt keeps each key's low 32 bits, and the count is in its low sh <= 31
+    cnt[:d] = run  # an int16 or int32 cnt keeps each key's low 16 or 32 bits, and the count is in its low sh <= 15 or 31
     cnt[:d] &= mask
     run >>= sh
     if d < m:
@@ -359,8 +383,8 @@ def build_weight_table(params: Params, role: str) -> WeightTable:
         return WeightTable(role=role, support=np.empty(0, np.int64), counts=np.empty(0, np.int64))
 
     pair_sup, pair_cnt = smooth_cube_pairs(family.smooth_box, params.R)
-    total = len(leading) * int(pair_cnt.sum())
-    reserve(table_bytes(len(leading), pair_sup.size, total), f"weight table role={role} ({len(leading)} x {pair_sup.size})")
+    top = count_bound(len(leading), 1, int(pair_cnt.sum()), int(pair_cnt.max()))  # the cubes are distinct, the pair sums too
+    reserve(table_bytes(len(leading), pair_sup.size, top), f"weight table role={role} ({len(leading)} x {pair_sup.size})")
     cubes = np.arange(leading.start, leading.stop, dtype=np.int64) ** 3
     return WeightTable.from_split(role, *_outer_sum(cubes, np.ones(cubes.size, np.int64), pair_sup, pair_cnt, split=True))
 
@@ -372,14 +396,15 @@ def smooth_cube_pairs(box: int, R: int) -> tuple[np.ndarray, np.ndarray]:
     return _outer_sum(c, ones, c, ones)
 
 
-def table_bytes(leading: int, pairs: int, total: int, split: bool = True) -> int:
-    """Upper bound on the bytes `_outer_sum` holds for a `leading` x `pairs` table of mass `total`, inputs included.
+def table_bytes(leading: int, pairs: int, top: int, split: bool = True) -> int:
+    """Upper bound on the bytes `_outer_sum` holds for a `leading` x `pairs` table whose `count_bound` is `top`, inputs included.
 
-    The output is preallocated at one value and one `count_dtype(total)`
-    count per raw sum.  A value takes 4 bytes in the split layout that
-    `build_weight_table` asks for, so an entry takes 8 bytes while the
-    total fits int32, else 12; with `split` false it takes 8 (int64), so
-    12, else 16.  A bucket of m <= BUCKET raw sums adds 25 bytes per
+    The output is preallocated at one value and one `count_dtype(top)`
+    count per raw sum: the largest count, not the total, sizes it.  A value
+    takes 4 bytes in the split layout that `build_weight_table` asks for,
+    so an entry takes 4 + 2 = 6 bytes while `top` is below 2^15, as at
+    P = 10^4, 8 below 2^31 and 12 beyond; with `split` false a value takes
+    8 (int64).  A bucket of m <= BUCKET raw sums adds 25 bytes per
     entry: the reused key, flag and step arrays (17) and one 8m-byte repeat
     of a row quantity or of the run ends, plus 8 KiB for the buffers of
     `np.add.at`; the split build adds its reused int64 values, 8 more.
@@ -389,11 +414,11 @@ def table_bytes(leading: int, pairs: int, total: int, split: bool = True) -> int
     row of the shorter side.
     The fixed per-call term, 5 KiB fitted to tracemalloc in a fresh
     process, covers what does not scale with the entries: the array headers
-    and numpy's first-use state, which the int32 count loops enlarge.
+    and numpy's first-use state, which the narrow count loops enlarge.
     """
     raw = leading * pairs
     per_entry = 24 * (leading + pairs) + 40 * min(leading, pairs)
-    out = ((4 if split else 8) + count_dtype(total).itemsize) * raw
+    out = ((4 if split else 8) + count_dtype(top).itemsize) * raw
     return out + (33 if split else 25) * min(raw, BUCKET) + 2**13 + per_entry + 5 * 2**10
 
 
@@ -448,28 +473,28 @@ def _write_sidecar(table: WeightTable, path: Path, fmt: str, meta: dict | None) 
 
 
 class _TableFill:
-    """A loader's table, filled block by block in the split layout, its counts in `count_dtype` of the running total.
+    """A loader's table, filled block by block in the split layout, its counts in `count_dtype` of the largest so far.
 
     Each block's values go in as their low words and the segments their
     high words open; values out of order or outside [0, 2^63) give a
     segment index or low words that `WeightTable` rejects.  The counts
-    start as int32 and widen to int64 once, when the total reaches 2^31.  A
-    count outside [1, 2^31) widens them too: in a valid table such a count
-    alone takes the total past int32, and an invalid one reaches
-    `WeightTable` unwrapped, which rejects it.
+    start as int16 and widen once, when a block's largest count passes
+    their dtype, to the dtype of that count.  A block with a count below 1
+    widens them to int64, so that an invalid count (a uint64 one past 2^63
+    reads as negative) reaches `WeightTable` unwrapped, which rejects it.
     """
 
     def __init__(self, n: int):
         self.low, self.high, self.starts = np.empty(n, np.uint32), [], []
-        self.counts, self.total = np.empty(n, count_dtype(0)), 0
+        self.counts = np.empty(n, count_dtype(0))
 
     def put(self, i: int, values: np.ndarray, counts: np.ndarray) -> None:
         self.low[i : i + values.size] = values  # the low 32 bits
         _mark_segments(values >> 32, i, self.high, self.starts)
         if self.counts.dtype != np.int64:
-            self.total += int(counts.sum())  # exact: the block's counts are below 2^31 unless it widens
-            if count_dtype(self.total) == np.int64 or not 1 <= counts.min() <= counts.max() < 2**31:
-                self.counts = self.counts.astype(np.int64)
+            dtype = count_dtype(int(counts.max()) if counts.min() >= 1 else 2**63)
+            if dtype.itemsize > self.counts.itemsize:
+                self.counts = self.counts.astype(dtype)
         self.counts[i : i + counts.size] = counts
 
     def table(self, role: str, n: int) -> WeightTable:

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from cubesquares import residues
 from cubesquares.cubesieve import BUDGET_ENV
 from cubesquares.errors import CapacityError
 from cubesquares.localsolve import _two_fold_square_distribution, local_count_Mn
@@ -152,29 +153,56 @@ def test_kronecker_convolution_matches_list_oracle(bound):
         assert cyclic_convolve(np.zeros(q, np.int64), b, q).tolist() == [0] * q
 
 
-def test_convolution_route_boundary(monkeypatch):
-    # totals multiplying to 2^53 - 1 take float64, 2^53 and 2^54 - 2^28 take Kronecker; each case has an odd
-    # coefficient past 2^52, folded in from the top, and the 2^54 - 2^28 one's is past 2^53, where float64 would
-    # round it.  A route_total of 2^53 sends the first case to Kronecker; one below the product changes nothing.
+def _spy_convolve(monkeypatch) -> list:
+    """Record each `np.convolve` call, the direct route's one per convolution."""
     calls = []
     convolve = np.convolve
     monkeypatch.setattr(np, "convolve", lambda x, y: calls.append(1) or convolve(x, y))
+    return calls
+
+
+def test_convolution_route_boundary(monkeypatch):
+    # totals multiplying to 2^53 - 1 take float64, 2^53 and 2^54 - 2^28 take Kronecker; each case has an odd
+    # coefficient past 2^52, folded in from the top, and the 2^54 - 2^28 one's is past 2^53, where float64 would
+    # round it
+    calls = _spy_convolve(monkeypatch)
     # entries: an odd r and the odd t - r for each total t, so each case's product of big entries is odd
     cases = [
-        (6361 * 69431, 20394401, 2, 0, True),  # 2^53 - 1 = 6361 * 69431 * 20394401
-        (2**26, 2**27, 1, 0, False),
-        (2**27, 2**27 - 2, 1, 0, False),
-        (6361 * 69431, 20394401, 2, 2**53, False),
-        (2**27, 2**27 - 2, 1, 2**53 - 1, False),
+        (6361 * 69431, 20394401, 2, True),  # 2^53 - 1 = 6361 * 69431 * 20394401
+        (2**26, 2**27, 1, False),
+        (2**27, 2**27 - 2, 1, False),
     ]
-    for ta, tb, r, route_total, direct in cases:
+    for ta, tb, r, direct in cases:
         a = np.array([r, 0, ta - r], dtype=np.int64)
         b = np.array([0, tb - r, r], dtype=np.int64)
         assert (ta - r) * (tb - r) % 2 == 1 and (ta - r) * (tb - r) > 2**52
         calls.clear()
-        got = cyclic_convolve(a, b, 3, route_total)
+        got = cyclic_convolve(a, b, 3)
         assert got.tolist() == cyclic_convolve_direct(a.tolist(), b.tolist(), 3)
-        assert bool(calls) == direct, (ta, tb, route_total)
+        assert bool(calls) == direct, (ta, tb)
+
+
+def test_convolution_route_by_modulus(monkeypatch):
+    # with the crossover moved down to q = 12, q = 11 takes float64 and q = 12 Kronecker, far below 2^53;
+    # T's two convolutions and the memory estimate take the same route
+    calls = _spy_convolve(monkeypatch)
+    monkeypatch.setattr(residues, "DIRECT_BELOW_MODULUS", 12)
+    rng = np.random.default_rng(12)
+    try:
+        for q, direct in ((11, True), (12, False)):
+            a, b = rng.integers(0, 1000, size=q), rng.integers(0, 1000, size=q)
+            for x, y in ((a, b), (a, a)):
+                calls.clear()
+                assert cyclic_convolve(x, y, q).tolist() == cyclic_convolve_direct(x.tolist(), y.tolist(), q)
+                assert bool(calls) == direct, q
+            t_distribution.cache_clear()
+            calls.clear()
+            c = cube_residue_counts(q).tolist()
+            assert t_distribution(q).tolist() == cyclic_convolve_direct(cyclic_convolve_direct(c, c, q), c, q)
+            assert len(calls) == (2 if direct else 0)
+            assert (distribution_bytes(q, 3) == q * (16 + 40) + 2**13) == direct
+    finally:
+        t_distribution.cache_clear()
 
 
 def test_square_pushforward():

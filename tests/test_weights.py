@@ -18,6 +18,7 @@ from cubesquares.smooth import enumerate_smooth
 from cubesquares.weights import (
     WeightTable,
     build_weight_table,
+    count_bound,
     count_dtype,
     load_binary,
     load_csv,
@@ -65,7 +66,7 @@ def test_table_matches_aggregation_oracle(P, role):
     pp = derive_params(P**6)
     got = build_weight_table(pp, role)
     want = _table_oracle(pp, role)
-    assert got.counts.dtype == np.int32  # every total here is below 2^31
+    assert got.counts.dtype == np.int16  # every largest count here is below 2^15
     assert got.support.dtype == want.support.dtype and got.counts.dtype == want.counts.dtype
     assert np.array_equal(got.support, want.support)
     assert np.array_equal(got.counts, want.counts)
@@ -187,19 +188,24 @@ def test_digests_hash_the_counts_as_int64(monkeypatch, bucket):
     assert table_digest(build_weight_table(pp, "b")) == "6d98c91f37a4da9b"
 
 
-def test_count_dtype_is_int32_while_the_total_fits():
-    assert count_dtype(0) == count_dtype(2**31 - 1) == np.int32
+def test_count_dtype_is_the_narrowest_that_holds_the_top_count():
+    assert count_dtype(0) == count_dtype(2**15 - 1) == np.int16
+    assert count_dtype(2**15) == count_dtype(2**31 - 1) == np.int32
     assert count_dtype(2**31) == count_dtype(2**62) == np.int64
 
 
-def test_tables_store_counts_in_the_dtype_of_their_total():
-    c32 = np.array([1, 2], np.int32)
-    assert np.shares_memory(WeightTable("a", (3, 5), c32).counts, c32)  # no copy when the dtype already fits
-    assert WeightTable("a", (3, 5), (1, 2)).counts.dtype == np.int32
-    wide = WeightTable("a", (3, 5), (2**31 - 1, 1))
-    assert wide.counts.dtype == np.int64 and wide.total == 2**31
+def test_tables_store_counts_in_the_dtype_of_their_largest_count():
+    c16 = np.array([1, 2], np.int16)
+    assert np.shares_memory(WeightTable("a", (3, 5), c16).counts, c16)  # no copy when the dtype already fits
+    assert WeightTable("a", (3, 5), (1, 2)).counts.dtype == np.int16
+    # the largest count, not the total: 2 (2^15 - 1) passes int16, and its counts stay int16
+    tall = WeightTable("a", (3, 5), (2**15 - 1, 2**15 - 1))
+    assert tall.counts.dtype == np.int16 and tall.total == 2**16 - 2
+    assert WeightTable("a", (3, 5), (2**15, 1)).counts.dtype == np.int32
+    wide = WeightTable("a", (3, 5), (2**31, 1))
+    assert wide.counts.dtype == np.int64 and wide.total == 2**31 + 1
     with pytest.raises(ValueError):
-        WeightTable("a", (3,), (-(2**32) + 1,))  # a wrapped int32 cast would read it as 1
+        WeightTable("a", (3,), (-(2**32) + 1,))  # a wrapped int32 or int16 cast would read it as 1
 
 
 @pytest.mark.parametrize("dtype", [np.int32, np.int64])
@@ -212,58 +218,91 @@ def test_tables_store_counts_in_the_dtype_of_their_total():
         # neither side all ones: count products, then their run sum
         ((2**14, 2**14 - 1), (2**15, 2**15 + 1), np.int32),
         ((2**14, 2**14 - 1), (2**15, 2**15 + 3), np.int64),
+        # the int16 edge: a count bound of 2^15 - 1, then 2^15
+        ((2**14, 2**14 - 1), (1,), np.int16),
+        ((2**14, 2**14), (1,), np.int32),
     ],
 )
 def test_outer_sum_counts_at_the_int32_edge(cx, cy, want, dtype):
+    # one value takes every raw sum, so its count, the total and the count bound are one number
     total = sum(cx) * sum(cy)
-    assert (total < 2**31) == (want == np.int32)
+    assert count_bound(sum(cx), sum(cx), sum(cy), sum(cy)) == total and count_dtype(total) == want
     x, y = np.full(len(cx), 3, np.int64), np.full(len(cy), 5, np.int64)
     cx, cy = np.array(cx, dtype), np.array(cy, dtype)
+    want_sup, want_cnt = _one_sort_oracle(x, cx, y, cy)
     for args in ((x, cx, y, cy), (y, cy, x, cx)):
         sup, cnt = weights._outer_sum(*args)
         assert cnt.dtype == want and sup.tolist() == [8] and cnt.tolist() == [total]
+        assert np.array_equal(sup, want_sup) and np.array_equal(cnt, want_cnt)
 
 
-def _widened(table: WeightTable) -> WeightTable:
-    """The same table with its counts stored as int64, as a table of mass 2^31 or more stores them."""
+def test_outer_sum_sizes_counts_by_the_largest_count_not_the_total():
+    # distinct values: total 2^14 * 3 passes int16, but no value collects more than 2^14 = min(3 * 2^14, 1 * 2^14)
+    x, cx = np.array([3, 4, 9], np.int64), np.full(3, 2**14, np.int64)
+    y, cy = np.array([5], np.int64), np.ones(1, np.int64)
+    sup, cnt = weights._outer_sum(x, cx, y, cy)
+    assert cnt.dtype == np.int16 and sup.tolist() == [8, 9, 14] and cnt.tolist() == [2**14] * 3
+    # repeated values sum their counts on one side: the bound reads 2 + 3 there
+    assert weights._largest_run(np.array([1, 2, 2, 7]), np.array([4, 2, 3, 1])) == 5
+    assert weights._largest_run(np.empty(0, np.int64), np.empty(0, np.int64)) == 0
+
+
+def _widened(table: WeightTable, dtype) -> WeightTable:
+    """The same table with its counts stored in `dtype`, as a table with a larger count stores them."""
     wide = WeightTable(table.role, table.support, table.counts)
-    wide.counts = table.counts.astype(np.int64)
+    wide.counts = table.counts.astype(dtype)
     return wide
 
 
 def test_readers_agree_on_int32_and_int64_counts(tmp_path):
     scale = Scale(27**6)
     ta, tb, primes, N = scale.table_a, scale.table_b, scale.primes, scale.params.N
-    wa, wb = _widened(ta), _widened(tb)
-    assert ta.counts.dtype == tb.counts.dtype == np.int32 and wa.counts.dtype == wb.counts.dtype == np.int64
-    assert wa.total == ta.total and wb.total == tb.total
-    for alpha in (Fraction(0), Fraction(5, 7)):
-        assert eval_h(alpha, wa) == eval_h(alpha, ta)
-        assert eval_W(alpha, wb, primes) == eval_W(alpha, tb, primes)
-    mass = RnEvaluator(ta, tb, primes).window_mass(N // 2, N)
-    assert mass == RnEvaluator(wa, wb, primes).window_mass(N // 2, N) == 2_737_855
-    for side, table in (("narrow", ta), ("wide", wa)):
-        (tmp_path / side).mkdir()
-        save_binary(table, tmp_path / side / "t.wcl")
-        save_csv(table, tmp_path / side / "t.csv")
+    assert ta.counts.dtype == tb.counts.dtype == np.int16
+    sides = {"int16": (ta, tb), **{np.dtype(d).name: (_widened(ta, d), _widened(tb, d)) for d in (np.int32, np.int64)}}
+    for name, (wa, wb) in sides.items():
+        assert wa.counts.dtype == wb.counts.dtype == name
+        assert wa.total == ta.total and wb.total == tb.total and table_digest(wa) == table_digest(ta)
+        for alpha in (Fraction(0), Fraction(5, 7)):
+            assert eval_h(alpha, wa) == eval_h(alpha, ta)
+            assert eval_W(alpha, wb, primes) == eval_W(alpha, tb, primes)
+        assert RnEvaluator(wa, wb, primes).window_mass(N // 2, N) == 2_737_855
+        (tmp_path / name).mkdir()
+        save_binary(wa, tmp_path / name / "t.wcl")
+        save_csv(wa, tmp_path / name / "t.csv")
     for name in ("t.wcl", "t.wcl.meta.json", "t.csv", "t.csv.meta.json"):
-        assert (tmp_path / "narrow" / name).read_bytes() == (tmp_path / "wide" / name).read_bytes()
+        assert (tmp_path / "int16" / name).read_bytes() == (tmp_path / "int32" / name).read_bytes()
+        assert (tmp_path / "int16" / name).read_bytes() == (tmp_path / "int64" / name).read_bytes()
 
 
-@pytest.mark.parametrize("counts", [(1, 5, 2), (2**31 - 1, 5, 2), (2**31 - 1, 1)])
+@pytest.mark.parametrize("counts", [(1, 5, 2), (2**31 - 1, 5, 2), (2**31 - 1, 1), (2**15 - 1, 2**15 - 1), (2**15, 1)])
 def test_round_trips_keep_the_count_dtype_and_digest(tmp_path, counts):
     t = WeightTable("b", (3, 9, 2**40)[: len(counts)], counts)
     save_binary(t, tmp_path / "t.wcl")
     save_csv(t, tmp_path / "t.csv")
     for back in (load_binary(tmp_path / "t.wcl"), load_csv(tmp_path / "t.csv", role="b")):
-        assert back.counts.dtype == t.counts.dtype == count_dtype(sum(counts))
+        assert back.counts.dtype == t.counts.dtype == count_dtype(max(counts))
         assert table_digest(back) == table_digest(t)
 
 
 def _guard_need(pp) -> int:
     leading, box = _family(pp, "a")
     c = enumerate_smooth(box, pp.R) ** 3
-    return table_bytes(len(leading), np.unique(np.add.outer(c, c)).size, len(leading) * c.size**2)
+    pair_sup, pair_cnt = _aggregate_oracle(np.add.outer(c, c), np.ones((c.size, c.size), np.int64))
+    return table_bytes(len(leading), pair_sup.size, min(len(leading) * int(pair_cnt.max()), c.size**2))
+
+
+def test_table_bytes_prices_the_p10000_table_at_six_bytes_per_raw_sum():
+    # priced from the pair sums and the leading range alone, without building the 11.4M-entry table
+    pp = derive_params(10_000**6)
+    leading, box = _family(pp, "a")
+    pair_sup, pair_cnt = weights.smooth_cube_pairs(box, pp.R)
+    top = count_bound(len(leading), 1, int(pair_cnt.sum()), int(pair_cnt.max()))
+    assert top == 4_489 and count_dtype(top) == np.int16
+    raw = len(leading) * pair_sup.size
+    need = table_bytes(len(leading), pair_sup.size, top)
+    # a uint32 low word and an int16 count per raw sum, beside one bucket's scratch and the inputs; 8 bytes
+    # per raw sum would add 2 raw, about 23 MB
+    assert 6 * raw < need < 6 * raw + (4 << 20)
 
 
 def _traced_build(pp) -> tuple[WeightTable, int]:
@@ -292,10 +331,9 @@ def test_memory_guard_matches_allocation(monkeypatch):
 def test_memory_guard_matches_allocation_over_many_buckets(monkeypatch):
     pp = derive_params(2000**6)
     need = _guard_need(pp)
-    assert need > 16 * 10 * weights.BUCKET  # over ten buckets of raw sums
     monkeypatch.setenv(BUDGET_ENV, str(need))
     table, peak = _traced_build(pp)
-    assert len(table) > 0
+    assert len(table) > 10 * weights.BUCKET  # over ten buckets of raw sums
     assert 0.99 * need <= peak <= need
     monkeypatch.setenv(BUDGET_ENV, str(need - 1))
     with pytest.raises(CapacityError):
@@ -434,9 +472,10 @@ def test_csv_blocks_keep_the_bytes(tmp_path, monkeypatch):
 
 @pytest.mark.parametrize("bucket", [weights.BUCKET, 2])
 def test_loaders_widen_the_counts_when_the_total_passes_int32(tmp_path, monkeypatch, bucket):
-    # with 2-entry blocks the total reaches 2^31 in the third block, after two blocks stored as int32
+    # the counts widen with the largest count: with 2-entry blocks, int16 for the first block, int32 from
+    # the second and int64 from the third, whose count passes int32 as the total does
     monkeypatch.setattr(weights, "BUCKET", bucket)
-    counts = (7, 1, 2, 3, 2**31 - 12, 1, 5)
+    counts = (7, 1, 2**15, 3, 2**31, 1, 5)
     t = WeightTable("a", tuple(range(0, 70, 10)), counts)
     assert t.counts.dtype == np.int64
     save_binary(t, tmp_path / "t.wcl")
@@ -477,17 +516,17 @@ def test_loaders_hold_the_counts_once(tmp_path, monkeypatch, tables_1000_2000, f
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
-        assert back.counts.dtype == t.counts.dtype == np.int32
+        assert back.counts.dtype == t.counts.dtype == np.int16
         assert table_digest(back) == table_digest(t)
-    # a 4-byte low word and a 4-byte count per entry, and the blocks: the CSV line count reads 1 MiB at
+    # a 4-byte low word and a 2-byte count per entry, and the blocks: the CSV line count reads 1 MiB at
     # a time, and WeightTable checks the order one block at a time
     sizes = [len(t) for t in tables_1000_2000]
     assert sizes[1] > 40 * sizes[0] > 6 * 4096
     assert all(peak <= 13 * n + (1 << 21) for peak, n in zip(peaks, sizes))
     assert peaks[1] - peaks[0] <= 13 * (sizes[1] - sizes[0])
-    # measured: 8.00 bytes per added entry for WCL1, 7.58 for CSV, whose fixed costs differ between the
-    # two tables; a whole int64 value array would add 8, a whole-table mask 1
-    assert 7 * (sizes[1] - sizes[0]) <= peaks[1] - peaks[0] <= 8.5 * (sizes[1] - sizes[0])
+    # measured: 6.00 bytes per added entry for WCL1, 5.53 for CSV, whose fixed costs differ between the
+    # two tables; a whole int64 value array would add 8, a whole-table mask 1, int32 counts 2
+    assert 5 * (sizes[1] - sizes[0]) <= peaks[1] - peaks[0] <= 6.5 * (sizes[1] - sizes[0])
 
 
 def test_csv_memory_does_not_grow_with_the_table(tmp_path, monkeypatch, tables_1000_2000):
