@@ -94,12 +94,10 @@ def cmd_enumerate(args, cfg: RunConfig, out: Path) -> int:
         print(f"density {len(members) / max(args.smooth, 1):.6f}")
     if args.table is not None:
         table = scale.table_a if args.table == "a" else scale.table_b
-        base = out / f"weights_{args.table}_N{args.N}"
-        if args.format == "csv":
-            save_csv(table, base.with_suffix(".csv"), meta=_meta(cfg))
-        else:
-            save_binary(table, base.with_suffix(".wcl"), meta=_meta(cfg))
-        print(f"wrote {base} ({len(table)} pairs, total mass {table.total})")
+        save, ext = (save_csv, "csv") if args.format == "csv" else (save_binary, "wcl")
+        path = out / f"weights_{args.table}_N{args.N}.{ext}"
+        save(table, path, meta=_meta(cfg))
+        print(f"wrote {path} ({len(table)} pairs, total mass {table.total})")
     return 0
 
 

@@ -78,8 +78,9 @@ class RnEvaluator:
     """Keeps the bulk square series a and the thin self-sum bb so many n are cheap.
 
     a and bb are (sorted distinct int64 keys, counts) pairs: a maps v^2 and
-    bb maps p1^6 h1^2 + p2^6 h2^2 to their multiplicities.  They are plain
-    arrays, not `WeightTable`s, since bb's keys reach 2^63.
+    bb maps p1^6 h1^2 + p2^6 h2^2 to their multiplicities.  bb is built as
+    a table by the outer sum of the thin series with itself, and its keys
+    are read as int64 once, here; the sweeps take them whole.
     With F(t) = sum of ca_i ca_j over ka_i + ka_j <= t, a window mass is the
     sum of bb(kb) (F(hi - kb) - F(lo - 1 - kb)) over bb keys kb, each F(t) a
     searchsorted of t - ka into ka over the prefix sums of ca.  The int64
@@ -97,7 +98,8 @@ class RnEvaluator:
         b_sum = m * table_b.total
         reserve(rn_bytes(len(table_a), m * len(table_b), count_bound(b_sum, b_top, b_sum, b_top)), "R(n) sweep and thin self-sum")
         self.a, (kb, cb) = _square_series(table_a, table_b, primes)
-        self.bb = _outer_sum(kb, cb, kb, cb)
+        bb = _outer_sum(kb, cb, kb, cb, "bb")
+        self.bb = bb.support, bb.counts
         self.total = total  # sum_n R(n) = (a total)^2 * (|primes| b total)^2
         self.max_n = top if total else 0
 
@@ -128,11 +130,11 @@ def rn_bytes(k: int, nb: int, top: int) -> int:
     """Upper bound on the bytes `RnEvaluator` holds for k bulk squares and nb thin terms whose self-sum counts reach `top`.
 
     `top` bounds bb's largest count, not its total.  Building bb, the thin
-    self-sum, takes `table_bytes(nb, nb, top, split=False)`, whose scratch
-    is freed before any sweep; bb then keeps at most 8 + w bytes per pair
-    of thin terms, w the width of `count_dtype(top)` (2 while `top` is
-    below 2^15), and its <= nb (nb + 1) / 2 keys give twice as many
-    t.  A sweep block of r rows of k entries takes 16 bytes per entry
+    self-sum, takes `table_bytes(nb, nb, top)`, whose scratch is freed
+    before bb's keys are read as int64; bb then keeps at most 8 + w bytes
+    per pair of thin terms, w the width of `count_dtype(top)` (2 while
+    `top` is below 2^15), and its <= nb (nb + 1) / 2 keys give twice as
+    many t.  A sweep block of r rows of k entries takes 16 bytes per entry
     (differences, then prefix sums, and indices), beside 24 per t and the
     bulk counts widened to int64, 8 per square.  Both phases hold 16 bytes
     per square and 5 KiB of array headers and interpreter objects.
@@ -140,7 +142,7 @@ def rn_bytes(k: int, nb: int, top: int) -> int:
     ts = nb * (nb + 1)
     rows = max(1, min(weights.BUCKET // max(k, 1), ts))
     sweep = (8 + count_dtype(top).itemsize) * nb * nb + 16 * rows * k + 24 * ts + 8 * k
-    return max(table_bytes(nb, nb, top, split=False), sweep) + 16 * k + 5 * 2**10
+    return max(table_bytes(nb, nb, top), sweep) + 16 * k + 5 * 2**10
 
 
 def toy_tables() -> tuple[WeightTable, WeightTable, list[int]]:

@@ -15,19 +15,19 @@ its calls).  Each range gathers at most BUCKET raw sums at indices formed
 without a running sum, packs each with its count into one int64 key and
 sorts the keys in cache.  In both folds one side's counts are all 1, so the
 other side's count rides in its shifted values and no key takes a count
-product.  Each run of equal values writes its end's value and count
-straight into the preallocated output, and one `np.add.at` adds the counts
-of the rare repeated values.
+product.  Each run of equal values gives its end's value and count, and
+one `np.add.at` adds the counts of the rare repeated values.
 
-A table stores each value as its low word v mod 2^32 (uint32) under a
-sparse segment index of (high word v >> 32, first index) pairs, one per
-distinct high word.  The values at P = 10^4 lie below 2^42 and take 569
-high words, so the index is a few KB.  The weight-table build writes each
-bucket's run ends straight into this split layout, and int64 values exist
-only in the bucket's scratch.  Readers (`generating`, `table_digest`, the
-writers) take int64 values one BUCKET block at a time from
-`WeightTable.blocks`.  The smooth pair sums and R(n)'s thin self-sum keep
-`_outer_sum`'s int64 output, since their keys reach 2^63.
+Every outer sum returns a table, which stores each value as its low word
+v mod 2^32 (uint32) under a sparse segment index of (high word v >> 32,
+first index) pairs, one per distinct high word.  The values at P = 10^4
+lie below 2^42 and take 569 high words, so the index is a few KB.
+`_TableFill` writes this layout, for the outer sum one bucket at a time
+and for the loaders one block at a time, and int64 values exist only in
+the bucket's or the block's scratch.  Readers (`generating`,
+`table_digest`, the writers) take int64 values one BUCKET block at a time
+from `WeightTable.blocks`; the small pair table and thin self-sum are read
+whole, once, by their callers.
 
 Counts are stored in `count_dtype` of the largest count, not the total:
 int16 while it is below 2^15, int32 below 2^31, else int64.  The build
@@ -36,7 +36,8 @@ sum exceeds, and every reader widens before it computes.  At P = 10^4 the
 bulk table has 11.4M entries of total mass 22 445 000, whose largest count
 is 8 and bound 4 489, in 6 bytes per entry (uint32 low word, int16 count),
 and the build holds those output entries plus one bucket; `table_bytes`
-is the capacity guard's estimate of it.
+is the estimate of it that each outer sum holds against the memory budget
+before it allocates.
 
 Disk formats: a little-endian binary record (magic WCL1) and a CSV with
 header ``value,multiplicity``; a JSON sidecar carries provenance fields.
@@ -94,6 +95,9 @@ def _largest_run(v: np.ndarray, c: np.ndarray) -> int:
 
 class WeightTable:
     """Sorted distinct values in [0, 2^63) with positive multiplicities, for one role.
+
+    The weight tables have the roles "a" and "b", the smooth cube pairs
+    "pairs" and R(n)'s thin self-sum "bb".
 
     A value v is stored as its low word v mod 2^32 in `low` (uint32) under
     a sparse segment index: `high` holds each distinct high word v >> 32 in
@@ -231,6 +235,42 @@ def _mark_segments(hw: np.ndarray, base: int, high: list[int], starts: list[int]
     starts.extend((opens + base).tolist())
 
 
+class _TableFill:
+    """A table filled block by block in the split layout, its counts in `count_dtype` of a bound or of the largest so far.
+
+    Each block's values go in after the last block's, as their low words
+    and the segments their high words open; values out of order or outside
+    [0, 2^63) give a segment index or low words that `WeightTable` rejects.
+    The counts start in the dtype of `top`, a bound on every count when one
+    is known, else int16.  A block of wider counts widens them once its
+    largest count passes their dtype, to the dtype of that count, and a
+    block with a count below 1 widens them to int64, so that an invalid
+    count (a uint64 one past 2^63 reads as negative) reaches `WeightTable`
+    unwrapped, which rejects it.
+    """
+
+    def __init__(self, n: int, top: int = 0):
+        self.low, self.high, self.starts, self.n = np.empty(n, np.uint32), [], [], 0
+        self.counts = np.empty(n, count_dtype(top))
+
+    def put(self, values: np.ndarray, counts: np.ndarray) -> None:
+        i, j = self.n, self.n + values.size
+        self.low[i:j] = values  # the low 32 bits
+        _mark_segments(values >> 32, i, self.high, self.starts)
+        if counts.itemsize > self.counts.itemsize:
+            dtype = count_dtype(int(counts.max()) if counts.min() >= 1 else 2**63)
+            if dtype.itemsize > self.counts.itemsize:
+                self.counts = self.counts.astype(dtype)
+        self.counts[i:j] = counts
+        self.n = j
+
+    def table(self, role: str) -> WeightTable:
+        """The table of the entries put so far, its arrays trimmed in place."""
+        self.low.resize(self.n, refcheck=False)
+        self.counts.resize(self.n, refcheck=False)
+        return WeightTable.from_split(role, self.low, self.high, self.starts, self.counts)
+
+
 def _key_bits(lo: int, hi: int, top_count: int) -> int:
     """Bits a count up to `top_count` takes below values in [lo, hi] in one int64 key."""
     sh = top_count.bit_length()
@@ -239,8 +279,8 @@ def _key_bits(lo: int, hi: int, top_count: int) -> int:
     return sh
 
 
-def _outer_sum(x: np.ndarray, cx: np.ndarray, y: np.ndarray, cy: np.ndarray, split: bool = False) -> tuple:
-    """Distinct x_i + y_j in increasing order and the summed cx_i * cy_j of each.
+def _outer_sum(x: np.ndarray, cx: np.ndarray, y: np.ndarray, cy: np.ndarray, role: str) -> WeightTable:
+    """The table, labelled `role`, of the distinct x_i + y_j and the summed cx_i * cy_j of each.
 
     x and y are sorted non-negative int64 arrays, whose values may repeat,
     and cx, cy their positive integer counts.  The |x| |y| raw sums
@@ -250,32 +290,26 @@ def _outer_sum(x: np.ndarray, cx: np.ndarray, y: np.ndarray, cy: np.ndarray, spl
     range.  x is
     the shorter side, so a range costs O(|x|) beyond its raw sums.  Each raw
     sum becomes the int64 key (x_i + y_j) << sh | cx_i * cy_j, and `_bucket`
-    reduces a range's keys into the output, which is preallocated at one
+    reduces a range's keys to int64 values and counts in the bucket's
+    scratch, which `_TableFill` puts into the output: preallocated at one
     entry per raw sum, its counts in the `count_dtype` of their
-    `count_bound`, and trimmed in place at the end.  Both sides are
+    `count_bound`, and trimmed in place at the end.  `table_bytes` of that
+    size and bound is reserved against the memory budget before anything
+    is allocated.  Both sides are
     shifted once.  When one side's counts are all 1, the other side's
     counts are or-ed into its shifted values, and each key's count arrives
     with its terms; only when neither side is all ones does `_bucket`
     multiply cx_i * cy_j per key.  A single value with more than BUCKET raw
     sums is one bucket.
-
-    The result is (values, counts) with int64 values, whose output `_bucket`
-    also borrows as scratch.  With `split` it is (low, high, starts, counts)
-    in the layout of `WeightTable.from_split`: `_bucket` writes a bucket's
-    values into an int64 scratch array of the bucket's size, their low words
-    go to the uint32 output, and each high word that first appears opens a
-    segment, so no int64 array of the table's length is ever formed.
     """
     if x.size > y.size:
         x, cx, y, cy = y, cy, x, cx  # each bucket costs O(rows): take the shorter side
     raw = x.size * y.size
-    sup = np.empty(raw, np.uint32 if split else np.int64)
-    top = count_bound(int(cx.sum()), _largest_run(x, cx), int(cy.sum()), _largest_run(y, cy))
-    cnt = np.empty(raw, count_dtype(top))
-    high: list[int] = []
-    starts: list[int] = []
+    bound = count_bound(int(cx.sum()), _largest_run(x, cx), int(cy.sum()), _largest_run(y, cy))
+    reserve(table_bytes(x.size, y.size, bound), f"table {role!r} ({x.size} x {y.size})")
+    fill = _TableFill(raw, bound)
     if raw == 0:
-        return (sup, high, starts, cnt) if split else (sup, cnt)
+        return fill.table(role)
     bottom, top = int(x[0]) + int(y[0]), int(x[-1]) + int(y[-1])
     sh = _key_bits(bottom, top, int(cx.max()) * int(cy.max()))
     xs, ys, counts = x << sh, y << sh, None
@@ -284,11 +318,11 @@ def _outer_sum(x: np.ndarray, cx: np.ndarray, y: np.ndarray, cy: np.ndarray, spl
     elif (cx == 1).all():
         ys |= cy  # each key's count is its gathered entry's
     else:
-        counts = cx.astype(cnt.dtype, copy=False), cy.astype(cnt.dtype, copy=False)
-    scratch = _scratch(min(raw, BUCKET), split)
+        counts = cx.astype(fill.counts.dtype, copy=False), cy.astype(fill.counts.dtype, copy=False)
+    scratch = _scratch(min(raw, BUCKET), fill.counts.dtype)
     target, span = BUCKET - BUCKET // 16, top + 1 - bottom
     width = span if raw <= BUCKET else max(1, span * target // raw)
-    e0, pos, lo = bottom, 0, np.zeros(x.size, np.int64)
+    e0, lo = bottom, np.zeros(x.size, np.int64)
     while e0 <= top:
         e1 = min(e0 + width, top + 1)
         hi = np.searchsorted(y, e1 - x)  # row i's sums below e1 are x_i + y[:hi_i]
@@ -297,62 +331,53 @@ def _outer_sum(x: np.ndarray, cx: np.ndarray, y: np.ndarray, cy: np.ndarray, spl
             width = max(1, (e1 - e0) * target // m)
             continue
         if m > scratch[0].size:
-            scratch = _scratch(m, split)
+            scratch = _scratch(m, fill.counts.dtype)
         if m:
-            key, last, step, wide = (a[:m] for a in scratch)
-            d = _bucket(xs, ys, counts, lo, hi, sh, (key, last, step), wide if split else sup[pos:], cnt[pos:])
-            if split:  # wide[:d] holds the values; the key scratch is free for their high words
-                sup[pos : pos + d] = wide[:d]
-                _mark_segments(np.right_shift(wide[:d], 32, out=key[:d]), pos, high, starts)
-            pos += d
+            fill.put(*_bucket(xs, ys, counts, lo, hi, sh, [a[:m] for a in scratch]))
         width = max(1, (e1 - e0) * target // m) if m else 2 * (e1 - e0)
         e0, lo = e1, hi
-    sup.resize(pos, refcheck=False)
-    cnt.resize(pos, refcheck=False)
-    return (sup, high, starts, cnt) if split else (sup, cnt)
+    return fill.table(role)
 
 
-def _scratch(m: int, split: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """The reused per-bucket arrays: int64 keys, run-end flags, the steps 0, 1, ..., m - 1 and, if `split`, int64 values."""
-    return np.empty(m, np.int64), np.empty(m, bool), np.arange(m), np.empty(m if split else 0, np.int64)
+def _scratch(m: int, dtype) -> list[np.ndarray]:
+    """The reused per-bucket arrays: int64 keys, run-end flags, the steps 0, 1, ..., m - 1, int64 values and `dtype` counts."""
+    return [np.empty(m, np.int64), np.empty(m, bool), np.arange(m), np.empty(m, np.int64), np.empty(m, dtype)]
 
 
-def _bucket(xs, ys, counts, lo, hi, sh: int, scratch, sup: np.ndarray, cnt: np.ndarray) -> int:
-    """Reduce the m keys over lo_i <= j < hi_i to d distinct values in sup[:d], cnt[:d]; return d.
+def _bucket(xs, ys, counts, lo, hi, sh: int, scratch) -> tuple[np.ndarray, np.ndarray]:
+    """Reduce the m keys over lo_i <= j < hi_i to d distinct values and their counts, views of the scratch.
 
     xs and ys are x << sh and y << sh, one of them already or-ed with its
-    counts when `counts` is None; otherwise `counts` is (cx, cy) in cnt's
-    dtype.  `scratch` is the m-entry key, flag and step arrays.  sup is
-    int64, the output from the bucket's position or a split build's value
-    scratch, and sup[:m], cnt[:m] are free scratch, since m raw sums
-    remain.  Row i's part takes
+    counts when `counts` is None; otherwise `counts` is (cx, cy) in the
+    count scratch's dtype.  `scratch` is the m-entry key, flag, step, value
+    and count arrays.  Row i's part takes
     the y indices lo_i, lo_i + 1, ..., so the indices are the steps plus,
     repeated over the row, lo_i less the row's head offset.  A key is ys at
     its index plus the repeated row's xs, with the products cx_i * cy_j
     or-ed in when `counts` is given.  After the in-place sort,
     equal values form runs, and equal keys are identical pairs, so the sort
-    need not be stable.  The value and count at each run's end are written
-    straight to the output; the counts of the other entries, rare in these
+    need not be stable.  Each run's end gives the run's value and its own
+    count; the counts of the other entries, rare in these
     tables, are added to their runs with one `np.add.at`.  Every count
-    product and run sum is at most the `count_bound` that sized cnt, so
-    cnt's dtype holds it exactly.  The largest allocation is one repeat of
+    product and run sum is at most the `count_bound` that sized the count
+    dtype, so it holds them exactly.  The largest allocation is one repeat of
     a row quantity or the run ends, 8m bytes.
     """
-    key, last, step = scratch
+    key, last, step, sup, cnt = scratch
     m = key.size
     lens = hi - lo
     rows = np.flatnonzero(lens)
     lens = lens[rows]
-    idx = np.add(step, np.repeat(lo[rows] - (np.cumsum(lens) - lens), lens), out=sup[:m])
+    idx = np.add(step, np.repeat(lo[rows] - (np.cumsum(lens) - lens), lens), out=sup)
     np.take(ys, idx, out=key, mode="clip")
     key += np.repeat(xs[rows], lens)
     if counts is not None:
         cx, cy = counts
-        c = np.take(cy, idx, out=cnt[:m], mode="clip")
-        c *= np.repeat(cx[rows], lens)
-        key |= c
+        np.take(cy, idx, out=cnt, mode="clip")
+        cnt *= np.repeat(cx[rows], lens)
+        key |= cnt
     key.sort()
-    val = np.right_shift(key, sh, out=sup[:m])
+    val = np.right_shift(key, sh, out=sup)
     last[-1] = True
     np.not_equal(val[1:], val[:-1], out=last[:-1])
     ends = np.flatnonzero(last)
@@ -365,7 +390,7 @@ def _bucket(xs, ys, counts, lo, hi, sh: int, scratch, sup: np.ndarray, cnt: np.n
         inner = np.flatnonzero(np.logical_not(last, out=last))
         rest = (key[inner] & mask).astype(cnt.dtype)  # an add.at that casts takes larger buffers
         np.add.at(cnt[:d], np.searchsorted(ends, inner), rest)
-    return d
+    return run, cnt[:d]
 
 
 def build_weight_table(params: Params, role: str) -> WeightTable:
@@ -374,52 +399,48 @@ def build_weight_table(params: Params, role: str) -> WeightTable:
     The two smooth coordinates are folded first (pair-sum support with
     counts), then crossed with the leading cube range, which keeps the
     intermediate at |leading| * |pair support| instead of |leading| * |smooth|^2.
+    Each fold is an outer sum, which holds its own estimate against the
+    memory budget; an empty leading range or smooth box gives an empty table.
     """
     if role not in ("a", "b"):
         raise ValueError(f"role must be 'a' or 'b', got {role!r}")
     family = params.bulk if role == "a" else params.thin
-    leading = family.leading
-    if len(leading) == 0 or family.smooth_box < 1:
-        return WeightTable(role=role, support=np.empty(0, np.int64), counts=np.empty(0, np.int64))
-
     pair_sup, pair_cnt = smooth_cube_pairs(family.smooth_box, params.R)
-    top = count_bound(len(leading), 1, int(pair_cnt.sum()), int(pair_cnt.max()))  # the cubes are distinct, the pair sums too
-    reserve(table_bytes(len(leading), pair_sup.size, top), f"weight table role={role} ({len(leading)} x {pair_sup.size})")
-    cubes = np.arange(leading.start, leading.stop, dtype=np.int64) ** 3
-    return WeightTable.from_split(role, *_outer_sum(cubes, np.ones(cubes.size, np.int64), pair_sup, pair_cnt, split=True))
+    cubes = np.arange(family.leading.start, family.leading.stop, dtype=np.int64) ** 3
+    return _outer_sum(cubes, np.ones(cubes.size, np.int64), pair_sup, pair_cnt, role)
 
 
 def smooth_cube_pairs(box: int, R: int) -> tuple[np.ndarray, np.ndarray]:
     """a^3 + b^3 over R-smooth a, b in [1, box]: the distinct sums and the number of ordered pairs giving each."""
     c = enumerate_smooth(box, R) ** 3
     ones = np.ones(c.size, np.int64)
-    return _outer_sum(c, ones, c, ones)
+    pairs = _outer_sum(c, ones, c, ones, "pairs")
+    return pairs.support, pairs.counts
 
 
-def table_bytes(leading: int, pairs: int, top: int, split: bool = True) -> int:
+def table_bytes(leading: int, pairs: int, top: int) -> int:
     """Upper bound on the bytes `_outer_sum` holds for a `leading` x `pairs` table whose `count_bound` is `top`, inputs included.
 
-    The output is preallocated at one value and one `count_dtype(top)`
-    count per raw sum: the largest count, not the total, sizes it.  A value
-    takes 4 bytes in the split layout that `build_weight_table` asks for,
-    so an entry takes 4 + 2 = 6 bytes while `top` is below 2^15, as at
-    P = 10^4, 8 below 2^31 and 12 beyond; with `split` false a value takes
-    8 (int64).  A bucket of m <= BUCKET raw sums adds 25 bytes per
-    entry: the reused key, flag and step arrays (17) and one 8m-byte repeat
-    of a row quantity or of the run ends, plus 8 KiB for the buffers of
-    `np.add.at`; the split build adds its reused int64 values, 8 more.
-    Once the output is trimmed, `WeightTable` checks its order one BUCKET
-    block at a time, in less than a bucket's scratch.  The inputs with their counts and their shifted
-    copies take 24 bytes per entry, and the per-row cut arrays 40 bytes per
-    row of the shorter side.
+    The output is preallocated at one uint32 low word and one
+    `count_dtype(top)` count per raw sum: the largest count, not the total,
+    sizes it, so an entry takes 4 + 2 = 6 bytes while `top` is below 2^15,
+    as at P = 10^4, 8 below 2^31 and 12 beyond.  A bucket of m <= BUCKET
+    raw sums adds 34 bytes per entry and one count: the reused key, flag,
+    step and value arrays (25) and count scratch, and at most 9m bytes of
+    temporaries, one repeat of a row quantity or the run ends (8m) or, as
+    the output takes the bucket, its high words and their change flags
+    (9m), plus 8 KiB for the buffers of `np.add.at`.  Once the output is
+    trimmed, `WeightTable` checks its order one BUCKET block at a time, in
+    less than a bucket's scratch.  The inputs with their counts and their
+    shifted copies take 24 bytes per entry, and the per-row cut arrays 40
+    bytes per row of the shorter side.
     The fixed per-call term, 5 KiB fitted to tracemalloc in a fresh
     process, covers what does not scale with the entries: the array headers
     and numpy's first-use state, which the narrow count loops enlarge.
     """
-    raw = leading * pairs
+    raw, width = leading * pairs, count_dtype(top).itemsize
     per_entry = 24 * (leading + pairs) + 40 * min(leading, pairs)
-    out = ((4 if split else 8) + count_dtype(top).itemsize) * raw
-    return out + (33 if split else 25) * min(raw, BUCKET) + 2**13 + per_entry + 5 * 2**10
+    return (4 + width) * raw + (34 + width) * min(raw, BUCKET) + 2**13 + per_entry + 5 * 2**10
 
 
 # -- serialization -----------------------------------------------------------
@@ -472,36 +493,6 @@ def _write_sidecar(table: WeightTable, path: Path, fmt: str, meta: dict | None) 
     path.with_suffix(path.suffix + ".meta.json").write_text(json.dumps(sidecar, indent=2))
 
 
-class _TableFill:
-    """A loader's table, filled block by block in the split layout, its counts in `count_dtype` of the largest so far.
-
-    Each block's values go in as their low words and the segments their
-    high words open; values out of order or outside [0, 2^63) give a
-    segment index or low words that `WeightTable` rejects.  The counts
-    start as int16 and widen once, when a block's largest count passes
-    their dtype, to the dtype of that count.  A block with a count below 1
-    widens them to int64, so that an invalid count (a uint64 one past 2^63
-    reads as negative) reaches `WeightTable` unwrapped, which rejects it.
-    """
-
-    def __init__(self, n: int):
-        self.low, self.high, self.starts = np.empty(n, np.uint32), [], []
-        self.counts = np.empty(n, count_dtype(0))
-
-    def put(self, i: int, values: np.ndarray, counts: np.ndarray) -> None:
-        self.low[i : i + values.size] = values  # the low 32 bits
-        _mark_segments(values >> 32, i, self.high, self.starts)
-        if self.counts.dtype != np.int64:
-            dtype = count_dtype(int(counts.max()) if counts.min() >= 1 else 2**63)
-            if dtype.itemsize > self.counts.itemsize:
-                self.counts = self.counts.astype(dtype)
-        self.counts[i : i + counts.size] = counts
-
-    def table(self, role: str, n: int) -> WeightTable:
-        """The table of the first n entries."""
-        return WeightTable.from_split(role, self.low[:n], self.high, self.starts, self.counts[:n])
-
-
 def load_binary(path: str | Path) -> WeightTable:
     """Read a `save_binary` record BUCKET pairs at a time into the table's own arrays."""
     path = Path(path)
@@ -520,8 +511,8 @@ def load_binary(path: str | Path) -> WeightTable:
         for i in range(0, npairs, BUCKET):
             part = block[: min(BUCKET, npairs - i)]
             f.readinto(part)
-            fill.put(i, part[:, 0], part[:, 1])
-    return fill.table(role, npairs)
+            fill.put(part[:, 0], part[:, 1])
+    return fill.table(role)
 
 
 def save_csv(table: WeightTable, path: str | Path, meta: dict | None = None) -> None:
@@ -538,16 +529,24 @@ def save_csv(table: WeightTable, path: str | Path, meta: dict | None = None) -> 
     _write_sidecar(table, path, "CSV", meta)
 
 
-def load_csv(path: str | Path, role: str = "a") -> WeightTable:
+def load_csv(path: str | Path, role: str | None = None) -> WeightTable:
     """Parse a `save_csv` file BUCKET lines at a time into the table's own arrays.
 
-    A first pass counts the lines in binary blocks, which bounds the pairs
-    and sizes the arrays; blank lines are skipped.
+    The role is the one the `save_csv` sidecar records; a given `role`
+    must agree with it, and a file without a sidecar needs one.  A first
+    pass counts the lines in binary blocks, which bounds the pairs and
+    sizes the arrays; blank lines are skipped.
     """
     path = Path(path)
+    sidecar = path.with_suffix(path.suffix + ".meta.json")
+    saved = json.loads(sidecar.read_text()).get("role") if sidecar.exists() else None
+    if role is None and saved is None:
+        raise ValueError(f"{path} has no sidecar role: give its role")
+    if role is not None and saved is not None and role != saved:
+        raise ValueError(f"{path} is role {saved!r} by its sidecar, not {role!r}")
     with open(path, "rb") as f:
         lines = 1 + sum(block.count(b"\n") for block in iter(lambda: f.read(1 << 20), b""))
-    fill, n = _TableFill(lines), 0
+    fill = _TableFill(lines)
     with open(path) as f:
         header = f.readline().strip()
         if header != "value,multiplicity":
@@ -559,6 +558,5 @@ def load_csv(path: str | Path, role: str = "a") -> WeightTable:
             part = np.loadtxt(rows, delimiter=",", dtype=np.int64, comments=None, ndmin=2)
             if part.shape[1] != 2:
                 raise ValueError(f"{path}: expected value,multiplicity rows, got {part.shape[1]} fields")
-            fill.put(n, part[:, 0], part[:, 1])
-            n += len(part)
-    return fill.table(role, n)
+            fill.put(part[:, 0], part[:, 1])
+    return fill.table(role or saved)

@@ -49,12 +49,13 @@ def test_enumerate_smooth(tmp_path, capsys):
     assert capsys.readouterr().out.splitlines()[1:] == ["members: [1, 2, 4, 8]", "density 0.400000"]
 
 
-def test_enumerate_weight_table_csv(tmp_path):
+def test_enumerate_weight_table_csv(tmp_path, capsys):
     from cubesquares.weights import load_csv, table_digest
 
     N = 27**6
     assert run(tmp_path, "enumerate", "--table", "b", "--N", str(N), "--format", "csv") == 0
     path = tmp_path / f"weights_b_N{N}.csv"
+    assert capsys.readouterr().out == f"wrote {path} (3 pairs, total mass 4)\n"
     table = load_csv(path, role="b")
     assert table.as_dict() == {218: 1, 225: 2, 232: 1}
     meta = json.loads((tmp_path / f"weights_b_N{N}.csv.meta.json").read_text())
@@ -62,11 +63,12 @@ def test_enumerate_weight_table_csv(tmp_path):
     assert meta["digest"] == table_digest(table) and meta["pairs"] == 3
 
 
-def test_enumerate_weight_table_binary(tmp_path):
+def test_enumerate_weight_table_binary(tmp_path, capsys):
     from cubesquares.weights import load_binary
 
     N = 27**6
     assert run(tmp_path, "enumerate", "--table", "b", "--N", str(N), "--format", "bin") == 0
+    assert capsys.readouterr().out == f"wrote {tmp_path / f'weights_b_N{N}.wcl'} (3 pairs, total mass 4)\n"
     table = load_binary(tmp_path / f"weights_b_N{N}.wcl")
     assert table.total == 4
 
@@ -470,6 +472,14 @@ def test_over_budget_smooth_set_exit_2(tmp_path, monkeypatch, capsys):
     monkeypatch.setenv(BUDGET_ENV, "1000")
     assert run(tmp_path, "enumerate", "--smooth", "1000000") == 2
     assert capsys.readouterr().err.startswith("capacity: smooth sieve for Y=1000000 needs")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_over_budget_pair_table_exit_2(tmp_path, monkeypatch, capsys):
+    # R = P = 2000 makes every integer of the box smooth: the pair sums alone would take about 26 MB
+    monkeypatch.setenv(BUDGET_ENV, str(10 << 20))
+    assert run(tmp_path, "enumerate", "--table", "a", "--N", str(2000**6), "--R", "2000") == 2
+    assert capsys.readouterr().err.startswith("capacity: table 'pairs' (2000 x 2000) needs")
     assert list(tmp_path.iterdir()) == []
 
 

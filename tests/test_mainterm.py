@@ -28,7 +28,8 @@ from cubesquares.oscillatory import _panel_rule, gauss_rule
 from cubesquares.params import derive_params
 from cubesquares.scale import Scale
 from cubesquares.smooth import enumerate_smooth
-from cubesquares.weights import WeightTable, _outer_sum
+from cubesquares.weights import WeightTable
+from test_weights import _one_sort_oracle
 
 TOY_A = WeightTable("a", (3,), (1,))
 TOY_B = WeightTable("b", (3,), (1,))
@@ -646,11 +647,16 @@ def _rn_dict_oracle(table_a, table_b, primes):
 
 
 class _AaTableRn:
-    """The former program route: the bulk self-sum aa built as a table, masses by prefix sums over its keys."""
+    """The former program route: the bulk self-sum aa built as a table, masses by prefix sums over its keys.
+
+    aa and bb are every raw sum at once (`np.add.outer`), aggregated by the one-sort oracle, apart
+    from the bucketed outer sum that builds the program's bb.
+    """
 
     def __init__(self, table_a, table_b, primes):
         (ka, ca), (kb, cb) = _square_series(table_a, table_b, primes)
-        self.aa, self.bb = _outer_sum(ka, ca, ka, ca), _outer_sum(kb, cb, kb, cb)
+        ca, cb = ca.astype(np.int64), cb.astype(np.int64)  # the products of int16 counts would wrap
+        self.aa, self.bb = _one_sort_oracle(ka, ca, ka, ca), _one_sort_oracle(kb, cb, kb, cb)
         self.prefix = np.concatenate(([0], np.cumsum(self.aa[1])))
 
     def window_mass(self, lo, hi):

@@ -80,21 +80,21 @@ def test_outer_sum_matches_oracle_on_repeated_inputs():
     cx = rng.integers(1, 1000, size=x.size)  # counts of several bits
     cy = rng.integers(1, 1000, size=y.size)
     want = _aggregate_oracle(np.add.outer(x, y), np.multiply.outer(cx, cy))
-    got = weights._outer_sum(x, cx, y, cy)
-    assert np.array_equal(got[0], want[0])
-    assert np.array_equal(got[1], want[1])
-    assert got[1].sum() == cx.sum() * cy.sum()
+    got = weights._outer_sum(x, cx, y, cy, "a")
+    assert np.array_equal(got.support, want[0])
+    assert np.array_equal(got.counts, want[1])
+    assert got.total == cx.sum() * cy.sum()
 
 
 def test_outer_sum_rejects_values_past_the_key():
     # one count bit leaves 62 bits for the value
     one, zero = np.ones(1, np.int64), np.zeros(1, np.int64)
     with pytest.raises(OverflowError):
-        weights._outer_sum(np.array([2**62], dtype=np.int64), one, zero, one)
+        weights._outer_sum(np.array([2**62], dtype=np.int64), one, zero, one, "a")
     with pytest.raises(OverflowError):
-        weights._outer_sum(np.array([-1], dtype=np.int64), one, zero, one)
-    sup, cnt = weights._outer_sum(np.array([2**62 - 1, 2**62 - 1], dtype=np.int64), np.ones(2, np.int64), zero, one)
-    assert sup.tolist() == [2**62 - 1] and cnt.tolist() == [2]
+        weights._outer_sum(np.array([-1], dtype=np.int64), one, zero, one, "a")
+    got = weights._outer_sum(np.array([2**62 - 1, 2**62 - 1], dtype=np.int64), np.ones(2, np.int64), zero, one, "a")
+    assert got.support.tolist() == [2**62 - 1] and got.counts.tolist() == [2]
 
 
 def test_build_totals_and_support():
@@ -147,7 +147,22 @@ def test_csv_blocks_skip_blank_lines(tmp_path, monkeypatch):
     for bad in ("value,count\n1,1\n", "value,multiplicity\n1,1,1\n", "value,multiplicity\n1,1\n2,x\n"):
         (tmp_path / "bad.csv").write_text(bad)
         with pytest.raises(ValueError):
-            load_csv(tmp_path / "bad.csv")
+            load_csv(tmp_path / "bad.csv", role="a")
+
+
+def test_csv_takes_the_role_from_its_sidecar(tmp_path):
+    t = build_weight_table(derive_params(64**6), "b")
+    save_csv(t, tmp_path / "t.csv")
+    meta = json.loads((tmp_path / "t.csv.meta.json").read_text())
+    back = load_csv(tmp_path / "t.csv")
+    assert back.role == meta["role"] == "b" and table_digest(back) == meta["digest"] == "3d9450148f21d4fe"
+    assert table_digest(load_csv(tmp_path / "t.csv", role="b")) == meta["digest"]
+    with pytest.raises(ValueError, match="sidecar"):
+        load_csv(tmp_path / "t.csv", role="a")
+    (tmp_path / "t.csv.meta.json").unlink()
+    with pytest.raises(ValueError, match="sidecar"):
+        load_csv(tmp_path / "t.csv")
+    assert table_digest(load_csv(tmp_path / "t.csv", role="b")) == meta["digest"]
 
 
 def test_csv_sidecar_matches_binary(tmp_path):
@@ -231,7 +246,8 @@ def test_outer_sum_counts_at_the_int32_edge(cx, cy, want, dtype):
     cx, cy = np.array(cx, dtype), np.array(cy, dtype)
     want_sup, want_cnt = _one_sort_oracle(x, cx, y, cy)
     for args in ((x, cx, y, cy), (y, cy, x, cx)):
-        sup, cnt = weights._outer_sum(*args)
+        got = weights._outer_sum(*args, "a")
+        sup, cnt = got.support, got.counts
         assert cnt.dtype == want and sup.tolist() == [8] and cnt.tolist() == [total]
         assert np.array_equal(sup, want_sup) and np.array_equal(cnt, want_cnt)
 
@@ -240,8 +256,8 @@ def test_outer_sum_sizes_counts_by_the_largest_count_not_the_total():
     # distinct values: total 2^14 * 3 passes int16, but no value collects more than 2^14 = min(3 * 2^14, 1 * 2^14)
     x, cx = np.array([3, 4, 9], np.int64), np.full(3, 2**14, np.int64)
     y, cy = np.array([5], np.int64), np.ones(1, np.int64)
-    sup, cnt = weights._outer_sum(x, cx, y, cy)
-    assert cnt.dtype == np.int16 and sup.tolist() == [8, 9, 14] and cnt.tolist() == [2**14] * 3
+    got = weights._outer_sum(x, cx, y, cy, "a")
+    assert got.counts.dtype == np.int16 and got.support.tolist() == [8, 9, 14] and got.counts.tolist() == [2**14] * 3
     # repeated values sum their counts on one side: the bound reads 2 + 3 there
     assert weights._largest_run(np.array([1, 2, 2, 7]), np.array([4, 2, 3, 1])) == 5
     assert weights._largest_run(np.empty(0, np.int64), np.empty(0, np.int64)) == 0
@@ -357,6 +373,22 @@ def test_budget_guard(monkeypatch):
         build_weight_table(pp, "a")
 
 
+def test_budget_guards_the_smooth_pair_table(monkeypatch):
+    # R = P = 2000 makes every integer of the box smooth: the 2000^2 pair sums (about 26 MB) are
+    # refused before they are allocated
+    budget = 10 << 20
+    monkeypatch.setenv(BUDGET_ENV, str(budget))
+    pp = derive_params(2000**6, R_override=2000)
+    tracemalloc.start()
+    try:
+        with pytest.raises(CapacityError, match="'pairs'"):
+            build_weight_table(pp, "a")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < budget
+
+
 def test_multiplicity_lookup():
     t = WeightTable("a", (4, 7), (2, 3))
     assert t.multiplicity(4) == 2
@@ -403,17 +435,17 @@ def test_outer_sum_matches_one_sort_across_bucket_edges(monkeypatch, bucket):
         for cx, cy in ((many_x, many_y), (ones_x, many_y), (many_x, ones_y), (ones_x, ones_y)):
             want = _one_sort_oracle(x, cx, y, cy)
             for args in ((x, cx, y, cy), (y, cy, x, cx)):
-                got = weights._outer_sum(*args)
-                assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
-                assert got[1].sum() == cx.sum() * cy.sum()
+                got = weights._outer_sum(*args, "a")
+                assert np.array_equal(got.support, want[0]) and np.array_equal(got.counts, want[1])
+                assert got.total == cx.sum() * cy.sum()
 
 
 def test_outer_sum_of_an_empty_side(monkeypatch):
     monkeypatch.setattr(weights, "BUCKET", 7)
     empty, three = np.empty(0, np.int64), np.arange(3, dtype=np.int64)
     for x, y in ((empty, three), (three, empty), (empty, empty)):
-        sup, cnt = weights._outer_sum(x, np.ones(x.size, np.int64), y, np.ones(y.size, np.int64))
-        assert sup.size == cnt.size == 0 and sup.dtype == np.int64 and cnt.dtype == count_dtype(0)
+        got = weights._outer_sum(x, np.ones(x.size, np.int64), y, np.ones(y.size, np.int64), "a")
+        assert len(got) == got.high.size == 0 and got.support.dtype == np.int64 and got.counts.dtype == count_dtype(0)
 
 
 @pytest.mark.parametrize("P", [2, 5])
@@ -494,7 +526,7 @@ def test_loaders_reject_counts_outside_int64(tmp_path):
         load_binary(path)
     (tmp_path / "t.csv").write_text(f"value,multiplicity\n3,{-(2**40) + 5}\n5,2\n")
     with pytest.raises(ValueError, match="positive"):
-        load_csv(tmp_path / "t.csv")
+        load_csv(tmp_path / "t.csv", role="a")
 
 
 @pytest.fixture(scope="module")
@@ -563,8 +595,13 @@ def test_readers_never_form_the_whole_int64_support(tmp_path, monkeypatch):
     save_binary(want, tmp_path / "want.wcl")
     save_csv(want, tmp_path / "want.csv")
 
+    support = WeightTable.support.fget
+
     def whole_support(table):
-        raise AssertionError("the whole int64 support was formed")
+        # the 55-entry smooth pair table is read whole as the build's input; no table past one block is
+        if len(table) > weights.BUCKET:
+            raise AssertionError("the whole int64 support was formed")
+        return support(table)
 
     monkeypatch.setattr(WeightTable, "support", property(whole_support))
     table = build_weight_table(pp, "a")
@@ -605,7 +642,7 @@ def test_split_tables_across_high_words_match_the_int64_oracle(tmp_path, monkeyp
     cx = rng.integers(1, 1000, size=_EDGE_X.size)
     for cy in (np.ones(_EDGE_Y.size, np.int64), rng.integers(1, 1000, size=_EDGE_Y.size)):
         monkeypatch.setattr(weights, "_mark_segments", mark)
-        table = WeightTable.from_split("a", *weights._outer_sum(_EDGE_X, cx, _EDGE_Y, cy, split=True))
+        table = weights._outer_sum(_EDGE_X, cx, _EDGE_Y, cy, "a")
         monkeypatch.setattr(weights, "_mark_segments", mark_segments)
         sup, cnt = _edge_oracle(cx, cy)
         assert np.array_equal(table.support, sup) and np.array_equal(table.counts, cnt)
