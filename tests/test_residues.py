@@ -1,3 +1,4 @@
+import hashlib
 import math
 import tracemalloc
 
@@ -7,7 +8,7 @@ from hypothesis import given, strategies as st
 
 from cubesquares import residues
 from cubesquares.cubesieve import BUDGET_ENV
-from cubesquares.errors import CapacityError
+from cubesquares.errors import CapacityError, VerificationError
 from cubesquares.localsolve import _two_fold_square_distribution, local_count_Mn
 from cubesquares.params import primes_upto
 from cubesquares.residues import (
@@ -143,7 +144,7 @@ def test_kronecker_convolution_matches_direct(q, seed):
 
 @pytest.mark.parametrize("bound", [2**20, 2**40, 2**54])
 def test_kronecker_convolution_matches_list_oracle(bound):
-    # products of totals past 2^63 take the object path, rebuilt from two or three limbs
+    # products of totals past 2^63 take the object path
     rng = np.random.default_rng(bound % 1009)
     for q in (1, 2, 17, 333):
         a = rng.integers(0, bound, size=q)
@@ -153,56 +154,102 @@ def test_kronecker_convolution_matches_list_oracle(bound):
         assert cyclic_convolve(np.zeros(q, np.int64), b, q).tolist() == [0] * q
 
 
-def _spy_convolve(monkeypatch) -> list:
-    """Record each `np.convolve` call, the direct route's one per convolution."""
-    calls = []
-    convolve = np.convolve
-    monkeypatch.setattr(np, "convolve", lambda x, y: calls.append(1) or convolve(x, y))
-    return calls
-
-
-def test_convolution_route_boundary(monkeypatch):
-    # totals multiplying to 2^53 - 1 take float64, 2^53 and 2^54 - 2^28 take Kronecker; each case has an odd
-    # coefficient past 2^52, folded in from the top, and the 2^54 - 2^28 one's is past 2^53, where float64 would
-    # round it
-    calls = _spy_convolve(monkeypatch)
+def test_convolution_at_the_float64_boundaries():
+    # totals multiplying to 2^53 - 1, 2^53 and 2^54 - 2^28; each case has an odd coefficient past 2^52, folded in
+    # from the top, and the 2^54 - 2^28 one's is past 2^53, where one float64 product would round it
     # entries: an odd r and the odd t - r for each total t, so each case's product of big entries is odd
     cases = [
-        (6361 * 69431, 20394401, 2, True),  # 2^53 - 1 = 6361 * 69431 * 20394401
-        (2**26, 2**27, 1, False),
-        (2**27, 2**27 - 2, 1, False),
+        (6361 * 69431, 20394401, 2),  # 2^53 - 1 = 6361 * 69431 * 20394401
+        (2**26, 2**27, 1),
+        (2**27, 2**27 - 2, 1),
     ]
-    for ta, tb, r, direct in cases:
+    for ta, tb, r in cases:
         a = np.array([r, 0, ta - r], dtype=np.int64)
         b = np.array([0, tb - r, r], dtype=np.int64)
         assert (ta - r) * (tb - r) % 2 == 1 and (ta - r) * (tb - r) > 2**52
-        calls.clear()
-        got = cyclic_convolve(a, b, 3)
-        assert got.tolist() == cyclic_convolve_direct(a.tolist(), b.tolist(), 3)
-        assert bool(calls) == direct, (ta, tb)
+        assert cyclic_convolve(a, b, 3).tolist() == cyclic_convolve_direct(a.tolist(), b.tolist(), 3)
 
 
-def test_convolution_route_by_modulus(monkeypatch):
-    # with the crossover moved down to q = 12, q = 11 takes float64 and q = 12 Kronecker, far below 2^53;
-    # T's two convolutions and the memory estimate take the same route
-    calls = _spy_convolve(monkeypatch)
-    monkeypatch.setattr(residues, "DIRECT_BELOW_MODULUS", 12)
-    rng = np.random.default_rng(12)
-    try:
-        for q, direct in ((11, True), (12, False)):
-            a, b = rng.integers(0, 1000, size=q), rng.integers(0, 1000, size=q)
-            for x, y in ((a, b), (a, a)):
-                calls.clear()
-                assert cyclic_convolve(x, y, q).tolist() == cyclic_convolve_direct(x.tolist(), y.tolist(), q)
-                assert bool(calls) == direct, q
-            t_distribution.cache_clear()
-            calls.clear()
-            c = cube_residue_counts(q).tolist()
-            assert t_distribution(q).tolist() == cyclic_convolve_direct(cyclic_convolve_direct(c, c, q), c, q)
-            assert len(calls) == (2 if direct else 0)
-            assert (distribution_bytes(q, 3) == q * (16 + 40) + 2**13) == direct
-    finally:
-        t_distribution.cache_clear()
+def test_limb_wider_than_the_bound_raises(monkeypatch):
+    # one limb as wide as the entries: 20 bits at q = 4001, where the bound allows fewer, and 31 bits at q = 3
+    a = np.random.default_rng(4001).integers(0, 2**20, size=4001)
+    b = np.array([2**31 - 1, 2**31 - 3, 2**31 - 5], dtype=np.int64)
+    for v in (a, b):
+        stats = residues._limb_stats(v)
+        assert residues._limb_bits(residues._fft_length(2 * v.size - 1), stats, stats) < stats[2]
+    monkeypatch.setattr(residues, "_limb_bits", lambda L, a, b: max(a[2], b[2]))
+    # coefficients near 2^50 come back half an integer off
+    with pytest.raises(VerificationError, match="lie up to 0.5 from integers"):
+        cyclic_convolve(a, a, 4001)
+    # coefficients near 2^63, where float64 holds only integers, so no rounding shows: caught by their size
+    with pytest.raises(VerificationError, match=r"up to 1.38e\+19 lie up to 0 from"):
+        cyclic_convolve(b, b, 3)
+
+
+def _digest(a: np.ndarray) -> str:
+    return hashlib.sha256(",".join(map(str, a.tolist())).encode()).hexdigest()
+
+
+# sha256 of the comma-joined counts of T, T^2 and the two-fold T^2 table, as the direct and Kronecker routes built them
+PINNED = {
+    97: (
+        "cf211f716f0fd7230354ec690d3fc9cebd46296a444408fc96bc4544de248876",
+        "52d9858c4d0b84a144a55410abfa952504c2f63bc810d59faed79a7bccc686d9",
+        "5c0c182c55e68e39d59a7d126cf0a03593e5b8f28ca1e5f0745e27072d6ff86e",
+    ),
+    1_009: (
+        "ed87eb9a1184058e275c4b026a69b177ab96ffcc82ad8e77a800a0657c5b556b",
+        "998ba2b340af008cf9d0666126c3818a0173ccc0642a1c06fddb593a367dae91",
+        "903da1d47dff708a99ff4b53a1a765616bc431bb75498619af92657cfc1adc10",
+    ),
+    1_024: (
+        "cd8427c4e5afcb0951cb7f4a60eb8d8fff455d4cb14dbdf8cff1cb8f99998843",
+        "03ce62988702f739d847ca992a9dba0ebb0b71c3bf7b00ba14e29233653fb733",
+        "e4c202f296b60d0007978c52bf42e965be909f333debf1534d398586a5796136",
+    ),
+    2_187: (
+        "b0c58fa8b4aeaaaee72d045bb2ba220b8bd510dbf79e0e60d940cdb26c013b52",
+        "b3e4b4b2e3d32bd05919e5b2a1122cf5ed09d5f7101abd3bb4a08a520345ae72",
+        "46a5693937acff3ed09ae634c91408bd5ab85c86dbd3bec873dc89348a1d515d",
+    ),
+    4_001: (
+        "ed3ff720295082cf4d5a01d56053d81fe38467da1bf942bb58af90cc66f3e7aa",
+        "bd1c6089f473182bd7cebbce40efc776c1b573e6528acc871ce971f969f042cf",
+        "83840cd149d6eafaa77ec7b273fea907479c7aeebca0d1c210dd754ce8e6ce79",
+    ),
+    29_989: (
+        "e0a80db98607a2c0ef245f239df56da3cc19f458ed0b99295bc19524964ddf83",
+        "d98abc709d589e2946bf2471538b4e42e858a88ea62f02dfc51b8611a96d7781",
+        "babab56d208f19d5236b98756611cd7bc3b2abf8bc4c6b315ded4c9bcbd2b128",
+    ),
+    30_011: (
+        "f03acb7273914b705522110ea926bacdd569171a45b966cb41b6b0bdb41e8693",
+        "df8d11cb415d37d4232ea7413254dc1fb966c39f2e72de1f10aab91386cb75c5",
+        "c6be5bef6bef6e37f0bbb9f4c8cdecb258536bad53632fdfe5106b0e859005d7",
+    ),
+    65_003: (
+        "b8434528f5dc1913a6f49d5e9258a8f7d7643283d0d6f399d812f42411a60dd8",
+        "59f5489fd87fd849bd23261d1aaa5bd14a984b3f6f2d13fa9889455af3ee7653",
+        "a4342861fc85f6ba03a63a0c324ae345c10e29ecf0615a9da5aa9589b95aa0f6",
+    ),
+    100_003: (
+        "1c7e7aa224387c395072edfe810f28ab13217267a6087f68f78f8417f079950d",
+        "cce2196e313aabff94454d4a56ed09d02833900d9d84f131aedebc4b9686e99f",
+        "8ce91c6726fb49768a4eb914d0b78a37c0cc9becde09385b4feec568068486d1",
+    ),
+    208_067: (
+        "722daf8b5c686bfe4277a6b33bcfce2fd179197a97afe9bdd8a028cfffe56c68",
+        "5b9d88f4eb96a12e6c447c5352a4ec4016b4d0bb3f5805b83e914a6a064acfbc",
+        "41a3aaa4a30685712fed9f448a82a8cc0b488e1d1c8b48752684868c7e9fe0d1",
+    ),
+
+}
+
+
+@pytest.mark.parametrize("q", sorted(PINNED))
+def test_distributions_pinned(q):
+    built = (t_distribution(q), t_square_distribution(q), _two_fold_square_distribution(q))
+    assert tuple(map(_digest, built)) == PINNED[q]
 
 
 def test_square_pushforward():
@@ -263,7 +310,7 @@ def test_t_distribution_refuses_int64_overflow_before_allocating():
     assert peak < 2**16
 
 
-@pytest.mark.parametrize("q", [1009, 4001])
+@pytest.mark.parametrize("q", [1009, 4001, 65003])
 def test_memory_guard_matches_allocation(monkeypatch, q):
     for build, power in ((t_distribution, 3), (_two_fold_square_distribution, 6)):
         need = distribution_bytes(q, power)
