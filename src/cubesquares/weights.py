@@ -22,9 +22,8 @@ Every outer sum returns a table, which stores each value as its low word
 v mod 2^32 (uint32) under a sparse segment index of (high word v >> 32,
 first index) pairs, one per distinct high word.  The values at P = 10^4
 lie below 2^42 and take 569 high words, so the index is a few KB.
-`_TableFill` writes this layout, for the outer sum one bucket at a time
-and for the loaders one block at a time, and int64 values exist only in
-the bucket's or the block's scratch.  Readers (`generating`,
+`_TableFill` writes this layout one bucket at a time, and int64 values
+exist only in the bucket's scratch.  Readers (`generating`,
 `table_digest`, the writers) take int64 values one BUCKET block at a time
 from `WeightTable.blocks`; the small pair table and thin self-sum are read
 whole, once, by their callers.
@@ -48,7 +47,6 @@ from __future__ import annotations
 import hashlib
 import json
 import struct
-from itertools import islice
 from pathlib import Path
 
 import numpy as np
@@ -60,7 +58,7 @@ from .smooth import enumerate_smooth
 MAGIC = b"WCL1"
 
 # Raw sums one bucket of `_outer_sum` gathers at most; also the entries per
-# block that `save_binary` and `load_binary` move through memory at a time.
+# block that `WeightTable.blocks` yields and the writers move through memory.
 BUCKET = 1 << 16
 
 
@@ -192,20 +190,6 @@ class WeightTable:
             out[max(a, i) - i : b - i] += int(self.high[s]) << 32
         return out
 
-    def multiplicity(self, v: int) -> int:
-        if not 0 <= v < 2**63:
-            return 0
-        s = int(np.searchsorted(self.high, v >> 32))
-        if s == self.high.size or int(self.high[s]) != v >> 32:
-            return 0
-        a, b = self._segment(s)
-        w = v & 0xFFFFFFFF
-        i = a + int(np.searchsorted(self.low[a:b], w))
-        return int(self.counts[i]) if i < b and int(self.low[i]) == w else 0
-
-    def as_dict(self) -> dict[int, int]:
-        return dict(zip(self.support.tolist(), self.counts.tolist()))
-
 
 def _increasing(low: np.ndarray, starts: np.ndarray) -> bool:
     """Whether the low words increase strictly inside each segment, checked BUCKET entries at a time."""
@@ -236,20 +220,15 @@ def _mark_segments(hw: np.ndarray, base: int, high: list[int], starts: list[int]
 
 
 class _TableFill:
-    """A table filled block by block in the split layout, its counts in `count_dtype` of a bound or of the largest so far.
+    """A table of at most n entries filled bucket by bucket in the split layout, its counts in `count_dtype(top)`.
 
-    Each block's values go in after the last block's, as their low words
-    and the segments their high words open; values out of order or outside
-    [0, 2^63) give a segment index or low words that `WeightTable` rejects.
-    The counts start in the dtype of `top`, a bound on every count when one
-    is known, else int16.  A block of wider counts widens them once its
-    largest count passes their dtype, to the dtype of that count, and a
-    block with a count below 1 widens them to int64, so that an invalid
-    count (a uint64 one past 2^63 reads as negative) reaches `WeightTable`
-    unwrapped, which rejects it.
+    `top` bounds every count put.  Each bucket's values go in after the
+    last bucket's, as their low words and the segments their high words
+    open; values out of order or outside [0, 2^63) give a segment index or
+    low words that `WeightTable` rejects.
     """
 
-    def __init__(self, n: int, top: int = 0):
+    def __init__(self, n: int, top: int):
         self.low, self.high, self.starts, self.n = np.empty(n, np.uint32), [], [], 0
         self.counts = np.empty(n, count_dtype(top))
 
@@ -257,10 +236,6 @@ class _TableFill:
         i, j = self.n, self.n + values.size
         self.low[i:j] = values  # the low 32 bits
         _mark_segments(values >> 32, i, self.high, self.starts)
-        if counts.itemsize > self.counts.itemsize:
-            dtype = count_dtype(int(counts.max()) if counts.min() >= 1 else 2**63)
-            if dtype.itemsize > self.counts.itemsize:
-                self.counts = self.counts.astype(dtype)
         self.counts[i:j] = counts
         self.n = j
 
@@ -493,28 +468,6 @@ def _write_sidecar(table: WeightTable, path: Path, fmt: str, meta: dict | None) 
     path.with_suffix(path.suffix + ".meta.json").write_text(json.dumps(sidecar, indent=2))
 
 
-def load_binary(path: str | Path) -> WeightTable:
-    """Read a `save_binary` record BUCKET pairs at a time into the table's own arrays."""
-    path = Path(path)
-    with open(path, "rb") as f:
-        head = f.read(13)
-        if len(head) < 13:
-            raise ValueError(f"{path} is shorter than its 13-byte header")
-        if head[:4] != MAGIC:
-            raise ValueError(f"{path} has bad magic {head[:4]!r}")
-        role = head[4:5].decode("ascii")
-        (npairs,) = struct.unpack_from("<Q", head, 5)
-        if path.stat().st_size < 13 + 16 * npairs:
-            raise ValueError(f"{path} is shorter than its {npairs} pairs")
-        fill = _TableFill(npairs)
-        block = np.empty((min(npairs, BUCKET), 2), dtype="<u8")
-        for i in range(0, npairs, BUCKET):
-            part = block[: min(BUCKET, npairs - i)]
-            f.readinto(part)
-            fill.put(part[:, 0], part[:, 1])
-    return fill.table(role)
-
-
 def save_csv(table: WeightTable, path: str | Path, meta: dict | None = None) -> None:
     """Header ``value,multiplicity``, then one line per pair; the sidecar is as for `save_binary`.
 
@@ -527,36 +480,3 @@ def save_csv(table: WeightTable, path: str | Path, meta: dict | None = None) -> 
         for part in _pairs(table, np.int64):
             f.write("%d,%d\n" * len(part) % tuple(part.ravel().tolist()))
     _write_sidecar(table, path, "CSV", meta)
-
-
-def load_csv(path: str | Path, role: str | None = None) -> WeightTable:
-    """Parse a `save_csv` file BUCKET lines at a time into the table's own arrays.
-
-    The role is the one the `save_csv` sidecar records; a given `role`
-    must agree with it, and a file without a sidecar needs one.  A first
-    pass counts the lines in binary blocks, which bounds the pairs and
-    sizes the arrays; blank lines are skipped.
-    """
-    path = Path(path)
-    sidecar = path.with_suffix(path.suffix + ".meta.json")
-    saved = json.loads(sidecar.read_text()).get("role") if sidecar.exists() else None
-    if role is None and saved is None:
-        raise ValueError(f"{path} has no sidecar role: give its role")
-    if role is not None and saved is not None and role != saved:
-        raise ValueError(f"{path} is role {saved!r} by its sidecar, not {role!r}")
-    with open(path, "rb") as f:
-        lines = 1 + sum(block.count(b"\n") for block in iter(lambda: f.read(1 << 20), b""))
-    fill = _TableFill(lines)
-    with open(path) as f:
-        header = f.readline().strip()
-        if header != "value,multiplicity":
-            raise ValueError(f"bad CSV header {header!r}")
-        while block := list(islice(f, BUCKET)):
-            rows = [line for line in block if not line.isspace()]
-            if not rows:
-                continue
-            part = np.loadtxt(rows, delimiter=",", dtype=np.int64, comments=None, ndmin=2)
-            if part.shape[1] != 2:
-                raise ValueError(f"{path}: expected value,multiplicity rows, got {part.shape[1]} fields")
-            fill.put(part[:, 0], part[:, 1])
-    return fill.table(role or saved)

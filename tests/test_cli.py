@@ -9,6 +9,7 @@ from cubesquares.cli import RunConfig, main
 from cubesquares.cubesieve import BUDGET_ENV
 from cubesquares.errors import QuadratureError
 from cubesquares.scale import Scale
+from test_weights import as_dict, read_csv, read_wcl
 
 
 def run(tmp_path, *argv):
@@ -50,26 +51,24 @@ def test_enumerate_smooth(tmp_path, capsys):
 
 
 def test_enumerate_weight_table_csv(tmp_path, capsys):
-    from cubesquares.weights import load_csv, table_digest
+    from cubesquares.weights import table_digest
 
     N = 27**6
     assert run(tmp_path, "enumerate", "--table", "b", "--N", str(N), "--format", "csv") == 0
     path = tmp_path / f"weights_b_N{N}.csv"
     assert capsys.readouterr().out == f"wrote {path} (3 pairs, total mass 4)\n"
-    table = load_csv(path, role="b")
-    assert table.as_dict() == {218: 1, 225: 2, 232: 1}
+    table = read_csv(path)
+    assert as_dict(table) == {218: 1, 225: 2, 232: 1}
     meta = json.loads((tmp_path / f"weights_b_N{N}.csv.meta.json").read_text())
     assert "config_hash" in meta and "version" in meta
     assert meta["digest"] == table_digest(table) and meta["pairs"] == 3
 
 
 def test_enumerate_weight_table_binary(tmp_path, capsys):
-    from cubesquares.weights import load_binary
-
     N = 27**6
     assert run(tmp_path, "enumerate", "--table", "b", "--N", str(N), "--format", "bin") == 0
     assert capsys.readouterr().out == f"wrote {tmp_path / f'weights_b_N{N}.wcl'} (3 pairs, total mass 4)\n"
-    table = load_binary(tmp_path / f"weights_b_N{N}.wcl")
+    table = read_wcl(tmp_path / f"weights_b_N{N}.wcl")
     assert table.total == 4
 
 
@@ -80,7 +79,7 @@ def test_enumerate_bulk_table_binary_round_trip(tmp_path, monkeypatch):
     N = 27**6
     monkeypatch.setattr(weights, "BUCKET", 64)  # several buckets and write blocks
     assert run(tmp_path, "enumerate", "--table", "a", "--N", str(N), "--format", "bin") == 0
-    table = weights.load_binary(tmp_path / f"weights_a_N{N}.wcl")
+    table = read_wcl(tmp_path / f"weights_a_N{N}.wcl")
     meta = json.loads((tmp_path / f"weights_a_N{N}.wcl.meta.json").read_text())
     assert meta["format"] == "WCL1" and meta["pairs"] == len(table) == 210
     built = weights.build_weight_table(derive_params(N), "a")

@@ -5,6 +5,7 @@ from cubesquares.params import derive_params
 from cubesquares.scale import Scale
 from cubesquares.smooth import estimate_c_eta
 from cubesquares.weights import build_weight_table
+from test_weights import as_dict
 
 MEMBERS = ("params", "primes", "table_a", "table_b", "rn", "c_bulk", "c_thin")
 
@@ -37,7 +38,7 @@ def test_members_match_the_chain():
     pp = derive_params(27**6)
     assert scale.params == pp
     assert scale.primes == pp.default_primes() == [2, 3]
-    assert scale.table_b.as_dict() == build_weight_table(pp, "b").as_dict()
+    assert as_dict(scale.table_b) == as_dict(build_weight_table(pp, "b"))
     ev = RnEvaluator(build_weight_table(pp, "a"), scale.table_b, [2, 3])
     assert all(np.array_equal(got, want) for got, want in zip(scale.rn.a, ev.a))  # keys, then counts
     for lo, hi in ((0, ev.max_n), (pp.N // 2, pp.N)):

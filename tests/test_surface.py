@@ -16,10 +16,6 @@ PACKAGE = ROOT / "src" / "cubesquares"
 
 # Public names with no program reader, each kept on purpose.
 ALLOWED = {
-    "weights.load_binary": "reads the .wcl tables that `enumerate --table --format bin` writes",
-    "weights.load_csv": "reads the .csv tables that `enumerate --table --format csv` writes",
-    "weights.WeightTable.multiplicity": "the weight of one value, the table's pointwise view",
-    "weights.WeightTable.as_dict": "the table as a value -> weight map, for inspection",
     "w2.w2": "the weight w2(q) itself, which w2_scan computes in bulk as its square",
     "arcs.ArcDissection.half_width": "the arc radius X / (q n) that defines the dissection",
 }
