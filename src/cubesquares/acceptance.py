@@ -235,30 +235,22 @@ def criterion_11() -> CriterionResult:
     # model V(0; 1, 0) exactly (both count the same lattice points).
     #
     # Part 2: P = 16 is degenerate (the thin leading interval contains no
-    # integer), so the window-mass comparison runs at P = 27, the smallest
-    # scale where the thin interval has near-unit length and the prime
-    # window holds two primes.  Exact sum of R(n) over [N/2, N] must lie
-    # within a factor of 10 of |window| * mean(S(n) * J(n)) sampled on a
-    # deterministic stride.
+    # integer), so the window gate runs at P = 27, the smallest scale where
+    # the thin interval has near-unit length and the prime window holds two
+    # primes.
     big = Scale(10_000**6)
     h0 = eval_h(Fraction(0), big.table_a).real
     v0 = model_V(0.0, 1, 0, big.params, big.c_bulk)
     ratio1 = h0 / abs(v0)
     part1 = 0.99 <= ratio1 <= 1.01
 
-    pp16 = derive_params(16**6)
-    degenerate16 = len(pp16.thin.leading) == 0
+    degenerate16 = not derive_params(16**6).thin.leading
 
-    scale = Scale(27**6)
-    lo, hi = scale.N // 2, scale.N
-    mass = scale.rn.window_mass(lo, hi)
-    pred_mass = scale.predicted_window_mass(lo, hi, samples=32, Q=64)
-    ratio2 = mass / pred_mass if pred_mass > 0 else float("inf")
-    part2 = pred_mass > 0 and 0.1 <= ratio2 <= 10.0
-    ok = part1 and degenerate16 and part2
+    gate = Scale(27**6).window_gate(samples=32, Q=64)
+    ok = part1 and degenerate16 and gate.passed
     detail = (
         f"h(0)/V(0)={ratio1:.6f}; P=16 thin interval empty: {degenerate16}; "
-        f"window mass {mass} vs predicted {pred_mass:.1f}, ratio {ratio2:.3f}"
+        f"window mass {gate.exact} vs predicted {gate.predicted:.1f}, ratio {gate.ratio:.3f}"
     )
     return CriterionResult(11, "generating function vs model, window mass", ok, detail)
 

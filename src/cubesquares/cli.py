@@ -2,7 +2,7 @@
 
 Two `arcs` modes compare the exact data with the model at one scale:
 `--window-mass` sums R(n) over [N/2, N] against S(n) J(n) sampled on a
-stride (JSON; exit 3 when the ratio leaves [0.1, 10]), and `--f-sweep`
+stride (JSON; exit 3 when the ratio leaves `WindowGate.BAND`), and `--f-sweep`
 tabulates |h|, |W|, the arc membership and the residual
 |F| = |h^2 W^2 - (model h)^2 (model W)^2| over an alpha grid (TSV).
 
@@ -146,8 +146,7 @@ def cmd_local(args, cfg: RunConfig, out: Path) -> int:
         _write_json(out / f"certificate_p{args.certificate}_n{args.n}.json", cfg, cert.as_json_dict())
         print(f"certificate p={cert.p} n={cert.n} modulus={cert.modulus} checked={cert.condition_checked}")
     if args.two_adic is not None:
-        prof = two_adic_profile(args.two_adic)
-        prof.verify()
+        prof = two_adic_profile(args.two_adic)  # verified as it is built
         _write_json(out / f"two_adic_{args.two_adic}.json", cfg, {
             "n": prof.n, "h": prof.h, "gamma": prof.gamma, "theta": prof.theta,
             "witness": list(prof.witness), "euler_floor": prof.euler_floor,
@@ -227,22 +226,20 @@ def cmd_arcs(args, cfg: RunConfig, out: Path) -> int:
         pp = scale.params
         thin = list(pp.thin.leading)
         print(f"P={pp.P}  N={pp.N}  thin leading integers: {thin}  interval length {pp.thin.hi - pp.thin.lo:.4f}")
-        lo, hi = pp.N // 2, pp.N
-        mass = scale.rn.window_mass(lo, hi)
-        print(f"exact window mass sum R(n), n in [{lo}, {hi}]: {mass}")
         t0 = time.perf_counter()
-        pred = scale.predicted_window_mass(lo, hi, args.samples, args.Q)
+        gate = scale.window_gate(args.samples, args.Q)
         elapsed = time.perf_counter() - t0
-        ratio = mass / pred if pred > 0 else math.inf
-        print(f"predicted mass: {pred:.1f}  (mean term {pred / (hi - lo):.6g}, {args.samples} samples, {elapsed:.2f}s)")
+        lo, hi, pred, ratio = gate.lo, gate.hi, gate.predicted, gate.ratio
+        print(f"exact window mass sum R(n), n in [{lo}, {hi}]: {gate.exact}")
+        print(f"predicted mass: {pred:.1f}  (mean term {pred / (hi - lo):.6g}, {args.samples} samples, {elapsed:.2f}s with the exact mass)")
         print(f"ratio exact/predicted: {ratio:.3f}")
         # written before the check, so that a ratio out of range is on record
         _write_json(out / f"window_mass_N{args.N}.json", cfg, {
-            "lo": lo, "hi": hi, "thin": thin, "exact_mass": mass, "predicted_mass": pred,
+            "lo": lo, "hi": hi, "thin": thin, "exact_mass": gate.exact, "predicted_mass": pred,
             "ratio": ratio if math.isfinite(ratio) else None,
         })
-        if not 0.1 <= ratio <= 10.0:
-            raise VerificationError(f"window mass ratio exact/predicted {ratio:.3f} is outside [0.1, 10]")
+        if not gate.passed:
+            raise VerificationError(f"window mass ratio exact/predicted {ratio:.3f} is outside [{gate.BAND[0]:g}, {gate.BAND[1]:g}]")
     if args.f_sweep:
         rows = []
         for i in range(args.sweep_points):

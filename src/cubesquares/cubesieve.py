@@ -50,9 +50,6 @@ class CubeSumSieve:
     flags: np.ndarray = field(repr=False)
     counts: np.ndarray | None = field(default=None, repr=False)
 
-    def __contains__(self, n: int) -> bool:
-        return 0 <= n <= self.limit and bool(self.flags[n])
-
     @property
     def members(self) -> np.ndarray:
         return np.flatnonzero(self.flags).astype(np.int64)

@@ -365,6 +365,4 @@ def _certificate_mod_power_of_two(n: int) -> HenselCertificate:
     q = 2**prof.h
     triples = [_t_witness_mod_power_of_two(x % q, prof.h) for x in prof.witness]
     witness = tuple(v for t in triples for v in t)
-    cert = HenselCertificate(p=2, n=n, modulus=q, witness=witness, condition_checked=False)
-    cert.condition_checked = _check_certificate(2, n, q, witness)
-    return cert
+    return HenselCertificate(p=2, n=n, modulus=q, witness=witness, condition_checked=_check_certificate(2, n, q, witness))

@@ -41,7 +41,7 @@ from .cubesieve import reserve
 from .errors import CapacityError, QuadratureError
 from .oscillatory import gauss_rule
 from .params import Family, Params
-from .weights import WeightTable, _outer_sum, count_bound, count_dtype, smooth_cube_pairs, table_bytes
+from .weights import WeightTable, _outer_sum, smooth_cube_pairs
 
 # -- exact counts --------------------------------------------------------------
 
@@ -61,17 +61,11 @@ def _squares(table: WeightTable) -> np.ndarray:
     return out
 
 
-def _square_series(table_a: WeightTable, table_b: WeightTable, primes: list[int]):
-    """a = {v^2} over the bulk table and b = {p^6 h^2} over the thin table and primes, as sorted keys and counts.
-
-    a's keys are distinct, since distinct non-negative values have distinct
-    squares.  b's may repeat (2^6 27^2 = 3^6 8^2); every reader of b sums
-    the counts of a repeated key.
-    """
-    a = (_squares(table_a), table_a.counts)
+def _thin_series(table_b: WeightTable, primes: list[int]):
+    """b = {p^6 h^2} over the thin table and primes as sorted keys and counts; a key may repeat (2^6 27^2 = 3^6 8^2)."""
     kb = np.multiply.outer(np.array(primes, np.int64) ** 6, _squares(table_b)).ravel()
     order = np.argsort(kb, kind="stable")
-    return a, (kb[order], np.tile(table_b.counts, len(primes))[order])
+    return kb[order], np.tile(table_b.counts, len(primes))[order]
 
 
 class RnEvaluator:
@@ -83,23 +77,22 @@ class RnEvaluator:
     are read as int64 once, here; the sweeps take them whole.
     With F(t) = sum of ca_i ca_j over ka_i + ka_j <= t, a window mass is the
     sum of bb(kb) (F(hi - kb) - F(lo - 1 - kb)) over bb keys kb, each F(t) a
-    searchsorted of t - ka into ka over the prefix sums of ca.  The int64
-    checks, in Python ints, and `rn_bytes` come before any allocation.
+    searchsorted of t - ka into ka over the prefix sums of ca.  First the
+    evaluator checks its own limits in Python ints: every R(n) key up to
+    `_max_n` and the total fit an int64.  The outer sum guards bb's build
+    and key width, and `rn_bytes` is reserved before the bulk squares.
     """
 
     def __init__(self, table_a: WeightTable, table_b: WeightTable, primes: list[int]):
-        m, top = len(primes), _max_n(table_a, table_b, primes)
-        square = table_a.max_value**2
-        b_top = m * int(table_b.counts.max(initial=0))  # b sums at most m counts at one key, one per prime
-        bits = (b_top**2).bit_length()  # beside each packed bb key
-        total = (table_a.total * m * table_b.total) ** 2
-        if top >> 63 or total >> 63 or (top - 2 * square).bit_length() + bits > 63:
-            raise CapacityError(f"R(n) keys to {top}, bb keys beside {bits} count bits or sum {total} overflow int64")
-        b_sum = m * table_b.total
-        reserve(rn_bytes(len(table_a), m * len(table_b), count_bound(b_sum, b_top, b_sum, b_top)), "R(n) sweep and thin self-sum")
-        self.a, (kb, cb) = _square_series(table_a, table_b, primes)
+        top = _max_n(table_a, table_b, primes)
+        total = (table_a.total * len(primes) * table_b.total) ** 2
+        if top >> 63 or total >> 63:
+            raise CapacityError(f"R(n) keys to {top} or their sum {total} overflow int64")
+        kb, cb = _thin_series(table_b, primes)
         bb = _outer_sum(kb, cb, kb, cb, "bb")
         self.bb = bb.support, bb.counts
+        reserve(rn_bytes(len(table_a), self.bb[0].size, self.bb[1].itemsize), "R(n) sweep")
+        self.a = _squares(table_a), table_a.counts
         self.total = total  # sum_n R(n) = (a total)^2 * (|primes| b total)^2
         self.max_n = top if total else 0
 
@@ -126,23 +119,19 @@ class RnEvaluator:
         return int(cb @ (f[: kb.size] - f[kb.size :]))
 
 
-def rn_bytes(k: int, nb: int, top: int) -> int:
-    """Upper bound on the bytes `RnEvaluator` holds for k bulk squares and nb thin terms whose self-sum counts reach `top`.
+def rn_bytes(k: int, nbb: int, width: int) -> int:
+    """Upper bound on the bytes `RnEvaluator` holds beside bb's build, for k bulk squares and nbb bb keys of `width`-byte counts.
 
-    `top` bounds bb's largest count, not its total.  Building bb, the thin
-    self-sum, takes `table_bytes(nb, nb, top)`, whose scratch is freed
-    before bb's keys are read as int64; bb then keeps at most 8 + w bytes
-    per pair of thin terms, w the width of `count_dtype(top)` (2 while
-    `top` is below 2^15), and its <= nb (nb + 1) / 2 keys give twice as
-    many t.  A sweep block of r rows of k entries takes 16 bytes per entry
-    (differences, then prefix sums, and indices), beside 24 per t and the
-    bulk counts widened to int64, 8 per square.  Both phases hold 16 bytes
-    per square and 5 KiB of array headers and interpreter objects.
+    `_outer_sum` guards the build of bb, the thin self-sum, and frees its
+    scratch before bb's keys are read as int64.  bb then keeps 8 + width
+    bytes per key, and its keys give twice as many t.  A sweep block of r
+    rows of k entries takes 16 bytes per entry (differences, then prefix
+    sums, and indices), beside 24 per t.  The bulk squares, their counts
+    widened to int64 and their prefix sums take 24 bytes per square, and
+    5 KiB covers the array headers and interpreter objects.
     """
-    ts = nb * (nb + 1)
-    rows = max(1, min(weights.BUCKET // max(k, 1), ts))
-    sweep = (8 + count_dtype(top).itemsize) * nb * nb + 16 * rows * k + 24 * ts + 8 * k
-    return max(table_bytes(nb, nb, top), sweep) + 16 * k + 5 * 2**10
+    rows = max(1, min(weights.BUCKET // max(k, 1), 2 * nbb))
+    return (8 + width + 2 * 24) * nbb + 16 * rows * k + 24 * k + 5 * 2**10
 
 
 def toy_tables() -> tuple[WeightTable, WeightTable, list[int]]:
@@ -181,8 +170,8 @@ def rn_dense_dft(table_a: WeightTable, table_b: WeightTable, primes: list[int]) 
     if margin > 0.49:
         raise CapacityError(f"float rounding margin {margin:.3g} too large for exact recovery")
     reserve(dense_dft_bytes(L, len(table_a) + len(primes) * len(table_b)), f"dense DFT of length {L}")
-    (ka, ca), (kb, cb) = _square_series(table_a, table_b, primes)
-    fa = np.fft.rfft(np.bincount(ka, ca, L))
+    ka, (kb, cb) = _squares(table_a), _thin_series(table_b, primes)
+    fa = np.fft.rfft(np.bincount(ka, table_a.counts, L))
     fb = np.fft.rfft(np.bincount(kb, cb, L))
     out = np.fft.irfft(fa * fa * fb * fb, n=L)[: top + 1]
     return np.rint(out, out=out).astype(np.int64)

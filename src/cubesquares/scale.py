@@ -22,6 +22,25 @@ from .weights import WeightTable, build_weight_table
 
 
 @dataclass(frozen=True)
+class WindowGate:
+    """The exact sum of R(n) over [lo, hi] against the sampled model mass; it passes when exact / predicted lies in BAND."""
+
+    BAND = (0.1, 10.0)  # not a field: it has no annotation
+    lo: int
+    hi: int
+    exact: int
+    predicted: float
+
+    @property
+    def ratio(self) -> float:
+        return self.exact / self.predicted if self.predicted > 0 else math.inf  # no model mass fails the gate
+
+    @property
+    def passed(self) -> bool:
+        return self.BAND[0] <= self.ratio <= self.BAND[1]
+
+
+@dataclass(frozen=True)
 class Scale:
     """Target N, smoothness exponent eta, and an optional smoothness bound R."""
 
@@ -60,11 +79,13 @@ class Scale:
         """Smooth density of the thin box [1, smooth_box], or of [1, 1] when that box holds no integer."""
         return estimate_c_eta(max(self.params.thin.smooth_box, 1), self.params.R)
 
-    def predicted_window_mass(self, lo: int, hi: int, samples: int, Q: int) -> float:
-        """(hi - lo) * mean of S(n; Q) * J(n) over `samples` n on a fixed stride from lo."""
+    def window_gate(self, samples: int, Q: int) -> WindowGate:
+        """The exact mass of [lo, hi] = [N/2, N] against (hi - lo) * mean of S(n; Q) J(n) over `samples` n on a fixed stride from lo."""
+        lo, hi = self.N // 2, self.N
+        exact = self.rn.window_mass(lo, hi)
         ns = list(range(lo, hi + 1, max(1, (hi - lo) // samples)))[:samples]
         preds = [truncated_singular_series(n, Q).value * singular_integral_J(n, self.params, self.primes) for n in ns]
-        return float(np.mean(preds)) * (hi - lo)
+        return WindowGate(lo, hi, exact, float(np.mean(preds)) * (hi - lo))
 
     def report(self, n: int, Q: int) -> MainTermReport:
         """Exact R(n) against the model S(n; Q) * J(n)."""

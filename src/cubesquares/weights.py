@@ -52,6 +52,7 @@ from pathlib import Path
 import numpy as np
 
 from .cubesieve import reserve
+from .errors import CapacityError
 from .params import Params
 from .smooth import enumerate_smooth
 
@@ -247,10 +248,12 @@ class _TableFill:
 
 
 def _key_bits(lo: int, hi: int, top_count: int) -> int:
-    """Bits a count up to `top_count` takes below values in [lo, hi] in one int64 key."""
+    """Bits a count up to `top_count` takes below values in [lo, hi] in one int64 key; the one key-width check."""
     sh = top_count.bit_length()
-    if lo < 0 or hi >> (63 - sh):
-        raise OverflowError(f"values in [{lo}, {hi}] do not fit an int64 key beside {sh} count bits")
+    if lo < 0:
+        raise ValueError(f"outer sum values must be non-negative, got {lo}")
+    if hi >> (63 - sh):
+        raise CapacityError(f"values to {hi} do not fit an int64 key beside {sh} count bits")
     return sh
 
 
@@ -268,10 +271,11 @@ def _outer_sum(x: np.ndarray, cx: np.ndarray, y: np.ndarray, cy: np.ndarray, rol
     reduces a range's keys to int64 values and counts in the bucket's
     scratch, which `_TableFill` puts into the output: preallocated at one
     entry per raw sum, its counts in the `count_dtype` of their
-    `count_bound`, and trimmed in place at the end.  `table_bytes` of that
-    size and bound is reserved against the memory budget before anything
-    is allocated.  Both sides are
-    shifted once.  When one side's counts are all 1, the other side's
+    `count_bound`, and trimmed in place at the end.  Here alone are an outer
+    sum's limits checked, before anything is allocated: `_key_bits` fits
+    the value range beside one product cx_i * cy_j, and `table_bytes` of
+    that size and bound is reserved against the memory budget.  Both
+    sides are shifted once.  When one side's counts are all 1, the other side's
     counts are or-ed into its shifted values, and each key's count arrives
     with its terms; only when neither side is all ones does `_bucket`
     multiply cx_i * cy_j per key.  A single value with more than BUCKET raw
@@ -280,13 +284,13 @@ def _outer_sum(x: np.ndarray, cx: np.ndarray, y: np.ndarray, cy: np.ndarray, rol
     if x.size > y.size:
         x, cx, y, cy = y, cy, x, cx  # each bucket costs O(rows): take the shorter side
     raw = x.size * y.size
+    bottom, top = (int(x[0]) + int(y[0]), int(x[-1]) + int(y[-1])) if raw else (0, 0)
+    sh = _key_bits(bottom, top, int(cx.max(initial=0)) * int(cy.max(initial=0)))
     bound = count_bound(int(cx.sum()), _largest_run(x, cx), int(cy.sum()), _largest_run(y, cy))
     reserve(table_bytes(x.size, y.size, bound), f"table {role!r} ({x.size} x {y.size})")
     fill = _TableFill(raw, bound)
     if raw == 0:
         return fill.table(role)
-    bottom, top = int(x[0]) + int(y[0]), int(x[-1]) + int(y[-1])
-    sh = _key_bits(bottom, top, int(cx.max()) * int(cy.max()))
     xs, ys, counts = x << sh, y << sh, None
     if (cy == 1).all():
         xs |= cx  # each key's count is its row's

@@ -3,7 +3,7 @@ from pathlib import Path
 
 import pytest
 
-from cubesquares import __version__, cli, expsums, oscillatory
+from cubesquares import __version__, cli, expsums, oscillatory, scale
 from cubesquares.arcs import ArcDissection
 from cubesquares.cli import RunConfig, main
 from cubesquares.cubesieve import BUDGET_ENV
@@ -220,7 +220,7 @@ def test_arcs_window_mass(tmp_path, capsys):
 
 
 def test_arcs_window_mass_ratio_out_of_range_exits_3(tmp_path, capsys, monkeypatch):
-    monkeypatch.setattr(Scale, "predicted_window_mass", lambda self, lo, hi, samples, Q: 0.0)
+    monkeypatch.setattr(scale, "singular_integral_J", lambda n, params, primes: 0.0)
     assert run(tmp_path, "arcs", "--window-mass", "--N", str(27**6), "--samples", "2") == 3
     captured = capsys.readouterr()
     assert "ratio exact/predicted: inf" in captured.out

@@ -18,7 +18,8 @@ from cubesquares.cubesieve import BUDGET_ENV
 from cubesquares.errors import CapacityError, QuadratureError
 from cubesquares.mainterm import (
     RnEvaluator,
-    _square_series,
+    _squares,
+    _thin_series,
     dense_dft_bytes,
     rn_bytes,
     rn_dense_dft,
@@ -654,7 +655,7 @@ class _AaTableRn:
     """
 
     def __init__(self, table_a, table_b, primes):
-        (ka, ca), (kb, cb) = _square_series(table_a, table_b, primes)
+        ka, ca, (kb, cb) = _squares(table_a), table_a.counts, _thin_series(table_b, primes)
         ca, cb = ca.astype(np.int64), cb.astype(np.int64)  # the products of int16 counts would wrap
         self.aa, self.bb = _one_sort_oracle(ka, ca, ka, ca), _one_sort_oracle(kb, cb, kb, cb)
         self.prefix = np.concatenate(([0], np.cumsum(self.aa[1])))
@@ -724,10 +725,24 @@ def test_rn_overflowing_keys_raise():
         RnEvaluator(TOY_A, WeightTable("b", (400_000_000,), (1,)), [2])
     with pytest.raises(CapacityError):  # sum of R(n) = (2^16 * 2^16)^2 = 2^64
         RnEvaluator(WeightTable("a", (3,), (1 << 16,)), WeightTable("b", (3,), (1 << 16,)), [2])
-    # the bb key 2 * 2^6 h^2 must fit beside the bits of its count bound (2^10)^2: 2^43 + 21 bits does not
+    # the bb key 2 * 2^6 h^2 must fit beside the bits of its largest count (2^10)^2: 2^43 + 21 bits does not
     with pytest.raises(CapacityError):
         RnEvaluator(TOY_A, WeightTable("b", (200_000,), (1 << 10,)), [2])
     assert RnEvaluator(TOY_A, WeightTable("b", (100_000,), (1 << 10,)), [2]).total == 1 << 20
+
+
+def test_rn_bb_key_holds_one_count_product():
+    # bb keys reach 2 * 3^6 h^2 < 2^42 beside one product of two thin counts, 2^20 in 21 bits: 63 bits.
+    # Bounding the count by the two primes' summed counts, (2 * 2^10)^2 in 23 bits, refuses this.
+    h = 40_000
+    tb = WeightTable("b", (h,), (1 << 10,))
+    ev = RnEvaluator(TOY_A, tb, [2, 3])
+    assert [ev(18 + c * h * h) for c in (128, 793, 1458)] == [1 << 20, 1 << 21, 1 << 20]
+    assert ev.window_mass(0, ev.max_n) == ev.total == 1 << 22
+    _, aa, bb = _rn_dict_oracle(TOY_A, tb, [2, 3])
+    assert list(zip(ev.bb[0].tolist(), ev.bb[1].tolist())) == sorted(bb.items())
+    for n in (18 + 128 * h * h, 18 + 793 * h * h, 18 + 1458 * h * h, 19 + 793 * h * h):
+        assert ev(n) == _dict_rn(aa, bb, n)
 
 
 @pytest.mark.parametrize("P, mass", [(27, 2_737_855), (64, 170_633_786)], ids=["27", "64"])
@@ -735,9 +750,11 @@ def test_rn_memory_guard_matches_allocation(monkeypatch, P, mass):
     scale = Scale(P**6)
     ta, tb, primes = scale.table_a, scale.table_b, scale.primes
     N = scale.params.N
-    # the thin keys p^6 h^2 and their pair sums are distinct at this scale, and the sweep blocks fill
-    need = rn_bytes(len(ta), len(primes) * len(tb), (len(primes) * tb.total) ** 2)
-    RnEvaluator(ta, tb, primes).window_mass(N // 2, N)  # numpy sets up its own state on first use
+    # the sweep blocks fill at this scale
+    ev = RnEvaluator(ta, tb, primes)
+    need = rn_bytes(len(ta), ev.bb[0].size, ev.bb[1].itemsize)
+    ev.window_mass(N // 2, N)  # numpy sets up its own state on first use
+    del ev
     monkeypatch.setenv(BUDGET_ENV, str(need))
     # a full collection empties the interpreter's free lists, so that every object the run makes
     # is a traced allocation, as in a fresh process; reused objects put P = 27 about 2% below need

@@ -13,7 +13,7 @@ from cubesquares import weights
 from cubesquares.cubesieve import BUDGET_ENV
 from cubesquares.errors import CapacityError
 from cubesquares.generating import eval_W, eval_h
-from cubesquares.mainterm import RnEvaluator, _square_series
+from cubesquares.mainterm import RnEvaluator, _squares, _thin_series
 from cubesquares.params import derive_params
 from cubesquares.scale import Scale
 from cubesquares.smooth import enumerate_smooth
@@ -111,9 +111,9 @@ def test_outer_sum_matches_oracle_on_repeated_inputs():
 def test_outer_sum_rejects_values_past_the_key():
     # one count bit leaves 62 bits for the value
     one, zero = np.ones(1, np.int64), np.zeros(1, np.int64)
-    with pytest.raises(OverflowError):
+    with pytest.raises(CapacityError):
         weights._outer_sum(np.array([2**62], dtype=np.int64), one, zero, one, "a")
-    with pytest.raises(OverflowError):
+    with pytest.raises(ValueError):
         weights._outer_sum(np.array([-1], dtype=np.int64), one, zero, one, "a")
     got = weights._outer_sum(np.array([2**62 - 1, 2**62 - 1], dtype=np.int64), np.ones(2, np.int64), zero, one, "a")
     assert got.support.tolist() == [2**62 - 1] and got.counts.tolist() == [2]
@@ -460,7 +460,7 @@ def _oracle_mass(aa, bb, lo, hi) -> int:
 @pytest.mark.parametrize("P", [27, 64])
 def test_bucketed_rn_matches_one_sort(monkeypatch, P):
     scale = Scale(P**6)
-    (ka, ca), (kb, cb) = _square_series(scale.table_a, scale.table_b, scale.primes)
+    ka, ca, (kb, cb) = _squares(scale.table_a), scale.table_a.counts, _thin_series(scale.table_b, scale.primes)
     aa, bb = _one_sort_oracle(ka, ca, ka, ca), _one_sort_oracle(kb, cb, kb, cb)
     N = scale.params.N
     for bucket in (300, 7):  # both cut the sweep into blocks of one t; 7 also builds bb in several buckets
