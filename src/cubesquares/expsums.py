@@ -13,11 +13,12 @@ term); we check that numerically over the whole row instead of assuming
 it.  The truncated singular series sums Sn(q) for q <= Q and reports
 dyadic tail masses as a convergence diagnostic.
 
-`complete_sum_S` and `gauss_sum_S2` evaluate their phases directly, one
-`phase_sum` array pass each: numpy's cos and sin of the exact angles
-2 pi (r / q), and math.fsum over each part, so the value does not depend
-on the order of the residues.  `gauss_sum_S2` weighs each residue of
-a x^2 mod q by its count.
+`complete_sum_S`, `gauss_sum_S2` and the generating sums h and W evaluate
+their phases directly, one `phase_sum` array pass each over int64 residues
+r mod q with integer weights: numpy's cos and sin of the angles
+2 pi (r / q), exact int / int divisions while q < 2^53, and one math.fsum
+over each part, so the value does not depend on the order of the
+residues.  `gauss_sum_S2` weighs each residue of a x^2 mod q by its count.
 
 Sn is multiplicative in q, so the series computes Sn only at the prime
 powers <= Q (198 of them for Q = 1024) and forms every other term as a
@@ -32,7 +33,6 @@ that the row replaced is the oracle in tests/test_expsums.py.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterable
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -43,41 +43,16 @@ from .residues import _read_only, t_square_distribution
 from .w2 import factorizations
 
 
-def phase_sum(blocks: Iterable[tuple[np.ndarray, np.ndarray]], q: int) -> complex:
-    """sum of c e(r / q) over the residues r with nonzero weights c, one array pass per (residues, weights) block.
+def phase_sum(residues: np.ndarray, weights: np.ndarray, q: int) -> complex:
+    """sum of c e(r / q) over the int64 residues r with nonzero weights c: one array pass, one math.fsum per part.
 
-    The angle is 2 pi (r / q).  int64 residues take r / q in float64, equal
-    to int / int true division while q < 2^53; an object array of Python
-    ints keeps int / int true division, which stays finite for q past 10^308.
-    The cos and sin parts are each one math.fsum over every term: before a
-    block's terms join, the terms so far shrink to a few floats with their
-    exact sum (`_exact_floats`), so memory stays at one block and the value
-    is that of a single fsum over all terms at once.
+    The angle is 2 pi (r / q); r / q in float64 equals int / int true
+    division while q < 2^53.  The value does not depend on the residues' order.
     """
-    re: list[float] = []
-    im: list[float] = []
-    for residues, weights in blocks:
-        keep = weights != 0
-        c = weights[keep]
-        theta = 2.0 * math.pi * np.asarray(residues[keep] / q, dtype=np.float64)
-        re = (_exact_floats(re) if re else []) + (c * np.cos(theta)).tolist()  # nothing summed yet: no round
-        im = (_exact_floats(im) if im else []) + (c * np.sin(theta)).tolist()
-    return complex(math.fsum(re), math.fsum(im))
-
-
-def _exact_floats(terms: list[float]) -> list[float]:
-    """Floats with the exact sum of `terms`: their correctly rounded sum, then that of the rest, until none is left.
-
-    Each float found is appended to `terms`, negated, so the next fsum is of
-    the rest.  Each rest is below half an ulp of the float before it and a
-    multiple of 2^-1074, so the list ends within about 40 floats and is
-    usually 1 or 2.
-    """
-    out = []
-    while r := math.fsum(terms):
-        out.append(r)
-        terms.append(-r)
-    return out
+    keep = weights != 0
+    c = weights[keep]
+    theta = 2.0 * math.pi * (residues[keep] / q)
+    return complex(math.fsum((c * np.cos(theta)).tolist()), math.fsum((c * np.sin(theta)).tolist()))
 
 
 def complete_sum_S(q: int, a: int) -> complex:
@@ -85,7 +60,7 @@ def complete_sum_S(q: int, a: int) -> complex:
     if q < 1:
         raise ValueError("q must be >= 1")
     dist = t_square_distribution(q)  # refuses q >= 2^21, so a m < q^2 stays in int64
-    return phase_sum([(a % q * np.arange(q, dtype=np.int64) % q, dist)], q)
+    return phase_sum(a % q * np.arange(q, dtype=np.int64) % q, dist, q)
 
 
 def batch_is_exact(q: int) -> bool:
@@ -112,7 +87,7 @@ def gauss_sum_S2(q: int, a: int) -> complex:
     if q < 1 or q * q >= 2**63:
         raise ValueError("q must satisfy 1 <= q and q^2 < 2^63")
     x = np.arange(q, dtype=np.int64)
-    return phase_sum([(x, np.bincount(a % q * (x * x % q) % q, minlength=q))], q)
+    return phase_sum(x, np.bincount(a % q * (x * x % q) % q, minlength=q), q)
 
 
 def coprime_residues(q: int) -> np.ndarray:

@@ -3,9 +3,11 @@
     h(alpha) = sum_v a_v e(alpha v^2)          (bulk table)
     W(alpha) = sum_p sum_v b_v e(alpha p^6 v^2)  (thin table x prime window)
 
-Phases are computed exactly: alpha is taken as an exact Fraction (binary
-floats convert losslessly), and (num * (x^2 mod den)) mod den is Python
-integer arithmetic, so no precision is lost even for v^2 ~ 1e25.
+alpha is taken as an exact Fraction num / q with q < 2^31 (every caller
+passes 0 or a/1009); a larger q, such as a binary float's (0.1 has
+q = 2^55), raises ValueError.  The residues num (s^2 mod q) (v^2 mod q) mod q are int64, the
+counts on each are summed into one exact int64 histogram of q bins, and
+one `phase_sum` over the q residues rounds each part once.
 
 The major-arc models replace each sum by
 (smooth density)^2 * q^-3 S(q, a) * (oscillatory volume at beta).
@@ -20,39 +22,49 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
+import numpy as np
+
 from .arcs import ArcDissection
+from .cubesieve import reserve
 from .expsums import complete_sum_S, phase_sum
 from .oscillatory import osc_integral_v, osc_integral_v_thin
 from .params import Params
 from .scale import Scale
-from .weights import WeightTable
+from .weights import BUCKET, WeightTable
 
 
-def _exact_phases(table: WeightTable, alpha: Fraction, scale: int = 1) -> complex:
-    """sum_v a_v e(alpha * (scale * v)^2) over the table with exact residue phases, one `phase_sum` over its blocks."""
-    num = alpha.numerator % alpha.denominator
-    den = alpha.denominator
+def _phase_histogram(alpha: float | Fraction, table: WeightTable, scales: list[int]) -> complex:
+    """sum over s in `scales` and the table's v of a_v e(alpha (s v)^2); q is checked before any block is read.
+
+    Every product of two residues below q < 2^31 stays below 2^62.
+    """
+    af = Fraction(alpha)
+    q, num = af.denominator, af.numerator % af.denominator
+    if q >= 2**31:
+        raise ValueError(f"alpha = {af} needs a denominator below 2^31, not {q}")
     if num == 0:
-        return complex(float(table.total), 0.0)
-    return phase_sum(_residue_blocks(table, num, den, scale * scale), den)
-
-
-def _residue_blocks(table: WeightTable, num: int, den: int, s2: int):
-    """(num (s2 v^2 mod den) mod den, counts) for each block of `WeightTable.blocks`: one block at a time is held as Python ints."""
+        return complex(float(table.total * len(scales)), 0.0)
+    # the q bins, the residues 0 .. q - 1 and phase_sum's mask; 40 bytes per entry of a block, 80 per residue summed
+    terms = min(q, len(table) * len(scales))
+    reserve(17 * q + 40 * min(len(table), BUCKET) + 80 * terms + 2**14, f"residue histogram mod {q}")
+    hist = np.zeros(q, dtype=np.int64)
     for values, counts in table.blocks():
-        v = values.astype(object)  # Python ints: v^2 ~ 1e25 and den are past int64
-        yield num * (v * v * s2 % den) % den, counts
+        v2 = values % q
+        np.remainder(v2 * v2, q, out=v2)
+        counts = counts.astype(np.int64)  # np.add.at has no fast loop for mixed dtypes
+        for s in scales:
+            np.add.at(hist, num * (s * s % q) % q * v2 % q, counts)
+    return phase_sum(np.arange(q, dtype=np.int64), hist, q)
 
 
 def eval_h(alpha: float | Fraction, table: WeightTable) -> complex:
-    """The bulk generating sum at alpha; alpha = 0 returns the total mass."""
-    return _exact_phases(table, Fraction(alpha))
+    """The bulk generating sum at alpha = num / q, q < 2^31; alpha = 0 returns the total mass."""
+    return _phase_histogram(alpha, table, [1])
 
 
 def eval_W(alpha: float | Fraction, table: WeightTable, primes: list[int]) -> complex:
-    """The thin generating sum; empty table or prime window gives 0."""
-    af = Fraction(alpha)
-    return sum((_exact_phases(table, af, scale=p**3) for p in primes), 0j)
+    """The thin generating sum at alpha = num / q, q < 2^31, every prime's s = p^3 in one histogram; no primes give 0."""
+    return _phase_histogram(alpha, table, [p**3 for p in primes])
 
 
 # -- major-arc models ----------------------------------------------------------

@@ -56,7 +56,8 @@ def _fft_length(n: int) -> int:
     while odd < best:
         m = odd
         while m < best:
-            best = min(best, m << (-(-n // m) - 1).bit_length())
+            if (c := m << ((n - 1) // m).bit_length()) < best:  # the least m 2^e >= n
+                best = c
             m *= 3
         odd *= 5
     return best

@@ -44,7 +44,6 @@ header ``value,multiplicity``; a JSON sidecar carries provenance fields.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import struct
 from pathlib import Path
@@ -429,8 +428,9 @@ def table_digest(table: WeightTable) -> str:
     """sha256 of the role, the values as int64, then the counts as int64, each fed BUCKET at a time, cut to 16 hex digits.
 
     Hashing at a fixed width keeps a table's digest whatever layout and
-    count dtype store it.
+    count dtype store it.  hashlib, which loads OpenSSL, is imported here.
     """
+    import hashlib
     h = hashlib.sha256()
     h.update(table.role.encode())
     for values, _ in table.blocks():

@@ -2,11 +2,12 @@ import math
 import tracemalloc
 from fractions import Fraction
 
-import numpy as np
 import pytest
 
-from cubesquares import weights
+from cubesquares import generating, weights
 from cubesquares.arcs import ArcDissection
+from cubesquares.cubesieve import BUDGET_ENV
+from cubesquares.errors import CapacityError
 from cubesquares.generating import (
     ArcDiagnostic,
     F_diagnostic,
@@ -77,8 +78,8 @@ def test_model_vanishes_off_arcs():
     pp = scale.params
     d = ArcDissection.narrow(pp.P, pp.N)
     c = estimate_c_eta(pp.P, pp.R)
-    # 0.237 is far from every a/q with q <= X at this width
-    off = F_diagnostic(0.237, scale, d)
+    # 237/1000 is far from every a/q with q <= X at this width
+    off = F_diagnostic(Fraction(237, 1000), scale, d)
     assert not off.on_arc
     assert off.h_model == 0 and off.W_model == 0
     assert off.h != 0  # the data side is still evaluated
@@ -102,43 +103,42 @@ def test_F_diagnostic_fields():
     assert math.isfinite(diag.F.real) and math.isfinite(diag.F.imag)
 
 
-def test_sums_at_a_denominator_past_float_range_keep_the_mass():
-    # alpha = 2^-1100: 2^1100 overflows a float, so the angle must divide int by int
-    a, b = WeightTable("a", (3, 5, 9), (1, 2, 4)), WeightTable("b", (2, 7), (3, 1))
-    alpha = Fraction(1, 2**1100)
-    h, W = eval_h(alpha, a), eval_W(alpha, b, [2, 3])
-    assert h.real == 7.0 and abs(h.imag) < 1e-300
-    assert W.real == 8.0 and abs(W.imag) < 1e-300
-
-
-# The per-element phase loop that the array pass replaced, kept as the oracle.
-def _exact_phases_loop(table, alpha, scale=1):
-    num, den = alpha.numerator % alpha.denominator, alpha.denominator
-    re, im = [], []
+# The route that the int64 histogram replaced, in Python ints: v^2 mod q per entry, the counts summed per residue
+# in a dict, then the same phases and one fsum per part.  a is coprime to q, so u -> a u mod q is one-to-one and
+# each residue u of s^2 v^2 keeps its own sum.
+def _histogram_oracle(table, alpha, scales=(1,)):
+    a, q = alpha.numerator % alpha.denominator, alpha.denominator
+    hist = {}
     for v, c in zip(table.support.tolist(), table.counts.tolist()):
-        theta = 2.0 * math.pi * ((num * (v * v * scale * scale % den)) % den / den)
+        for s in scales:
+            u = s * s * (v * v % q) % q
+            hist[u] = hist.get(u, 0) + c
+    re, im = [], []
+    for u, c in hist.items():
+        theta = 2.0 * math.pi * (a * u % q / q)
         re.append(c * math.cos(theta))
         im.append(c * math.sin(theta))
     return complex(math.fsum(re), math.fsum(im))
 
 
-@pytest.mark.parametrize("alpha", [0.1234567891234, 1 / 3, 0.25 + 1e-9, 0.0123456789, Fraction(7, 1009)])
+@pytest.mark.parametrize("alpha", [Fraction(1, 3), Fraction(3, 8), Fraction(12345, 65521), 0.25, Fraction(7, 1009)])
 def test_sums_match_phase_loop(alpha):
     scale = Scale(27**6)
     af = Fraction(alpha)
-    assert isinstance(alpha, Fraction) or af.denominator > 2**53
-    assert eval_h(alpha, scale.table_a) == _exact_phases_loop(scale.table_a, af)
-    want_W = sum((_exact_phases_loop(scale.table_b, af, p**3) for p in scale.primes), 0j)
+    assert eval_h(alpha, scale.table_a) == _histogram_oracle(scale.table_a, af)
+    want_W = _histogram_oracle(scale.table_b, af, [p**3 for p in scale.primes])
     assert eval_W(alpha, scale.table_b, scale.primes) == want_W
 
 
-# The one-shot route that the blocks replaced: every residue held as a Python int at once, one fsum per part.
-def _exact_phases_one_shot(table, alpha, scale=1):
-    num, den = alpha.numerator % alpha.denominator, alpha.denominator
-    v = table.support.astype(object)
-    theta = 2.0 * math.pi * np.asarray(num * (v * v * scale * scale % den) % den / den, dtype=np.float64)
-    c = table.counts
-    return complex(math.fsum((c * np.cos(theta)).tolist()), math.fsum((c * np.sin(theta)).tolist()))
+@pytest.mark.parametrize("P", [27, 64])
+def test_sums_match_the_residue_histogram_oracle(P):
+    scale = Scale(P**6)
+    ta, tb, primes = scale.table_a, scale.table_b, scale.primes
+    cubes = [p**3 for p in primes]
+    assert len(ta) > 200 and len(tb) > 2 and len(primes) == 2
+    for alpha in {Fraction(a, q) for q in range(1, 31) for a in range(q)}:  # every a/q in lowest terms, q <= 30
+        assert eval_h(alpha, ta) == _histogram_oracle(ta, alpha), alpha
+        assert eval_W(alpha, tb, primes) == _histogram_oracle(tb, alpha, cubes), alpha
 
 
 @pytest.fixture(scope="module")
@@ -146,16 +146,52 @@ def tables_300_1000():
     return [build_weight_table(derive_params(P**6), "a") for P in (300, 1000)]
 
 
-@pytest.mark.parametrize("alpha", [0.123456789, Fraction(5, 7), 1e-9, Fraction(3, 2**80 + 1)])
+@pytest.mark.parametrize("alpha", [0.375, Fraction(5, 7), 0.25, Fraction(12345, 65521), Fraction(3, 1009)])
 def test_blocked_sums_match_the_one_shot_sum(monkeypatch, tables_300_1000, alpha):
-    af, table = Fraction(alpha), tables_300_1000[1]
-    want = _exact_phases_one_shot(table, af)
-    scale = Scale(27**6)
-    want_W = sum((_exact_phases_one_shot(scale.table_b, af, p**3) for p in scale.primes), 0j)
-    for bucket in (weights.BUCKET, 4096, 7):  # 27 487 values in one block, then 7 blocks, then 3 927
+    # the per-residue sums are exact integers, so no block size can move the value
+    table, scale = tables_300_1000[1], Scale(27**6)
+    want = _histogram_oracle(table, Fraction(alpha))
+    want_W = _histogram_oracle(scale.table_b, Fraction(alpha), [p**3 for p in scale.primes])
+    for bucket in (65_536, 4096, 7):  # 27 487 values in one block, then 7 blocks, then 3 927
         monkeypatch.setattr(weights, "BUCKET", bucket)
         assert eval_h(alpha, table) == want
         assert eval_W(alpha, scale.table_b, scale.primes) == want_W
+
+
+@pytest.mark.parametrize("alpha", [Fraction(1, 2**31), 0.1, Fraction(1, 2**1100), Fraction(2**40 + 1, 3 * 2**31)])
+def test_denominators_from_2_to_the_31_are_refused_before_a_block_is_read(monkeypatch, alpha):
+    t = WeightTable("a", (3, 5, 9), (1, 2, 4))
+    monkeypatch.setattr(WeightTable, "blocks", lambda self: pytest.fail("a block was read"))
+    with pytest.raises(ValueError, match="below 2\\^31"):
+        eval_h(alpha, t)
+    with pytest.raises(ValueError, match="below 2\\^31"):
+        eval_W(alpha, t, [2, 3])
+
+
+def test_histogram_past_the_budget_is_refused_before_a_block_is_read(monkeypatch):
+    t = WeightTable("a", (3, 5, 9), (1, 2, 4))
+    monkeypatch.setattr(WeightTable, "blocks", lambda self: pytest.fail("a block was read"))
+    monkeypatch.setenv(BUDGET_ENV, str(2**31))
+    with pytest.raises(CapacityError, match="residue histogram mod 2147483647"):
+        eval_h(Fraction(1, 2**31 - 1), t)  # 2^31 - 1 int64 bins alone are past 2 GiB
+    monkeypatch.setenv(BUDGET_ENV, str(10**5))
+    with pytest.raises(CapacityError, match="residue histogram mod 65521"):
+        eval_W(Fraction(1, 65521), t, [2, 3])
+
+
+@pytest.mark.parametrize("q", [2, 1009, 65521, 10**6 + 3])
+def test_histogram_estimate_holds_the_peak(monkeypatch, tables_300_1000, q):
+    asked = []
+    monkeypatch.setattr(generating, "reserve", lambda need, what: asked.append(need))
+    scale = Scale(27**6)
+    for table, primes in ((scale.table_a, None), (tables_300_1000[1], None), (scale.table_b, scale.primes)):
+        tracemalloc.start()
+        try:
+            eval_h(Fraction(5, q), table) if primes is None else eval_W(Fraction(5, q), table, primes)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= asked[-1] < 2 * peak + 2**15, (len(table), q)
 
 
 def test_h_memory_does_not_grow_with_the_table(monkeypatch, tables_300_1000):
@@ -164,7 +200,7 @@ def test_h_memory_does_not_grow_with_the_table(monkeypatch, tables_300_1000):
     for t in tables_300_1000:
         tracemalloc.start()
         try:
-            eval_h(0.123456789, t)
+            eval_h(Fraction(5, 1009), t)
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
