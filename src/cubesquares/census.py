@@ -24,7 +24,7 @@ from .errors import DegenerateParamsError, VerificationError
 from .params import floor_nth_root
 
 
-_BLOCK = 1 << 15  # words per block of the carry, popcount and scan loops: 256 KiB of scratch
+_BLOCK = 1 << 15  # words per block of the shift-OR, popcount and scan loops: 256 KiB of scratch
 _ALL = (1 << 64) - 1
 
 
@@ -155,16 +155,16 @@ class Census:
 def census_bytes(N: int) -> int:
     """Upper bound on the bytes `run_census(N)` allocates at once.
 
-    During the second shift-OR pass four word arrays are alive: the packed
-    pair set, the three-square sums, the shifted copy and the four-square
-    sums, plus one block of carry words.  The 64-lift check afterwards
-    holds the pair set, the four-square sums and about N / 16 bytes.
-    The cube-sum members, their squares and the per-square bit scatter are
-    O(sqrt N).
+    During the second shift-OR pass three word arrays are alive: the packed
+    pair set, the three-square sums and the four-square sums, plus the
+    shifted block and the carry block of `_shift_or`.  The 64-lift check
+    afterwards holds the pair set, the four-square sums and about N / 16
+    bytes.  The cube-sum members, their squares and the per-square bit
+    scatter are O(sqrt N).
     """
     W = _words(N)
     small = 2**13 + 8 * floor_nth_root(N, 2)
-    return 8 * (4 * W + min(_BLOCK, W)) + small
+    return 8 * (3 * W + 2 * min(_BLOCK, W)) + small
 
 
 def _sumset(pair: np.ndarray, squares: np.ndarray, N: int) -> np.ndarray:
@@ -172,47 +172,47 @@ def _sumset(pair: np.ndarray, squares: np.ndarray, N: int) -> np.ndarray:
 
     `pair` holds the sums of two of them as packed words (bit k of word w
     stands for 64 w + k) and is left intact.  The sumset pair + pair is
-    (pair + squares) + squares: two passes of one shift per square.  The
+    (pair + squares) + squares: two passes of one shift per square, with
+    `pair`, the three-square sums and the result the only word arrays.  The
     bits past N are cleared.
     """
     three = np.zeros_like(pair)
-    sh = np.empty_like(pair)
-    _shift_or(pair, squares, three, sh)
+    _shift_or(pair, squares, three)
     four = np.zeros_like(pair)
-    _shift_or(three, squares, four, sh)
+    _shift_or(three, squares, four)
     four[-1] &= np.uint64((2 << (N & 63)) - 1)
     return four
 
 
-def _shift_or(words: np.ndarray, shifts: np.ndarray, out: np.ndarray, sh: np.ndarray) -> None:
+def _shift_or(words: np.ndarray, shifts: np.ndarray, out: np.ndarray) -> None:
     """OR `words` shifted left by every b in `shifts` (all below 64 * words.size) into `out`.
 
-    `sh` is a scratch array of the same size as `words`.
-
-    Shifts are grouped by r = b mod 64, and one copy of `words` shifted left
-    by r bits, with the carry from the word below, serves the whole group:
-    for b = 64 w + r it is OR-ed in w words further on.  The carry is taken
-    in blocks of `_BLOCK` words.  Bits shifted past the last word are
-    dropped.  Left shifts only move bits past N further up, where
-    `_sumset` clears them.
+    Shifts are grouped by r = b mod 64.  Within a group, each block of
+    `_BLOCK` source words is shifted left by r bits once, with the carry
+    from the word below, into a reused block buffer, and that block, still
+    in cache, is OR-ed in w words further on for every b = 64 w + r of the
+    group.  No shifted copy of the whole source is made.  Bits shifted past
+    the last word are dropped.  Left shifts only move bits past N further
+    up, where `_sumset` clears them.
     """
     W = words.size
-    carry = np.empty(min(_BLOCK, W), dtype=words.dtype)
+    shifted = np.empty(min(_BLOCK, W), dtype=words.dtype)
+    carry = np.empty_like(shifted)
     for r in range(64):
         ws = (shifts[shifts % 64 == r] // 64).tolist()
         if not ws:
             continue
-        src = words
-        if r:
-            src = sh
-            np.left_shift(words, r, out=sh)
-            for a in range(0, W - 1, _BLOCK):
-                b = min(a + _BLOCK, W - 1)
-                c = carry[: b - a]
-                np.right_shift(words[a:b], 64 - r, out=c)
-                sh[a + 1 : b + 1] |= c
-        for w in ws:
-            out[w:] |= src[: W - w]
+        for a in range(0, W, _BLOCK):
+            b = min(a + _BLOCK, W)
+            block = words[a:b]
+            if r:
+                lo = max(a - 1, 0)  # the carry into word a comes from word a - 1
+                block = np.left_shift(block, r, out=shifted[: b - a])
+                block[lo + 1 - a :] |= np.right_shift(words[lo : b - 1], 64 - r, out=carry[: b - 1 - lo])
+            for w in ws:
+                if a + w < W:  # each offset on its own: the shifts come in any order
+                    e = min(b, W - w)
+                    out[a + w : e + w] |= block[: e - a]
 
 
 def run_census(N: int) -> Census:
